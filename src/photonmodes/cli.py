@@ -178,16 +178,16 @@ def cmd_validate(args):
     }
     if args.out:
         with open(args.out, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
     width = max(len(rep.name) for rep in reports)
-    print(f"{'check'.ljust(width)}  {'worst residual':>14}  {'time':>7}  status")
+    print(f"{'check'.ljust(width)}  {'worst margin':>14}  {'time':>7}  status")
     all_pass = True
     for rep in reports:
-        worst = max(rep.residuals.values()) if rep.residuals else 0.0
         status = "pass" if rep.passed else "FAIL"
         all_pass &= rep.passed
-        print(f"{rep.name.ljust(width)}  {worst:14.3e}  {rep.runtime:6.1f}s  {status}")
+        print(f"{rep.name.ljust(width)}  {rep.worst_margin():14.3e}  "
+              f"{rep.runtime:6.1f}s  {status}")
     print(f"overall: {'pass' if all_pass else 'FAIL'}")
     return 0 if all_pass else 1
 

@@ -29,7 +29,6 @@ suite checks this against symbolic differentiation of Y_lm).
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -225,14 +224,6 @@ def bessel_j_int_orders(orders, x):
         v = base[abs(int(n))].reshape(shape)
         out[n] = v if (n >= 0 or n % 2 == 0) else -v
     return out
-
-
-def bessel_j_half_pair(l, x):
-    """(J_{l-1/2}(x), J_{l+1/2}(x)) for integer l >= 1, vectorized."""
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = _bessel_half_all(l, xa.ravel())
-    shape = xa.shape
-    return vals[l].reshape(shape), vals[l + 1].reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -492,43 +483,3 @@ def eth_numeric(kind, grid: PolarGridFunction) -> PolarGridFunction:
 
 def ethbar_numeric(kind, grid: PolarGridFunction) -> PolarGridFunction:
     return _eth_like(kind, grid, -1)
-
-
-# ---------------------------------------------------------------------------
-# Optional on-disk coefficient table
-# ---------------------------------------------------------------------------
-
-_TABLE_MAGIC = b"SWHT"
-_TABLE_VERSION = 1
-
-
-def save_harmonic_table(path, l_max, n_max=2):
-    """Cache the half-angle coefficients c_r for |n| <= n_max, l <= l_max.
-
-    Layout: magic, version:u32, l_max:u32, n_max:u32, then a flat
-    little-endian float64 array indexed [n+n_max, l, m+l_max, r] (r can
-    exceed l by up to n_max for negative spin weights)."""
-    shape = (2 * n_max + 1, l_max + 1, 2 * l_max + 1, l_max + n_max + 1)
-    table = np.zeros(shape)
-    for n in range(-n_max, n_max + 1):
-        for l in range(l_max + 1):
-            for m in range(-l, l + 1):
-                for c, pc, ps in _sph_coeffs(n, l, m):
-                    table[n + n_max, l, m + l_max, (pc - (n - m)) // 2] = c
-    with open(path, "wb") as fh:
-        fh.write(_TABLE_MAGIC)
-        fh.write(struct.pack("<III", _TABLE_VERSION, l_max, n_max))
-        fh.write(table.astype("<f8").tobytes())
-
-
-def load_harmonic_table(path):
-    """Load a table written by save_harmonic_table; returns (l_max, n_max, array)."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _TABLE_MAGIC:
-            raise ValueError("not a harmonic table file")
-        version, l_max, n_max = struct.unpack("<III", fh.read(12))
-        if version != _TABLE_VERSION:
-            raise ValueError(f"unsupported table version {version}")
-        shape = (2 * n_max + 1, l_max + 1, 2 * l_max + 1, l_max + n_max + 1)
-        data = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
-    return l_max, n_max, data

@@ -107,9 +107,6 @@ def slice_nodes(spec: QuadratureSpec):
     return np.full(x.shape, spec.t_slice), x, y, z, W.ravel()
 
 
-_slice_points = slice_nodes
-
-
 # ---------------------------------------------------------------------------
 # Currents and the inner product
 # ---------------------------------------------------------------------------
@@ -139,13 +136,13 @@ def _j0_timeslice(a_field, b_field, t, x, y, z):
 def inner(a_field, b_field, spec: QuadratureSpec, return_error=False):
     """(A, A') by slice quadrature of j'_0; optionally also a node-doubling
     error estimate (NonConvergenceError if it exceeds 10x spec.tol)."""
-    t, x, y, z, w = _slice_points(spec)
+    t, x, y, z, w = slice_nodes(spec)
     val = complex(np.sum(w * _j0_timeslice(a_field, b_field, t, x, y, z)))
     if not return_error:
         return val
     fine = replace(spec, n_r=2 * spec.n_r, n_theta=2 * spec.n_theta,
                    n_phi=2 * spec.n_phi, n_box=2 * spec.n_box)
-    t, x, y, z, w = _slice_points(fine)
+    t, x, y, z, w = slice_nodes(fine)
     val2 = complex(np.sum(w * _j0_timeslice(a_field, b_field, t, x, y, z)))
     err = abs(val2 - val)
     scale = max(abs(val2), 1e-300)
@@ -162,7 +159,7 @@ def inner_field_strength_form(a_field, b_field, spec: QuadratureSpec):
 
     Gauge invariant for A -> A + grad(Lambda) with compact Lambda; used by
     the gauge-invariance checks."""
-    t, x, y, z, w = _slice_points(spec)
+    t, x, y, z, w = slice_nodes(spec)
     ga = a_field.gradient(t, x, y, z)
     gb = b_field.gradient(t, x, y, z)
     fa = ga - np.swapaxes(ga, -1, -2)

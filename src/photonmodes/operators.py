@@ -167,6 +167,12 @@ class LieField:
 
     __call__ = evaluate
 
+    def d_dt(self, t, x, y, z, order=1):
+        """Time derivative, exact for a time-independent generator (it
+        commutes with d_t); needs a base with an analytic d_dt."""
+        return lie_derivative(self.xi, lambda *c: self.base.d_dt(*c, order=order),
+                              t, x, y, z, h=self.h, method="fd")
+
 
 def angular_momentum_squared(field, t, x, y, z, h=fdiff.DEFAULT_H):
     """L^2 A = sum_i Lie_{L_i} Lie_{L_i} A by nested finite differences."""

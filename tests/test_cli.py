@@ -42,6 +42,14 @@ def test_validate_degeneracy_exit_zero(tmp_path):
     assert "provenance" in payload and "config_hash" in payload["provenance"]
 
 
+def test_validate_prints_worst_gate_margin(capsys):
+    # informational residuals (the large M = 0 error) stay out of the column
+    assert main(["validate", "crosscheck"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("crosscheck_jacobi_anger"))
+    assert float(row.split()[1]) < 1.0
+
+
 def test_validate_unknown_suite(capsys):
     rc = main(["validate", "nonsense"])
     assert rc == 2

@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv, sph_harm_y
 
-from photonmodes.harmonics import (bessel_j, bessel_j_int_orders, bessel_j_half_pair,
+from photonmodes.harmonics import (bessel_j, bessel_j_int_orders,
                                    CylHarmonicLabel, SphHarmonicLabel,
                                    sw_cyl_harmonic, sw_sph_harmonic,
                                    cyl_harmonic_values, sph_harmonic_values,
                                    eth_analytic, ethbar_analytic,
                                    ethbar_eth_eigenvalue, eth_numeric,
                                    ethbar_numeric, sample_harmonic,
-                                   sph_harmonic_theta_derivative,
-                                   save_harmonic_table, load_harmonic_table)
+                                   sph_harmonic_theta_derivative)
 from photonmodes.errors import InvalidOrderError, PoleError, ResolutionError
 
 from oracles import bessel_series, bessel_half_trig
@@ -91,9 +90,8 @@ def test_bessel_multi_order_consistency():
     many = bessel_j_int_orders([-2, -1, 0, 1, 3], x)
     for n in (-2, -1, 0, 1, 3):
         assert np.allclose(many[n], jv(n, x), atol=1e-13)
-    jm, jp = bessel_j_half_pair(3, x)
-    assert np.allclose(jm, jv(2.5, x), atol=1e-13)
-    assert np.allclose(jp, jv(3.5, x), atol=1e-13)
+    assert np.allclose(bessel_j(2.5, x), jv(2.5, x), atol=1e-13)
+    assert np.allclose(bessel_j(3.5, x), jv(3.5, x), atol=1e-13)
 
 
 # ---------------------------------------------------------------------------
@@ -257,12 +255,3 @@ def test_l3_spectral_eigenvalue():
                     (sph_harmonic_values(1, 3, -2, 0.9, phi), -2)):
         deriv = np.fft.ifft(1j * k * np.fft.fft(vals))
         assert np.abs(-1j * deriv - m * vals).max() < 1e-10 * np.abs(vals).max()
-
-
-def test_harmonic_table_roundtrip(tmp_path):
-    path = tmp_path / "table.swht"
-    save_harmonic_table(path, l_max=4, n_max=2)
-    l_max, n_max, data = load_harmonic_table(path)
-    assert (l_max, n_max) == (4, 2)
-    # spot value: Y[0,0,0] has the single coefficient 1/sqrt(4 pi)
-    assert data[2, 0, 4, 0] == pytest.approx(1.0 / math.sqrt(4 * math.pi))

@@ -1,8 +1,11 @@
 import collections
+import json
 
 import pytest
 
-from photonmodes.validation import (CheckSpec, run_suite, run_eigen_suite,
+from photonmodes.cli import main
+from photonmodes.validation import (Check, CheckReport, CheckSpec, REGISTRY,
+                                    run_check, run_suite, run_eigen_suite,
                                     run_degeneracy_suite, run_crosscheck_suite,
                                     claims_manifest, CLAIM_LIST, SUITES)
 
@@ -64,6 +67,28 @@ def test_manifest_matches_executed_reports():
     got = claims_manifest(reports)
     want = [c for c in CLAIM_LIST if c in got]
     assert sorted(want) == sorted(got)
+
+
+def test_report_file_is_strict_json_and_round_trips(tmp_path):
+    # no Infinity/NaN in the file; every entry rebuilds a CheckReport that
+    # serializes back to it; each report carries its registry entry's claims
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    for suite in ("degeneracy", "crosscheck"):
+        out = tmp_path / f"{suite}.json"
+        assert main(["validate", suite, "--out", str(out)]) == 0
+        payload = json.loads(out.read_text(), parse_constant=reject)
+        for d in payload["reports"]:
+            assert CheckReport(**d).to_dict() == d
+            assert d["claims"] == list(REGISTRY[d["name"]].claims)
+
+
+def test_undeclared_residual_rejected():
+    check = Check("t", "t", (), {"a": 1.0}, (),
+                  lambda spec: ({"a": 0.0, "b": 0.0}, []))
+    with pytest.raises(RuntimeError, match="'b'"):
+        run_check(check, CheckSpec("t"))
 
 
 def test_suite_names_stable():

@@ -175,6 +175,15 @@ def _bessel_half_all(kmax, x):
     return out
 
 
+def _finite_argument(x):
+    """x as a float array; ValueError if any entry is NaN or infinite (one
+    such entry would also set the Miller start index of its whole batch)."""
+    xa = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(xa)):
+        raise ValueError("Bessel argument x must be finite")
+    return xa
+
+
 def _check_order(order):
     nu2 = round(2.0 * float(order))
     if abs(2.0 * float(order) - nu2) > 1e-12:
@@ -186,7 +195,7 @@ def _check_order(order):
 
 
 def bessel_j(order, x):
-    """Bessel function of the first kind J_order(x), x >= 0.
+    """Bessel function of the first kind J_order(x), finite x >= 0.
 
     Supported orders: all integers (negative ones via J_{-n} = (-1)^n J_n)
     and half-integers >= -1/2.  Vectorized over x.
@@ -197,7 +206,7 @@ def bessel_j(order, x):
     by any double-precision evaluation of an oscillatory function).
     """
     nu2 = _check_order(order)
-    xa = np.asarray(x, dtype=float)
+    xa = _finite_argument(x)
     if np.any(xa < 0):
         raise ValueError("bessel_j requires x >= 0")
     scalar = np.isscalar(x) or xa.ndim == 0
@@ -215,7 +224,7 @@ def bessel_j(order, x):
 def bessel_j_int_orders(orders, x):
     """dict order -> J_order(x) for a set of integer orders (negatives OK);
     output arrays match the shape of x."""
-    xa = np.asarray(x, dtype=float)
+    xa = _finite_argument(x)
     shape = xa.shape
     need = sorted({abs(int(n)) for n in orders})
     base = _bessel_int_orders(need, np.atleast_1d(xa).ravel())
@@ -321,14 +330,17 @@ def sph_harmonic_values(n, l, m, theta, phi):
     return tot * np.exp(1j * m * phi)
 
 
-def sph_harmonic_pole_limit(n, l, m, north=True):
-    """Coefficient h of the pole limit Y[n,l,m] -> h e^{i m phi}.
-
-    Nonzero only for m = -n (north pole) or m = n (south pole)."""
-    terms = _sph_coeffs(n, l, m)
-    if north:
-        return complex(sum(c for c, pc, ps in terms if ps == 0))
-    return complex(sum(c for c, pc, ps in terms if pc == 0))
+def sph_harmonic_gram(n, lm, n_theta, n_phi):
+    """Overlap matrix int conj(Y[n,l,m]) Y[n,l',m'] dOmega over the labels
+    lm = [(l, m), ...] at one spin weight n: Gauss-Legendre in cos(theta)
+    with n_theta nodes, the uniform rule in phi with n_phi nodes; exact when
+    n_theta > max l and n_phi > 2 max l."""
+    xu, wu = np.polynomial.legendre.leggauss(n_theta)
+    TH, PH = np.meshgrid(np.arccos(xu), np.arange(n_phi) * (2.0 * math.pi) / n_phi,
+                         indexing="ij")
+    wgt = np.broadcast_to(wu[:, None] * (2.0 * math.pi / n_phi), TH.shape).ravel()
+    basis = np.stack([sph_harmonic_values(n, l, m, TH, PH).ravel() for l, m in lm])
+    return np.einsum("ik,k,jk->ij", np.conj(basis), wgt, basis)
 
 
 def sw_sph_harmonic(label: SphHarmonicLabel, theta, phi) -> SpinWeightedValue:

@@ -11,7 +11,9 @@ Because every field here is a positive-energy eigen- or wave-packet field,
 the time derivatives entering j'_0 are taken analytically; the spatial
 quadrature is a tensor rule on a truncated slice (Gauss-Legendre radially
 and in cos(theta), uniform in phi -- exact for the trigonometric angular
-content of the harmonics).
+content of the harmonics).  A WavePacket is a SphericalMode with a
+many-term energy spectrum, so one pass of the multipole kernel gives its
+values and time derivatives at every energy node.
 
 Radial overlap integrals of Bessel products are conditionally convergent;
 they are regularized two independent ways and both must agree:
@@ -30,14 +32,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import NonConvergenceError
 from .charts import ETA_DIAG
-from .harmonics import bessel_j
-from .modes import SphericalLabel, CylindricalLabel, spherical_mode, sph_radial_profiles
-from .harmonics import sph_harmonic_values
+from .harmonics import bessel_j, sph_harmonic_gram
+from .modes import (SphericalLabel, CylindricalLabel, SphericalMode, sph_radial_profiles,
+                    cyl_dyad_coefficients, field_strength)
 
 TWO_PI = 2.0 * math.pi
 
@@ -123,27 +126,30 @@ def current(a_field, b_field, t, x, y, z):
     return 1j * (term1 - term2)
 
 
-def _j0_timeslice(a_field, b_field, t, x, y, z):
-    """j'_0 using analytic time derivatives (fields are energy superpositions)."""
-    da = a_field.d_dt(t, x, y, z)
-    db = b_field.d_dt(t, x, y, z)
-    av = a_field.evaluate(t, x, y, z)
-    bv = b_field.evaluate(t, x, y, z)
-    return 1j * np.einsum("b,...b->...", ETA_DIAG,
-                          np.conj(da) * bv - np.conj(av) * db)
+def _density(da, av, db, bv):
+    """i [ conj(dA)_b A'^b - conj(A)^b dA'_b ] with dA = d_t A (j'_0) or
+    dA_b = F_{0b} (the field-strength form)."""
+    return 1j * np.einsum("b,...b->...", ETA_DIAG, np.conj(da) * bv - np.conj(av) * db)
+
+
+def _slice_integral(a_field, b_field, spec):
+    """int j'_0 d^3x on the slice, time derivatives taken analytically
+    (fields are energy superpositions)."""
+    t, x, y, z, w = slice_nodes(spec)
+    j0 = _density(a_field.d_dt(t, x, y, z), a_field.evaluate(t, x, y, z),
+                  b_field.d_dt(t, x, y, z), b_field.evaluate(t, x, y, z))
+    return complex(np.sum(w * j0))
 
 
 def inner(a_field, b_field, spec: QuadratureSpec, return_error=False):
     """(A, A') by slice quadrature of j'_0; optionally also a node-doubling
     error estimate (NonConvergenceError if it exceeds 10x spec.tol)."""
-    t, x, y, z, w = slice_nodes(spec)
-    val = complex(np.sum(w * _j0_timeslice(a_field, b_field, t, x, y, z)))
+    val = _slice_integral(a_field, b_field, spec)
     if not return_error:
         return val
     fine = replace(spec, n_r=2 * spec.n_r, n_theta=2 * spec.n_theta,
                    n_phi=2 * spec.n_phi, n_box=2 * spec.n_box)
-    t, x, y, z, w = slice_nodes(fine)
-    val2 = complex(np.sum(w * _j0_timeslice(a_field, b_field, t, x, y, z)))
+    val2 = _slice_integral(a_field, b_field, fine)
     err = abs(val2 - val)
     scale = max(abs(val2), 1e-300)
     if err > 10.0 * spec.tol * scale:
@@ -160,14 +166,8 @@ def inner_field_strength_form(a_field, b_field, spec: QuadratureSpec):
     Gauge invariant for A -> A + grad(Lambda) with compact Lambda; used by
     the gauge-invariance checks."""
     t, x, y, z, w = slice_nodes(spec)
-    ga = a_field.gradient(t, x, y, z)
-    gb = b_field.gradient(t, x, y, z)
-    fa = ga - np.swapaxes(ga, -1, -2)
-    fb = gb - np.swapaxes(gb, -1, -2)
-    av = a_field.evaluate(t, x, y, z)
-    bv = b_field.evaluate(t, x, y, z)
-    j0 = 1j * np.einsum("b,...b->...", ETA_DIAG,
-                        np.conj(fa[..., 0, :]) * bv - np.conj(av) * fb[..., 0, :])
+    j0 = _density(field_strength(a_field, t, x, y, z)[..., 0, :], a_field.evaluate(t, x, y, z),
+                  field_strength(b_field, t, x, y, z)[..., 0, :], b_field.evaluate(t, x, y, z))
     return complex(np.sum(w * j0))
 
 
@@ -259,21 +259,25 @@ def gauge_shift(a_field, lam: GaussianBumpScalar) -> GaugeShiftedField:
     return GaugeShiftedField(a_field, lam)
 
 
-class WavePacket:
+class WavePacket(SphericalMode):
     """Square-integrable superposition of multipole modes over the energy,
 
         psi = int g(p0) |p0, l, m, s> dp0,
         g(p) = (pi w^2)^{-1/4} exp(-(p - center)^2 / (2 w^2)),
 
-    discretized by Gauss-Legendre nodes over center +- 6 w.  Its norm under
-    the conserved-current inner product equals int |g|^2 dp0 (= 1 up to
+    discretized by Gauss-Legendre nodes over center +- 6 w.  It is the
+    SphericalMode whose energy spectrum is (p_nodes, amplitudes), with
+    amplitudes = p_weights g(p_nodes): the angular x dyad factor is built
+    once per point set and only the radial factor is summed over the nodes.
+    Its label carries the central energy.  Its norm under the
+    conserved-current inner product equals int |g|^2 dp0 (= 1 up to
     Gaussian truncation), which norm_expected() computes with an independent
     dense 1-D rule."""
 
     def __init__(self, l, m, s, center=1.0, width=0.2, n_nodes=32):
         if center - 4.0 * width <= 0:
             raise ValueError("packet support must stay at positive energy")
-        self.l, self.m, self.s = l, m, s
+        super().__init__(SphericalLabel(p0=center, l=l, m=m, s=s))
         self.center, self.width = float(center), float(width)
         xg, wg = np.polynomial.legendre.leggauss(n_nodes)
         lo = max(center - 6.0 * width, 0.02 * center)
@@ -281,22 +285,11 @@ class WavePacket:
         self.p_nodes = 0.5 * (xg + 1.0) * (hi - lo) + lo
         self.p_weights = wg * 0.5 * (hi - lo)
         self.amplitudes = self.p_weights * self._g(self.p_nodes)
-        self.modes = [spherical_mode(SphericalLabel(p0=p, l=l, m=m, s=s))
-                      for p in self.p_nodes]
+        self._spectrum = (self.p_nodes, self.amplitudes)
 
     def _g(self, p):
         w = self.width
         return (math.pi * w**2) ** -0.25 * np.exp(-((p - self.center) ** 2) / (2.0 * w**2))
-
-    def evaluate(self, t, x, y, z):
-        return sum(a * md.evaluate(t, x, y, z) for a, md in zip(self.amplitudes, self.modes))
-
-    def d_dt(self, t, x, y, z, order=1):
-        return sum(a * (-1j * md.p0) ** order * md.evaluate(t, x, y, z)
-                   for a, md in zip(self.amplitudes, self.modes))
-
-    def gradient(self, t, x, y, z):
-        return sum(a * md.gradient(t, x, y, z) for a, md in zip(self.amplitudes, self.modes))
 
     def norm_expected(self, n=4001):
         p = np.linspace(self.center - 8.0 * self.width, self.center + 8.0 * self.width, n)
@@ -306,6 +299,12 @@ class WavePacket:
 # ---------------------------------------------------------------------------
 # Regularized oscillatory radial integrals
 # ---------------------------------------------------------------------------
+
+def _segment(freqs):
+    """Composite-rule segment length: a quarter period of the fastest beat
+    frequency, at most 2."""
+    return min(0.25 * TWO_PI / max(max(freqs) if freqs else 1.0, 1e-9), 2.0)
+
 
 def _composite_gl(f, a, b, seg_len, order=16):
     if b <= a:
@@ -317,7 +316,7 @@ def _composite_gl(f, a, b, seg_len, order=16):
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     weights = (half[:, None] * wg[None, :]).ravel()
-    return float(np.sum(weights * f(nodes)))
+    return np.sum(weights * f(nodes))
 
 
 def _averaging_lattice(freqs, rounds):
@@ -355,8 +354,7 @@ def averaged_oscillatory_integral(f, freqs, spec: QuadratureSpec):
     two-point Richardson step in the truncation radius, 2 S(2R) - S(R),
     which removes the ~1/R contribution of the slowly decaying
     non-oscillatory part of Bessel-product tails."""
-    fast = max(freqs) if freqs else 1.0
-    seg = min(0.25 * TWO_PI / max(fast, 1e-9), 2.0)
+    seg = _segment(freqs)
     s1 = _averaged_at(f, spec.tail_r0, freqs, spec.tail_rounds, seg, spec.gl_order)
     s2 = _averaged_at(f, 2.0 * spec.tail_r0, freqs, spec.tail_rounds, seg, spec.gl_order)
     return 2.0 * s2 - s1
@@ -371,8 +369,7 @@ def damped_oscillatory_integral(f, freqs, spec: QuadratureSpec):
     head length to k/eta makes the error of the slowly decaying ~1/r^2 part
     of Bessel-product tails exactly linear in eta, so the polynomial
     extrapolation removes it."""
-    fast = max(freqs) if freqs else 1.0
-    seg = min(0.25 * TWO_PI / max(fast, 1e-9), 2.0)
+    seg = _segment(freqs)
     kappa = 3.0
     etas = [spec.tail_eta, spec.tail_eta / 2.0, spec.tail_eta / 4.0]
     vals = []
@@ -396,8 +393,7 @@ def oscillatory_integral(f, freqs, spec: QuadratureSpec):
         return averaged_oscillatory_integral(f, freqs, spec)
     if spec.tail == "damped":
         return damped_oscillatory_integral(f, freqs, spec)
-    seg = min(0.25 * TWO_PI / max(max(freqs) if freqs else 1.0, 1e-9), 2.0)
-    return _composite_gl(f, 0.0, spec.tail_r0, seg, spec.gl_order)
+    return _composite_gl(f, 0.0, spec.tail_r0, _segment(freqs), spec.gl_order)
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +473,7 @@ def smeared_radial_delta(kind, order, k_fixed, center, sigma, spec: QuadratureSp
         kernel = np.einsum("k,kr->r", wk * gauss, jk)
         return r * bessel_j(nu, k_fixed * r) * kernel
 
-    seg = min(0.25 * TWO_PI / (center + k_fixed), 2.0)
-    numeric = _composite_gl(f, 0.0, r_max, seg, spec.gl_order)
+    numeric = _composite_gl(f, 0.0, r_max, _segment([center + k_fixed]), spec.gl_order)
     expected = float(np.exp(-((k_fixed - center) ** 2) / (2.0 * sigma**2))
                      / (sigma * math.sqrt(TWO_PI)) / k_fixed)
     return numeric, expected
@@ -503,18 +498,6 @@ class GramResult:
         self.max_offdiag = float(np.abs(off).max()) if off.size else 0.0
 
 
-def _angular_overlap(n, l, m, lp, mp, n_theta, n_phi):
-    """int conj(Y[n,l,m]) Y[n,lp,mp] sin(theta) dtheta dphi, exact rule."""
-    xu, wu = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(xu)
-    phi = np.arange(n_phi) * TWO_PI / n_phi
-    TH, PH = np.meshgrid(theta, phi, indexing="ij")
-    ya = sph_harmonic_values(n, l, m, TH, PH)
-    yb = sph_harmonic_values(n, lp, mp, TH, PH)
-    w = wu[:, None] * (TWO_PI / n_phi)
-    return complex(np.sum(w * np.conj(ya) * yb))
-
-
 def discrete_orthonormality(family, fixed, ranges, spec: QuadratureSpec) -> GramResult:
     """Gram matrix over a discrete-label sector at shared continuous labels.
 
@@ -534,45 +517,26 @@ def discrete_orthonormality(family, fixed, ranges, spec: QuadratureSpec) -> Gram
 
 
 def _gram_spherical(p0, l_max, spec):
-    labels = [(l, m, s) for l in range(1, l_max + 1)
-              for m in range(-l, l + 1) for s in (+1, -1)]
-    n_theta = 2 * l_max + 6
-    n_phi = 4 * l_max + 8
+    lm = [(l, m) for l in range(1, l_max + 1) for m in range(-l, l + 1)]
+    labels = [(l, m, s) for l, m in lm for s in (+1, -1)]
+    # per sector (R0, Rm, Rp): the overlaps of its harmonics Y[n], n = 0, -1, +1
+    angular = [sph_harmonic_gram(n, lm, 2 * l_max + 6, 4 * l_max + 8) for n in (0, -1, 1)]
 
-    radial_cache = {}
-
+    @lru_cache(maxsize=None)
     def radial(sector, l, s, lp, sp_):
-        key = (sector, l, s, lp, sp_)
-        if key not in radial_cache:
-            idx = {"axial": 0, "minus": 1, "plus": 2}[sector]
-
-            def f(r):
-                fa = sph_radial_profiles(SphericalLabel(p0, l, 0, s), r)[idx]
-                fb = sph_radial_profiles(SphericalLabel(p0, lp, 0, sp_), r)[idx]
-                return (np.conj(fa) * fb * r**2).real
-
-            def g(r):
-                fa = sph_radial_profiles(SphericalLabel(p0, l, 0, s), r)[idx]
-                fb = sph_radial_profiles(SphericalLabel(p0, lp, 0, sp_), r)[idx]
-                return (np.conj(fa) * fb * r**2).imag
-
-            re = oscillatory_integral(f, [2.0 * p0], spec)
-            im = oscillatory_integral(g, [2.0 * p0], spec)
-            radial_cache[key] = re + 1j * im
-        return radial_cache[key]
+        def f(r):
+            fa = sph_radial_profiles(SphericalLabel(p0, l, 0, s), r)[sector]
+            fb = sph_radial_profiles(SphericalLabel(p0, lp, 0, sp_), r)[sector]
+            return np.conj(fa) * fb * r**2
+        return oscillatory_integral(f, [2.0 * p0], spec)
 
     n = len(labels)
     gram = np.zeros((n, n), dtype=complex)
     for i, (l, m, s) in enumerate(labels):
-        for j, (lp, mp, sp_) in enumerate(labels):
-            if j < i:
-                continue
-            total = 0.0j
-            for sector, nsw in (("axial", 0), ("minus", -1), ("plus", 1)):
-                ang = _angular_overlap(nsw, l, m, lp, mp, n_theta, n_phi)
-                if abs(ang) < 1e-14:
-                    continue
-                total += radial(sector, l, s, lp, sp_) * ang
+        for j, (lp, mp, sp_) in enumerate(labels[i:], start=i):
+            total = sum(radial(sector, l, s, lp, sp_) * ang[i // 2, j // 2]
+                        for sector, ang in enumerate(angular)
+                        if abs(ang[i // 2, j // 2]) >= 1e-14)
             gram[i, j] = 2.0 * p0 * total
             gram[j, i] = np.conj(gram[i, j])
     diag = np.real(np.diag(gram)).copy()
@@ -581,32 +545,25 @@ def _gram_spherical(p0, l_max, spec):
 
 
 def _gram_cylindrical(p0, pz, m_max, spec):
-    from .modes import cyl_dyad_coefficients
-
     labels = [(m, s) for m in range(-m_max, m_max + 1) for s in (+1, -1)]
     alpha = math.sqrt(max(p0**2 - pz**2, 0.0))
     n_phi = 8 * m_max + 8
     phi = np.arange(n_phi) * TWO_PI / n_phi
     wphi = TWO_PI / n_phi
 
-    radial_cache = {}
-
+    @lru_cache(maxsize=None)
     def radial(k):
-        if k not in radial_cache:
-            def f(rho):
-                jk = bessel_j(abs(k), alpha * rho)
-                return rho * jk * jk
-            radial_cache[k] = oscillatory_integral(f, [2.0 * alpha], spec)
-        return radial_cache[k]
+        def f(rho):
+            jk = bessel_j(abs(k), alpha * rho)
+            return rho * jk * jk
+        return oscillatory_integral(f, [2.0 * alpha], spec)
 
     coeffs = {(m, s): cyl_dyad_coefficients(CylindricalLabel(p0, pz, m, s))
               for (m, s) in labels}
     n = len(labels)
     gram = np.zeros((n, n), dtype=complex)
     for i, (m, s) in enumerate(labels):
-        for j, (mp, sp_) in enumerate(labels):
-            if j < i:
-                continue
+        for j, (mp, sp_) in enumerate(labels[i:], start=i):
             ang = np.sum(np.exp(1j * (mp - m) * phi)) * wphi
             if abs(ang) < 1e-13:
                 continue

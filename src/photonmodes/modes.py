@@ -19,28 +19,30 @@ eps_{0123} = +1 this makes dual(F) = s F hold for every family with the same
 coefficient conventions as the transverse-dyad decompositions.
 
 Evaluators are vectorized over spacetime points: evaluate(t, x, y, z) takes
-broadcastable arrays of Lorentz coordinates and returns Lorentz covector
-components with a trailing axis of length 4.  gradient() returns d_mu A_nu
-with two trailing axes (mu, nu), computed analytically through Bessel and
-harmonic recurrences; for the spherical family it requires off-axis points.
+broadcastable arrays of finite Lorentz coordinates and returns Lorentz
+covector components with a trailing axis of length 4.  gradient() returns
+d_mu A_nu with two trailing axes (mu, nu), computed analytically through
+Bessel and harmonic recurrences; for the spherical family it requires
+off-axis points.  Multipole fields go through one kernel: a radial factor
+summed over an energy spectrum, contracted with the angular x dyad factor
+Y[n] dyad_n built once per point set (see SphericalMode).
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charts import SpacetimePoint, to_lorentz
 from .errors import DegenerateAxisError, InvalidLabelError
 from .harmonics import (
     bessel_j_int_orders,
     _bessel_half_all,
+    eth_factor_sph,
+    ethbar_factor_sph,
     sph_harmonic_values,
-    sph_harmonic_theta_derivative,
-    sph_harmonic_pole_limit,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -55,9 +57,23 @@ Z_HAT = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
 # Labels
 # ---------------------------------------------------------------------------
 
+#: Largest accepted multipole order.  The half-angle form of the harmonics
+#: (harmonics.sph_harmonic_values) sums alternating factorial-sized terms;
+#: its maximum absolute error against scipy.special.sph_harm_y (n = 0, all m,
+#: 2001 theta nodes) is 3.4e-11 at l = 20, 8.2e-10 at l = 25 and 3.4e-8 at
+#: l = 30.  The bound can rise once a stable recurrence replaces that form.
+SPH_L_MAX = 20
+
+
 def _check_helicity(s):
     if s not in (+1, -1):
         raise InvalidLabelError("helicity s must be +1 or -1")
+
+
+def _integer(name, value):
+    if not float(value).is_integer():
+        raise InvalidLabelError(f"{name} must be an integer")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -69,8 +85,8 @@ class PlaneWaveLabel:
     def __post_init__(self):
         _check_helicity(self.s)
         p = tuple(float(c) for c in self.p)
-        if len(p) != 3 or math.hypot(*p) == 0.0:
-            raise InvalidLabelError("plane-wave momentum must be a nonzero 3-vector")
+        if len(p) != 3 or not all(map(math.isfinite, p)) or math.hypot(*p) == 0.0:
+            raise InvalidLabelError("plane-wave momentum must be a finite nonzero 3-vector")
         object.__setattr__(self, "p", p)
 
     @property
@@ -89,10 +105,11 @@ class CylindricalLabel:
 
     def __post_init__(self):
         _check_helicity(self.s)
-        if self.p0 <= 0:
-            raise InvalidLabelError("p0 must be > 0 (positive energy)")
-        if abs(self.pz) > self.p0:
-            raise InvalidLabelError("|pz| must be <= p0 (alpha real)")
+        if not 0 < self.p0 < math.inf:
+            raise InvalidLabelError("p0 must be finite and > 0 (positive energy)")
+        if not abs(self.pz) <= self.p0:
+            raise InvalidLabelError("pz must be finite with |pz| <= p0 (alpha real)")
+        object.__setattr__(self, "m", _integer("m", self.m))
 
     @property
     def alpha(self):
@@ -101,9 +118,10 @@ class CylindricalLabel:
 
 @dataclass(frozen=True)
 class SphericalLabel:
-    """|p0, l, m, s>: energy p0 > 0, total angular momentum l >= 1, |m| <= l,
-    helicity s.  l = 0 is rejected: the corresponding field is identically
-    zero, so the photon's angular quantum number starts at 1."""
+    """|p0, l, m, s>: energy p0 > 0, total angular momentum
+    1 <= l <= SPH_L_MAX, |m| <= l, helicity s.  l = 0 is rejected: the
+    corresponding field is identically zero, so the photon's angular
+    quantum number starts at 1."""
     p0: float
     l: int
     m: int
@@ -111,12 +129,17 @@ class SphericalLabel:
 
     def __post_init__(self):
         _check_helicity(self.s)
-        if self.p0 <= 0:
-            raise InvalidLabelError("p0 must be > 0 (positive energy)")
-        if self.l < 1:
+        if not 0 < self.p0 < math.inf:
+            raise InvalidLabelError("p0 must be finite and > 0 (positive energy)")
+        l, m = _integer("l", self.l), _integer("m", self.m)
+        if l < 1:
             raise InvalidLabelError("spherical modes require l >= 1; the l = 0 field vanishes identically")
-        if abs(self.m) > self.l:
+        if l > SPH_L_MAX:
+            raise InvalidLabelError(f"l must be <= {SPH_L_MAX}; the harmonics lose accuracy above it")
+        if abs(m) > l:
             raise InvalidLabelError("|m| must be <= l")
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "m", m)
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +153,8 @@ class ModeField:
 
     @property
     def p0(self):
-        raise NotImplementedError
+        """Energy of the label (for a WavePacket, its central energy)."""
+        return self.label.p0
 
     def evaluate(self, t, x, y, z):
         raise NotImplementedError
@@ -142,16 +166,16 @@ class ModeField:
         """Time derivatives are algebraic: every mode is an energy eigenfield."""
         return (-1j * self.p0) ** order * self.evaluate(t, x, y, z)
 
-    def evaluate_point(self, p: SpacetimePoint):
-        t, x, y, z = to_lorentz(p).coords
-        return self.evaluate(t, x, y, z)
-
     def dalembertian(self, t, x, y, z):
         raise NotImplementedError
 
 
 def _broadcast(t, x, y, z):
+    """Coordinates as broadcast float arrays; ValueError if any is NaN or
+    infinite, which no branch of an evaluator could place."""
     t, x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (t, x, y, z)))
+    if not all(np.all(np.isfinite(c)) for c in (t, x, y, z)):
+        raise ValueError("spacetime coordinates must be finite")
     return t, x, y, z
 
 
@@ -169,10 +193,6 @@ class PlaneWaveMode(ModeField):
         self.polarization = (e_theta + 1j * label.s * e_phi) / SQRT2
         self.p_lower = np.array([p0, -px, -py, -pz])
         self.norm = (2.0 * math.pi) ** -1.5 / math.sqrt(2.0 * p0)
-
-    @property
-    def p0(self):
-        return self.label.p0
 
     def _phase(self, t, x, y, z):
         px, py, pz = self.label.p
@@ -217,10 +237,6 @@ class CylindricalMode(ModeField):
         self.cz = self.alpha / (4.0 * math.pi * p0)
         self.cm = 1j * (s * p0 + pz) / (4.0 * math.pi * p0 * SQRT2)
         self.cp = 1j * (s * p0 - pz) / (4.0 * math.pi * p0 * SQRT2)
-
-    @property
-    def p0(self):
-        return self.label.p0
 
     @property
     def is_zero(self):
@@ -364,18 +380,27 @@ def _sph_angles(x, y, z):
     return r, theta, phi
 
 
+#: spin weights of the multipole sum, in the order of the dyads (dr, eps-, eps+)
+_SPINS = (0, -1, 1)
+
+
 def _sph_dyads(theta, phi):
-    """Lorentz components of dr, eps-, eps+ and their theta/phi derivatives."""
+    """Lorentz components of the dyads (dr, eps-, eps+), shape (3,) + theta.shape
+    + (4,).  Their angular derivatives are combinations of themselves:
+    d_theta (dr, eps-, eps+) = (eps- + eps+, -dr, -dr) / sqrt2 and
+    d_phi (dr, eps-, eps+) = -i (sin(theta) (eps- - eps+) / sqrt2,
+    cos(theta) eps- + sin(theta) dr / sqrt2, -cos(theta) eps+ - sin(theta) dr / sqrt2)."""
     st, ct = np.sin(theta), np.cos(theta)
     sp, cp = np.sin(phi), np.cos(phi)
     zero = np.zeros_like(st)
-    dr = np.stack([zero, st * cp, st * sp, ct], axis=-1)
     em = np.stack([zero, ct * cp - 1j * sp, ct * sp + 1j * cp, -st], axis=-1) / SQRT2
-    dth_dr = np.stack([zero, ct * cp, ct * sp, -st], axis=-1)
-    dph_dr = np.stack([zero, -st * sp, st * cp, zero], axis=-1)
-    dth_em = np.stack([zero, -st * cp, -st * sp, -ct], axis=-1) / SQRT2
-    dph_em = np.stack([zero, -ct * sp - 1j * cp, ct * cp - 1j * sp, zero], axis=-1) / SQRT2
-    return dr, em, np.conj(em), dth_dr, dph_dr, dth_em, dph_em
+    return np.stack([np.stack([zero, st * cp, st * sp, ct], axis=-1), em, np.conj(em)])
+
+
+def _contract(coef, dyads):
+    """sum_n coef_n dyad_n over the spin weights n (the leading axis), where
+    coef_n is a radial factor times Y[n]: the multipole sum."""
+    return np.einsum("n...,n...c->...c", coef, dyads)
 
 
 _POLE_TOL = 1e-12
@@ -386,6 +411,18 @@ class SphericalMode(ModeField):
 
     A = e^{-i p0 t} [ R0 Y[0,l,m] dr + Rm Y[-1,l,m] eps- + Rp Y[1,l,m] eps+ ]
 
+    Only the radial factor depends on the energy.  The mode carries an
+    energy spectrum of pairs (p_k, w_k), here the single pair (p0, 1), and
+    every field it returns is
+
+        sum_n [ sum_k w_k (-i p_k)^order e^{-i p_k t} R_n(p_k, r) ] Y[n] dyad_n
+
+    with the angular x dyad factor Y[n] dyad_n built once per point set:
+    order 0 is evaluate, order > 0 is d_dt; gradient and dalembertian take
+    r-derivatives of the same radial sum (_radial) through the same
+    contraction (_contract).  A WavePacket is a SphericalMode with a
+    many-term spectrum.
+
     Evaluation is regular everywhere: on the polar axis and at the origin
     the (finite) limit of the combined expression is used even though the
     dyad factors are separately singular there.  gradient() requires
@@ -394,78 +431,59 @@ class SphericalMode(ModeField):
 
     def __init__(self, label: SphericalLabel):
         self.label = label
+        self._unit = replace(label, p0=1.0)
+        self._spectrum = (np.array([label.p0]), np.array([1.0]))
 
-    @property
-    def p0(self):
-        return self.label.p0
+    def _radial(self, t, r, *terms):
+        """Radial factors summed over the spectrum: for each (j, order) in
+        terms, sum_k w_k (-i p_k)^order e^{-i p_k t} d^j/dr^j (R0, Rm, Rp)
+        at energy p_k, stacked to shape (3,) + r.shape.  One
+        sph_radial_profiles call at unit energy serves every p_k, since
+        R(p, r) = sqrt(p) R(1, p r)."""
+        p, w = self._spectrum
+        derivs = max(j for j, _ in terms)
+        prof = sph_radial_profiles(self._unit, np.multiply.outer(p, r), derivs)
+        if derivs == 0:
+            prof = (prof,)
+        k = (slice(None),) + (None,) * np.ndim(r)
+        phase = w[k] * np.exp(-1j * np.multiply.outer(p, t))
+        return [np.stack([np.sum(phase * ((-1j * p) ** order * p ** (j + 0.5))[k] * R, axis=0)
+                          for R in prof[j]]) for j, order in terms]
 
-    def _regular_values(self, t, r, theta, phi):
-        lab = self.label
-        R0, Rm, Rp = sph_radial_profiles(lab, r)
-        y0 = sph_harmonic_values(0, lab.l, lab.m, theta, phi)
-        ym = sph_harmonic_values(-1, lab.l, lab.m, theta, phi)
-        yp = sph_harmonic_values(1, lab.l, lab.m, theta, phi)
-        dr, em, ep, *_ = _sph_dyads(theta, phi)
-        ee = np.exp(-1j * lab.p0 * t)
-        return ee[..., None] * ((R0 * y0)[..., None] * dr
-                                + (Rm * ym)[..., None] * em
-                                + (Rp * yp)[..., None] * ep)
-
-    def _pole_values(self, t, r, north):
-        """Limit along the polar axis (r > 0).  Only m in {-1, 0, +1} survive."""
-        lab = self.label
-        R0, Rm, Rp = sph_radial_profiles(lab, r)
-        ee = np.exp(-1j * lab.p0 * t)
-        vec = np.zeros(np.broadcast(t, r).shape + (4,), dtype=complex)
-        axisward = 1.0 if north else -1.0
-        if lab.m == 0:
-            h0 = sph_harmonic_pole_limit(0, lab.l, 0, north)
-            vec += (R0 * h0)[..., None] * (axisward * Z_HAT)
-        if north:
-            if lab.m == 1:
-                hm = sph_harmonic_pole_limit(-1, lab.l, 1, True)
-                vec += (Rm * hm)[..., None] * U_MINUS
-            if lab.m == -1:
-                hp = sph_harmonic_pole_limit(1, lab.l, -1, True)
-                vec += (Rp * hp)[..., None] * U_PLUS
-        else:
-            if lab.m == -1:
-                hm = sph_harmonic_pole_limit(-1, lab.l, -1, False)
-                vec += (Rm * hm)[..., None] * (-U_PLUS)
-            if lab.m == 1:
-                hp = sph_harmonic_pole_limit(1, lab.l, 1, False)
-                vec += (Rp * hp)[..., None] * (-U_MINUS)
-        return ee[..., None] * vec
+    def _harmonics(self, theta, phi, derivs=False):
+        """Y[n, l, m] for n = 0, -1, +1, stacked like the dyads; with derivs
+        also their theta-derivatives -(eth + ethb) Y[n] / 2, from Y[-2..2]."""
+        l, m = self.label.l, self.label.m
+        y = {n: sph_harmonic_values(n, l, m, theta, phi)
+             for n in (range(-2, 3) if derivs else _SPINS)}
+        ys = np.stack([y[n] for n in _SPINS])
+        if not derivs:
+            return ys
+        return ys, np.stack([-0.5 * (eth_factor_sph(n, l) * y[n + 1]
+                                     + ethbar_factor_sph(n, l) * y[n - 1]) for n in _SPINS])
 
     def evaluate(self, t, x, y, z):
+        return self.d_dt(t, x, y, z, order=0)
+
+    def d_dt(self, t, x, y, z, order=1):
+        """d^order/dt^order of the field; order 0 is evaluate."""
         t, x, y, z = _broadcast(t, x, y, z)
         r, theta, phi = _sph_angles(x, y, z)
-        out = np.zeros(t.shape + (4,), dtype=complex)
-
-        at_origin = r < _POLE_TOL
-        on_axis = (np.sin(theta) < _POLE_TOL) & ~at_origin
-        regular = ~at_origin & ~on_axis
-        if np.any(regular):
-            out[regular] = self._regular_values(t[regular], r[regular],
-                                                theta[regular], phi[regular])
-        if np.any(on_axis):
-            north = on_axis & (z > 0)
-            south = on_axis & (z < 0)
-            if np.any(north):
-                out[north] = self._pole_values(t[north], r[north], True)
-            if np.any(south):
-                out[south] = self._pole_values(t[south], r[south], False)
-        if np.any(at_origin):
-            if self.label.l == 1:
-                # components scale as r^{l-1}: finite origin limit; evaluate
-                # just off the origin, the O(p0 r) directional error is below
-                # the evaluation tolerance
-                eps = 1e-12 / self.label.p0
-                sub = self._regular_values(t[at_origin], np.full(at_origin.sum(), eps),
-                                           np.full(at_origin.sum(), 0.5 * math.pi),
-                                           np.zeros(at_origin.sum()))
-                out[at_origin] = sub
-            # l >= 2 vanishes at the origin: leave zeros
+        # components scale as r^{l-1}: l >= 2 vanishes at the origin (those
+        # rows are zeroed); l = 1 has a finite limit there and is evaluated
+        # at least 1e-12 / max p_k off it, an O(p r) directional error below
+        # the evaluation tolerance
+        vanishing = (r < _POLE_TOL) & (self.label.l > 1)
+        r = np.where(vanishing, 1.0, np.maximum(r, 1e-12 / self._spectrum[0].max()))
+        # on the polar axis Y[n] dyad_n tends to a phi-independent limit
+        # (only m = -n survives at the north pole, m = n at the south pole):
+        # its value at theta = 0 or pi and phi = 0
+        on_axis = np.sin(theta) < _POLE_TOL
+        theta = np.where(on_axis, np.where(z > 0, 0.0, math.pi), theta)
+        phi = np.where(on_axis, 0.0, phi)
+        rad, = self._radial(t, r, (0, order))
+        out = _contract(rad * self._harmonics(theta, phi), _sph_dyads(theta, phi))
+        out[vanishing] = 0.0
         return out
 
     def gradient(self, t, x, y, z):
@@ -474,37 +492,21 @@ class SphericalMode(ModeField):
         if np.any(r < _POLE_TOL) or np.any(np.sin(theta) < _POLE_TOL):
             raise DegenerateAxisError(
                 "analytic spherical gradient requires off-axis points")
-        lab = self.label
-        l, m = lab.l, lab.m
-        (R0, Rm, Rp), (dR0, dRm, dRp) = sph_radial_profiles(lab, r, derivs=1)
-        y0 = sph_harmonic_values(0, l, m, theta, phi)
-        ym = sph_harmonic_values(-1, l, m, theta, phi)
-        yp = sph_harmonic_values(1, l, m, theta, phi)
-        dy0 = sph_harmonic_theta_derivative(0, l, m, theta, phi)
-        dym = sph_harmonic_theta_derivative(-1, l, m, theta, phi)
-        dyp = sph_harmonic_theta_derivative(1, l, m, theta, phi)
-        dr, em, ep, dth_dr, dph_dr, dth_em, dph_em = _sph_dyads(theta, phi)
-        dth_ep, dph_ep = np.conj(dth_em), np.conj(dph_em)
-        ee = np.exp(-1j * lab.p0 * t)
-
-        a = ee[..., None] * ((R0 * y0)[..., None] * dr
-                             + (Rm * ym)[..., None] * em
-                             + (Rp * yp)[..., None] * ep)
-        # chart-coordinate partials of the Lorentz components
-        d_r = ee[..., None] * ((dR0 * y0)[..., None] * dr
-                               + (dRm * ym)[..., None] * em
-                               + (dRp * yp)[..., None] * ep)
-        d_th = ee[..., None] * ((R0 * dy0)[..., None] * dr + (R0 * y0)[..., None] * dth_dr
-                                + (Rm * dym)[..., None] * em + (Rm * ym)[..., None] * dth_em
-                                + (Rp * dyp)[..., None] * ep + (Rp * yp)[..., None] * dth_ep)
-        d_ph = (1j * m) * a + ee[..., None] * ((R0 * y0)[..., None] * dph_dr
-                                               + (Rm * ym)[..., None] * dph_em
-                                               + (Rp * yp)[..., None] * dph_ep)
-        # Jacobian rows dq^c/dx^mu
+        rad, d_rad, dt_rad = self._radial(t, r, (0, 0), (1, 0), (0, 1))
+        ys, d_ys = self._harmonics(theta, phi, derivs=True)
+        dyads = _sph_dyads(theta, phi)
         st, ct = np.sin(theta), np.cos(theta)
+        f0, fm, fp = f = rad * ys
+        # chart-coordinate partials of the Lorentz components, with the
+        # angular derivatives of the dyads expanded in the dyads
+        d_r = _contract(d_rad * ys, dyads)
+        d_th = _contract(rad * d_ys + np.stack([-(fm + fp), f0, f0]) / SQRT2, dyads)
+        d_ph = _contract(1j * self.label.m * f - 1j * np.stack(
+            [st * (fm - fp) / SQRT2, ct * fm + st * f0 / SQRT2, -ct * fp - st * f0 / SQRT2]), dyads)
+        # Jacobian rows dq^c/dx^mu
         sp, cp = np.sin(phi), np.cos(phi)
         out = np.empty(t.shape + (4, 4), dtype=complex)
-        out[..., 0, :] = -1j * lab.p0 * a
+        out[..., 0, :] = _contract(dt_rad * ys, dyads)
         out[..., 1, :] = ((st * cp)[..., None] * d_r + (ct * cp / r)[..., None] * d_th
                           + (-sp / (r * st))[..., None] * d_ph)
         out[..., 2, :] = ((st * sp)[..., None] * d_r + (ct * sp / r)[..., None] * d_th
@@ -519,25 +521,15 @@ class SphericalMode(ModeField):
         consistency check of the Bessel evaluation."""
         t, x, y, z = _broadcast(t, x, y, z)
         r, theta, phi = _sph_angles(x, y, z)
-        lab = self.label
-        l, m, p0 = lab.l, lab.m, lab.p0
-        L = float(l * (l + 1))
-        (R0, Rm, Rp), (dR0, dRm, dRp), (d2R0, d2Rm, d2Rp) = sph_radial_profiles(lab, r, derivs=2)
-        res0 = -(d2R0 + (2.0 / r) * dR0 - (2.0 / r**2) * R0) - p0**2 * R0 \
-            + (L / r**2) * R0 - (math.sqrt(2.0 * L) / r**2) * (Rm - Rp)
-        resm = -(d2Rm + (2.0 / r) * dRm) - p0**2 * Rm + (L / r**2) * Rm \
-            - (math.sqrt(2.0 * L) / r**2) * R0
-        resp = -(d2Rp + (2.0 / r) * dRp) - p0**2 * Rp + (L / r**2) * Rp \
-            + (math.sqrt(2.0 * L) / r**2) * R0
-        y0 = sph_harmonic_values(0, l, m, theta, phi)
-        ym = sph_harmonic_values(-1, l, m, theta, phi)
-        yp = sph_harmonic_values(1, l, m, theta, phi)
-        dr, em, ep, *_ = _sph_dyads(theta, phi)
-        ee = np.exp(-1j * p0 * t)
-        # sign: residuals above are -(radial system), i.e. Box A components
-        return ee[..., None] * ((res0 * y0)[..., None] * dr
-                                + (resm * ym)[..., None] * em
-                                + (resp * yp)[..., None] * ep)
+        L = float(self.label.l * (self.label.l + 1))
+        rad, d_rad, d2_rad, dt2_rad = self._radial(t, r, (0, 0), (1, 0), (2, 0), (0, 2))
+        R0, Rm, Rp = rad
+        # d_t^2 - d_r^2 - (2/r) d_r + L/r^2 on each dyad component, plus the
+        # couplings between components that the angular ladder brings in
+        c = math.sqrt(2.0 * L) / r**2
+        coupling = np.stack([(2.0 / r**2) * R0 - c * (Rm - Rp), -c * R0, c * R0])
+        box = dt2_rad - (d2_rad + (2.0 / r) * d_rad) + (L / r**2) * rad + coupling
+        return _contract(box * self._harmonics(theta, phi), _sph_dyads(theta, phi))
 
 
 def spherical_mode(label: SphericalLabel) -> SphericalMode:

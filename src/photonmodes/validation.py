@@ -33,7 +33,8 @@ from .charts import (dyad_cyl, dyad_sph, dyad_derivatives, lorentz_point,
 from .errors import InvalidLabelError
 from .harmonics import (CylHarmonicLabel, SphHarmonicLabel, bessel_j_int_orders,
                         eth_analytic, ethbar_analytic, eth_numeric, ethbar_numeric,
-                        sample_harmonic, cyl_harmonic_values, sph_harmonic_values)
+                        sample_harmonic, cyl_harmonic_values, sph_harmonic_values,
+                        sph_harmonic_gram)
 from .modes import (PlaneWaveLabel, CylindricalLabel, SphericalLabel,
                     plane_wave, cylindrical_mode, spherical_mode,
                     field_strength, sample_grid, GridSpec, sph_radial_profiles,
@@ -606,16 +607,9 @@ def _algebra(spec):
     # harmonic closure: int conj(Y[n,l,m]) Y[n,l',m'] = delta_ll' delta_mm',
     # the full Gram over l, l' <= 8, all m, per spin weight |n| <= 2
     worst = 0.0
-    xu, wu = np.polynomial.legendre.leggauss(24)
-    theta_g = np.arccos(xu)
-    phi_g = np.arange(32) * 2.0 * math.pi / 32
-    TH, PH = np.meshgrid(theta_g, phi_g, indexing="ij")
-    wgt = np.broadcast_to(wu[:, None] * (2.0 * math.pi / 32), TH.shape).ravel()
     for n_sw in (-2, -1, 0, 1, 2):
         lm = [(l, m) for l in range(abs(n_sw), 9) for m in range(-l, l + 1)]
-        basis = np.stack([sph_harmonic_values(n_sw, l, m, TH, PH).ravel()
-                          for l, m in lm])
-        gram_h = np.einsum("ik,k,jk->ij", np.conj(basis), wgt, basis)
+        gram_h = sph_harmonic_gram(n_sw, lm, 24, 32)
         worst = max(worst, float(np.abs(gram_h - np.eye(len(lm))).max()))
     residuals["harmonic_closure"] = worst
 

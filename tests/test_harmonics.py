@@ -59,6 +59,20 @@ def test_bessel_invalid_orders():
         bessel_j(1, -1.0)
 
 
+@pytest.mark.parametrize("order", [0, 1, 2, -3, 0.5, 2.5])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf,
+                               np.array([0.3, math.nan, 12.0]),
+                               np.array([[1.0, math.inf], [2.0, 3.0]])])
+def test_bessel_rejects_non_finite_arguments(order, x):
+    # one non-finite entry fails the whole call loudly, scalar or array;
+    # it would also set the Miller start index of the whole batch
+    with pytest.raises(ValueError):
+        bessel_j(order, x)
+    if float(order).is_integer():
+        with pytest.raises(ValueError):
+            bessel_j_int_orders([order, order + 1], x)
+
+
 def test_bessel_accuracy_vs_scipy():
     # relative accuracy 1e-12 where |J| is at least 1% of the oscillation
     # envelope; near a zero the error is measured against the envelope
@@ -127,6 +141,10 @@ def test_sph_harmonic_values_against_scipy():
         for m in range(-l, l + 1):
             assert np.allclose(sph_harmonic_values(0, l, m, th, ph),
                                sph_harm_y(l, m, th, ph), atol=1e-13)
+    # the largest l a SphericalLabel accepts (modes.SPH_L_MAX)
+    for m in range(-20, 21):
+        assert np.abs(sph_harmonic_values(0, 20, m, th, ph)
+                      - sph_harm_y(20, m, th, ph)).max() < 1e-10
 
 
 def test_sph_harmonic_examples():

@@ -97,6 +97,35 @@ def test_kronecker_sector_orthogonality(packet):
     assert abs(inner(packet, other_s, PACKET_QUAD)) < 1e-10 * nrm
 
 
+@pytest.mark.parametrize("l, m, s", [(1, 0, +1), (2, -1, -1), (3, 1, +1)])
+def test_packet_matches_explicit_mode_sum(l, m, s, rng):
+    # the packet's one-pass spectral kernel against the sum over its nodes,
+    # sum_k a_k |p_k, l, m, s>, built from plain modes
+    pk = WavePacket(l=l, m=m, s=s, center=1.1, width=0.2, n_nodes=24)
+    terms = [(a, spherical_mode(SphericalLabel(p, l, m, s)))
+             for a, p in zip(pk.amplitudes, pk.p_nodes)]
+
+    def oracle(method, *args, **kwargs):
+        return sum(a * getattr(md, method)(*args, **kwargs) for a, md in terms)
+
+    def close(got, want, rel):
+        assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+    pts = tuple(rng.uniform(-2.0, 2.0, 64) for _ in range(4))
+    close(pk.evaluate(*pts), oracle("evaluate", *pts), 1e-12)
+    close(pk.gradient(*pts), oracle("gradient", *pts), 1e-12)
+    for order in (1, 2):
+        close(pk.d_dt(*pts, order=order),
+              sum(a * (-1j * md.p0) ** order * md.evaluate(*pts) for a, md in terms), 1e-12)
+    # polar axis, both poles: m = 0 and m = +-1 have nonzero limits
+    axis = (np.array([0.0, 0.3, -0.2]), np.zeros(3), np.zeros(3), np.array([1.3, -0.7, 2.2]))
+    close(pk.evaluate(*axis), oracle("evaluate", *axis), 1e-12)
+    # the origin: l = 1 is evaluated just off it, at p r = 1e-12 per plain
+    # mode but at r = 1e-12 / max(p_k) for the packet (an O(p r) offset);
+    # l >= 2 vanishes there
+    close(pk.evaluate(0.4, 0.0, 0.0, 0.0), oracle("evaluate", 0.4, 0.0, 0.0, 0.0), 1e-11)
+
+
 def test_inner_error_estimate_and_nonconvergence():
     mode = plane_wave(PlaneWaveLabel((0.0, 0.0, 1.0), +1))
     spec = QuadratureSpec(chart="cartesian", box_half=3.0, n_box=24)

@@ -7,7 +7,8 @@ import pytest
 from photonmodes.modes import (PlaneWaveLabel, CylindricalLabel, SphericalLabel,
                                plane_wave, cylindrical_mode, spherical_mode,
                                field_strength, sample_grid, GridSpec,
-                               sph_radial_profiles, cyl_dyad_coefficients)
+                               sph_radial_profiles, cyl_dyad_coefficients,
+                               SPH_L_MAX)
 from photonmodes.operators import (helicity_dual, dalembertian_residual,
                                    divergence_residual)
 from photonmodes.errors import InvalidLabelError, DegenerateAxisError
@@ -35,6 +36,46 @@ def test_label_validation():
         SphericalLabel(1.0, 1, 2, +1)
     with pytest.raises(InvalidLabelError):
         SphericalLabel(1.0, 1, 0, 2)
+    # non-finite continuous labels
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidLabelError):
+            PlaneWaveLabel((bad, 0.0, 1.0), +1)
+        with pytest.raises(InvalidLabelError):
+            CylindricalLabel(bad, 0.0, 0, +1)
+        with pytest.raises(InvalidLabelError):
+            CylindricalLabel(1.0, bad, 0, +1)
+        with pytest.raises(InvalidLabelError):
+            SphericalLabel(bad, 1, 0, +1)
+    # non-integral quantum numbers
+    with pytest.raises(InvalidLabelError):
+        SphericalLabel(1.0, 2.5, 0, +1)
+    with pytest.raises(InvalidLabelError):
+        SphericalLabel(1.0, 2, 0.5, +1)
+    with pytest.raises(InvalidLabelError):
+        CylindricalLabel(1.0, 0.1, 1.5, +1)
+    assert SphericalLabel(1.0, 2.0, -1.0, +1) == SphericalLabel(1.0, 2, -1, +1)
+    # l above the accuracy bound of the harmonics
+    assert SphericalLabel(1.0, SPH_L_MAX, 0, +1).l == SPH_L_MAX
+    with pytest.raises(InvalidLabelError):
+        SphericalLabel(1.0, SPH_L_MAX + 1, 0, +1)
+
+
+@pytest.mark.parametrize("mode", [plane_wave(PlaneWaveLabel((0.3, 0.5, -0.7), +1)),
+                                  cylindrical_mode(CylindricalLabel(1.3, -0.4, 1, -1)),
+                                  spherical_mode(SphericalLabel(1.1, 1, 0, +1))],
+                         ids=["plane", "cylindrical", "spherical"])
+def test_non_finite_coordinates_rejected(mode):
+    # a NaN coordinate matches no evaluation branch: it must raise, not
+    # come back as a row of zeros
+    for pt in ((0.0, 0.3, 0.2, math.nan), (0.0, math.nan, math.nan, math.nan),
+               (0.0, 0.3, math.nan, 0.0), (math.inf, 0.3, 0.2, 0.1)):
+        with pytest.raises(ValueError):
+            mode.evaluate(*pt)
+        with pytest.raises(ValueError):
+            mode.gradient(*pt)
+    xs = np.array([0.4, math.nan])
+    with pytest.raises(ValueError):
+        mode.evaluate(0.0, xs, 0.2, 0.3)
 
 
 # ---------------------------------------------------------------------------

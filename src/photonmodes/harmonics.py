@@ -34,7 +34,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import InvalidOrderError, PoleError, ResolutionError, StencilError
+from .errors import (InvalidLabelError, InvalidOrderError, PoleError,
+                     ResolutionError, StencilError)
 
 _SERIES_CUTOFF = 8.0   # series/recurrence switch; cancellation past here
 _SERIES_TERMS = 36
@@ -222,9 +223,11 @@ def bessel_j(order, x):
 
 
 def bessel_j_int_orders(orders, x):
-    """dict order -> J_order(x) for a set of integer orders (negatives OK);
-    output arrays match the shape of x."""
+    """dict order -> J_order(x) for a set of integer orders (negatives OK)
+    and finite x >= 0; output arrays match the shape of x."""
     xa = _finite_argument(x)
+    if np.any(xa < 0):
+        raise ValueError("bessel_j_int_orders requires x >= 0")
     shape = xa.shape
     need = sorted({abs(int(n)) for n in orders})
     base = _bessel_int_orders(need, np.atleast_1d(xa).ravel())
@@ -245,30 +248,44 @@ class SpinWeightedValue:
     spin_weight: int
 
 
+def _set_integers(label, *names):
+    """Store the named fields of a frozen label as ints; InvalidLabelError
+    unless each is integral (so neither NaN nor infinite)."""
+    for name in names:
+        value = getattr(label, name)
+        if not float(value).is_integer():
+            raise InvalidLabelError(f"{name} must be an integer")
+        object.__setattr__(label, name, int(value))
+
+
 @dataclass(frozen=True)
 class CylHarmonicLabel:
-    """Label of Z[n, alpha, m]; alpha >= 0, m integer, n integer spin weight."""
+    """Label of Z[n, alpha, m]; finite alpha >= 0, m integer, n integer spin
+    weight."""
     n: int
     alpha: float
     m: int
 
     def __post_init__(self):
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        _set_integers(self, "n", "m")
+        if not 0 <= self.alpha < math.inf:
+            raise InvalidLabelError("alpha must be finite and >= 0")
 
 
 @dataclass(frozen=True)
 class SphHarmonicLabel:
-    """Label of Y[n, l, m]; l >= 0, |m| <= l.  Y vanishes for l < |n|."""
+    """Label of Y[n, l, m]; integers with l >= 0, |m| <= l.  Y vanishes for
+    l < |n|."""
     n: int
     l: int
     m: int
 
     def __post_init__(self):
+        _set_integers(self, "n", "l", "m")
         if self.l < 0:
-            raise ValueError("l must be >= 0")
+            raise InvalidLabelError("l must be >= 0")
         if abs(self.m) > self.l:
-            raise ValueError("|m| must be <= l")
+            raise InvalidLabelError("|m| must be <= l")
 
 
 # ---------------------------------------------------------------------------

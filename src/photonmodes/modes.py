@@ -42,6 +42,7 @@ from .harmonics import (
     _bessel_half_all,
     eth_factor_sph,
     ethbar_factor_sph,
+    _set_integers,
     sph_harmonic_values,
 )
 
@@ -68,12 +69,6 @@ SPH_L_MAX = 20
 def _check_helicity(s):
     if s not in (+1, -1):
         raise InvalidLabelError("helicity s must be +1 or -1")
-
-
-def _integer(name, value):
-    if not float(value).is_integer():
-        raise InvalidLabelError(f"{name} must be an integer")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,7 @@ class CylindricalLabel:
             raise InvalidLabelError("p0 must be finite and > 0 (positive energy)")
         if not abs(self.pz) <= self.p0:
             raise InvalidLabelError("pz must be finite with |pz| <= p0 (alpha real)")
-        object.__setattr__(self, "m", _integer("m", self.m))
+        _set_integers(self, "m")
 
     @property
     def alpha(self):
@@ -131,15 +126,13 @@ class SphericalLabel:
         _check_helicity(self.s)
         if not 0 < self.p0 < math.inf:
             raise InvalidLabelError("p0 must be finite and > 0 (positive energy)")
-        l, m = _integer("l", self.l), _integer("m", self.m)
-        if l < 1:
+        _set_integers(self, "l", "m")
+        if self.l < 1:
             raise InvalidLabelError("spherical modes require l >= 1; the l = 0 field vanishes identically")
-        if l > SPH_L_MAX:
+        if self.l > SPH_L_MAX:
             raise InvalidLabelError(f"l must be <= {SPH_L_MAX}; the harmonics lose accuracy above it")
-        if abs(m) > l:
+        if abs(self.m) > self.l:
             raise InvalidLabelError("|m| must be <= l")
-        object.__setattr__(self, "l", l)
-        object.__setattr__(self, "m", m)
 
 
 # ---------------------------------------------------------------------------
@@ -439,16 +432,29 @@ class SphericalMode(ModeField):
         terms, sum_k w_k (-i p_k)^order e^{-i p_k t} d^j/dr^j (R0, Rm, Rp)
         at energy p_k, stacked to shape (3,) + r.shape.  One
         sph_radial_profiles call at unit energy serves every p_k, since
-        R(p, r) = sqrt(p) R(1, p r)."""
+        R(p, r) = sqrt(p) R(1, p r).
+
+        With more than one energy the sum runs once per distinct (t, r) pair
+        of the call and is gathered back to the points: a quadrature slice
+        has few distinct radii, and a packet's radial sum is most of its
+        work.  A single energy keeps the per-point path, where the sort
+        would cost more than the radial work it saves."""
         p, w = self._spectrum
+        shape = np.shape(r)
+        if p.size > 1:
+            tr, inverse = np.unique((t + 1j * r).ravel(), return_inverse=True)
+            t, r = tr.real, tr.imag
         derivs = max(j for j, _ in terms)
         prof = sph_radial_profiles(self._unit, np.multiply.outer(p, r), derivs)
         if derivs == 0:
             prof = (prof,)
         k = (slice(None),) + (None,) * np.ndim(r)
         phase = w[k] * np.exp(-1j * np.multiply.outer(p, t))
-        return [np.stack([np.sum(phase * ((-1j * p) ** order * p ** (j + 0.5))[k] * R, axis=0)
-                          for R in prof[j]]) for j, order in terms]
+        out = [np.stack([np.sum(phase * ((-1j * p) ** order * p ** (j + 0.5))[k] * R, axis=0)
+                         for R in prof[j]]) for j, order in terms]
+        if p.size > 1:
+            out = [rad[:, inverse].reshape((3,) + shape) for rad in out]
+        return out
 
     def _harmonics(self, theta, phi, derivs=False):
         """Y[n, l, m] for n = 0, -1, +1, stacked like the dyads; with derivs

@@ -13,7 +13,8 @@ from photonmodes.harmonics import (bessel_j, bessel_j_int_orders,
                                    ethbar_eth_eigenvalue, eth_numeric,
                                    ethbar_numeric, sample_harmonic,
                                    sph_harmonic_theta_derivative)
-from photonmodes.errors import InvalidOrderError, PoleError, ResolutionError
+from photonmodes.errors import (InvalidLabelError, InvalidOrderError, PoleError,
+                                ResolutionError)
 
 from oracles import bessel_series, bessel_half_trig
 
@@ -73,6 +74,16 @@ def test_bessel_rejects_non_finite_arguments(order, x):
             bessel_j_int_orders([order, order + 1], x)
 
 
+@pytest.mark.parametrize("x", [-1.0, np.array([0.5, -1e-300, 3.0])])
+def test_bessel_int_orders_rejects_negative_arguments(x):
+    # J_1(-1) = -0.440: the in-package ladder covers x >= 0 only, and a
+    # negative rho in cyl_harmonic_values reaches it as alpha * rho
+    with pytest.raises(ValueError):
+        bessel_j_int_orders([0, 1], x)
+    with pytest.raises(ValueError):
+        cyl_harmonic_values(0, 1.0, 1, -np.abs(x), 0.3)
+
+
 def test_bessel_accuracy_vs_scipy():
     # relative accuracy 1e-12 where |J| is at least 1% of the oscillation
     # envelope; near a zero the error is measured against the envelope
@@ -119,6 +130,22 @@ def test_cyl_harmonic_examples():
     assert v.spin_weight == 1
     v = sw_cyl_harmonic(CylHarmonicLabel(0, 1.0, -2), 1.0, 0.0)
     assert v.value == pytest.approx(bessel_series(2, 1.0), rel=1e-12)
+
+
+def test_harmonic_label_validation():
+    for bad in ((0, 2.5, 0), (0.5, 1, 0), (0, 2, 1.5), (0, math.nan, 0), (0, math.inf, 0)):
+        with pytest.raises(InvalidLabelError):
+            SphHarmonicLabel(*bad)
+    for bad in ((0, 2, 3), (0, -1, 0)):
+        with pytest.raises(InvalidLabelError):
+            SphHarmonicLabel(*bad)
+    for bad in ((0, math.nan, 1), (0, math.inf, 1), (0, -1.0, 1), (0.5, 1.0, 1),
+                (0, 1.0, 1.5), (0, 1.0, math.nan)):
+        with pytest.raises(InvalidLabelError):
+            CylHarmonicLabel(*bad)
+    # integral floats are kept as ints
+    assert SphHarmonicLabel(1.0, 2.0, -1.0) == SphHarmonicLabel(1, 2, -1)
+    assert type(CylHarmonicLabel(-1.0, 1.5, 2.0).m) is int
 
 
 def test_cyl_ladder_factors():

@@ -13,7 +13,7 @@ from photonmodes.inner_product import (QuadratureSpec, WavePacket, Superposition
                                        averaged_oscillatory_integral,
                                        damped_oscillatory_integral)
 from photonmodes.errors import NonConvergenceError
-from photonmodes import fdiff
+from photonmodes import fdiff, modes
 
 
 PACKET_QUAD = QuadratureSpec(r_max=50.0, n_r=128, n_theta=8, n_phi=8)
@@ -124,6 +124,37 @@ def test_packet_matches_explicit_mode_sum(l, m, s, rng):
     # mode but at r = 1e-12 / max(p_k) for the packet (an O(p r) offset);
     # l >= 2 vanishes there
     close(pk.evaluate(0.4, 0.0, 0.0, 0.0), oracle("evaluate", 0.4, 0.0, 0.0, 0.0), 1e-11)
+
+
+def test_packet_batch_shares_radial_work_per_distinct_t_r(monkeypatch, rng):
+    # points repeating (t, r) at different angles, with mixed t: the packet
+    # runs its radial sum once per distinct pair and gathers it back, and
+    # every result equals the same call made point by point
+    pk = WavePacket(l=2, m=1, s=-1, center=1.0, width=0.2, n_nodes=16)
+    radii = np.repeat([0.7, 1.9, 3.4], 6)
+    times = np.tile([0.0, 0.0, 0.6], 6)
+    theta = np.arccos(rng.uniform(-0.9, 0.9, radii.size))
+    phi = rng.uniform(0.0, 2.0 * math.pi, radii.size)
+    pts = (times, radii * np.sin(theta) * np.cos(phi), radii * np.sin(theta) * np.sin(phi),
+           radii * np.cos(theta))
+    n_pairs = np.unique(times + 1j * modes._sph_angles(*pts[1:])[0]).size
+    assert n_pairs < radii.size
+
+    seen = []
+    profiles = modes.sph_radial_profiles
+
+    def counted(label, r, derivs=0):
+        seen.append(np.size(r))
+        return profiles(label, r, derivs)
+
+    monkeypatch.setattr(modes, "sph_radial_profiles", counted)
+    for method, kwargs in (("evaluate", {}), ("d_dt", {"order": 1}), ("gradient", {})):
+        seen.clear()
+        batch = getattr(pk, method)(*pts, **kwargs)
+        assert seen == [pk.p_nodes.size * n_pairs]
+        single = np.stack([getattr(pk, method)(*(c[i] for c in pts), **kwargs)
+                           for i in range(radii.size)])
+        assert np.abs(batch - single).max() <= 1e-13 * np.abs(single).max()
 
 
 def test_inner_error_estimate_and_nonconvergence():

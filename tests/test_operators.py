@@ -12,15 +12,51 @@ from photonmodes.operators import (P_lower, P_upper, L1, L2, L3, L_plus,
                                    divergence_residual, bracket, expected_bracket,
                                    commutator_check, check_all_brackets,
                                    pauli_lubanski_residual, eigen_residual,
-                                   DualField,
+                                   DualField, LieField,
                                    lie_derivative_tensor2)
 from photonmodes.errors import AsymmetryError, StencilError
+from photonmodes import fdiff
 from photonmodes.validation import _dyad_field
 
 
 # ---------------------------------------------------------------------------
 # Lie derivatives
 # ---------------------------------------------------------------------------
+
+def test_partial_calls_the_field_once_per_stencil():
+    mode = spherical_mode(SphericalLabel(1.3, 2, 1, +1))
+    pts = (np.array([0.0, 0.4]), np.array([0.9, -0.3]), np.array([0.5, 1.2]), 0.7)
+    calls = []
+
+    def counted(*coords):
+        calls.append(np.broadcast(*coords).shape)
+        return mode.evaluate(*coords)
+
+    for order, (offsets, weights) in ((1, (fdiff.D1_OFFSETS, fdiff.D1_WEIGHTS)),
+                                      (2, (fdiff.D2_OFFSETS, fdiff.D2_WEIGHTS))):
+        for axis in range(4):
+            calls.clear()
+            got = fdiff.partial(counted, pts, axis, 0.01, order=order)
+            assert calls == [(len(offsets), 2)]
+            # the loop over offsets, one call each
+            want = None
+            for off, w in zip(offsets, weights):
+                shifted = list(pts)
+                shifted[axis] = np.asarray(shifted[axis], dtype=float) + off * 0.01
+                val = w * mode.evaluate(*shifted)
+                want = val if want is None else want + val
+            want = want / 0.01**order
+            # numpy's vectorised kernels can round a point differently in a
+            # larger batch: equal to rounding
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # nested partials make one call of the base field per level: L3 moves x
+    # and y, so Lie_L3 f is f plus two partials, three calls, and
+    # Lie_L3 Lie_L3 f is three calls of Lie_L3 f (81 with a call per offset)
+    calls.clear()
+    lie_derivative(L3(), LieField(L3(), counted, h=0.01), *pts, h=0.01, method="fd")
+    assert len(calls) == 3 * 3
+
 
 def test_p0_eigenvalue_plane_wave():
     mode = plane_wave(PlaneWaveLabel((0.0, 0.0, 2.0), +1))

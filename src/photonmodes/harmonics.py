@@ -1,9 +1,14 @@
 """Bessel functions, spin-weighted harmonics and the eth ladder operators.
 
-Bessel functions of the first kind are evaluated in-package: an ascending
-power series for small argument, a downward (Miller) three-term recurrence
-normalized with the even-order sum rule for large argument, and closed
-trigonometric forms plus stable recurrences for half-integer orders.
+Bessel functions of the first kind are evaluated in-package.  Integer
+orders take one of three branches per point, by its own argument: the
+ascending power series for x <= 8, the Hankel asymptotic expansion (DLMF
+10.17.3) for x >= max(20, n_max^2/2), and in between the downward (Miller)
+three-term recurrence, started from that band's largest argument and
+normalized with the even-order sum rule.  Half-integer orders use the
+closed trigonometric forms, the upward recurrence where x exceeds the
+order, and the same downward recurrence kernel (_downward) anchored on
+J_{+-1/2} elsewhere.
 
 Spin-weighted cylindrical harmonics:
 
@@ -39,6 +44,8 @@ from .errors import (InvalidLabelError, InvalidOrderError, PoleError,
 
 _SERIES_CUTOFF = 8.0   # series/recurrence switch; cancellation past here
 _SERIES_TERMS = 36
+_HANKEL_MIN = 20.0     # Hankel expansion from max(this, n^2/2) on (_hankel_edge)
+_HANKEL_TERMS = 20     # terms in each of P and Q
 
 
 # ---------------------------------------------------------------------------
@@ -60,28 +67,74 @@ def _series_int(n, x):
     return total
 
 
-def _miller_int(ns, x):
-    """J_n(x) for every n in ns via downward recurrence, x > 0 vectorized.
+def _hankel_edge(n):
+    """Smallest x at which order n takes the Hankel expansion."""
+    return max(_HANKEL_MIN, 0.5 * n * n)
 
-    Normalized with J_0 + 2 sum_k J_{2k} = 1; columns are rescaled on the
-    way down to avoid overflow.
-    """
-    x = np.asarray(x, dtype=float)
-    nmax = max(ns) if ns else 0
-    start = int(np.ceil(max(np.max(x) + 10.0 * np.max(x) ** (1.0 / 3.0) + 24.0,
-                            nmax + 24)))
-    if start % 2:
-        start += 1
+
+@lru_cache(maxsize=None)
+def _hankel_coeffs(n):
+    """The edge s = _hankel_edge(n) and a_k(n) / s^k of DLMF 10.17.1, split
+    into the even-k (P) and odd-k (Q) terms, each highest k first for
+    Horner's rule.  Scaled by s^k the coefficients stay below 1 in
+    magnitude for every order, where a_k(n) alone overflows for n ~ 5e4."""
+    mu = 4.0 * n * n
+    s = _hankel_edge(n)
+    a = [1.0]
+    for k in range(1, 2 * _HANKEL_TERMS):
+        a.append(a[-1] * (mu - (2 * k - 1) ** 2) / (8.0 * k * s))
+    return s, a[-2::-2], a[::-2]
+
+
+_SQRT_HALF = math.sqrt(0.5)
+# (cos, sin) of phi = (n/2 + 1/4) pi, by n mod 4
+_HANKEL_PHASE = ((_SQRT_HALF, _SQRT_HALF), (-_SQRT_HALF, _SQRT_HALF),
+                 (-_SQRT_HALF, -_SQRT_HALF), (_SQRT_HALF, -_SQRT_HALF))
+
+
+def _hankel_int(n, x):
+    """J_n(x) from the Hankel expansion (DLMF 10.17.3), n >= 0, for
+    x >= _hankel_edge(n): P and Q by Horner in -(s/x)^2, and cos(x - phi)
+    expanded so that only x itself is reduced mod 2 pi."""
+    s, p_coeffs, q_coeffs = _hankel_coeffs(n)
+    u = s / x
+    y = -u * u
+    p = np.full_like(x, p_coeffs[0])
+    for c in p_coeffs[1:]:
+        p = p * y + c
+    q = np.full_like(x, q_coeffs[0])
+    for c in q_coeffs[1:]:
+        q = q * y + c
+    cphi, sphi = _HANKEL_PHASE[n % 4]
+    cx, sx = np.cos(x), np.sin(x)
+    cos_w = cx * cphi + sx * sphi
+    sin_w = sx * cphi - cx * sphi
+    return np.sqrt(2.0 / (math.pi * x)) * (p * cos_w - (q * u) * sin_w)
+
+
+def _downward(x, keep, offset):
+    """J~_{k + offset}(x) for every k in keep (integers >= -1), by the
+    downward recurrence J_{nu-1} = (2 nu / x) J_nu - J_{nu+1} from a tiny
+    seed to k = min(min(keep), 0); x > 0 vectorized.  The start index is set
+    by max(x) and max(keep).
+
+    The values share one unknown factor per point.  Returns the kept rows
+    (in the order of keep) and the even-order sum sum_{k>=1} J~_{2k+offset},
+    which normalizes integer orders through J_0 + 2 sum_k J_{2k} = 1.
+    Columns are rescaled on the way down to avoid overflow."""
+    xmax = np.max(x)
+    start = int(np.ceil(max(xmax + 10.0 * xmax ** (1.0 / 3.0) + 24.0, max(keep) + 24)))
+    slot = {k: i for i, k in enumerate(keep)}
+    rows = np.zeros((len(keep), x.size))
     jp = np.zeros_like(x)          # J~_{k+1}
     jc = np.full_like(x, 1e-30)    # J~_k
-    target = {n: np.zeros_like(x) for n in ns}
     even_sum = np.zeros_like(x)
-    for k in range(start, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
+    for k in range(start, min(min(keep), 0), -1):
+        jm = (2.0 * (k + offset) / x) * jc - jp
         jp, jc = jc, jm
         km = k - 1
-        if km in target:
-            target[km] = jc.copy()
+        if km in slot:
+            rows[slot[km]] = jc
         if km > 0 and km % 2 == 0:
             even_sum += jc
         big = np.abs(jc) > 1e250
@@ -90,26 +143,33 @@ def _miller_int(ns, x):
             jp = jp * scale
             jc = jc * scale
             even_sum = even_sum * scale
-            for n in target:
-                target[n] = target[n] * scale
-    norm = jc + 2.0 * even_sum     # jc is now J~_0
-    return {n: target[n] / norm for n in ns}
+            rows *= scale
+    return rows, even_sum
 
 
 def _bessel_int_orders(ns, x):
-    """dict n -> J_n(x) for nonnegative integer orders, vectorized."""
+    """dict n -> J_n(x) for nonnegative integer orders, vectorized.
+
+    Each point takes the branch its own argument calls for: the series for
+    x <= 8, the Hankel expansion for x >= max(20, n_max^2/2), and the
+    downward recurrence in between, started from that band's largest x."""
     x = np.asarray(x, dtype=float)
     out = {n: np.zeros_like(x) for n in ns}
     small = x <= _SERIES_CUTOFF
-    if np.any(small):
-        xs = x[small]
+    large = x >= _hankel_edge(max(ns, default=0))
+    middle = ~small & ~large
+    for band, fn in ((small, _series_int), (large, _hankel_int)):
+        if np.any(band):
+            xb = x[band]
+            for n in ns:
+                out[n][band] = fn(n, xb)
+    if np.any(middle):
+        xm = x[middle]
+        keep = sorted(set(ns) | {0})
+        rows, even_sum = _downward(xm, keep, 0.0)
+        norm = rows[0] + 2.0 * even_sum
         for n in ns:
-            out[n][small] = _series_int(n, xs)
-    if np.any(~small):
-        xl = x[~small]
-        res = _miller_int(ns, xl)
-        for n in ns:
-            out[n][~small] = res[n]
+            out[n][middle] = rows[keep.index(n)] / norm
     return out
 
 
@@ -126,8 +186,8 @@ def _trig_half(x):
 def _bessel_half_all(kmax, x):
     """J_{k+1/2}(x) for k = -1 .. kmax, shape (kmax+2, x.size).
 
-    Upward recurrence where x >= order (stable), downward Miller anchored on
-    the trigonometric J_{+-1/2} elsewhere.
+    Upward recurrence where x >= order (stable), the downward recurrence
+    anchored on the trigonometric J_{+-1/2} elsewhere.
     """
     x = np.asarray(x, dtype=float)
     out = np.zeros((kmax + 2, x.size))
@@ -149,24 +209,7 @@ def _bessel_half_all(kmax, x):
     down = ~up & (x > 0)
     if np.any(down):
         xd = x[down]
-        start = int(np.ceil(max(np.max(xd) + 10.0 * np.max(xd) ** (1.0 / 3.0) + 24.0,
-                                kmax + 24)))
-        jpp = np.zeros_like(xd)
-        jcc = np.full_like(xd, 1e-30)
-        vals = np.zeros((kmax + 2, xd.size))
-        for k in range(start, -1, -1):
-            nu = k + 0.5
-            jmm = (2.0 * nu / xd) * jcc - jpp
-            jpp, jcc = jcc, jmm
-            if k - 1 <= kmax:
-                if k - 1 >= -1:
-                    vals[k] = jcc   # row k holds order (k-1)+1/2
-            big = np.abs(jcc) > 1e250
-            if np.any(big):
-                scale = np.where(big, 1e-250, 1.0)
-                jpp *= scale
-                jcc *= scale
-                vals *= scale
+        vals, _ = _downward(xd, range(-1, kmax + 1), 0.5)
         # anchor on whichever trig value is better conditioned
         anchor_half = np.abs(jp[down]) >= np.abs(jm[down])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -204,7 +247,10 @@ def bessel_j(order, x):
     Accuracy for x <= 1e3: relative error <= 1e-12 wherever |J| exceeds 1%
     of the oscillation envelope sqrt(2/(pi x)); near the zeros of J the
     error stays below 1e-12 of the envelope (a fixed-precision floor shared
-    by any double-precision evaluation of an oscillatory function).
+    by any double-precision evaluation of an oscillatory function).  Integer
+    orders 0-40 also stay within 1e-13 of the envelope out to x = 1e5, where
+    the Hankel expansion serves x >= max(20, n^2/2) at a cost independent
+    of x; half-integer orders above 1/2 run the upward recurrence there.
     """
     nu2 = _check_order(order)
     xa = _finite_argument(x)

@@ -40,7 +40,7 @@ from .errors import NonConvergenceError
 from .charts import ETA_DIAG
 from .harmonics import bessel_j, sph_harmonic_gram
 from .modes import (SphericalLabel, CylindricalLabel, SphericalMode, sph_radial_profiles,
-                    cyl_dyad_coefficients, field_strength)
+                    cyl_dyad_coefficients)
 
 TWO_PI = 2.0 * math.pi
 
@@ -166,9 +166,16 @@ def inner_field_strength_form(a_field, b_field, spec: QuadratureSpec):
     Gauge invariant for A -> A + grad(Lambda) with compact Lambda; used by
     the gauge-invariance checks."""
     t, x, y, z, w = slice_nodes(spec)
-    j0 = _density(field_strength(a_field, t, x, y, z)[..., 0, :], a_field.evaluate(t, x, y, z),
-                  field_strength(b_field, t, x, y, z)[..., 0, :], b_field.evaluate(t, x, y, z))
+    j0 = _density(_f0(a_field, t, x, y, z), a_field.evaluate(t, x, y, z),
+                  _f0(b_field, t, x, y, z), b_field.evaluate(t, x, y, z))
     return complex(np.sum(w * j0))
+
+
+def _f0(field, t, x, y, z):
+    """Row 0 of the field strength, F_{0b} = d_0 A_b - d_b A_0, from one
+    gradient call."""
+    g = field.gradient(t, x, y, z)
+    return g[..., 0, :] - g[..., :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -306,12 +313,22 @@ def _segment(freqs):
     return min(0.25 * TWO_PI / max(max(freqs) if freqs else 1.0, 1e-9), 2.0)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and returned read-only (every caller shares the arrays)."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg.flags.writeable = False
+    wg.flags.writeable = False
+    return xg, wg
+
+
 def _composite_gl(f, a, b, seg_len, order=16):
     if b <= a:
         return 0.0
     nseg = max(1, int(math.ceil((b - a) / seg_len)))
     edges = np.linspace(a, b, nseg + 1)
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _gauss_legendre(order)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()

@@ -149,6 +149,11 @@ class ModeField:
         """Energy of the label (for a WavePacket, its central energy)."""
         return self.label.p0
 
+    @property
+    def p_max(self):
+        """Largest energy in the field (for a WavePacket, its top node)."""
+        return self.p0
+
     def evaluate(self, t, x, y, z):
         raise NotImplementedError
 
@@ -427,6 +432,10 @@ class SphericalMode(ModeField):
         self._unit = replace(label, p0=1.0)
         self._spectrum = (np.array([label.p0]), np.array([1.0]))
 
+    @property
+    def p_max(self):
+        return float(self._spectrum[0].max())
+
     def _radial(self, t, r, *terms):
         """Radial factors summed over the spectrum: for each (j, order) in
         terms, sum_k w_k (-i p_k)^order e^{-i p_k t} d^j/dr^j (R0, Rm, Rp)
@@ -480,7 +489,7 @@ class SphericalMode(ModeField):
         # at least 1e-12 / max p_k off it, an O(p r) directional error below
         # the evaluation tolerance
         vanishing = (r < _POLE_TOL) & (self.label.l > 1)
-        r = np.where(vanishing, 1.0, np.maximum(r, 1e-12 / self._spectrum[0].max()))
+        r = np.where(vanishing, 1.0, np.maximum(r, 1e-12 / self.p_max))
         # on the polar axis Y[n] dyad_n tends to a phi-independent limit
         # (only m = -n survives at the north pole, m = n at the south pole):
         # its value at theta = 0 or pi and phi = 0
@@ -588,9 +597,9 @@ class FieldGrid:
 
 def sample_grid(mode: ModeField, spec: GridSpec) -> FieldGrid:
     """Evaluate a mode on a tensor grid; warns when the spacing under-resolves
-    the mode's largest wavenumber (> 1/(8 p0))."""
+    the mode's largest wavenumber (> 1/(8 p_max), p_max its largest energy)."""
     axes = {name: spec.axis(name) for name in ("t", "x", "y", "z")}
-    kmax = mode.p0
+    kmax = getattr(mode, "p_max", mode.p0)   # a duck-typed field may carry p0 only
     for name, ax in axes.items():
         if len(ax) > 1 and (ax[1] - ax[0]) > 1.0 / (8.0 * kmax):
             warnings.warn(

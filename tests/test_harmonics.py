@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,45 @@ def test_bessel_multi_order_consistency():
         assert np.allclose(many[n], jv(n, x), atol=1e-13)
     assert np.allclose(bessel_j(2.5, x), jv(2.5, x), atol=1e-13)
     assert np.allclose(bessel_j(3.5, x), jv(3.5, x), atol=1e-13)
+
+
+
+def test_bessel_int_orders_hankel_band_vs_mpmath():
+    # integer orders on both sides of the Hankel threshold max(20, n^2/2)
+    # and out to 1e5, against mpmath, to 1e-13 of the envelope
+    mpmath.mp.dps = 30
+    for n in range(0, 41):
+        edge = max(20.0, 0.5 * n * n)
+        x = np.concatenate([[edge * (1.0 - 1e-9), edge * (1.0 - 1e-3), edge,
+                             edge * (1.0 + 1e-9)], np.geomspace(edge, 1e5, 6)[1:]])
+        ref = np.array([float(mpmath.besselj(n, mpmath.mpf(float(v)))) for v in x])
+        env = np.sqrt(2.0 / (math.pi * x))
+        assert np.max(np.abs(bessel_j(n, x) - ref) / env) < 1e-13, n
+    # orders far past the table above: the expansion's coefficients stay finite
+    for n, x in ((5 * 10**4, 2e9), (10**5, 1e10)):
+        ref = float(mpmath.besselj(n, mpmath.mpf(x)))
+        assert abs(bessel_j(n, x) - ref) < 1e-13 * math.sqrt(2.0 / (math.pi * x)), n
+
+
+def test_bessel_int_orders_batch_spanning_three_bands():
+    # one batch with arguments on the series (x <= 8), recurrence and Hankel
+    # (x >= 20 for |n| <= 6) branches, under the scipy accuracy rule above
+    x = np.concatenate([np.geomspace(1e-6, 8.0, 60), np.linspace(8.01, 19.99, 120),
+                        np.geomspace(20.0, 1e4, 200)])
+    got = bessel_j_int_orders(range(-6, 7), x)
+    for n in range(-6, 7):
+        ref = jv(n, x)
+        env = np.sqrt(2.0 / (math.pi * np.maximum(x, abs(n) + 1.0)))
+        denom = np.maximum(np.abs(ref), 1e-2 * env)
+        ok = np.abs(ref) > 1e-270
+        assert np.max(np.abs(got[n] - ref)[ok] / denom[ok]) < 1e-12, n
+    # a point's branch depends on its own argument: on the series and Hankel
+    # bands each half of the band gives the same values on its own
+    for band in (x <= 8.0, x >= 20.0):
+        for part in np.array_split(np.flatnonzero(band), 2):
+            alone = bessel_j_int_orders(range(-6, 7), x[part])
+            for n in range(-6, 7):
+                assert np.array_equal(got[n][part], alone[n]), n
 
 
 # ---------------------------------------------------------------------------

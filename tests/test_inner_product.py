@@ -13,7 +13,7 @@ from photonmodes.inner_product import (QuadratureSpec, WavePacket, Superposition
                                        averaged_oscillatory_integral,
                                        damped_oscillatory_integral)
 from photonmodes.errors import NonConvergenceError
-from photonmodes import fdiff, modes
+from photonmodes import fdiff, modes, inner_product
 
 
 PACKET_QUAD = QuadratureSpec(r_max=50.0, n_r=128, n_theta=8, n_phi=8)
@@ -198,6 +198,29 @@ def test_gauge_invariance_of_field_strength_form(rng):
     assert abs(lap) > 1e-3
 
 
+
+def _field_strength_form_reference(a_field, b_field, spec):
+    """inner_field_strength_form from the full 4x4 field strength."""
+    t, x, y, z, w = inner_product.slice_nodes(spec)
+    j0 = inner_product._density(
+        modes.field_strength(a_field, t, x, y, z)[..., 0, :], a_field.evaluate(t, x, y, z),
+        modes.field_strength(b_field, t, x, y, z)[..., 0, :], b_field.evaluate(t, x, y, z))
+    return complex(np.sum(w * j0))
+
+
+def test_field_strength_form_equals_full_field_strength(packet):
+    quad = QuadratureSpec(r_max=30.0, n_r=32, n_theta=6, n_phi=6)
+    assert (inner_field_strength_form(packet, packet, quad)
+            == _field_strength_form_reference(packet, packet, quad))
+    box = QuadratureSpec(chart="cartesian", box_half=4.0, n_box=16)
+    la = PlaneWaveLabel((0.0, 0.0, 1.2), +1)
+    shifted = gauge_shift(plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1)),
+                          GaussianBumpScalar(center=(0.2, -0.3, 0.1), width=0.8, c0=1.1,
+                                             linear=(0.3, -0.2, 0.4)))
+    assert (inner_field_strength_form(plane_wave(la), shifted, box)
+            == _field_strength_form_reference(plane_wave(la), shifted, box))
+
+
 # ---------------------------------------------------------------------------
 # Bessel overlap tables (both regularizations)
 # ---------------------------------------------------------------------------
@@ -237,6 +260,22 @@ def test_smeared_delta_rows():
     num, want = smeared_radial_delta("sph_r", 1, 1.0, 1.05, 0.05, spec)
     assert abs(num - want) < 0.02 * abs(want)
 
+
+
+def test_composite_rule_computes_each_gauss_legendre_rule_once(monkeypatch):
+    calls = []
+    leggauss = np.polynomial.legendre.leggauss
+    monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                        lambda deg: calls.append(deg) or leggauss(deg))
+    inner_product._gauss_legendre.cache_clear()
+    for _ in range(5):
+        val = inner_product._composite_gl(np.cos, 0.0, 10.0, 1.0, order=16)
+        assert val == pytest.approx(math.sin(10.0), abs=1e-13)
+    assert calls == [16]
+    xg, wg = inner_product._gauss_legendre(16)
+    assert not xg.flags.writeable and not wg.flags.writeable
+    with pytest.raises(ValueError):
+        wg[0] = 0.0
 
 def test_regularization_consistency_simple_integrand():
     # both tail handlers reproduce int_0^inf e^{-r/20} cos(r) dr exactly enough

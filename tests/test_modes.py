@@ -276,6 +276,19 @@ def test_sample_grid_shape_and_gauge():
     assert np.abs(grid.values[..., 0]).max() == 0.0
 
 
+
+def test_sample_grid_resolves_the_largest_energy_of_a_packet():
+    from photonmodes.inner_product import WavePacket
+    packet = WavePacket(1, 0, 1, center=1.0, width=0.2)
+    # spacing 0.125 resolves p = 1 but not the packet's top energy (~2.2)
+    spec = GridSpec(t=(0.0, 0.0, 1), x=(-0.5, 0.5, 9), y=(0.1, 0.6, 5), z=(0.2, 0.2, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sample_grid(spherical_mode(SphericalLabel(1.0, 1, 0, 1)), spec)
+        with pytest.raises(UserWarning, match="under-resolved"):
+            sample_grid(packet, spec)
+    assert packet.p0 == 1.0 and packet.p_max == packet.p_nodes.max() > 2.1
+
 def test_grid_time_slices_differ_by_phase():
     mode = cylindrical_mode(CylindricalLabel(1.0, 0.2, 1, -1))
     dt = 0.3

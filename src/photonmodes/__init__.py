@@ -6,10 +6,7 @@ plus the verification suites that check every claimed property numerically.
 
 __version__ = "0.1.0"
 
-from .charts import (SpacetimePoint, ComplexCovector, Dyad, lorentz_point,
-                     cylindrical_point, spherical_point, to_lorentz,
-                     to_cylindrical, to_spherical, dyad_cyl, dyad_sph,
-                     dyad_derivatives, minkowski_dot, ETA, LEVI_CIVITA)
+from .charts import dyads, dyad_derivatives, LEVI_CIVITA
 from .harmonics import (bessel_j, SpinWeightedValue, CylHarmonicLabel,
                         SphHarmonicLabel, sw_cyl_harmonic, sw_sph_harmonic,
                         eth_analytic, ethbar_analytic, eth_numeric,

@@ -1,41 +1,41 @@
-"""Coordinate charts on Minkowski spacetime, covectors and polarization dyads.
+"""Minkowski conventions, the spherical angle map and the null transverse
+dyads with their covariant derivatives, vectorized over points.
 
 Conventions used throughout the package:
 
 - Metric signature (+, -, -, -); Lorentz coordinates x^mu = (t, x, y, z),
   natural units c = hbar = 1.
 - Indices are raised/lowered with eta = diag(1, -1, -1, -1).
-- The volume element is fixed by eps_{0123} = +1 (see ``levi_civita``).  With
+- The volume element is fixed by eps_{0123} = +1 (see ``LEVI_CIVITA``).  With
   this orientation the positive-helicity transverse covector for a wave
   moving along +z is (x_hat + i y_hat)/sqrt(2); the choice is forced by
   requiring the duality eigenvalue of every constructed mode to equal its
   helicity label.
-- Internally every covector is stored in Lorentz components; chart
-  components are views computed through the chart Jacobian.
+- Covectors are Lorentz components on a trailing axis of length 4.
 
-Charts:
+The dyads and their phases are defined here once; the mode evaluators and
+the dyad checks both use them.  A dyad is stacked (axial, eps-, eps+) on a
+leading axis of length 3, in the order of the spin weights ``SPINS``:
 
-- 'lorentz':      (t, x, y, z)
-- 'cylindrical':  (t, rho, phi, z)   with x = rho cos(phi), y = rho sin(phi)
-- 'spherical':    (t, r, theta, phi) with z = r cos(theta), etc.
+- cylindrical (dz, eps-, eps+) with eps-/+ = (drho +/- i rho dphi)/sqrt(2)
+  = (Z_HAT, e^{-i phi} U_MINUS, e^{+i phi} U_PLUS);
+- spherical (dr, eps-, eps+) with eps-/+ = (r/sqrt(2))(dtheta +/- i
+  sin(theta) dphi).
 
-Azimuthal angles are normalized to [0, 2*pi) on construction.
+eps- and eps+ are complex conjugates, null, and cross-normalized to
+g(eps+, eps-) = -1.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateAxisError
 
-TWO_PI = 2.0 * math.pi
-
-#: Minkowski metric, signature (+, -, -, -).
-ETA = np.diag([1.0, -1.0, -1.0, -1.0])
+SQRT2 = math.sqrt(2.0)
 
 #: Diagonal of eta as a vector, handy for raising single indices.
 ETA_DIAG = np.array([1.0, -1.0, -1.0, -1.0])
@@ -62,301 +62,87 @@ def _build_levi_civita():
 #: Totally antisymmetric volume element with eps_{0123} = +1 (all indices down).
 LEVI_CIVITA = _build_levi_civita()
 
-CHARTS = ("lorentz", "cylindrical", "spherical")
+#: constant covectors (x_hat + i y_hat)/sqrt2 and conjugate, and z_hat
+U_MINUS = np.array([0.0, 1.0, 1.0j, 0.0]) / SQRT2
+U_PLUS = np.array([0.0, 1.0, -1.0j, 0.0]) / SQRT2
+Z_HAT = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
+
+#: spin weights of the dyad members, in the order (axial, eps-, eps+)
+SPINS = (0, -1, 1)
 
 
-# ---------------------------------------------------------------------------
-# Points and chart conversions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SpacetimePoint:
-    """An event given by a chart tag and four coordinates.
-
-    Coordinate order per chart: lorentz (t, x, y, z); cylindrical
-    (t, rho, phi, z); spherical (t, r, theta, phi).
-    """
-
-    chart: str
-    coords: tuple
-
-    def __post_init__(self):
-        if self.chart not in CHARTS:
-            raise ValueError(f"unknown chart {self.chart!r}")
-        if len(self.coords) != 4:
-            raise ValueError("a spacetime point has four coordinates")
+def sph_angles(x, y, z):
+    """(r, theta, phi) of Lorentz (x, y, z); theta = 0 at the origin."""
+    r = np.sqrt(x * x + y * y + z * z)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        theta = np.arccos(np.clip(np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0), -1.0, 1.0))
+    phi = np.arctan2(y, x)
+    return r, theta, phi
 
 
-def lorentz_point(t, x, y, z) -> SpacetimePoint:
-    return SpacetimePoint("lorentz", (float(t), float(x), float(y), float(z)))
+def cyl_dyads(phi):
+    """Lorentz components of the dyads (dz, eps-, eps+), shape (3,) + phi.shape
+    + (4,)."""
+    ph = np.exp(-1j * np.asarray(phi))[..., None]
+    return np.stack(np.broadcast_arrays(Z_HAT, ph * U_MINUS, np.conj(ph) * U_PLUS))
 
 
-def cylindrical_point(t, rho, phi, z) -> SpacetimePoint:
-    if rho < 0:
-        raise ValueError("rho must be >= 0")
-    return SpacetimePoint("cylindrical", (float(t), float(rho), float(phi) % TWO_PI, float(z)))
+def sph_dyads(theta, phi):
+    """Lorentz components of the dyads (dr, eps-, eps+), shape (3,) + theta.shape
+    + (4,).  Their angular derivatives are combinations of themselves:
+    d_theta (dr, eps-, eps+) = (eps- + eps+, -dr, -dr) / sqrt2 and
+    d_phi (dr, eps-, eps+) = -i (sin(theta) (eps- - eps+) / sqrt2,
+    cos(theta) eps- + sin(theta) dr / sqrt2, -cos(theta) eps+ - sin(theta) dr / sqrt2)."""
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    zero = np.zeros_like(st)
+    em = np.stack([zero, ct * cp - 1j * sp, ct * sp + 1j * cp, -st], axis=-1) / SQRT2
+    return np.stack([np.stack([zero, st * cp, st * sp, ct], axis=-1), em, np.conj(em)])
 
 
-def spherical_point(t, r, theta, phi) -> SpacetimePoint:
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    if not 0.0 <= theta <= math.pi:
-        raise ValueError("theta must lie in [0, pi]")
-    return SpacetimePoint("spherical", (float(t), float(r), float(theta), float(phi) % TWO_PI))
-
-
-def to_lorentz(p: SpacetimePoint) -> SpacetimePoint:
-    """Express the same event in Lorentz coordinates."""
-    if p.chart == "lorentz":
-        return p
-    if p.chart == "cylindrical":
-        t, rho, phi, z = p.coords
-        return lorentz_point(t, rho * math.cos(phi), rho * math.sin(phi), z)
-    t, r, theta, phi = p.coords
-    st = math.sin(theta)
-    return lorentz_point(t, r * st * math.cos(phi), r * st * math.sin(phi), r * math.cos(theta))
-
-
-def to_cylindrical(p: SpacetimePoint) -> SpacetimePoint:
-    t, x, y, z = to_lorentz(p).coords
-    return cylindrical_point(t, math.hypot(x, y), math.atan2(y, x), z)
-
-
-def to_spherical(p: SpacetimePoint) -> SpacetimePoint:
-    t, x, y, z = to_lorentz(p).coords
-    r = math.sqrt(x * x + y * y + z * z)
-    theta = math.acos(min(1.0, max(-1.0, z / r))) if r > 0 else 0.0
-    return spherical_point(t, r, theta, math.atan2(y, x))
-
-
-def chart_jacobian(p: SpacetimePoint) -> np.ndarray:
-    """J[c, mu] = d q^c / d x^mu at p, for p's chart coordinates q^c.
-
-    A covector with chart components w_c has Lorentz components
-    w_mu = J[c, mu] w_c.  Rows are ordered like the chart coordinates.
-    """
-    if p.chart == "lorentz":
-        return np.eye(4)
-    if p.chart == "cylindrical":
-        _, rho, phi, _ = p.coords
-        if rho == 0.0:
-            raise DegenerateAxisError("cylindrical chart Jacobian undefined at rho = 0")
-        c, s = math.cos(phi), math.sin(phi)
-        return np.array([
-            [1.0, 0.0, 0.0, 0.0],        # dt
-            [0.0, c, s, 0.0],            # drho
-            [0.0, -s / rho, c / rho, 0.0],  # dphi
-            [0.0, 0.0, 0.0, 1.0],        # dz
-        ])
-    _, r, theta, phi = p.coords
-    st, ct = math.sin(theta), math.cos(theta)
-    if r == 0.0 or st == 0.0:
-        raise DegenerateAxisError("spherical chart Jacobian undefined on the polar axis")
-    cp, sp = math.cos(phi), math.sin(phi)
-    return np.array([
-        [1.0, 0.0, 0.0, 0.0],                       # dt
-        [0.0, st * cp, st * sp, ct],                # dr
-        [0.0, ct * cp / r, ct * sp / r, -st / r],   # dtheta
-        [0.0, -sp / (r * st), cp / (r * st), 0.0],  # dphi
-    ])
-
-
-def chart_inverse_metric(p: SpacetimePoint) -> np.ndarray:
-    """g^{cc'} in the chart coordinate basis at p (diagonal for all three)."""
-    if p.chart == "lorentz":
-        return ETA.copy()
-    if p.chart == "cylindrical":
-        _, rho, _, _ = p.coords
-        if rho == 0.0:
-            raise DegenerateAxisError("chart metric singular at rho = 0")
-        return np.diag([1.0, -1.0, -1.0 / rho**2, -1.0])
-    _, r, theta, _ = p.coords
-    st = math.sin(theta)
-    if r == 0.0 or st == 0.0:
-        raise DegenerateAxisError("chart metric singular on the polar axis")
-    return np.diag([1.0, -1.0, -1.0 / r**2, -1.0 / (r * st) ** 2])
-
-
-# ---------------------------------------------------------------------------
-# Covectors
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ComplexCovector:
-    """A complex covector stored in Lorentz components (index down)."""
-
-    lorentz: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.lorentz, dtype=complex)
-        if arr.shape != (4,):
-            raise ValueError("a covector has four components")
-        object.__setattr__(self, "lorentz", arr)
-
-    def chart_components(self, p: SpacetimePoint) -> np.ndarray:
-        """Components w_c in p's chart basis, from w_mu = J[c, mu] w_c."""
-        if p.chart == "lorentz":
-            return self.lorentz.copy()
-        return np.linalg.solve(chart_jacobian(p).T, self.lorentz)
-
-    def conjugate(self) -> "ComplexCovector":
-        return ComplexCovector(np.conj(self.lorentz))
-
-    def __add__(self, other):
-        return ComplexCovector(self.lorentz + other.lorentz)
-
-    def __sub__(self, other):
-        return ComplexCovector(self.lorentz - other.lorentz)
-
-    def __mul__(self, scalar):
-        return ComplexCovector(self.lorentz * scalar)
-
-    __rmul__ = __mul__
-
-
-def minkowski_dot(u: ComplexCovector, v: ComplexCovector) -> complex:
-    """g(u, v) = eta^{ab} u_a v_b.  Bilinear (no conjugation)."""
-    return complex(np.sum(ETA_DIAG * u.lorentz * v.lorentz))
-
-
-def from_chart_components(p: SpacetimePoint, components) -> ComplexCovector:
-    """Build a covector from components in p's chart basis."""
-    comp = np.asarray(components, dtype=complex)
-    if p.chart == "lorentz":
-        return ComplexCovector(comp)
-    return ComplexCovector(chart_jacobian(p).T @ comp)
-
-
-# ---------------------------------------------------------------------------
-# Polarization dyads
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Dyad:
-    """Null polarization dyad at a point.
-
-    ``axial`` is (dz)_a on the cylindrical chart and (dr)_a on the spherical
-    chart.  eps_minus and eps_plus are complex conjugates, null, and
-    cross-normalized to g(eps+, eps-) = -1.
-    """
-
-    chart: str
-    point: SpacetimePoint
-    axial: ComplexCovector
-    eps_minus: ComplexCovector
-    eps_plus: ComplexCovector
-
-    def covector(self, name: str) -> ComplexCovector:
-        return {"axial": self.axial, "eps_minus": self.eps_minus,
-                "eps_plus": self.eps_plus}[name]
-
-
-def dyad_cyl(p: SpacetimePoint) -> Dyad:
-    """Cylindrical dyad {dz, eps-, eps+}, with
-    eps_-/+ = (drho +/- i rho dphi)/sqrt(2); error on the axis rho = 0."""
-    q = to_cylindrical(p)
-    _, rho, phi, _ = q.coords
-    if rho == 0.0:
-        raise DegenerateAxisError("cylindrical dyad undefined at rho = 0")
-    ph = np.exp(-1j * phi)
-    eps_minus = ComplexCovector(ph * np.array([0.0, 1.0, 1.0j, 0.0]) / math.sqrt(2.0))
-    return Dyad(
-        chart="cylindrical",
-        point=q,
-        axial=ComplexCovector(np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)),
-        eps_minus=eps_minus,
-        eps_plus=eps_minus.conjugate(),
-    )
-
-
-def dyad_sph(p: SpacetimePoint) -> Dyad:
-    """Spherical dyad {dr, eps-, eps+}, with
-    eps_-/+ = (r/sqrt(2)) (dtheta +/- i sin(theta) dphi); error at r = 0 and
-    on the polar axis."""
-    q = to_spherical(p)
-    _, r, theta, phi = q.coords
-    st, ct = math.sin(theta), math.cos(theta)
-    if r == 0.0 or st == 0.0:
-        raise DegenerateAxisError("spherical dyad undefined at r = 0 or theta in {0, pi}")
-    cp, sp = math.cos(phi), math.sin(phi)
-    dr = ComplexCovector(np.array([0.0, st * cp, st * sp, ct], dtype=complex))
-    eps_minus = ComplexCovector(np.array(
-        [0.0, ct * cp - 1j * sp, ct * sp + 1j * cp, -st]) / math.sqrt(2.0))
-    return Dyad("spherical", q, dr, eps_minus, eps_minus.conjugate())
-
-
-_DYAD_BUILDERS = {"cylindrical": dyad_cyl, "spherical": dyad_sph}
-
-
-def dyad(chart: str, p: SpacetimePoint) -> Dyad:
-    return _DYAD_BUILDERS[chart](p)
-
-
-# ---------------------------------------------------------------------------
-# Covariant derivatives of the dyads
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DyadDerivatives:
-    """Expansion of nabla_a X_b in the dyad basis.
-
-    ``table[name][(u, v)]`` is the coefficient of U_a V_b in nabla_a X_b,
-    where name, u, v index {axial, eps_minus, eps_plus}.  Missing keys are
-    zero.
-    """
-
-    chart: str
-    point: SpacetimePoint
-    table: dict
-
-    def nabla_lorentz(self, name: str) -> np.ndarray:
-        """nabla_a X_b as a 4x4 Lorentz-component array, index order (a, b)."""
-        dy = dyad(self.chart, self.point)
-        out = np.zeros((4, 4), dtype=complex)
-        for (u, v), coeff in self.table[name].items():
-            out += coeff * np.outer(dy.covector(u).lorentz, dy.covector(v).lorentz)
-        return out
-
-
-def dyad_derivatives(chart: str, p: SpacetimePoint) -> DyadDerivatives:
-    """Dyad covariant-derivative coefficient table at p.
-
-    Cylindrical:
-        nabla dz      = 0
-        nabla_a eps-_b = (1/(sqrt(2) rho)) [eps+_a - eps-_a] eps-_b
-        nabla_a eps+_b = (1/(sqrt(2) rho)) [eps-_a - eps+_a] eps+_b
-    Spherical:
-        nabla_a dr_b   = (1/r) [eps-_a eps+_b + eps+_a eps-_b]
-        nabla_a eps-_b = (1/r) { (cot(theta)/sqrt(2)) [eps+_a - eps-_a] eps-_b
-                                 - eps-_a dr_b }
-        and the conjugate relation for eps+.
-    """
+def dyads(chart, t, x, y, z):
+    """The dyad of chart ('cylindrical' or 'spherical') at Lorentz points,
+    shape (3,) + the broadcast shape of (t, x, y, z) + (4,).  On the axis
+    the members take their value at phi = 0 (and theta = 0 at r = 0)."""
+    t, x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (t, x, y, z)))
     if chart == "cylindrical":
-        q = to_cylindrical(p)
-        _, rho, _, _ = q.coords
-        if rho == 0.0:
-            raise DegenerateAxisError("dyad derivatives undefined at rho = 0")
-        k = 1.0 / (math.sqrt(2.0) * rho)
-        table = {
-            "axial": {},
-            "eps_minus": {("eps_plus", "eps_minus"): k, ("eps_minus", "eps_minus"): -k},
-            "eps_plus": {("eps_minus", "eps_plus"): k, ("eps_plus", "eps_plus"): -k},
-        }
-        return DyadDerivatives(chart, q, table)
+        return cyl_dyads(np.arctan2(y, x))
     if chart == "spherical":
-        q = to_spherical(p)
-        _, r, theta, _ = q.coords
-        st = math.sin(theta)
-        if r == 0.0 or st == 0.0:
-            raise DegenerateAxisError("dyad derivatives undefined on the polar axis")
-        cot = math.cos(theta) / st
-        k = cot / (math.sqrt(2.0) * r)
-        table = {
-            "axial": {("eps_minus", "eps_plus"): 1.0 / r, ("eps_plus", "eps_minus"): 1.0 / r},
-            "eps_minus": {("eps_plus", "eps_minus"): k, ("eps_minus", "eps_minus"): -k,
-                          ("eps_minus", "axial"): -1.0 / r},
-            "eps_plus": {("eps_minus", "eps_plus"): k, ("eps_plus", "eps_plus"): -k,
-                         ("eps_plus", "axial"): -1.0 / r},
-        }
-        return DyadDerivatives(chart, q, table)
+        _, theta, phi = sph_angles(x, y, z)
+        return sph_dyads(theta, phi)
     raise ValueError(f"no dyad on chart {chart!r}")
+
+
+def _outer(u, v):
+    return u[..., :, None] * v[..., None, :]
+
+
+def dyad_derivatives(chart, t, x, y, z):
+    """nabla_a X_b of each dyad member X at Lorentz points, shape (3,) + the
+    broadcast shape + (4, 4), index order (a, b):
+
+    Cylindrical, with k = 1 / (sqrt(2) rho):
+        nabla dz      = 0
+        nabla_a eps-_b = k [eps+_a - eps-_a] eps-_b
+        nabla_a eps+_b = k [eps-_a - eps+_a] eps+_b
+    Spherical, with k = cot(theta) / (sqrt(2) r):
+        nabla_a dr_b   = (1/r) [eps-_a eps+_b + eps+_a eps-_b]
+        nabla_a eps-_b = k [eps+_a - eps-_a] eps-_b - (1/r) eps-_a dr_b
+        and the conjugate relation for eps+.
+
+    DegenerateAxisError on the z axis: rho = 0 (cylindrical), r = 0 or the
+    polar axis (spherical)."""
+    t, x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (t, x, y, z)))
+    rho = np.hypot(x, y)
+    if np.any(rho == 0.0):
+        raise DegenerateAxisError(f"{chart} dyad derivatives undefined on the z axis")
+    ax, em, ep = dyads(chart, t, x, y, z)
+    if chart == "cylindrical":
+        k, inv_r = 1.0 / (SQRT2 * rho), np.zeros_like(rho)
+    else:
+        r, theta, _ = sph_angles(x, y, z)
+        k, inv_r = np.cos(theta) / (np.sin(theta) * SQRT2 * r), 1.0 / r
+    k, inv_r = k[..., None, None], inv_r[..., None, None]
+    return np.stack([inv_r * (_outer(em, ep) + _outer(ep, em)),
+                     k * _outer(ep - em, em) - inv_r * _outer(em, ax),
+                     k * _outer(em - ep, ep) - inv_r * _outer(ep, ax)])

@@ -99,13 +99,13 @@ def _parse_grid(items):
 def _parse_quad(items):
     kv = _parse_kv(items)
     kwargs = {}
-    floats = ("t_slice", "r_max", "box_half", "tail_r0", "tail_eta", "tol")
-    ints = ("n_r", "n_theta", "n_phi", "n_box", "tail_rounds", "gl_order")
+    # counts are parsed as floats too: QuadratureSpec rejects a non-integral
+    # one by name and stores an integral one as int
+    numbers = ("t_slice", "r_max", "box_half", "tail_r0", "tail_eta", "tol",
+               "n_r", "n_theta", "n_phi", "n_box", "tail_rounds", "gl_order")
     for k, v in kv.items():
-        if k in floats:
+        if k in numbers:
             kwargs[k] = float(v)
-        elif k in ints:
-            kwargs[k] = int(v)
         elif k in ("chart", "tail"):
             kwargs[k] = v
         else:

@@ -229,6 +229,8 @@ def _finite_argument(x):
 
 
 def _check_order(order):
+    if not math.isfinite(float(order)):
+        raise InvalidOrderError(f"order {order} is not finite")
     nu2 = round(2.0 * float(order))
     if abs(2.0 * float(order) - nu2) > 1e-12:
         raise InvalidOrderError(f"order {order} is not a multiple of 1/2")
@@ -270,7 +272,11 @@ def bessel_j(order, x):
 
 def bessel_j_int_orders(orders, x):
     """dict order -> J_order(x) for a set of integer orders (negatives OK)
-    and finite x >= 0; output arrays match the shape of x."""
+    and finite x >= 0; output arrays match the shape of x.  InvalidOrderError
+    for a non-integral or non-finite order."""
+    bad = [n for n in orders if not float(n).is_integer()]
+    if bad:
+        raise InvalidOrderError(f"orders {bad} are not integers")
     xa = _finite_argument(x)
     if np.any(xa < 0):
         raise ValueError("bessel_j_int_orders requires x >= 0")

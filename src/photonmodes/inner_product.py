@@ -73,23 +73,33 @@ class QuadratureSpec:
     tol: float = 1e-3
 
     def __post_init__(self):
-        for nm in ("n_r", "n_theta", "n_phi", "n_box"):
-            if getattr(self, nm) < 4:
-                raise ValueError(f"{nm} must be >= 4")
-        if self.tail == "damped" and self.tail_eta <= 0:
-            raise ValueError("tail_eta must be > 0 for the damped regularization")
+        """ValueError naming the first invalid field; integral counts are
+        stored as int."""
+        if self.chart not in ("spherical", "cartesian"):
+            raise ValueError(f"chart must be 'spherical' or 'cartesian', got {self.chart!r}")
         if self.tail not in ("averaged", "damped", "none"):
-            raise ValueError(f"unknown tail method {self.tail!r}")
+            raise ValueError(f"tail must be 'averaged', 'damped' or 'none', got {self.tail!r}")
+        if not math.isfinite(self.t_slice):
+            raise ValueError("t_slice must be finite")
+        for nm in ("r_max", "box_half", "tail_r0", "tail_eta", "tol"):
+            if not 0 < getattr(self, nm) < math.inf:
+                raise ValueError(f"{nm} must be finite and > 0")
+        for nm, low in (("n_r", 4), ("n_theta", 4), ("n_phi", 4), ("n_box", 4),
+                        ("tail_rounds", 0), ("gl_order", 1)):
+            value = getattr(self, nm)
+            if not float(value).is_integer() or value < low:
+                raise ValueError(f"{nm} must be an integer >= {low}")
+            object.__setattr__(self, nm, int(value))
 
 
 def slice_nodes(spec: QuadratureSpec):
     """Quadrature nodes (t, x, y, z) and weights on the t = t_slice slice,
     all flattened to 1-D arrays.  Weights include the volume element."""
     if spec.chart == "spherical":
-        xr, wr = np.polynomial.legendre.leggauss(spec.n_r)
+        xr, wr = _gauss_legendre(spec.n_r)
         r = 0.5 * (xr + 1.0) * (spec.r_max - 1e-9) + 1e-9
         wr = wr * 0.5 * spec.r_max
-        xu, wu = np.polynomial.legendre.leggauss(spec.n_theta)
+        xu, wu = _gauss_legendre(spec.n_theta)
         theta = np.arccos(xu)
         phi = np.arange(spec.n_phi) * TWO_PI / spec.n_phi
         R, TH, PH = np.meshgrid(r, theta, phi, indexing="ij")
@@ -98,14 +108,12 @@ def slice_nodes(spec: QuadratureSpec):
         x = R * np.sin(TH) * np.cos(PH)
         y = R * np.sin(TH) * np.sin(PH)
         z = R * np.cos(TH)
-    elif spec.chart == "cartesian":
-        xg, wg = np.polynomial.legendre.leggauss(spec.n_box)
+    else:
+        xg, wg = _gauss_legendre(spec.n_box)
         ax = xg * spec.box_half
         wax = wg * spec.box_half
         x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
         W = wax[:, None, None] * wax[None, :, None] * wax[None, None, :]
-    else:
-        raise ValueError(f"unknown slice chart {spec.chart!r}")
     x, y, z = x.ravel(), y.ravel(), z.ravel()
     return np.full(x.shape, spec.t_slice), x, y, z, W.ravel()
 
@@ -286,7 +294,7 @@ class WavePacket(SphericalMode):
             raise ValueError("packet support must stay at positive energy")
         super().__init__(SphericalLabel(p0=center, l=l, m=m, s=s))
         self.center, self.width = float(center), float(width)
-        xg, wg = np.polynomial.legendre.leggauss(n_nodes)
+        xg, wg = _gauss_legendre(n_nodes)
         lo = max(center - 6.0 * width, 0.02 * center)
         hi = center + 6.0 * width
         self.p_nodes = 0.5 * (xg + 1.0) * (hi - lo) + lo
@@ -476,7 +484,7 @@ def smeared_radial_delta(kind, order, k_fixed, center, sigma, spec: QuadratureSp
 
     kind 'cyl_rho' (w = rho, J = J_m) or 'sph_r' (w = r, J = J_{l+1/2})."""
     nu = order if kind == "cyl_rho" else order + 0.5
-    xg, wg = np.polynomial.legendre.leggauss(n_k)
+    xg, wg = _gauss_legendre(n_k)
     lo, hi = center - 6.0 * sigma, center + 6.0 * sigma
     if lo <= 0:
         raise ValueError("smearing window must stay positive")

@@ -16,7 +16,11 @@ Phase convention for the transverse polarization: for p along +z the
 positive-helicity covector is (x_hat + i y_hat)/sqrt(2); for general p it is
 (theta_hat(p) + i phi_hat(p))/sqrt(2).  Together with the orientation
 eps_{0123} = +1 this makes dual(F) = s F hold for every family with the same
-coefficient conventions as the transverse-dyad decompositions.
+coefficient conventions as the transverse-dyad decompositions.  The dyads
+and the spherical angle map come from charts, which the dyad checks in
+validation evaluate too: Bessel beams use its constants Z_HAT, U_MINUS,
+U_PLUS (the e^{-/+ i phi} of eps-/+ absorbed into J_k(alpha rho) e^{i k phi}),
+multipoles its sph_dyads.
 
 Evaluators are vectorized over spacetime points: evaluate(t, x, y, z) takes
 broadcastable arrays of finite Lorentz coordinates and returns Lorentz
@@ -36,6 +40,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .charts import SPINS, SQRT2, U_MINUS, U_PLUS, Z_HAT, sph_angles, sph_dyads
 from .errors import DegenerateAxisError, InvalidLabelError
 from .harmonics import (
     bessel_j_int_orders,
@@ -45,14 +50,6 @@ from .harmonics import (
     _set_integers,
     sph_harmonic_values,
 )
-
-SQRT2 = math.sqrt(2.0)
-
-#: constant covectors (x_hat + i y_hat)/sqrt2 and conjugate, and z_hat
-U_MINUS = np.array([0.0, 1.0, 1.0j, 0.0]) / SQRT2
-U_PLUS = np.array([0.0, 1.0, -1.0j, 0.0]) / SQRT2
-Z_HAT = np.array([0.0, 0.0, 0.0, 1.0], dtype=complex)
-
 
 # ---------------------------------------------------------------------------
 # Labels
@@ -370,31 +367,6 @@ def sph_radial_profiles(label: SphericalLabel, r, derivs=0):
     return (R0, Rm, Rp), (dR0, dRm, dRp), (d2R0, d2Rm, d2Rp)
 
 
-def _sph_angles(x, y, z):
-    r = np.sqrt(x * x + y * y + z * z)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        theta = np.arccos(np.clip(np.where(r > 0, z / np.where(r > 0, r, 1.0), 1.0), -1.0, 1.0))
-    phi = np.arctan2(y, x)
-    return r, theta, phi
-
-
-#: spin weights of the multipole sum, in the order of the dyads (dr, eps-, eps+)
-_SPINS = (0, -1, 1)
-
-
-def _sph_dyads(theta, phi):
-    """Lorentz components of the dyads (dr, eps-, eps+), shape (3,) + theta.shape
-    + (4,).  Their angular derivatives are combinations of themselves:
-    d_theta (dr, eps-, eps+) = (eps- + eps+, -dr, -dr) / sqrt2 and
-    d_phi (dr, eps-, eps+) = -i (sin(theta) (eps- - eps+) / sqrt2,
-    cos(theta) eps- + sin(theta) dr / sqrt2, -cos(theta) eps+ - sin(theta) dr / sqrt2)."""
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    zero = np.zeros_like(st)
-    em = np.stack([zero, ct * cp - 1j * sp, ct * sp + 1j * cp, -st], axis=-1) / SQRT2
-    return np.stack([np.stack([zero, st * cp, st * sp, ct], axis=-1), em, np.conj(em)])
-
-
 def _contract(coef, dyads):
     """sum_n coef_n dyad_n over the spin weights n (the leading axis), where
     coef_n is a radial factor times Y[n]: the multipole sum."""
@@ -470,12 +442,12 @@ class SphericalMode(ModeField):
         also their theta-derivatives -(eth + ethb) Y[n] / 2, from Y[-2..2]."""
         l, m = self.label.l, self.label.m
         y = {n: sph_harmonic_values(n, l, m, theta, phi)
-             for n in (range(-2, 3) if derivs else _SPINS)}
-        ys = np.stack([y[n] for n in _SPINS])
+             for n in (range(-2, 3) if derivs else SPINS)}
+        ys = np.stack([y[n] for n in SPINS])
         if not derivs:
             return ys
         return ys, np.stack([-0.5 * (eth_factor_sph(n, l) * y[n + 1]
-                                     + ethbar_factor_sph(n, l) * y[n - 1]) for n in _SPINS])
+                                     + ethbar_factor_sph(n, l) * y[n - 1]) for n in SPINS])
 
     def evaluate(self, t, x, y, z):
         return self.d_dt(t, x, y, z, order=0)
@@ -483,7 +455,7 @@ class SphericalMode(ModeField):
     def d_dt(self, t, x, y, z, order=1):
         """d^order/dt^order of the field; order 0 is evaluate."""
         t, x, y, z = _broadcast(t, x, y, z)
-        r, theta, phi = _sph_angles(x, y, z)
+        r, theta, phi = sph_angles(x, y, z)
         # components scale as r^{l-1}: l >= 2 vanishes at the origin (those
         # rows are zeroed); l = 1 has a finite limit there and is evaluated
         # at least 1e-12 / max p_k off it, an O(p r) directional error below
@@ -497,19 +469,19 @@ class SphericalMode(ModeField):
         theta = np.where(on_axis, np.where(z > 0, 0.0, math.pi), theta)
         phi = np.where(on_axis, 0.0, phi)
         rad, = self._radial(t, r, (0, order))
-        out = _contract(rad * self._harmonics(theta, phi), _sph_dyads(theta, phi))
+        out = _contract(rad * self._harmonics(theta, phi), sph_dyads(theta, phi))
         out[vanishing] = 0.0
         return out
 
     def gradient(self, t, x, y, z):
         t, x, y, z = _broadcast(t, x, y, z)
-        r, theta, phi = _sph_angles(x, y, z)
+        r, theta, phi = sph_angles(x, y, z)
         if np.any(r < _POLE_TOL) or np.any(np.sin(theta) < _POLE_TOL):
             raise DegenerateAxisError(
                 "analytic spherical gradient requires off-axis points")
         rad, d_rad, dt_rad = self._radial(t, r, (0, 0), (1, 0), (0, 1))
         ys, d_ys = self._harmonics(theta, phi, derivs=True)
-        dyads = _sph_dyads(theta, phi)
+        dyads = sph_dyads(theta, phi)
         st, ct = np.sin(theta), np.cos(theta)
         f0, fm, fp = f = rad * ys
         # chart-coordinate partials of the Lorentz components, with the
@@ -535,7 +507,7 @@ class SphericalMode(ModeField):
         reproduce the multipole radial system, so this residual is a genuine
         consistency check of the Bessel evaluation."""
         t, x, y, z = _broadcast(t, x, y, z)
-        r, theta, phi = _sph_angles(x, y, z)
+        r, theta, phi = sph_angles(x, y, z)
         L = float(self.label.l * (self.label.l + 1))
         rad, d_rad, d2_rad, dt2_rad = self._radial(t, r, (0, 0), (1, 0), (2, 0), (0, 2))
         R0, Rm, Rp = rad
@@ -544,7 +516,7 @@ class SphericalMode(ModeField):
         c = math.sqrt(2.0 * L) / r**2
         coupling = np.stack([(2.0 / r**2) * R0 - c * (Rm - Rp), -c * R0, c * R0])
         box = dt2_rad - (d2_rad + (2.0 / r) * d_rad) + (L / r**2) * rad + coupling
-        return _contract(box * self._harmonics(theta, phi), _sph_dyads(theta, phi))
+        return _contract(box * self._harmonics(theta, phi), sph_dyads(theta, phi))
 
 
 def spherical_mode(label: SphericalLabel) -> SphericalMode:

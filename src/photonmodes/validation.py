@@ -28,8 +28,7 @@ from typing import Callable
 import numpy as np
 
 from . import fdiff
-from .charts import (dyad_cyl, dyad_sph, dyad_derivatives, lorentz_point,
-                     to_lorentz)
+from .charts import dyad_derivatives, dyads
 from .errors import InvalidLabelError
 from .harmonics import (CylHarmonicLabel, SphHarmonicLabel, bessel_j_int_orders,
                         eth_analytic, ethbar_analytic, eth_numeric, ethbar_numeric,
@@ -459,21 +458,6 @@ def _crosscheck(spec):
 # Algebra suite: brackets, involution, dyad tables, ladders
 # ---------------------------------------------------------------------------
 
-def _dyad_field(chart, name):
-    """Dyad covector as a field of Lorentz coordinates (for Lie derivatives)."""
-    build = dyad_cyl if chart == "cylindrical" else dyad_sph
-
-    def evaluate(t, x, y, z):
-        t, x, y, z = np.broadcast_arrays(*(np.asarray(c, float) for c in (t, x, y, z)))
-        out = np.empty(t.shape + (4,), dtype=complex)
-        for idx in np.ndindex(t.shape):
-            dy = build(lorentz_point(t[idx], x[idx], y[idx], z[idx]))
-            out[idx] = dy.covector(name).lorentz
-        return out
-
-    return evaluate
-
-
 def _algebra(spec):
     """Poincare brackets, the helicity involution, dyad derivative tables and
     symmetries, and the eth ladders and closure of the harmonics."""
@@ -508,51 +492,45 @@ def _algebra(spec):
 
     # dyad covariant-derivative tables against finite differences
     worst = 0.0
-    for chart, point in (("cylindrical", lorentz_point(0.0, 1.3, 0.7, -0.4)),
-                         ("spherical", lorentz_point(0.0, 1.1, 0.9, 1.2))):
-        table = dyad_derivatives(chart, point)
-        t0, x0, y0, z0 = to_lorentz(point).coords
-        for name in ("axial", "eps_minus", "eps_plus"):
-            predicted = table.nabla_lorentz(name)
-            f = _dyad_field(chart, name)
-            fd = np.stack([fdiff.partial(f, (t0, x0, y0, z0), mu, 0.005)
-                           for mu in range(4)])
-            worst = max(worst, float(np.abs(fd - predicted).max()))
+    for chart, point in (("cylindrical", (0.0, 1.3, 0.7, -0.4)),
+                         ("spherical", (0.0, 1.1, 0.9, 1.2))):
+        predicted = dyad_derivatives(chart, *point)
+        for n in range(3):
+            fd = np.stack([fdiff.partial(lambda *c: dyads(chart, *c)[n],
+                                         point, mu, 0.005) for mu in range(4)])
+            worst = max(worst, float(np.abs(fd - predicted[n]).max()))
     residuals["dyad_derivative_fd"] = worst
 
     # Lie invariance of the dyads under the family's symmetry generators,
     # and the ladder action L_+- on the spherical dyad
     worst_inv = 0.0
     worst_ladder = 0.0
+    pts1 = tuple(c[:2] for c in pts)
     cyl_gens = (P_upper(0), P_upper(3), L3())
     sph_gens = (P_upper(0), L3())
     for chart, gens in (("cylindrical", cyl_gens), ("spherical", sph_gens)):
-        for name in ("axial", "eps_minus", "eps_plus"):
-            f = _dyad_field(chart, name)
-            pts1 = tuple(c[:2] for c in pts)
-            ref = f(*pts1)
+        ref = dyads(chart, *pts1)
+        for n in range(3):
             for xi in gens:
-                lv = lie_derivative(xi, f, *pts1, h=0.005, method="fd")
-                worst_inv = max(worst_inv, float(np.abs(lv).max() / np.abs(ref).max()))
+                lv = lie_derivative(xi, lambda *c: dyads(chart, *c)[n], *pts1,
+                                    h=0.005, method="fd")
+                worst_inv = max(worst_inv, float(np.abs(lv).max() / np.abs(ref[n]).max()))
     # ladder action on the spherical dyad: Lie_{L+-} eps-/+ = -/+ csc(theta)
     # e^{+-i phi} eps-/+ and Lie_{L+-} dr = 0 (the csc factor is what makes
     # the composite action on A_a produce the e^{+-i phi} csc(theta) A_-/+
     # terms of the component decomposition)
+    ref = dyads("spherical", *pts1)
+    r_val = np.sqrt(pts1[1]**2 + pts1[2]**2 + pts1[3]**2)
+    csc = r_val / np.hypot(pts1[1], pts1[2])
+    phi_val = np.arctan2(pts1[2], pts1[1])
     for pm, xi in ((+1, L_plus()), (-1, L_minus())):
-        pts1 = tuple(c[:2] for c in pts)
-        r_val = np.sqrt(pts1[1]**2 + pts1[2]**2 + pts1[3]**2)
-        csc = r_val / np.hypot(pts1[1], pts1[2])
-        phi_val = np.arctan2(pts1[2], pts1[1])
         phase = csc * np.exp(1j * pm * phi_val)
-        f = _dyad_field("spherical", "axial")
-        lv = lie_derivative(xi, f, *pts1, h=0.005, method="fd")
-        worst_ladder = max(worst_ladder, float(np.abs(lv).max()))
-        for name, expect in (("eps_minus", phase), ("eps_plus", -phase)):
-            f = _dyad_field("spherical", name)
-            ref = f(*pts1)
-            lv = lie_derivative(xi, f, *pts1, h=0.005, method="fd")
+        lv = [lie_derivative(xi, lambda *c: dyads("spherical", *c)[n], *pts1,
+                             h=0.005, method="fd") for n in range(3)]
+        worst_ladder = max(worst_ladder, float(np.abs(lv[0]).max()))
+        for n, expect in ((1, phase), (2, -phase)):
             worst_ladder = max(worst_ladder, float(
-                np.abs(lv - expect[..., None] * ref).max() / np.abs(ref).max()))
+                np.abs(lv[n] - expect[..., None] * ref[n]).max() / np.abs(ref[n]).max()))
     residuals["dyad_symmetry_invariance_fd"] = worst_inv
     residuals["dyad_ladder_action_fd"] = worst_ladder
 

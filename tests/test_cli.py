@@ -68,5 +68,12 @@ def test_overlap_single_label(tmp_path):
     assert abs(mat[0][1]) < 1e-8       # opposite-helicity block vanishes
 
 
+def test_overlap_rejects_invalid_quadrature(capsys):
+    rc = main(["overlap", "--family", "spherical", "--label", "p0=1.0,lmax=1",
+               "--quad", "r_max=-5"])
+    assert rc == 2
+    assert "r_max" in capsys.readouterr().err
+
+
 def test_usage_error_exit_code():
     assert main(["eval"]) == 2

@@ -85,6 +85,20 @@ def test_bessel_int_orders_rejects_negative_arguments(x):
         cyl_harmonic_values(0, 1.0, 1, -np.abs(x), 0.3)
 
 
+@pytest.mark.parametrize("x", [1.0, np.array([0.5, 3.0, 40.0])])
+def test_bessel_rejects_non_integral_and_non_finite_orders(x):
+    # J_1.5 is not J_1: an order that is not an integer must not be
+    # truncated, and a non-finite one must not die in an integer conversion
+    for orders in ([1.5], [-1.5], [0, 2.5], [math.nan], [1, math.inf], np.array([0.0, 0.5])):
+        with pytest.raises(InvalidOrderError):
+            bessel_j_int_orders(orders, x)
+    for order in (math.nan, math.inf, -math.inf, 0.3):
+        with pytest.raises(InvalidOrderError):
+            bessel_j(order, x)
+    # integral floats are integers
+    assert np.array_equal(bessel_j_int_orders([2.0], x)[2.0], bessel_j(2, x))
+
+
 def test_bessel_accuracy_vs_scipy():
     # relative accuracy 1e-12 where |J| is at least 1% of the oscillation
     # envelope; near a zero the error is measured against the envelope

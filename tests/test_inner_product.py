@@ -13,7 +13,7 @@ from photonmodes.inner_product import (QuadratureSpec, WavePacket, Superposition
                                        averaged_oscillatory_integral,
                                        damped_oscillatory_integral)
 from photonmodes.errors import NonConvergenceError
-from photonmodes import fdiff, modes, inner_product
+from photonmodes import charts, fdiff, modes, inner_product
 
 
 PACKET_QUAD = QuadratureSpec(r_max=50.0, n_r=128, n_theta=8, n_phi=8)
@@ -137,7 +137,7 @@ def test_packet_batch_shares_radial_work_per_distinct_t_r(monkeypatch, rng):
     phi = rng.uniform(0.0, 2.0 * math.pi, radii.size)
     pts = (times, radii * np.sin(theta) * np.cos(phi), radii * np.sin(theta) * np.sin(phi),
            radii * np.cos(theta))
-    n_pairs = np.unique(times + 1j * modes._sph_angles(*pts[1:])[0]).size
+    n_pairs = np.unique(times + 1j * charts.sph_angles(*pts[1:])[0]).size
     assert n_pairs < radii.size
 
     seen = []
@@ -268,14 +268,36 @@ def test_composite_rule_computes_each_gauss_legendre_rule_once(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda deg: calls.append(deg) or leggauss(deg))
     inner_product._gauss_legendre.cache_clear()
+    ball = QuadratureSpec(r_max=2.0, n_r=16, n_theta=8, n_phi=4)
+    box = QuadratureSpec(chart="cartesian", box_half=1.5, n_box=8)
     for _ in range(5):
         val = inner_product._composite_gl(np.cos, 0.0, 10.0, 1.0, order=16)
         assert val == pytest.approx(math.sin(10.0), abs=1e-13)
-    assert calls == [16]
+        # slice rules come from the same cache: n_r = 16 is the rule above
+        w_ball = inner_product.slice_nodes(ball)[-1]
+        w_box = inner_product.slice_nodes(box)[-1]
+        # (the radial nodes start 1e-9 off the origin)
+        assert w_ball.sum() == pytest.approx(4.0 / 3.0 * math.pi * 2.0**3, rel=1e-8)
+        assert w_box.sum() == pytest.approx(3.0**3, rel=1e-13)
+    assert calls == [16, 8]
     xg, wg = inner_product._gauss_legendre(16)
     assert not xg.flags.writeable and not wg.flags.writeable
     with pytest.raises(ValueError):
         wg[0] = 0.0
+
+
+def test_quadrature_spec_validates_every_field():
+    for field, value in (("chart", "polar"), ("tail", "exact"), ("t_slice", math.nan),
+                         ("r_max", -1.0), ("r_max", math.nan), ("box_half", 0.0),
+                         ("tail_r0", math.nan), ("tail_eta", math.inf), ("tol", -1.0),
+                         ("n_r", 8.5), ("n_theta", 3), ("n_phi", math.nan),
+                         ("n_box", math.inf), ("tail_rounds", -1), ("gl_order", 0)):
+        with pytest.raises(ValueError, match=field):
+            QuadratureSpec(**{field: value})
+    # integral counts are stored as int (a rule order must be one)
+    spec = QuadratureSpec(n_r=32.0, tail_rounds=0)
+    assert type(spec.n_r) is int and spec.n_r == 32 and spec.tail_rounds == 0
+
 
 def test_regularization_consistency_simple_integrand():
     # both tail handlers reproduce int_0^inf e^{-r/20} cos(r) dr exactly enough

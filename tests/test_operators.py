@@ -16,7 +16,7 @@ from photonmodes.operators import (P_lower, P_upper, L1, L2, L3, L_plus,
                                    lie_derivative_tensor2)
 from photonmodes.errors import AsymmetryError, StencilError
 from photonmodes import fdiff
-from photonmodes.validation import _dyad_field
+from photonmodes.charts import dyads
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +69,8 @@ def test_p0_eigenvalue_plane_wave():
 
 
 def test_l3_annihilates_cylindrical_dyads():
-    f = _dyad_field("cylindrical", "eps_minus")
-    fz = _dyad_field("cylindrical", "axial")
+    f = lambda *c: dyads("cylindrical", *c)[1]
+    fz = lambda *c: dyads("cylindrical", *c)[0]
     pts = (0.0, 1.1, 0.6, 0.4)
     for field in (f, fz):
         lv = lie_derivative(L3(), field, *pts, h=0.004, method="fd")
@@ -90,15 +90,15 @@ def test_ladder_action_on_spherical_dyads():
     phi = math.atan2(pts[2], pts[1])
     for pm, xi in ((+1, L_plus()), (-1, L_minus())):
         factor = csc * np.exp(1j * pm * phi)
-        f = _dyad_field("spherical", "eps_minus")
+        f = lambda *c: dyads("spherical", *c)[1]
         ref = f(*pts)
         lv = lie_derivative(xi, f, *pts, h=0.004, method="fd")
         assert np.abs(lv - factor * ref).max() < 1e-7
-        g = _dyad_field("spherical", "eps_plus")
+        g = lambda *c: dyads("spherical", *c)[2]
         refg = g(*pts)
         lvg = lie_derivative(xi, g, *pts, h=0.004, method="fd")
         assert np.abs(lvg + factor * refg).max() < 1e-7
-        fr = _dyad_field("spherical", "axial")
+        fr = lambda *c: dyads("spherical", *c)[0]
         assert np.abs(lie_derivative(xi, fr, *pts, h=0.004, method="fd")).max() < 1e-8
 
 

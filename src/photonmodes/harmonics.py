@@ -399,12 +399,22 @@ def sph_harmonic_values(n, l, m, theta, phi):
     return tot * np.exp(1j * m * phi)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order):
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
+    and returned read-only (every caller shares the arrays)."""
+    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg.flags.writeable = False
+    wg.flags.writeable = False
+    return xg, wg
+
+
 def sph_harmonic_gram(n, lm, n_theta, n_phi):
     """Overlap matrix int conj(Y[n,l,m]) Y[n,l',m'] dOmega over the labels
     lm = [(l, m), ...] at one spin weight n: Gauss-Legendre in cos(theta)
     with n_theta nodes, the uniform rule in phi with n_phi nodes; exact when
     n_theta > max l and n_phi > 2 max l."""
-    xu, wu = np.polynomial.legendre.leggauss(n_theta)
+    xu, wu = _gauss_legendre(n_theta)
     TH, PH = np.meshgrid(np.arccos(xu), np.arange(n_phi) * (2.0 * math.pi) / n_phi,
                          indexing="ij")
     wgt = np.broadcast_to(wu[:, None] * (2.0 * math.pi / n_phi), TH.shape).ravel()

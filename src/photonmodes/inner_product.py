@@ -15,6 +15,12 @@ content of the harmonics).  A WavePacket is a SphericalMode with a
 many-term energy spectrum, so one pass of the multipole kernel gives its
 values and time derivatives at every energy node.
 
+slice_gram(left, right, spec, form) takes every product on one slice: the
+nodes are built once and each distinct field object's jet (A, d_t A), or
+(A, F_{0b}) for the gauge-invariant field-strength form, once.  inner and
+inner_field_strength_form are its 1x1 case.  A gauge shift by a static
+Lambda reuses its base's jet and adds only grad(Lambda) to the value.
+
 Radial overlap integrals of Bessel products are conditionally convergent;
 they are regularized two independent ways and both must agree:
 
@@ -38,9 +44,9 @@ import numpy as np
 
 from .errors import NonConvergenceError
 from .charts import ETA_DIAG
-from .harmonics import bessel_j, sph_harmonic_gram
+from .harmonics import _gauss_legendre, bessel_j, sph_harmonic_gram
 from .modes import (SphericalLabel, CylindricalLabel, SphericalMode, sph_radial_profiles,
-                    cyl_dyad_coefficients)
+                    cyl_dyad_coefficients, _broadcast)
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,24 +146,82 @@ def _density(da, av, db, bv):
     return 1j * np.einsum("b,...b->...", ETA_DIAG, np.conj(da) * bv - np.conj(av) * db)
 
 
-def _slice_integral(a_field, b_field, spec):
-    """int j'_0 d^3x on the slice, time derivatives taken analytically
-    (fields are energy superpositions)."""
+def _f0(field, t, x, y, z):
+    """Row 0 of the field strength, F_{0b} = d_0 A_b - d_b A_0, from one
+    gradient call."""
+    g = field.gradient(t, x, y, z)
+    return g[..., 0, :] - g[..., :, 0]
+
+
+#: form -> the derivative its density pairs with the value: d_t A for the
+#: current j'_0, F_{0b} for the field-strength form
+_JET_DERIVATIVE = {
+    "current": lambda field, t, x, y, z: field.d_dt(t, x, y, z),
+    "field_strength": _f0,
+}
+
+
+def slice_gram(left, right, spec: QuadratureSpec, form="current"):
+    """The len(left) x len(right) matrix of slice integrals
+    int i [ conj(dA)_b A'^b - conj(A)^b dA'_b ] d^3x, A in left, A' in right,
+    with dA = d_t A (form 'current': the inner product) or dA_b = F_{0b}
+    (form 'field_strength').
+
+    The nodes are built once and each distinct field object's jet (A, dA)
+    once.  A GaugeShiftedField's jet is its base's jet plus grad(Lambda) on
+    the value: Lambda is static, so it adds exactly zero to d_t A and to
+    F_{0b} = d_0 A_b - d_b A_0.  Every other field is evaluated through its
+    own methods.  Columns are reduced as they are computed; a jet outlives
+    its column only when a left field or a later column needs it."""
+    if form not in _JET_DERIVATIVE:
+        raise ValueError(f"form must be 'current' or 'field_strength', got {form!r}")
+    derivative = _JET_DERIVATIVE[form]
     t, x, y, z, w = slice_nodes(spec)
-    j0 = _density(a_field.d_dt(t, x, y, z), a_field.evaluate(t, x, y, z),
-                  b_field.d_dt(t, x, y, z), b_field.evaluate(t, x, y, z))
-    return complex(np.sum(w * j0))
+    jets = {}
+
+    def jet(field):
+        key = id(field)
+        if key not in jets:
+            if isinstance(field, GaugeShiftedField):
+                value, deriv = jet(field.base)
+                jets[key] = (value + field.lam.gradient(t, x, y, z), deriv)
+            else:
+                # the derivative first: its transients (a 4x4 gradient for
+                # F_{0b}) are the largest, and the value is not alive yet
+                deriv = derivative(field, t, x, y, z)
+                jets[key] = (field.evaluate(t, x, y, z), deriv)
+        return jets[key]
+
+    def chain(field):
+        yield field
+        while isinstance(field, GaugeShiftedField):
+            field = field.base
+            yield field
+
+    last_use = {id(f): j for j, b in enumerate(right) for f in chain(b)}
+    rows = [jet(a) for a in left]
+    kept = {id(a) for a in left}
+    gram = np.empty((len(left), len(right)), dtype=complex)
+    for j, b in enumerate(right):
+        bv, db = jet(b)
+        for i, (av, da) in enumerate(rows):
+            gram[i, j] = np.sum(w * _density(da, av, db, bv))
+        for key in [k for k in jets if k not in kept and last_use.get(k, -1) <= j]:
+            del jets[key]
+    return gram
 
 
 def inner(a_field, b_field, spec: QuadratureSpec, return_error=False):
-    """(A, A') by slice quadrature of j'_0; optionally also a node-doubling
-    error estimate (NonConvergenceError if it exceeds 10x spec.tol)."""
-    val = _slice_integral(a_field, b_field, spec)
+    """(A, A') by slice quadrature of j'_0, time derivatives taken
+    analytically (fields are energy superpositions); optionally also a
+    node-doubling error estimate (NonConvergenceError if it exceeds
+    10x spec.tol)."""
+    val = complex(slice_gram([a_field], [b_field], spec)[0, 0])
     if not return_error:
         return val
     fine = replace(spec, n_r=2 * spec.n_r, n_theta=2 * spec.n_theta,
                    n_phi=2 * spec.n_phi, n_box=2 * spec.n_box)
-    val2 = _slice_integral(a_field, b_field, fine)
+    val2 = complex(slice_gram([a_field], [b_field], fine)[0, 0])
     err = abs(val2 - val)
     scale = max(abs(val2), 1e-300)
     if err > 10.0 * spec.tol * scale:
@@ -173,17 +237,7 @@ def inner_field_strength_form(a_field, b_field, spec: QuadratureSpec):
 
     Gauge invariant for A -> A + grad(Lambda) with compact Lambda; used by
     the gauge-invariance checks."""
-    t, x, y, z, w = slice_nodes(spec)
-    j0 = _density(_f0(a_field, t, x, y, z), a_field.evaluate(t, x, y, z),
-                  _f0(b_field, t, x, y, z), b_field.evaluate(t, x, y, z))
-    return complex(np.sum(w * j0))
-
-
-def _f0(field, t, x, y, z):
-    """Row 0 of the field strength, F_{0b} = d_0 A_b - d_b A_0, from one
-    gradient call."""
-    g = field.gradient(t, x, y, z)
-    return g[..., 0, :] - g[..., :, 0]
+    return complex(slice_gram([a_field], [b_field], spec, "field_strength")[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -208,27 +262,40 @@ class Superposition:
 
 class GaussianBumpScalar:
     """Compact-support-like scalar Lambda = (c0 + c.x) exp(-|x-x0|^2 / w^2),
-    static in time; supplies value, spacetime gradient and spatial Hessian."""
+    static in time; supplies value, spacetime gradient and spatial Hessian.
+    ValueError naming the parameter unless width > 0 (inf: a constant
+    Lambda) and center, c0 and linear are finite, center and linear with 3
+    components."""
 
     def __init__(self, center, width, c0=1.0, linear=(0.0, 0.0, 0.0)):
         self.center = np.asarray(center, dtype=float)
         self.width = float(width)
         self.c0 = float(c0)
         self.linear = np.asarray(linear, dtype=float)
+        if not self.width > 0:
+            raise ValueError(f"GaussianBumpScalar width must be > 0, got {width!r}")
+        if not math.isfinite(self.c0):
+            raise ValueError(f"GaussianBumpScalar c0 must be finite, got {c0!r}")
+        for nm in ("center", "linear"):
+            vec = getattr(self, nm)
+            if vec.shape != (3,) or not np.all(np.isfinite(vec)):
+                raise ValueError(f"GaussianBumpScalar {nm} must be 3 finite numbers, "
+                                 f"got {vec.tolist()!r}")
 
-    def _poly_env(self, x, y, z):
+    def _poly_env(self, t, x, y, z):
+        _, x, y, z = _broadcast(t, x, y, z)
         dx = np.stack([x - self.center[0], y - self.center[1], z - self.center[2]], axis=-1)
         poly = self.c0 + dx @ self.linear
         env = np.exp(-np.sum(dx * dx, axis=-1) / self.width**2)
         return dx, poly, env
 
     def value(self, t, x, y, z):
-        _, poly, env = self._poly_env(x, y, z)
+        _, poly, env = self._poly_env(t, x, y, z)
         return poly * env
 
     def gradient(self, t, x, y, z):
         """Spacetime gradient (d_t Lambda = 0)."""
-        dx, poly, env = self._poly_env(x, y, z)
+        dx, poly, env = self._poly_env(t, x, y, z)
         dpoly = np.broadcast_to(self.linear, dx.shape)
         denv = -2.0 * dx / self.width**2
         spatial = (dpoly + poly[..., None] * denv) * env[..., None]
@@ -238,7 +305,7 @@ class GaussianBumpScalar:
 
     def hessian(self, t, x, y, z):
         """d_mu d_nu Lambda (spatial block only)."""
-        dx, poly, env = self._poly_env(x, y, z)
+        dx, poly, env = self._poly_env(t, x, y, z)
         w2 = self.width**2
         dpoly = np.broadcast_to(self.linear, dx.shape)
         g = -2.0 * dx / w2
@@ -319,16 +386,6 @@ def _segment(freqs):
     """Composite-rule segment length: a quarter period of the fastest beat
     frequency, at most 2."""
     return min(0.25 * TWO_PI / max(max(freqs) if freqs else 1.0, 1e-9), 2.0)
-
-
-@lru_cache(maxsize=None)
-def _gauss_legendre(order):
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per order
-    and returned read-only (every caller shares the arrays)."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
-    xg.flags.writeable = False
-    wg.flags.writeable = False
-    return xg, wg
 
 
 def _composite_gl(f, a, b, seg_len, order=16):

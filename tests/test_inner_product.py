@@ -7,13 +7,13 @@ from photonmodes.modes import (PlaneWaveLabel, CylindricalLabel, SphericalLabel,
                                plane_wave, cylindrical_mode, spherical_mode)
 from photonmodes.inner_product import (QuadratureSpec, WavePacket, Superposition,
                                        inner, inner_field_strength_form, current,
-                                       GaussianBumpScalar, gauge_shift,
+                                       GaussianBumpScalar, gauge_shift, slice_gram,
                                        bessel_overlap, bessel_overlap_closed_form,
                                        smeared_radial_delta, discrete_orthonormality,
                                        averaged_oscillatory_integral,
                                        damped_oscillatory_integral)
 from photonmodes.errors import NonConvergenceError
-from photonmodes import charts, fdiff, modes, inner_product
+from photonmodes import charts, fdiff, harmonics, modes, inner_product
 
 
 PACKET_QUAD = QuadratureSpec(r_max=50.0, n_r=128, n_theta=8, n_phi=8)
@@ -198,6 +198,92 @@ def test_gauge_invariance_of_field_strength_form(rng):
     assert abs(lap) > 1e-3
 
 
+def test_gauge_shift_that_does_not_decay_in_the_box_changes_the_form():
+    # positive control: Stokes needs Lambda to vanish on the box faces, so a
+    # bump as wide as the box changes the form, and a jet that dropped
+    # grad(Lambda) would leave it unchanged
+    box = QuadratureSpec(chart="cartesian", box_half=4.0, n_box=24)
+    pw_b = plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1))
+    shifts = [gauge_shift(pw_b, GaussianBumpScalar(center=(0.2, -0.3, 0.1), width=width,
+                                                   c0=1.1, linear=(0.3, -0.2, 0.4)))
+              for width in (0.8, 4.0)]
+    base, narrow, wide = slice_gram([plane_wave(PlaneWaveLabel((0.0, 0.0, 1.2), +1))],
+                                    [pw_b, *shifts], box, "field_strength")[0]
+    assert abs(narrow - base) < 1e-8 * abs(base)
+    assert abs(wide - base) > 1e-2 * abs(base)
+
+
+@pytest.mark.parametrize("bad", [
+    {"width": 0.0}, {"width": -0.5}, {"width": math.nan},
+    {"center": (0.0, math.nan, 0.0)}, {"center": (0.0, 0.0)}, {"c0": math.inf},
+    {"c0": math.nan}, {"linear": (0.0, 0.0, -math.inf)}, {"linear": (1.0, 0.0, 0.0, 0.0)},
+])
+def test_gaussian_bump_rejects_invalid_parameters(bad):
+    kwargs = {"center": (0.0, 0.0, 0.0), "width": 1.0, **bad}
+    with pytest.raises(ValueError, match=next(iter(bad))):
+        GaussianBumpScalar(**kwargs)
+
+
+def test_gaussian_bump_broadcasts_coordinates_like_the_modes():
+    lam = GaussianBumpScalar(center=(0.1, 0.0, -0.2), width=0.7, c0=0.4, linear=(1.0, 0.5, 0.0))
+    xs = np.array([0.0, 0.5])
+    val = lam.value(0.0, xs, 0.0, 0.0)
+    assert val.shape == (2,)
+    assert val[1] == lam.value(0.0, 0.5, 0.0, 0.0)
+    assert lam.gradient(np.zeros((3, 1)), xs, 0.0, 0.0).shape == (3, 2, 4)
+    assert lam.hessian(0.0, xs, 0.0, 0.0).shape == (2, 4, 4)
+    with pytest.raises(ValueError, match="finite"):
+        lam.value(0.0, math.nan, 0.0, 0.0)
+
+
+class _Counted:
+    """A field that counts the calls of each of its methods."""
+
+    def __init__(self, field):
+        self.field, self.calls = field, {}
+
+    def __getattr__(self, name):
+        method = getattr(self.field, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+        return counted
+
+
+def _current_form_reference(a_field, b_field, spec):
+    """inner from the node sum of j'_0 over d_dt and evaluate."""
+    t, x, y, z, w = inner_product.slice_nodes(spec)
+    j0 = inner_product._density(a_field.d_dt(t, x, y, z), a_field.evaluate(t, x, y, z),
+                                b_field.d_dt(t, x, y, z), b_field.evaluate(t, x, y, z))
+    return complex(np.sum(w * j0))
+
+
+@pytest.mark.parametrize("form, derivative", [("current", "d_dt"),
+                                              ("field_strength", "gradient")])
+def test_slice_gram_evaluates_each_field_once(form, derivative):
+    box = QuadratureSpec(chart="cartesian", box_half=3.0, n_box=12)
+    shared = _Counted(cylindrical_mode(CylindricalLabel(1.2, 0.5, 1, +1)))
+    other = plane_wave(PlaneWaveLabel((0.2, -0.4, 0.7), -1))
+    shifts = [gauge_shift(shared, GaussianBumpScalar(center=c, width=0.6, c0=0.9,
+                                                     linear=(0.2, 0.1, -0.3)))
+              for c in ((0.1, 0.0, 0.2), (-0.3, 0.2, 0.0))]
+    reference = {"current": _current_form_reference,
+                 "field_strength": _field_strength_form_reference}[form]
+    # shared both in left and right; then only in right, a base needed again
+    # two columns after its first use
+    for left, right in (([shared, other], [shifts[0], other, shared, shifts[1]]),
+                        ([other], [shifts[0], other, shifts[1], shared])):
+        shared.calls.clear()
+        gram = slice_gram(left, right, box, form)
+        assert shared.calls == {"evaluate": 1, derivative: 1}
+        assert gram.shape == (len(left), len(right))
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
+                assert gram[i, j] == reference(a, b, box)
+    with pytest.raises(ValueError, match="form"):
+        slice_gram(left, right, box, "j-form")
+
 
 def _field_strength_form_reference(a_field, b_field, spec):
     """inner_field_strength_form from the full 4x4 field strength."""
@@ -279,7 +365,10 @@ def test_composite_rule_computes_each_gauss_legendre_rule_once(monkeypatch):
         # (the radial nodes start 1e-9 off the origin)
         assert w_ball.sum() == pytest.approx(4.0 / 3.0 * math.pi * 2.0**3, rel=1e-8)
         assert w_box.sum() == pytest.approx(3.0**3, rel=1e-13)
-    assert calls == [16, 8]
+        # the harmonic Grams share the cache: one rule for both calls
+        for n in (0, 1):
+            harmonics.sph_harmonic_gram(n, [(1, 0), (2, 1)], 12, 10)
+    assert calls == [16, 8, 12]
     xg, wg = inner_product._gauss_legendre(16)
     assert not xg.flags.writeable and not wg.flags.writeable
     with pytest.raises(ValueError):

@@ -2,10 +2,14 @@
 
 Bessel functions of the first kind are evaluated in-package.  Integer
 orders take one of three branches per point, by its own argument: the
-ascending power series for x <= 8, the Hankel asymptotic expansion (DLMF
-10.17.3) for x >= max(20, n_max^2/2), and in between the downward (Miller)
-three-term recurrence, started from that band's largest argument and
-normalized with the even-order sum rule.  Half-integer orders use the
+series band for x <= 8, the Hankel asymptotic expansion (DLMF 10.17.3) for
+x >= max(20, n_max^2/2), and in between the downward (Miller) three-term
+recurrence, started from that band's largest argument and normalized with
+the even-order sum rule.  The series band takes the ascending power series
+at the two highest orders asked for and the downward recurrence
+J_{k-1} = (2k/x) J_k - J_{k+1} below them; a point whose top-order value is
+not well above underflow (below 1e-280, e.g. x = 0 or J_80(1e-4)) keeps the
+series at every order instead.  Half-integer orders use the
 closed trigonometric forms, the upward recurrence where x exceeds the
 order, and the same downward recurrence kernel (_downward) anchored on
 J_{+-1/2} elsewhere.
@@ -46,6 +50,7 @@ _SERIES_CUTOFF = 8.0   # series/recurrence switch; cancellation past here
 _SERIES_TERMS = 36
 _HANKEL_MIN = 20.0     # Hankel expansion from max(this, n^2/2) on (_hankel_edge)
 _HANKEL_TERMS = 20     # terms in each of P and Q
+_RECURRENCE_FLOOR = 1e-280   # smallest top-order value the series band recurs from
 
 
 # ---------------------------------------------------------------------------
@@ -147,22 +152,56 @@ def _downward(x, keep, offset):
     return rows, even_sum
 
 
+def _series_band(ns, x):
+    """dict n -> J_n(x) for the sorted nonnegative orders ns on the series
+    band (x <= 8): the series at the two highest orders, then the downward
+    recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, in which J is the dominant
+    solution.  A recurrence from an underflowed top value (J_n(0) = 0,
+    J_80(1e-4) ~ 1e-463) would give zeros, so points whose top value is
+    below _RECURRENCE_FLOOR take the series at every order instead."""
+    top = ns[-1]
+    if top - ns[0] < 2:
+        return {n: _series_int(n, x) for n in ns}
+    j_top, j_next = _series_int(top, x), _series_int(top - 1, x)
+    ok = np.abs(j_top) >= _RECURRENCE_FLOOR
+    out = {n: np.empty_like(x) for n in ns}
+    xr, jp, jc = x[ok], j_top[ok], j_next[ok]
+    out[top][ok] = jp
+    if top - 1 in out:
+        out[top - 1][ok] = jc
+    for k in range(top - 1, ns[0], -1):
+        jp, jc = jc, (2.0 * k / xr) * jc - jp
+        if k - 1 in out:
+            out[k - 1][ok] = jc
+    if not np.all(ok):
+        xs = x[~ok]
+        for n in ns:
+            out[n][~ok] = _series_int(n, xs)
+    return out
+
+
 def _bessel_int_orders(ns, x):
     """dict n -> J_n(x) for nonnegative integer orders, vectorized.
 
-    Each point takes the branch its own argument calls for: the series for
-    x <= 8, the Hankel expansion for x >= max(20, n_max^2/2), and the
-    downward recurrence in between, started from that band's largest x."""
+    Each point takes the branch its own argument calls for: the series band
+    for x <= 8 (the series at the two highest orders and the downward
+    recurrence below them, or the series at every order where the top one
+    is not well above underflow; see _series_band), the Hankel expansion
+    for x >= max(20, n_max^2/2), and the downward recurrence in between,
+    started from that band's largest x."""
     x = np.asarray(x, dtype=float)
+    ns = sorted(ns)
     out = {n: np.zeros_like(x) for n in ns}
     small = x <= _SERIES_CUTOFF
     large = x >= _hankel_edge(max(ns, default=0))
     middle = ~small & ~large
-    for band, fn in ((small, _series_int), (large, _hankel_int)):
-        if np.any(band):
-            xb = x[band]
-            for n in ns:
-                out[n][band] = fn(n, xb)
+    if np.any(small) and ns:
+        for n, v in _series_band(ns, x[small]).items():
+            out[n][small] = v
+    if np.any(large):
+        xl = x[large]
+        for n in ns:
+            out[n][large] = _hankel_int(n, xl)
     if np.any(middle):
         xm = x[middle]
         keep = sorted(set(ns) | {0})
@@ -382,21 +421,35 @@ def _sph_coeffs(n, l, m):
 def sph_harmonic_values(n, l, m, theta, phi):
     """Y[n, l, m](theta, phi), vectorized; exactly zero for l < |n|.
 
+    n may also be a tuple of spin weights: the values are then stacked on a
+    new leading axis.  Every term of every spin weight is a coefficient
+    times C^k S^{2l-k} (C = cos(theta/2), S = sin(theta/2)), so the terms
+    are taken in order of k, each power pair built once and shared by all
+    spin weights, and e^{i m phi} is built once.
+
     At a pole the returned value is the limit along the ray of constant phi;
     it is direction independent unless (theta=0, m=-n) or (theta=pi, m=n)
     with n != 0 (the public scalar wrapper raises there).
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
-    terms = _sph_coeffs(n, l, m)
-    if not terms:
-        return np.zeros(np.broadcast(theta, phi).shape, dtype=complex)
+    spins = n if isinstance(n, tuple) else (n,)
+    by_power = {}
+    for row, nw in enumerate(spins):
+        for coeff, pc, _ in _sph_coeffs(nw, l, m):
+            by_power.setdefault(pc, []).append((row, coeff))
     c = np.cos(0.5 * theta)
     s = np.sin(0.5 * theta)
-    tot = np.zeros_like(c)
-    for coeff, pc, ps in terms:
-        tot = tot + coeff * c**pc * s**ps
-    return tot * np.exp(1j * m * phi)
+    tots = [None] * len(spins)
+    for pc in sorted(by_power):
+        c_pow, s_pow = c**pc, s**(2 * l - pc)
+        for row, coeff in by_power[pc]:
+            term = coeff * c_pow * s_pow
+            tots[row] = term if tots[row] is None else tots[row] + term
+    eimphi = np.exp(1j * m * phi)
+    shape = np.broadcast(theta, phi).shape
+    rows = [np.zeros(shape, dtype=complex) if tot is None else tot * eimphi for tot in tots]
+    return np.stack(rows) if isinstance(n, tuple) else rows[0]
 
 
 @lru_cache(maxsize=None)

@@ -16,10 +16,11 @@ many-term energy spectrum, so one pass of the multipole kernel gives its
 values and time derivatives at every energy node.
 
 slice_gram(left, right, spec, form) takes every product on one slice: the
-nodes are built once and each distinct field object's jet (A, d_t A), or
-(A, F_{0b}) for the gauge-invariant field-strength form, once.  inner and
-inner_field_strength_form are its 1x1 case.  A gauge shift by a static
-Lambda reuses its base's jet and adds only grad(Lambda) to the value.
+nodes are built once and each distinct field object's pair (A, d_t A), or
+(A, F_{0b}) from one field jet for the gauge-invariant field-strength form,
+once.  inner and inner_field_strength_form are its 1x1 case.  A gauge shift
+by a static Lambda reuses its base's pair and adds only grad(Lambda) to the
+value.
 
 Radial overlap integrals of Bessel products are conditionally convergent;
 they are regularized two independent ways and both must agree:
@@ -129,11 +130,10 @@ def slice_nodes(spec: QuadratureSpec):
 # ---------------------------------------------------------------------------
 
 def current(a_field, b_field, t, x, y, z):
-    """j'_a[A, A'] = i [ (d_a conj(A)_b) A'^b - conj(A)^b d_a A'_b ]."""
-    ga = a_field.gradient(t, x, y, z)
-    gb = b_field.gradient(t, x, y, z)
-    av = a_field.evaluate(t, x, y, z)
-    bv = b_field.evaluate(t, x, y, z)
+    """j'_a[A, A'] = i [ (d_a conj(A)_b) A'^b - conj(A)^b d_a A'_b ], from
+    one jet per distinct field."""
+    av, ga = a_field.jet(t, x, y, z)
+    bv, gb = (av, ga) if b_field is a_field else b_field.jet(t, x, y, z)
     up = ETA_DIAG  # raises the contracted index
     term1 = np.einsum("...ab,b,...b->...a", np.conj(ga), up, bv)
     term2 = np.einsum("...b,b,...ab->...a", np.conj(av), up, gb)
@@ -146,19 +146,18 @@ def _density(da, av, db, bv):
     return 1j * np.einsum("b,...b->...", ETA_DIAG, np.conj(da) * bv - np.conj(av) * db)
 
 
-def _f0(field, t, x, y, z):
-    """Row 0 of the field strength, F_{0b} = d_0 A_b - d_b A_0, from one
-    gradient call."""
-    g = field.gradient(t, x, y, z)
-    return g[..., 0, :] - g[..., :, 0]
+def _current_jet(field, t, x, y, z):
+    """(A, d_t A): the pair the current j'_0 takes."""
+    return field.evaluate(t, x, y, z), field.d_dt(t, x, y, z)
 
 
-#: form -> the derivative its density pairs with the value: d_t A for the
-#: current j'_0, F_{0b} for the field-strength form
-_JET_DERIVATIVE = {
-    "current": lambda field, t, x, y, z: field.d_dt(t, x, y, z),
-    "field_strength": _f0,
-}
+def _field_strength_jet(field, t, x, y, z):
+    """(A, F_{0b}) with F_{0b} = d_0 A_b - d_b A_0, from one field jet."""
+    a, g = field.jet(t, x, y, z)
+    return a, g[..., 0, :] - g[..., :, 0]
+
+
+_FORM_JETS = {"current": _current_jet, "field_strength": _field_strength_jet}
 
 
 def slice_gram(left, right, spec: QuadratureSpec, form="current"):
@@ -167,15 +166,17 @@ def slice_gram(left, right, spec: QuadratureSpec, form="current"):
     with dA = d_t A (form 'current': the inner product) or dA_b = F_{0b}
     (form 'field_strength').
 
-    The nodes are built once and each distinct field object's jet (A, dA)
-    once.  A GaugeShiftedField's jet is its base's jet plus grad(Lambda) on
-    the value: Lambda is static, so it adds exactly zero to d_t A and to
-    F_{0b} = d_0 A_b - d_b A_0.  Every other field is evaluated through its
-    own methods.  Columns are reduced as they are computed; a jet outlives
-    its column only when a left field or a later column needs it."""
-    if form not in _JET_DERIVATIVE:
+    The nodes are built once and each distinct field object's pair (A, dA)
+    once: evaluate and d_dt for the current, one field jet for the
+    field-strength form.  A GaugeShiftedField's pair is its base's plus
+    grad(Lambda) on the value: Lambda is static, so it adds exactly zero to
+    d_t A and to F_{0b} = d_0 A_b - d_b A_0, and no Hessian is built.  Every
+    other field is evaluated through its own methods.  Columns are reduced
+    as they are computed; a pair outlives its column only when a left field
+    or a later column needs it."""
+    if form not in _FORM_JETS:
         raise ValueError(f"form must be 'current' or 'field_strength', got {form!r}")
-    derivative = _JET_DERIVATIVE[form]
+    form_jet = _FORM_JETS[form]
     t, x, y, z, w = slice_nodes(spec)
     jets = {}
 
@@ -186,10 +187,7 @@ def slice_gram(left, right, spec: QuadratureSpec, form="current"):
                 value, deriv = jet(field.base)
                 jets[key] = (value + field.lam.gradient(t, x, y, z), deriv)
             else:
-                # the derivative first: its transients (a 4x4 gradient for
-                # F_{0b}) are the largest, and the value is not alive yet
-                deriv = derivative(field, t, x, y, z)
-                jets[key] = (field.evaluate(t, x, y, z), deriv)
+                jets[key] = form_jet(field, t, x, y, z)
         return jets[key]
 
     def chain(field):
@@ -256,8 +254,13 @@ class Superposition:
     def d_dt(self, t, x, y, z, order=1):
         return sum(c * f.d_dt(t, x, y, z, order=order) for c, f in self.terms)
 
-    def gradient(self, t, x, y, z):
-        return sum(c * f.gradient(t, x, y, z) for c, f in self.terms)
+    def jet(self, t, x, y, z):
+        """The sum of the terms' jets."""
+        value = grad = 0.0
+        for c, f in self.terms:
+            a, g = f.jet(t, x, y, z)
+            value, grad = value + c * a, grad + c * g
+        return value, grad
 
 
 class GaussianBumpScalar:
@@ -329,12 +332,10 @@ class GaugeShiftedField:
     def evaluate(self, t, x, y, z):
         return self.base.evaluate(t, x, y, z) + self.lam.gradient(t, x, y, z)
 
-    def d_dt(self, t, x, y, z, order=1):
-        # static Lambda: time derivatives of the shift vanish
-        return self.base.d_dt(t, x, y, z, order=order)
-
-    def gradient(self, t, x, y, z):
-        return self.base.gradient(t, x, y, z) + self.lam.hessian(t, x, y, z)
+    def jet(self, t, x, y, z):
+        """The base's jet plus (grad Lambda, Hessian of Lambda)."""
+        a, g = self.base.jet(t, x, y, z)
+        return a + self.lam.gradient(t, x, y, z), g + self.lam.hessian(t, x, y, z)
 
 
 def gauge_shift(a_field, lam: GaussianBumpScalar) -> GaugeShiftedField:

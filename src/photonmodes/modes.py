@@ -24,12 +24,19 @@ multipoles its sph_dyads.
 
 Evaluators are vectorized over spacetime points: evaluate(t, x, y, z) takes
 broadcastable arrays of finite Lorentz coordinates and returns Lorentz
-covector components with a trailing axis of length 4.  gradient() returns
-d_mu A_nu with two trailing axes (mu, nu), computed analytically through
-Bessel and harmonic recurrences; for the spherical family it requires
-off-axis points.  Multipole fields go through one kernel: a radial factor
-summed over an energy spectrum, contracted with the angular x dyad factor
-Y[n] dyad_n built once per point set (see SphericalMode).
+covector components with a trailing axis of length 4.
+
+The jet contract: jet(t, x, y, z) returns (A, dA), the value and
+dA[..., mu, nu] = d_mu A_nu (two trailing axes, the d_t row included),
+computed analytically in one kernel pass -- one phase for the plane wave,
+one Bessel ladder w_k = J_k(alpha rho) e^{i k phi} (k = m-2..m+2) for the
+Bessel beam, one radial and one angular pass for the multipole.  A from jet
+agrees with evaluate to rounding; gradient() is the jet's second member, and
+evaluate keeps its own value-only path.  A consumer that needs both the
+value and the gradient on one point set takes the jet.  The spherical jet
+requires off-axis points.  Multipole fields go through one kernel: a radial
+factor summed over an energy spectrum, contracted with the angular x dyad
+factor Y[n] dyad_n built once per point set (see SphericalMode).
 """
 
 from __future__ import annotations
@@ -137,7 +144,8 @@ class SphericalLabel:
 # ---------------------------------------------------------------------------
 
 class ModeField:
-    """Common interface: label, energy, vectorized evaluate/gradient."""
+    """Common interface: label, energy, vectorized evaluate and jet; each
+    family also defines gradient as the jet's second member."""
 
     label = None
 
@@ -154,7 +162,8 @@ class ModeField:
     def evaluate(self, t, x, y, z):
         raise NotImplementedError
 
-    def gradient(self, t, x, y, z):
+    def jet(self, t, x, y, z):
+        """(A, dA) with dA[..., mu, nu] = d_mu A_nu, from one kernel pass."""
         raise NotImplementedError
 
     def d_dt(self, t, x, y, z, order=1):
@@ -189,17 +198,22 @@ class PlaneWaveMode(ModeField):
         self.p_lower = np.array([p0, -px, -py, -pz])
         self.norm = (2.0 * math.pi) ** -1.5 / math.sqrt(2.0 * p0)
 
-    def _phase(self, t, x, y, z):
+    def _value(self, t, x, y, z):
+        t, x, y, z = _broadcast(t, x, y, z)
         px, py, pz = self.label.p
-        return np.exp(-1j * (self.p0 * t - px * x - py * y - pz * z))
+        return (self.norm * np.exp(-1j * (self.p0 * t - px * x - py * y - pz * z)))[..., None] \
+            * self.polarization
 
     def evaluate(self, t, x, y, z):
-        t, x, y, z = _broadcast(t, x, y, z)
-        return (self.norm * self._phase(t, x, y, z))[..., None] * self.polarization
+        return self._value(t, x, y, z)
+
+    def jet(self, t, x, y, z):
+        """A from one phase; d_mu A_nu = -i p_mu A_nu."""
+        a = self._value(t, x, y, z)
+        return a, -1j * self.p_lower[:, None] * a[..., None, :]
 
     def gradient(self, t, x, y, z):
-        a = self.evaluate(t, x, y, z)
-        return -1j * self.p_lower[:, None] * a[..., None, :]
+        return self.jet(t, x, y, z)[1]
 
     def dalembertian(self, t, x, y, z):
         p0sq = self.p0 ** 2
@@ -223,15 +237,33 @@ class CylindricalMode(ModeField):
     cp = i (s p0 - pz)/(4 pi p0 sqrt2).  This form is regular on the axis and
     reduces at alpha = 0 to a circularly polarized plane wave for m = +-1 and
     to zero otherwise.
+
+    Both the value and the gradient are linear in the ladder: with the
+    phase folded into w, A = w @ V and dA = w @ G for constant matrices over
+    k = m-2..m+2 (V is nonzero on k = m-1..m+1, which is all evaluate
+    builds), using d_x w_k = (alpha/2)(w_{k-1} - w_{k+1}),
+    d_y w_k = (i alpha/2)(w_{k+1} + w_{k-1}), d_t = -i p0 and d_z = i pz.
     """
 
     def __init__(self, label: CylindricalLabel):
         self.label = label
         p0, pz, s = label.p0, label.pz, label.s
-        self.alpha = label.alpha
-        self.cz = self.alpha / (4.0 * math.pi * p0)
+        al = self.alpha = label.alpha
+        self.cz = al / (4.0 * math.pi * p0)
         self.cm = 1j * (s * p0 + pz) / (4.0 * math.pi * p0 * SQRT2)
         self.cp = 1j * (s * p0 - pz) / (4.0 * math.pi * p0 * SQRT2)
+        value = np.zeros((5, 4), dtype=complex)
+        grad = np.zeros((5, 4, 4), dtype=complex)
+        for i, coef, pol in ((1, self.cm, U_MINUS), (2, self.cz, Z_HAT), (3, self.cp, U_PLUS)):
+            value[i] = coef * pol
+            grad[i - 1, 1] += 0.5 * al * coef * pol
+            grad[i + 1, 1] -= 0.5 * al * coef * pol
+            grad[i - 1, 2] += 0.5j * al * coef * pol
+            grad[i + 1, 2] += 0.5j * al * coef * pol
+        grad[:, 0] = -1j * p0 * value
+        grad[:, 3] = 1j * pz * value
+        self._value_matrix = value
+        self._grad_matrix = grad.reshape(5, 16)
 
     @property
     def is_zero(self):
@@ -240,57 +272,56 @@ class CylindricalMode(ModeField):
             return False
         return not ((self.label.m == 1 and self.cm != 0) or (self.label.m == -1 and self.cp != 0))
 
-    def _w(self, orders, x, y):
+    def _ladder(self, t, x, y, z, reach):
+        """The phased ladder e^{-i(p0 t - pz z)} J_k(alpha rho) e^{i k phi}
+        for k = m-reach..m+reach, stacked on a trailing axis, from one
+        bessel_j_int_orders call.  e^{i k phi} are powers of
+        e^{i phi} = (x + i y)/rho, taken as 1 on the axis (where J_k(0) = 0
+        for every k != 0)."""
+        lo, hi = self.label.m - reach, self.label.m + reach
         rho = np.hypot(x, y)
-        phi = np.arctan2(y, x)
-        js = bessel_j_int_orders(orders, self.alpha * rho)
-        return {k: js[k] * np.exp(1j * k * phi) for k in orders}
-
-    def _phase(self, t, z):
-        return np.exp(-1j * (self.label.p0 * t - self.label.pz * z))
+        off = rho > 0
+        r = np.where(off, rho, 1.0)
+        e_phi = np.empty(rho.shape, dtype=complex)
+        e_phi.real = np.where(off, x / r, 1.0)
+        e_phi.imag = y / r
+        js = bessel_j_int_orders(range(lo, hi + 1), self.alpha * rho)
+        e_k = np.exp(-1j * (self.label.p0 * t - self.label.pz * z))
+        e_k = e_k * (e_phi if lo >= 0 else np.conj(e_phi)) ** abs(lo)
+        w = np.empty(rho.shape + (hi - lo + 1,), dtype=complex)
+        for i, k in enumerate(range(lo, hi + 1)):
+            if i:
+                e_k = e_k * e_phi
+            w[..., i] = js[k] * e_k
+        return w
 
     def evaluate(self, t, x, y, z):
         t, x, y, z = _broadcast(t, x, y, z)
-        m = self.label.m
-        w = self._w([m - 1, m, m + 1], x, y)
-        vec = (self.cz * w[m][..., None] * Z_HAT
-               + self.cm * w[m - 1][..., None] * U_MINUS
-               + self.cp * w[m + 1][..., None] * U_PLUS)
-        return self._phase(t, z)[..., None] * vec
+        return self._ladder(t, x, y, z, 1) @ self._value_matrix[1:4]
+
+    def jet(self, t, x, y, z):
+        """A and d_mu A_nu from one ladder over k = m-2..m+2."""
+        t, x, y, z = _broadcast(t, x, y, z)
+        w = self._ladder(t, x, y, z, 2)
+        return w @ self._value_matrix, (w @ self._grad_matrix).reshape(t.shape + (4, 4))
 
     def gradient(self, t, x, y, z):
-        """d_mu A_nu through d_x w_k = (alpha/2)(w_{k-1} - w_{k+1}),
-        d_y w_k = (i alpha/2)(w_{k+1} + w_{k-1})."""
-        t, x, y, z = _broadcast(t, x, y, z)
-        m, al = self.label.m, self.alpha
-        w = self._w(list(range(m - 2, m + 3)), x, y)
-        ph = self._phase(t, z)
-        a = self.evaluate(t, x, y, z)
-        out = np.zeros(a.shape[:-1] + (4, 4), dtype=complex)
-        out[..., 0, :] = -1j * self.label.p0 * a
-        out[..., 3, :] = 1j * self.label.pz * a
-        for k, coef, pol in ((m, self.cz, Z_HAT), (m - 1, self.cm, U_MINUS), (m + 1, self.cp, U_PLUS)):
-            dx = 0.5 * al * (w[k - 1] - w[k + 1])
-            dy = 0.5j * al * (w[k + 1] + w[k - 1])
-            out[..., 1, :] += (coef * ph * dx)[..., None] * pol
-            out[..., 2, :] += (coef * ph * dy)[..., None] * pol
-        return out
+        return self.jet(t, x, y, z)[1]
 
     def dalembertian(self, t, x, y, z):
         """Box A assembled from the transverse ladder:
         (d_x^2 + d_y^2) w_k = (alpha^2/4)(w_{k-2} - 2 w_k + w_{k+2})
                               - (alpha^2/4)(w_{k+2} + 2 w_k + w_{k-2})."""
         t, x, y, z = _broadcast(t, x, y, z)
-        m, al = self.label.m, self.alpha
-        w = self._w(list(range(m - 3, m + 4)), x, y)
-        ph = self._phase(t, z)
+        al = self.alpha
+        w = np.moveaxis(self._ladder(t, x, y, z, 3), -1, 0)   # w[3 + k - m]
         lon = (self.label.pz ** 2 - self.label.p0 ** 2)
         out = np.zeros(t.shape + (4,), dtype=complex)
-        for k, coef, pol in ((m, self.cz, Z_HAT), (m - 1, self.cm, U_MINUS), (m + 1, self.cp, U_PLUS)):
-            dxx = 0.25 * al**2 * (w[k - 2] - 2.0 * w[k] + w[k + 2])
-            dyy = -0.25 * al**2 * (w[k + 2] + 2.0 * w[k] + w[k - 2])
-            box_k = lon * w[k] - dxx - dyy
-            out += (coef * ph * box_k)[..., None] * pol
+        for i, coef, pol in ((3, self.cz, Z_HAT), (2, self.cm, U_MINUS), (4, self.cp, U_PLUS)):
+            dxx = 0.25 * al**2 * (w[i - 2] - 2.0 * w[i] + w[i + 2])
+            dyy = -0.25 * al**2 * (w[i + 2] + 2.0 * w[i] + w[i - 2])
+            box_k = lon * w[i] - dxx - dyy
+            out += (coef * box_k)[..., None] * pol
         return out
 
 
@@ -388,15 +419,15 @@ class SphericalMode(ModeField):
         sum_n [ sum_k w_k (-i p_k)^order e^{-i p_k t} R_n(p_k, r) ] Y[n] dyad_n
 
     with the angular x dyad factor Y[n] dyad_n built once per point set:
-    order 0 is evaluate, order > 0 is d_dt; gradient and dalembertian take
+    order 0 is evaluate, order > 0 is d_dt; jet and dalembertian take
     r-derivatives of the same radial sum (_radial) through the same
     contraction (_contract).  A WavePacket is a SphericalMode with a
     many-term spectrum.
 
     Evaluation is regular everywhere: on the polar axis and at the origin
     the (finite) limit of the combined expression is used even though the
-    dyad factors are separately singular there.  gradient() requires
-    off-axis points.
+    dyad factors are separately singular there.  jet() and gradient()
+    require off-axis points.
     """
 
     def __init__(self, label: SphericalLabel):
@@ -439,15 +470,15 @@ class SphericalMode(ModeField):
 
     def _harmonics(self, theta, phi, derivs=False):
         """Y[n, l, m] for n = 0, -1, +1, stacked like the dyads; with derivs
-        also their theta-derivatives -(eth + ethb) Y[n] / 2, from Y[-2..2]."""
+        also their theta-derivatives -(eth + ethb) Y[n] / 2, from Y[-2..2].
+        One sph_harmonic_values call serves every spin weight."""
         l, m = self.label.l, self.label.m
-        y = {n: sph_harmonic_values(n, l, m, theta, phi)
-             for n in (range(-2, 3) if derivs else SPINS)}
-        ys = np.stack([y[n] for n in SPINS])
         if not derivs:
-            return ys
-        return ys, np.stack([-0.5 * (eth_factor_sph(n, l) * y[n + 1]
-                                     + ethbar_factor_sph(n, l) * y[n - 1]) for n in SPINS])
+            return sph_harmonic_values(SPINS, l, m, theta, phi)
+        y = dict(zip(range(-2, 3), sph_harmonic_values(tuple(range(-2, 3)), l, m, theta, phi)))
+        return (np.stack([y[n] for n in SPINS]),
+                np.stack([-0.5 * (eth_factor_sph(n, l) * y[n + 1]
+                                  + ethbar_factor_sph(n, l) * y[n - 1]) for n in SPINS]))
 
     def evaluate(self, t, x, y, z):
         return self.d_dt(t, x, y, z, order=0)
@@ -473,7 +504,9 @@ class SphericalMode(ModeField):
         out[vanishing] = 0.0
         return out
 
-    def gradient(self, t, x, y, z):
+    def jet(self, t, x, y, z):
+        """A and d_mu A_nu from one radial pass (values, r- and
+        t-derivatives) and one angular pass (Y[-2..2]); off-axis points only."""
         t, x, y, z = _broadcast(t, x, y, z)
         r, theta, phi = sph_angles(x, y, z)
         if np.any(r < _POLE_TOL) or np.any(np.sin(theta) < _POLE_TOL):
@@ -499,7 +532,10 @@ class SphericalMode(ModeField):
         out[..., 2, :] = ((st * sp)[..., None] * d_r + (ct * sp / r)[..., None] * d_th
                           + (cp / (r * st))[..., None] * d_ph)
         out[..., 3, :] = (ct[..., None] * d_r + (-st / r)[..., None] * d_th)
-        return out
+        return _contract(f, dyads), out
+
+    def gradient(self, t, x, y, z):
+        return self.jet(t, x, y, z)[1]
 
     def dalembertian(self, t, x, y, z):
         """Box A in dyad components, using the eth ladder on the angular

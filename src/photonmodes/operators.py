@@ -16,8 +16,9 @@ block is the single place the orientation enters, and it is what makes
 dual(F) = s F for the constructed modes.  Squaring the dual returns the
 identity regardless of orientation.
 
-Lie derivatives are taken analytically whenever the field exposes an exact
-``gradient`` and by 4th-order finite differences otherwise; residual
+Lie derivatives are taken analytically, from one ``jet`` (value and
+gradient), whenever the field exposes one and by 4th-order finite
+differences otherwise; residual
 operators (d'Alembertian, divergence) act on sampled FieldGrids.
 """
 
@@ -135,16 +136,16 @@ def lie_derivative(xi: KillingField, field, t, x, y, z, h=fdiff.DEFAULT_H, metho
     """(Lie_xi A)_a = xi^b d_b A_a + A_b d_a xi^b on a covector field.
 
     ``field`` is either a mode-like object (with .evaluate and, for the
-    analytic path, .gradient) or a bare callable f(t,x,y,z) -> (...,4).
+    analytic path, .jet) or a bare callable f(t,x,y,z) -> (...,4).
     """
     evaluate = field.evaluate if hasattr(field, "evaluate") else field
-    use_analytic = method == "analytic" or (method == "auto" and hasattr(field, "gradient"))
+    use_analytic = method == "analytic" or (method == "auto" and hasattr(field, "jet"))
     xiv = xi.value(t, x, y, z)
     dxi = xi.d_xi()
-    a = evaluate(t, x, y, z)
     if use_analytic:
-        grad = field.gradient(t, x, y, z)
+        a, grad = field.jet(t, x, y, z)
     else:
+        a = evaluate(t, x, y, z)
         grad = np.stack([
             fdiff.partial(evaluate, (t, x, y, z), mu, h) if np.any(xiv[..., mu] != 0)
             else np.zeros_like(a)

@@ -173,6 +173,23 @@ def test_bessel_int_orders_batch_spanning_three_bands():
                 assert np.array_equal(got[n][part], alone[n]), n
 
 
+def test_bessel_series_band_recurrence_where_the_top_order_underflows():
+    # the series band takes the series at its two highest orders and the
+    # downward recurrence below them; J_80 underflows at x = 1e-4
+    # (~1e-463), and a recurrence from zeros would read J_0 = 0, so such
+    # points must keep the series at every order (rule of the test above);
+    # at x = 5.9e-3, J_80 ~ 5e-322 is subnormal, with about two digits
+    x = np.array([0.0, 1e-8, 1e-6, 1e-4, 5.9e-3, 1e-2, 0.5, 3.0, 8.0])
+    got = bessel_j_int_orders(range(0, 81), x)
+    assert got[0][0] == 1.0
+    for n in range(0, 81):
+        ref = jv(n, x)
+        env = np.sqrt(2.0 / (math.pi * np.maximum(x, abs(n) + 1.0)))
+        denom = np.maximum(np.abs(ref), 1e-2 * env)
+        ok = np.abs(ref) > 1e-270
+        assert np.max(np.abs(got[n] - ref)[ok] / denom[ok]) < 1e-12, n
+
+
 # ---------------------------------------------------------------------------
 # Cylindrical harmonics
 # ---------------------------------------------------------------------------

@@ -43,6 +43,44 @@ def test_current_zero_field():
     assert np.abs(j).max() == 0.0
 
 
+def test_current_takes_one_jet_per_distinct_field():
+    # j' from each field's jet equals the explicit formula over evaluate and
+    # gradient, bit for bit (plane-wave and multipole jets carry evaluate's
+    # values exactly)
+    pw = _Counted(plane_wave(PlaneWaveLabel((0.2, -0.4, 0.7), +1)))
+    sph = _Counted(spherical_mode(SphericalLabel(1.0, 2, 1, -1)))
+    pts = (np.array([0.1, -0.3]), np.array([1.0, -0.4]), np.array([0.6, 0.9]), np.array([0.8, 0.2]))
+    up = charts.ETA_DIAG
+    for a, b in ((pw, sph), (sph, sph)):
+        pw.calls.clear()
+        sph.calls.clear()
+        j = current(a, b, *pts)
+        assert a.calls == {"jet": 1} and b.calls == {"jet": 1}
+        ga, gb = a.field.gradient(*pts), b.field.gradient(*pts)
+        av, bv = a.field.evaluate(*pts), b.field.evaluate(*pts)
+        ref = 1j * (np.einsum("...ab,b,...b->...a", np.conj(ga), up, bv)
+                    - np.einsum("...b,b,...ab->...a", np.conj(av), up, gb))
+        assert np.array_equal(j, ref)
+
+
+def test_wrapper_jets(rng):
+    # a Superposition's jet is the sum of its terms' jets; a gauge shift's
+    # adds (grad Lambda, Hessian of Lambda) to its base's, and a static
+    # Lambda leaves F_{0b} bit for bit
+    pw = plane_wave(PlaneWaveLabel((0.2, -0.4, 0.7), +1))
+    cyl = cylindrical_mode(CylindricalLabel(1.2, 0.5, -1, +1))
+    pts = tuple(rng.uniform(-1.5, 1.5, 8) for _ in range(4))
+    a, g = Superposition([(0.5, pw), (2.0j, cyl)]).jet(*pts)
+    (pa, pg), (ca, cg) = pw.jet(*pts), cyl.jet(*pts)
+    assert np.array_equal(a, 0.5 * pa + 2.0j * ca)
+    assert np.array_equal(g, 0.5 * pg + 2.0j * cg)
+    lam = GaussianBumpScalar(center=(0.1, 0.0, 0.2), width=0.6, c0=0.9, linear=(0.2, 0.1, -0.3))
+    sa, sg = gauge_shift(cyl, lam).jet(*pts)
+    assert np.array_equal(sa, ca + lam.gradient(*pts))
+    assert np.array_equal(sg, cg + lam.hessian(*pts))
+    assert np.array_equal(sg[..., 0, :] - sg[..., :, 0], cg[..., 0, :] - cg[..., :, 0])
+
+
 def test_current_conservation_fd():
     m1 = cylindrical_mode(CylindricalLabel(1.2, 0.5, 1, +1))
     m2 = spherical_mode(SphericalLabel(1.0, 1, 0, +1))
@@ -251,16 +289,23 @@ class _Counted:
         return counted
 
 
+def _d_dt(field, t, x, y, z):
+    """d_t A; a static gauge shift adds nothing to it."""
+    if isinstance(field, inner_product.GaugeShiftedField):
+        return _d_dt(field.base, t, x, y, z)
+    return field.d_dt(t, x, y, z)
+
+
 def _current_form_reference(a_field, b_field, spec):
     """inner from the node sum of j'_0 over d_dt and evaluate."""
     t, x, y, z, w = inner_product.slice_nodes(spec)
-    j0 = inner_product._density(a_field.d_dt(t, x, y, z), a_field.evaluate(t, x, y, z),
-                                b_field.d_dt(t, x, y, z), b_field.evaluate(t, x, y, z))
+    j0 = inner_product._density(_d_dt(a_field, t, x, y, z), a_field.evaluate(t, x, y, z),
+                                _d_dt(b_field, t, x, y, z), b_field.evaluate(t, x, y, z))
     return complex(np.sum(w * j0))
 
 
 @pytest.mark.parametrize("form, derivative", [("current", "d_dt"),
-                                              ("field_strength", "gradient")])
+                                              ("field_strength", "jet")])
 def test_slice_gram_evaluates_each_field_once(form, derivative):
     box = QuadratureSpec(chart="cartesian", box_half=3.0, n_box=12)
     shared = _Counted(cylindrical_mode(CylindricalLabel(1.2, 0.5, 1, +1)))
@@ -276,7 +321,10 @@ def test_slice_gram_evaluates_each_field_once(form, derivative):
                         ([other], [shifts[0], other, shifts[1], shared])):
         shared.calls.clear()
         gram = slice_gram(left, right, box, form)
-        assert shared.calls == {"evaluate": 1, derivative: 1}
+        # the current pairs evaluate with d_dt; the field-strength form
+        # takes value and gradient from one jet
+        assert shared.calls == ({"evaluate": 1, "d_dt": 1} if derivative == "d_dt"
+                                else {"jet": 1})
         assert gram.shape == (len(left), len(right))
         for i, a in enumerate(left):
             for j, b in enumerate(right):
@@ -286,11 +334,12 @@ def test_slice_gram_evaluates_each_field_once(form, derivative):
 
 
 def _field_strength_form_reference(a_field, b_field, spec):
-    """inner_field_strength_form from the full 4x4 field strength."""
+    """inner_field_strength_form from the full 4x4 field strength of each
+    field's jet (a gauge shift's jet carries the Hessian of Lambda)."""
     t, x, y, z, w = inner_product.slice_nodes(spec)
-    j0 = inner_product._density(
-        modes.field_strength(a_field, t, x, y, z)[..., 0, :], a_field.evaluate(t, x, y, z),
-        modes.field_strength(b_field, t, x, y, z)[..., 0, :], b_field.evaluate(t, x, y, z))
+    (av, ga), (bv, gb) = a_field.jet(t, x, y, z), b_field.jet(t, x, y, z)
+    j0 = inner_product._density((ga - np.swapaxes(ga, -1, -2))[..., 0, :], av,
+                                (gb - np.swapaxes(gb, -1, -2))[..., 0, :], bv)
     return complex(np.sum(w * j0))
 
 

@@ -12,7 +12,9 @@ from photonmodes.modes import (PlaneWaveLabel, CylindricalLabel, SphericalLabel,
 from photonmodes.operators import (helicity_dual, dalembertian_residual,
                                    divergence_residual)
 from photonmodes.errors import InvalidLabelError, DegenerateAxisError
-from photonmodes import fdiff
+from photonmodes.charts import U_MINUS, U_PLUS, Z_HAT
+from photonmodes.inner_product import WavePacket
+from photonmodes import fdiff, harmonics, modes
 
 from oracles import bessel_series, bessel_half_trig
 
@@ -204,6 +206,81 @@ def test_gradient_matches_finite_differences(rng):
             f_an = g_an - g_an.T
             f_fd = g_fd - g_fd.T
             assert np.abs(f_an - f_fd).max() < 1e-6 * np.abs(f_an).max()
+
+
+def _jet_batch(rng, on_axis):
+    """24 points at radius 0.1-6, off the polar axis; with on_axis
+    the first two lie on the cylinder axis (rho = 0)."""
+    r = rng.uniform(0.1, 6.0, 24)
+    ct = rng.uniform(-0.9, 0.9, 24)
+    ph = rng.uniform(0.0, 2.0 * math.pi, 24)
+    st = np.sqrt(1.0 - ct * ct)
+    x, y, z = r * st * np.cos(ph), r * st * np.sin(ph), r * ct
+    if on_axis:
+        x[:2], y[:2] = 0.0, 0.0
+    return rng.uniform(-1.0, 1.0, 24), x, y, z
+
+
+JET_MODES = [plane_wave(PlaneWaveLabel((0.3, 0.5, -0.7), +1)),
+             cylindrical_mode(CylindricalLabel(1.3, -0.4, -2, -1)),
+             cylindrical_mode(CylindricalLabel(1.1, 0.6, -1, +1)),
+             cylindrical_mode(CylindricalLabel(0.9, 0.2, 3, +1)),
+             spherical_mode(SphericalLabel(1.1, 3, -2, +1)),
+             WavePacket(l=2, m=-1, s=-1, center=1.0, width=0.2, n_nodes=12)]
+
+
+@pytest.mark.parametrize("mode", JET_MODES, ids=["plane", "cyl-m-2", "cyl-m-1", "cyl-m3",
+                                                  "sph-m-2", "packet"])
+def test_jet_equals_evaluate_and_gradient(mode, rng):
+    pts = _jet_batch(rng, on_axis=isinstance(mode, modes.CylindricalMode))
+    a, g = mode.jet(*pts)
+    ref_a, ref_g = mode.evaluate(*pts), mode.gradient(*pts)
+    assert a.shape == ref_a.shape and g.shape == ref_g.shape == a.shape + (4,)
+    assert np.abs(a - ref_a).max() <= 1e-14 * np.abs(ref_a).max()
+    assert np.abs(g - ref_g).max() <= 1e-14 * np.abs(ref_g).max()
+
+
+@pytest.mark.parametrize("m", [-3, -1, 0, 2])
+def test_cylindrical_jet_against_the_ladder_in_arctan2_form(m, rng):
+    # oracle: w_k = J_k(alpha rho) e^{i k arctan2(y, x)} with scipy's J,
+    # the gradient from the ladder rules of the class docstring; on the
+    # axis arctan2 gives phi = 0, where e^{i phi} is taken as 1
+    from scipy.special import jv
+    mode = cylindrical_mode(CylindricalLabel(1.2, -0.5, m, +1))
+    t, x, y, z = _jet_batch(rng, on_axis=True)
+    al, phi = mode.alpha, np.arctan2(y, x)
+    ph = np.exp(-1j * (mode.label.p0 * t - mode.label.pz * z))
+    w = {k: ph * jv(k, al * np.hypot(x, y)) * np.exp(1j * k * phi) for k in range(m - 2, m + 3)}
+    terms = ((m, mode.cz, Z_HAT), (m - 1, mode.cm, U_MINUS), (m + 1, mode.cp, U_PLUS))
+    ref_a = sum(c * w[k][:, None] * pol for k, c, pol in terms)
+    ref_g = np.stack([-1j * mode.label.p0 * ref_a,
+                      sum(c * (0.5 * al * (w[k - 1] - w[k + 1]))[:, None] * pol
+                          for k, c, pol in terms),
+                      sum(c * (0.5j * al * (w[k + 1] + w[k - 1]))[:, None] * pol
+                          for k, c, pol in terms),
+                      1j * mode.label.pz * ref_a], axis=1)
+    a, g = mode.jet(t, x, y, z)
+    assert np.abs(a - ref_a).max() <= 1e-13 * np.abs(ref_a).max()
+    assert np.abs(g - ref_g).max() <= 1e-13 * np.abs(ref_g).max()
+    assert np.abs(mode.evaluate(t, x, y, z) - ref_a).max() <= 1e-13 * np.abs(ref_a).max()
+
+
+def test_cylindrical_evaluate_and_gradient_share_bessel_work(monkeypatch, rng):
+    # series band (alpha rho <= 8): one ladder per call, each from the
+    # series at its two highest orders and the recurrence below them
+    mode = cylindrical_mode(CylindricalLabel(1.2, 0.5, 2, +1))
+    pts = _jet_batch(rng, on_axis=False)
+    assert np.all(mode.alpha * np.hypot(pts[1], pts[2]) <= 8.0)
+    series, ladders = [], []
+    series_int, int_orders = harmonics._series_int, modes.bessel_j_int_orders
+    monkeypatch.setattr(harmonics, "_series_int",
+                        lambda n, x: series.append(n) or series_int(n, x))
+    monkeypatch.setattr(modes, "bessel_j_int_orders",
+                        lambda orders, x: ladders.append(list(orders)) or int_orders(orders, x))
+    mode.evaluate(*pts)
+    mode.gradient(*pts)
+    assert len(series) <= 4
+    assert ladders == [[1, 2, 3], [0, 1, 2, 3, 4]]
 
 
 # ---------------------------------------------------------------------------

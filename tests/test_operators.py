@@ -58,6 +58,37 @@ def test_partial_calls_the_field_once_per_stencil():
     assert len(calls) == 3 * 3
 
 
+def test_analytic_lie_derivative_takes_one_jet():
+    # one jet per field, equal bit for bit to the explicit formula over
+    # evaluate and gradient
+    calls = []
+
+    class Counted:
+        def __init__(self, mode):
+            self.mode = mode
+
+        def evaluate(self, *coords):
+            calls.append("evaluate")
+            return self.mode.evaluate(*coords)
+
+        def jet(self, *coords):
+            calls.append("jet")
+            return self.mode.jet(*coords)
+
+    pts = (np.array([0.0, 0.4]), np.array([0.9, -0.3]), np.array([0.5, 1.2]), np.array([0.7, -0.2]))
+    for mode in (plane_wave(PlaneWaveLabel((0.3, 0.5, -0.7), +1)),
+                 spherical_mode(SphericalLabel(1.3, 2, 1, +1))):
+        for xi in (L3(), P_lower(0), L_plus()):
+            calls.clear()
+            got = lie_derivative(xi, Counted(mode), *pts, method="analytic")
+            assert calls == ["jet"]
+            assert np.array_equal(got, lie_derivative(xi, Counted(mode), *pts))
+            a, grad = mode.evaluate(*pts), mode.gradient(*pts)
+            want = (np.einsum("...b,...ba->...a", xi.value(*pts), grad)
+                    + np.einsum("...b,ab->...a", a, xi.d_xi()))
+            assert np.array_equal(got, want)
+
+
 def test_p0_eigenvalue_plane_wave():
     mode = plane_wave(PlaneWaveLabel((0.0, 0.0, 2.0), +1))
     pts = (0.1, 0.4, -0.2, 0.7)

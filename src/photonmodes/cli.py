@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .errors import InvalidLabelError, NonConvergenceError
 from .modes import (PlaneWaveLabel, CylindricalLabel, SphericalLabel,
-                    GridSpec, sample_grid)
+                    GridSpec, make_mode, sample_grid)
 from .inner_product import QuadratureSpec, discrete_orthonormality
 from . import validation
 
@@ -69,14 +69,6 @@ def _build_label(family, kv):
     raise ValueError(f"unknown family {family!r}")
 
 
-def _build_mode(family, kv):
-    from .modes import plane_wave, cylindrical_mode, spherical_mode
-    label = _build_label(family, kv)
-    ctor = {"plane": plane_wave, "cylindrical": cylindrical_mode,
-            "spherical": spherical_mode}[family]
-    return ctor(label)
-
-
 def _parse_grid(items):
     axes = {}
     for item in items or []:
@@ -119,7 +111,7 @@ def _parse_quad(items):
 
 def cmd_eval(args):
     kv = _parse_kv(args.label)
-    mode = _build_mode(args.family, kv)
+    mode = make_mode(_build_label(args.family, kv))
     spec = _parse_grid(args.grid)
     grid = sample_grid(mode, spec)
     header = {

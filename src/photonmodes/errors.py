@@ -6,11 +6,6 @@ class DegenerateAxisError(ValueError):
     (cylinder axis rho=0, sphere origin r=0, polar axis theta in {0, pi})."""
 
 
-class PoleError(DegenerateAxisError):
-    """Raised when a spin-weighted harmonic with n != 0 is evaluated at a pole
-    where its limit is direction dependent."""
-
-
 class InvalidOrderError(ValueError):
     """Raised for Bessel orders outside the supported set
     (integers, and half-integers >= -1/2)."""

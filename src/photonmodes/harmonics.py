@@ -32,7 +32,11 @@ with the first-order operators (acting on a spin-n quantity)
 and the conjugate expressions for ethb.  Evaluation uses the equivalent
 closed form as a polynomial in cos(theta/2), sin(theta/2), which is regular
 at the poles and reproduces the ladder-generated functions exactly (the test
-suite checks this against symbolic differentiation of Y_lm).
+suite checks this against symbolic differentiation of Y_lm).  The
+theta-derivative of Y[n] is the ladder sum -(eth + ethb) Y[n] / 2.
+
+The grid form (eth_numeric, ethbar_numeric) differentiates spectrally in phi
+and with the 4th-order stencil of fdiff.grid_partial in the radial variable.
 """
 
 from __future__ import annotations
@@ -43,8 +47,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import (InvalidLabelError, InvalidOrderError, PoleError,
-                     ResolutionError, StencilError)
+from . import fdiff
+from .errors import InvalidLabelError, InvalidOrderError, ResolutionError
 
 _SERIES_CUTOFF = 8.0   # series/recurrence switch; cancellation past here
 _SERIES_TERMS = 36
@@ -333,12 +337,6 @@ def bessel_j_int_orders(orders, x):
 # Harmonic labels
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SpinWeightedValue:
-    value: complex
-    spin_weight: int
-
-
 def _set_integers(label, *names):
     """Store the named fields of a frozen label as ints; InvalidLabelError
     unless each is integral (so neither NaN nor infinite)."""
@@ -392,11 +390,6 @@ def cyl_harmonic_values(n, alpha, m, rho, phi):
     return j * np.exp(1j * m * phi)
 
 
-def sw_cyl_harmonic(label: CylHarmonicLabel, rho, phi) -> SpinWeightedValue:
-    val = cyl_harmonic_values(label.n, label.alpha, label.m, rho, phi)
-    return SpinWeightedValue(complex(val), label.n)
-
-
 # ---------------------------------------------------------------------------
 # Spin-weighted spherical harmonics (half-angle polynomial form)
 # ---------------------------------------------------------------------------
@@ -429,7 +422,7 @@ def sph_harmonic_values(n, l, m, theta, phi):
 
     At a pole the returned value is the limit along the ray of constant phi;
     it is direction independent unless (theta=0, m=-n) or (theta=pi, m=n)
-    with n != 0 (the public scalar wrapper raises there).
+    with n != 0.
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
@@ -475,28 +468,6 @@ def sph_harmonic_gram(n, lm, n_theta, n_phi):
     return np.einsum("ik,k,jk->ij", np.conj(basis), wgt, basis)
 
 
-def sw_sph_harmonic(label: SphHarmonicLabel, theta, phi) -> SpinWeightedValue:
-    """Scalar evaluation of Y[n, l, m]; PoleError where the pole value is
-    direction dependent (n != 0 with m = -n at theta=0 or m = n at theta=pi)."""
-    n, l, m = label.n, label.l, label.m
-    th = float(theta)
-    if n != 0:
-        if th == 0.0 and m == -n and l >= abs(n):
-            raise PoleError("direction-dependent value at theta = 0")
-        if th == math.pi and m == n and l >= abs(n):
-            raise PoleError("direction-dependent value at theta = pi")
-    return SpinWeightedValue(complex(sph_harmonic_values(n, l, m, th, float(phi))), n)
-
-
-def sph_harmonic_theta_derivative(n, l, m, theta, phi):
-    """d/dtheta of Y[n,l,m], from eth + ethb = -2 d_theta."""
-    lam_p = eth_factor_sph(n, l)
-    lam_m = ethbar_factor_sph(n, l)
-    up = sph_harmonic_values(n + 1, l, m, theta, phi) if lam_p else 0.0
-    dn = sph_harmonic_values(n - 1, l, m, theta, phi) if lam_m else 0.0
-    return -0.5 * (lam_p * up + lam_m * dn)
-
-
 # ---------------------------------------------------------------------------
 # eth / ethbar: analytic ladder form
 # ---------------------------------------------------------------------------
@@ -528,16 +499,6 @@ def ethbar_analytic(kind, label):
     if kind == "spherical":
         return (SphHarmonicLabel(label.n - 1, label.l, label.m),
                 ethbar_factor_sph(label.n, label.l))
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def ethbar_eth_eigenvalue(kind, label):
-    """Eigenvalue of ethb(eth(.)) on the labelled harmonic:
-    -alpha^2 (cylindrical) or -(l-n)(l+n+1) (spherical)."""
-    if kind == "cylindrical":
-        return -label.alpha**2
-    if kind == "spherical":
-        return -float((label.l - label.n) * (label.l + label.n + 1))
     raise ValueError(f"unknown kind {kind!r}")
 
 
@@ -589,21 +550,14 @@ def _spectral_phi_derivative(grid: PolarGridFunction, tail_tol=1e-8):
     return np.fft.ifft(1j * k[None, :] * fhat, axis=1)
 
 
-def _radial_derivative_4(values, h):
-    if values.shape[0] < 5:
-        raise StencilError("need at least 5 radial nodes for the 4th-order stencil")
-    d = (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * h)
-    return d
-
-
 def _eth_like(kind, grid, sign):
     """sign=+1: eth, sign=-1: ethb, both returning the interior sub-grid."""
     h = grid.radial[1] - grid.radial[0]
     if not np.allclose(np.diff(grid.radial), h):
         raise ValueError("radial axis must be uniform")
     dphi = _spectral_phi_derivative(grid)
-    drad = _radial_derivative_4(grid.values, h)
-    inner = slice(2, -2)
+    drad = fdiff.grid_partial(grid.values, 0, h)
+    inner = slice(fdiff.BOUNDARY_RING, -fdiff.BOUNDARY_RING)
     rad = grid.radial[inner][:, None]
     f = grid.values[inner]
     dphi = dphi[inner]

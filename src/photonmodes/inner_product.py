@@ -46,8 +46,8 @@ import numpy as np
 from .errors import NonConvergenceError
 from .charts import ETA_DIAG
 from .harmonics import _gauss_legendre, bessel_j, sph_harmonic_gram
-from .modes import (SphericalLabel, CylindricalLabel, SphericalMode, sph_radial_profiles,
-                    cyl_dyad_coefficients, _broadcast)
+from .modes import (SphericalLabel, CylindricalLabel, CylindricalMode, SphericalMode,
+                    sph_radial_profiles, _broadcast)
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,21 +129,19 @@ def slice_nodes(spec: QuadratureSpec):
 # Currents and the inner product
 # ---------------------------------------------------------------------------
 
+def _density(da, av, db, bv):
+    """i [ conj(dA)_b A'^b - conj(A)^b dA'_b ] with dA = d_t A (j'_0),
+    dA = d_a A (row a of the current) or dA_b = F_{0b} (the field-strength
+    form)."""
+    return 1j * np.einsum("b,...b->...", ETA_DIAG, np.conj(da) * bv - np.conj(av) * db)
+
+
 def current(a_field, b_field, t, x, y, z):
-    """j'_a[A, A'] = i [ (d_a conj(A)_b) A'^b - conj(A)^b d_a A'_b ], from
-    one jet per distinct field."""
+    """j'_a[A, A'] = i [ (d_a conj(A)_b) A'^b - conj(A)^b d_a A'_b ]: the
+    density on each row a of the two jets, one jet per distinct field."""
     av, ga = a_field.jet(t, x, y, z)
     bv, gb = (av, ga) if b_field is a_field else b_field.jet(t, x, y, z)
-    up = ETA_DIAG  # raises the contracted index
-    term1 = np.einsum("...ab,b,...b->...a", np.conj(ga), up, bv)
-    term2 = np.einsum("...b,b,...ab->...a", np.conj(av), up, gb)
-    return 1j * (term1 - term2)
-
-
-def _density(da, av, db, bv):
-    """i [ conj(dA)_b A'^b - conj(A)^b dA'_b ] with dA = d_t A (j'_0) or
-    dA_b = F_{0b} (the field-strength form)."""
-    return 1j * np.einsum("b,...b->...", ETA_DIAG, np.conj(da) * bv - np.conj(av) * db)
+    return np.stack([_density(ga[..., a, :], av, gb[..., a, :], bv) for a in range(4)], axis=-1)
 
 
 def _current_jet(field, t, x, y, z):
@@ -158,6 +156,22 @@ def _field_strength_jet(field, t, x, y, z):
 
 
 _FORM_JETS = {"current": _current_jet, "field_strength": _field_strength_jet}
+
+
+def _slice_pair(field, jets, form_jet, nodes):
+    """The field's pair (A, dA) on the slice nodes, memoized in jets by object
+    id.  A GaugeShiftedField's pair is its base's with grad(Lambda) added to
+    the value.  A module-level function, so that no closure refers to itself:
+    such a cycle would keep the nodes and pairs alive until the next cyclic
+    garbage collection."""
+    key = id(field)
+    if key not in jets:
+        if isinstance(field, GaugeShiftedField):
+            value, deriv = _slice_pair(field.base, jets, form_jet, nodes)
+            jets[key] = (value + field.lam.gradient(*nodes), deriv)
+        else:
+            jets[key] = form_jet(field, *nodes)
+    return jets[key]
 
 
 def slice_gram(left, right, spec: QuadratureSpec, form="current"):
@@ -177,18 +191,8 @@ def slice_gram(left, right, spec: QuadratureSpec, form="current"):
     if form not in _FORM_JETS:
         raise ValueError(f"form must be 'current' or 'field_strength', got {form!r}")
     form_jet = _FORM_JETS[form]
-    t, x, y, z, w = slice_nodes(spec)
+    *nodes, w = slice_nodes(spec)
     jets = {}
-
-    def jet(field):
-        key = id(field)
-        if key not in jets:
-            if isinstance(field, GaugeShiftedField):
-                value, deriv = jet(field.base)
-                jets[key] = (value + field.lam.gradient(t, x, y, z), deriv)
-            else:
-                jets[key] = form_jet(field, t, x, y, z)
-        return jets[key]
 
     def chain(field):
         yield field
@@ -197,11 +201,11 @@ def slice_gram(left, right, spec: QuadratureSpec, form="current"):
             yield field
 
     last_use = {id(f): j for j, b in enumerate(right) for f in chain(b)}
-    rows = [jet(a) for a in left]
+    rows = [_slice_pair(a, jets, form_jet, nodes) for a in left]
     kept = {id(a) for a in left}
     gram = np.empty((len(left), len(right)), dtype=complex)
     for j, b in enumerate(right):
-        bv, db = jet(b)
+        bv, db = _slice_pair(b, jets, form_jet, nodes)
         for i, (av, da) in enumerate(rows):
             gram[i, j] = np.sum(w * _density(da, av, db, bv))
         for key in [k for k in jets if k not in kept and last_use.get(k, -1) <= j]:
@@ -355,14 +359,21 @@ class WavePacket(SphericalMode):
     Its label carries the central energy.  Its norm under the
     conserved-current inner product equals int |g|^2 dp0 (= 1 up to
     Gaussian truncation), which norm_expected() computes with an independent
-    dense 1-D rule."""
+    dense 1-D rule.  ValueError naming the field unless width is finite and
+    > 0, center is finite and n_nodes is an integer >= 1."""
 
     def __init__(self, l, m, s, center=1.0, width=0.2, n_nodes=32):
+        if not 0 < width < math.inf:
+            raise ValueError(f"WavePacket width must be finite and > 0, got {width!r}")
+        if not math.isfinite(center):
+            raise ValueError(f"WavePacket center must be finite, got {center!r}")
+        if not float(n_nodes).is_integer() or n_nodes < 1:
+            raise ValueError(f"WavePacket n_nodes must be an integer >= 1, got {n_nodes!r}")
         if center - 4.0 * width <= 0:
             raise ValueError("packet support must stay at positive energy")
         super().__init__(SphericalLabel(p0=center, l=l, m=m, s=s))
         self.center, self.width = float(center), float(width)
-        xg, wg = _gauss_legendre(n_nodes)
+        xg, wg = _gauss_legendre(int(n_nodes))
         lo = max(center - 6.0 * width, 0.02 * center)
         hi = center + 6.0 * width
         self.p_nodes = 0.5 * (xg + 1.0) * (hi - lo) + lo
@@ -495,21 +506,14 @@ def bessel_overlap(kind, order, k1, k2, spec: QuadratureSpec):
 
     kind: 'sph_inv_r'  int (1/r) J_{l+1/2}(k1 r) J_{l+1/2}(k2 r) dr
           'sph_cross'  int       J_{l-1/2}(k1 r) J_{l+1/2}(k2 r) dr
-          'sph_r'      int   r   J_{l+1/2}(k1 r) J_{l+1/2}(k2 r) dr   (delta row)
-          'cyl_rho'    int  rho  J_m(k1 rho) J_m(k2 rho) drho          (delta row)
-    with order = l or m."""
+    with order = l.  The delta-normalized rows are only meaningful smeared;
+    see smeared_radial_delta."""
     if kind == "sph_inv_r":
         nu1 = nu2 = order + 0.5
         weight = lambda r: 1.0 / r
     elif kind == "sph_cross":
         nu1, nu2 = order - 0.5, order + 0.5
         weight = lambda r: np.ones_like(r)
-    elif kind == "sph_r":
-        nu1 = nu2 = order + 0.5
-        weight = lambda r: r
-    elif kind == "cyl_rho":
-        nu1 = nu2 = order
-        weight = lambda r: r
     else:
         raise ValueError(f"unknown overlap kind {kind!r}")
 
@@ -520,8 +524,7 @@ def bessel_overlap(kind, order, k1, k2, spec: QuadratureSpec):
 
 
 def bessel_overlap_closed_form(kind, order, k1, k2):
-    """Closed-form value, or None for the delta-normalized rows (those are
-    only meaningful smeared; see smeared_radial_delta)."""
+    """Closed-form value of a bessel_overlap row."""
     if kind == "sph_inv_r":
         lo, hi = min(k1, k2), max(k1, k2)
         return (1.0 / (2.0 * order + 1.0)) * (lo / hi) ** (order + 0.5)
@@ -531,7 +534,7 @@ def bessel_overlap_closed_form(kind, order, k1, k2):
         if k1 == k2:
             return 1.0 / (2.0 * k1)
         return 0.0
-    return None
+    raise ValueError(f"unknown overlap kind {kind!r}")
 
 
 def smeared_radial_delta(kind, order, k_fixed, center, sigma, spec: QuadratureSpec, n_k=48):
@@ -641,8 +644,7 @@ def _gram_cylindrical(p0, pz, m_max, spec):
             return rho * jk * jk
         return oscillatory_integral(f, [2.0 * alpha], spec)
 
-    coeffs = {(m, s): cyl_dyad_coefficients(CylindricalLabel(p0, pz, m, s))
-              for (m, s) in labels}
+    modes = {(m, s): CylindricalMode(CylindricalLabel(p0, pz, m, s)) for (m, s) in labels}
     n = len(labels)
     gram = np.zeros((n, n), dtype=complex)
     for i, (m, s) in enumerate(labels):
@@ -650,11 +652,11 @@ def _gram_cylindrical(p0, pz, m_max, spec):
             ang = np.sum(np.exp(1j * (mp - m) * phi)) * wphi
             if abs(ang) < 1e-13:
                 continue
-            ca = coeffs[(m, s)]
-            cb = coeffs[(mp, sp_)]
-            total = (np.conj(ca[0]) * cb[0] * radial(m)
-                     + np.conj(ca[1]) * cb[1] * radial(m - 1)
-                     + np.conj(ca[2]) * cb[2] * radial(m + 1))
+            ca = modes[(m, s)]
+            cb = modes[(mp, sp_)]
+            total = (np.conj(ca.cz) * cb.cz * radial(m)
+                     + np.conj(ca.cm) * cb.cm * radial(m - 1)
+                     + np.conj(ca.cp) * cb.cp * radial(m + 1))
             gram[i, j] = 2.0 * p0 * ang * total
             gram[j, i] = np.conj(gram[i, j])
     diag = np.real(np.diag(gram)).copy()

@@ -234,7 +234,9 @@ class CylindricalMode(ModeField):
         A = e^{-i(p0 t - pz z)} [ cz w_m z_hat + cm w_{m-1} u^- + cp w_{m+1} u^+ ]
 
     with cz = alpha/(4 pi p0), cm = i (s p0 + pz)/(4 pi p0 sqrt2),
-    cp = i (s p0 - pz)/(4 pi p0 sqrt2).  This form is regular on the axis and
+    cp = i (s p0 - pz)/(4 pi p0 sqrt2), kept as attributes; they satisfy the
+    gauge and helicity constraint system identically (the longitudinal
+    covariant component is p_3 = -pz).  This form is regular on the axis and
     reduces at alpha = 0 to a circularly polarized plane wave for m = +-1 and
     to zero otherwise.
 
@@ -327,16 +329,6 @@ class CylindricalMode(ModeField):
 
 def cylindrical_mode(label: CylindricalLabel) -> CylindricalMode:
     return CylindricalMode(label)
-
-
-def cyl_dyad_coefficients(label: CylindricalLabel):
-    """(a0, a_minus, a_plus): the dyad-component coefficients of the mode,
-    A = [a0 Z[0] dz + a- Z[-1] eps- + a+ Z[1] eps+] e^{-i(p0 t - pz z)}.
-
-    They satisfy the gauge and helicity constraint system identically; the
-    longitudinal covariant component is p_3 = -pz."""
-    mode = CylindricalMode(label)
-    return mode.cz, mode.cm, mode.cp
 
 
 # -- spherical ---------------------------------------------------------------
@@ -559,6 +551,15 @@ def spherical_mode(label: SphericalLabel) -> SphericalMode:
     return SphericalMode(label)
 
 
+def make_mode(label) -> ModeField:
+    """The mode of a plane-wave, cylindrical or spherical label."""
+    if isinstance(label, PlaneWaveLabel):
+        return plane_wave(label)
+    if isinstance(label, CylindricalLabel):
+        return cylindrical_mode(label)
+    return spherical_mode(label)
+
+
 # ---------------------------------------------------------------------------
 # Field strength and grids
 # ---------------------------------------------------------------------------
@@ -605,13 +606,14 @@ class FieldGrid:
 
 def sample_grid(mode: ModeField, spec: GridSpec) -> FieldGrid:
     """Evaluate a mode on a tensor grid; warns when the spacing under-resolves
-    the mode's largest wavenumber (> 1/(8 p_max), p_max its largest energy)."""
+    the mode's largest wavenumber (|spacing| > 1/(8 p_max), p_max its largest
+    energy; an axis may run in either direction)."""
     axes = {name: spec.axis(name) for name in ("t", "x", "y", "z")}
     kmax = getattr(mode, "p_max", mode.p0)   # a duck-typed field may carry p0 only
     for name, ax in axes.items():
-        if len(ax) > 1 and (ax[1] - ax[0]) > 1.0 / (8.0 * kmax):
+        if len(ax) > 1 and abs(ax[1] - ax[0]) > 1.0 / (8.0 * kmax):
             warnings.warn(
-                f"grid axis {name} spacing {ax[1]-ax[0]:.3g} exceeds "
+                f"grid axis {name} spacing {abs(ax[1]-ax[0]):.3g} exceeds "
                 f"1/(8 kmax) = {1.0/(8*kmax):.3g}; sampled field may be "
                 "under-resolved", stacklevel=2)
     tt, xx, yy, zz = np.meshgrid(*axes.values(), indexing="ij")

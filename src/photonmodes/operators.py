@@ -16,15 +16,15 @@ block is the single place the orientation enters, and it is what makes
 dual(F) = s F for the constructed modes.  Squaring the dual returns the
 identity regardless of orientation.
 
-Lie derivatives are taken analytically, from one ``jet`` (value and
-gradient), whenever the field exposes one and by 4th-order finite
-differences otherwise; residual
-operators (d'Alembertian, divergence) act on sampled FieldGrids.
+One lie_derivative serves covectors (A_a) and rank-2 tensors (F_ab); it
+is taken analytically, from one ``jet`` (value and gradient), whenever the
+field exposes one and by fdiff's 4th-order finite differences otherwise.
+Residual operators (d'Alembertian, divergence) act on sampled FieldGrids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -68,9 +68,6 @@ class KillingField:
         return KillingField(f"{self.name}+{other.name}", self.const + other.const,
                             self.lin + other.lin)
 
-    def __sub__(self, other):
-        return self + (-1.0) * other
-
 
 def P_lower(mu) -> KillingField:
     c = np.zeros(4, dtype=complex)
@@ -79,8 +76,7 @@ def P_lower(mu) -> KillingField:
 
 
 def P_upper(mu) -> KillingField:
-    f = ETA_DIAG[mu] * P_lower(mu)
-    return KillingField(f"P^{mu}", f.const, f.lin)
+    return replace(ETA_DIAG[mu] * P_lower(mu), name=f"P^{mu}")
 
 
 def M_lower(mu, nu) -> KillingField:
@@ -93,30 +89,23 @@ def M_lower(mu, nu) -> KillingField:
 
 
 def L1() -> KillingField:
-    return KillingField("L1", *_rename(M_lower(2, 3)))
+    return replace(M_lower(2, 3), name="L1")
 
 
 def L2() -> KillingField:
-    f = (-1.0) * M_lower(1, 3)   # L2 = M31 = -M13
-    return KillingField("L2", f.const, f.lin)
+    return replace((-1.0) * M_lower(1, 3), name="L2")   # L2 = M31 = -M13
 
 
 def L3() -> KillingField:
-    return KillingField("L3", *_rename(M_lower(1, 2)))
-
-
-def _rename(f):
-    return f.const, f.lin
+    return replace(M_lower(1, 2), name="L3")
 
 
 def L_plus() -> KillingField:
-    f = L1() + 1j * L2()
-    return KillingField("L+", f.const, f.lin)
+    return replace(L1() + 1j * L2(), name="L+")
 
 
 def L_minus() -> KillingField:
-    f = L1() - 1j * L2()
-    return KillingField("L-", f.const, f.lin)
+    return replace(L1() + (-1j) * L2(), name="L-")
 
 
 def generator_registry():
@@ -133,10 +122,17 @@ def generator_registry():
 # ---------------------------------------------------------------------------
 
 def lie_derivative(xi: KillingField, field, t, x, y, z, h=fdiff.DEFAULT_H, method="auto"):
-    """(Lie_xi A)_a = xi^b d_b A_a + A_b d_a xi^b on a covector field.
+    """Lie derivative of a covariant tensor field of rank 1 or 2,
+
+        (Lie_xi T)_{a..} = xi^c d_c T_{a..} + sum over slots of T_{..c..} d_slot xi^c,
+
+    e.g. (Lie_xi A)_a = xi^c d_c A_a + A_c d_a xi^c on a covector and
+    (Lie_xi F)_ab = xi^c d_c F_ab + F_cb d_a xi^c + F_ac d_b xi^c on F.  The
+    rank is read from the value's shape against the point shape.
 
     ``field`` is either a mode-like object (with .evaluate and, for the
-    analytic path, .jet) or a bare callable f(t,x,y,z) -> (...,4).
+    analytic path, .jet) or a bare callable f(t,x,y,z) -> (..., 4[, 4]).
+    Finite differences skip the axes along which xi vanishes at every point.
     """
     evaluate = field.evaluate if hasattr(field, "evaluate") else field
     use_analytic = method == "analytic" or (method == "auto" and hasattr(field, "jet"))
@@ -146,13 +142,16 @@ def lie_derivative(xi: KillingField, field, t, x, y, z, h=fdiff.DEFAULT_H, metho
         a, grad = field.jet(t, x, y, z)
     else:
         a = evaluate(t, x, y, z)
+    slots = "ab"[:a.ndim - (xiv.ndim - 1)]   # one subscript per slot of the value
+    if not use_analytic:
         grad = np.stack([
             fdiff.partial(evaluate, (t, x, y, z), mu, h) if np.any(xiv[..., mu] != 0)
             else np.zeros_like(a)
-            for mu in range(4)], axis=-2)
-    transport = np.einsum("...b,...ba->...a", xiv, grad)
-    rotation = np.einsum("...b,ab->...a", a, dxi)
-    return transport + rotation
+            for mu in range(4)], axis=-1 - len(slots))
+    out = np.einsum(f"...c,...c{slots}->...{slots}", xiv, grad)
+    for slot in slots:
+        out = out + np.einsum(f"...{slots.replace(slot, 'c')},{slot}c->...{slots}", a, dxi)
+    return out
 
 
 class LieField:
@@ -182,22 +181,6 @@ def angular_momentum_squared(field, t, x, y, z, h=fdiff.DEFAULT_H):
         inner = LieField(gen, field, h=h)
         term = lie_derivative(gen, inner, t, x, y, z, h=h, method="fd")
         out = term if out is None else out + term
-    return out
-
-
-def lie_derivative_tensor2(xi: KillingField, f_eval, t, x, y, z, h=fdiff.DEFAULT_H):
-    """Lie derivative of a rank-2 covariant tensor field (e.g. F_ab):
-    (Lie_xi F)_ab = xi^c d_c F_ab + F_cb d_a xi^c + F_ac d_b xi^c."""
-    xiv = xi.value(t, x, y, z)
-    dxi = xi.d_xi()
-    f = f_eval(t, x, y, z)
-    grad = np.stack([
-        fdiff.partial(f_eval, (t, x, y, z), mu, h) if np.any(xiv[..., mu] != 0)
-        else np.zeros_like(f)
-        for mu in range(4)], axis=-3)
-    out = np.einsum("...c,...cab->...ab", xiv, grad)
-    out = out + np.einsum("...cb,ac->...ab", f, dxi)
-    out = out + np.einsum("...ac,bc->...ab", f, dxi)
     return out
 
 
@@ -251,7 +234,7 @@ def pauli_lubanski_residual(mode, t, x, y, z, h=fdiff.DEFAULT_H):
                 m_up = ETA_DIAG[rho] * ETA_DIAG[sigma] * M_lower(rho, sigma)
 
                 def g_eval(tt, xx, yy, zz, gen=m_up):
-                    return lie_derivative_tensor2(gen, f_eval, tt, xx, yy, zz, h=h)
+                    return lie_derivative(gen, f_eval, tt, xx, yy, zz, h=h)
 
                 for nu in range(4):
                     w = LEVI_CIVITA[mu, nu, rho, sigma]
@@ -260,7 +243,7 @@ def pauli_lubanski_residual(mode, t, x, y, z, h=fdiff.DEFAULT_H):
                     dG = fdiff.partial(g_eval, (t, x, y, z), nu, h)
                     term = 0.5 * w * (I * ETA_DIAG[nu]) * dG   # P^nu = i eta^{nu nu} d_nu
                     lhs = term if lhs is None else lhs + term
-        rhs = lie_derivative_tensor2(P_lower(mu), dual_eval.evaluate, t, x, y, z, h=h)
+        rhs = lie_derivative(P_lower(mu), dual_eval, t, x, y, z, h=h)
         res = np.abs(lhs - rhs).max() / scale
         worst = max(worst, res)
     return worst
@@ -410,23 +393,3 @@ def check_all_brackets():
             count += 1
     return count
 
-
-# ---------------------------------------------------------------------------
-# Eigen-residual bookkeeping
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class OperatorResidual:
-    """residual = ||O f - lambda f|| / ||f|| in the discrete l2 norm over the
-    evaluation batch."""
-    residual: float
-    eigenvalue: complex
-    norm: str = "discrete-l2"
-
-
-def eigen_residual(applied, reference, eigenvalue) -> OperatorResidual:
-    applied = np.asarray(applied)
-    reference = np.asarray(reference)
-    num = np.linalg.norm((applied - eigenvalue * reference).ravel())
-    den = np.linalg.norm(reference.ravel())
-    return OperatorResidual(float(num / den), eigenvalue)

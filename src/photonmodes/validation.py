@@ -28,18 +28,17 @@ from typing import Callable
 import numpy as np
 
 from . import fdiff
-from .charts import dyad_derivatives, dyads
+from .charts import ETA_DIAG, dyad_derivatives, dyads
 from .errors import InvalidLabelError
 from .harmonics import (CylHarmonicLabel, SphHarmonicLabel, bessel_j_int_orders,
                         eth_analytic, ethbar_analytic, eth_numeric, ethbar_numeric,
                         sample_harmonic, cyl_harmonic_values, sph_harmonic_values,
                         sph_harmonic_gram)
 from .modes import (PlaneWaveLabel, CylindricalLabel, SphericalLabel,
-                    plane_wave, cylindrical_mode, spherical_mode,
-                    field_strength, sample_grid, GridSpec, sph_radial_profiles,
-                    cyl_dyad_coefficients)
+                    plane_wave, cylindrical_mode, spherical_mode, make_mode,
+                    field_strength, sample_grid, GridSpec, sph_radial_profiles)
 from .operators import (P_upper, L3, L_plus, L_minus, LieField, lie_derivative,
-                        lie_derivative_tensor2, angular_momentum_squared,
+                        angular_momentum_squared,
                         helicity_dual, DualField, pauli_lubanski_residual,
                         dalembertian_residual, divergence_residual,
                         check_all_brackets)
@@ -111,10 +110,16 @@ TOL_ANALYTIC = 1e-10
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """Deterministic description of one check run."""
+    """Deterministic description of one check run.  ValueError unless
+    n_labels is an integer >= 1 (stored as int)."""
     name: str
     seed: int = 20240801
     n_labels: int = 20
+
+    def __post_init__(self):
+        if not float(self.n_labels).is_integer() or self.n_labels < 1:
+            raise ValueError(f"n_labels must be an integer >= 1, got {self.n_labels!r}")
+        object.__setattr__(self, "n_labels", int(self.n_labels))
 
 
 @dataclass
@@ -195,14 +200,6 @@ def sample_points(rng, n=4):
     return t, rho * np.cos(phi), rho * np.sin(phi), z
 
 
-def make_mode(label):
-    if isinstance(label, PlaneWaveLabel):
-        return plane_wave(label)
-    if isinstance(label, CylindricalLabel):
-        return cylindrical_mode(label)
-    return spherical_mode(label)
-
-
 def observable_set(label):
     """(name, killing-or-op, eigenvalue) triples of the family's complete set
     (the helicity entry is handled separately)."""
@@ -244,8 +241,7 @@ def _eigen(family, spec):
         # helicity: dual(F) = s F, analytic F and FD F
         f_an = field_strength(mode, *pts)
         worst_hel_an = max(worst_hel_an, _rel(helicity_dual(f_an) - label.s * f_an, f_an))
-        g_fd = np.stack([fdiff.partial(mode.evaluate, pts, mu, FD_H)
-                         for mu in range(4)], axis=-2)
+        g_fd = np.moveaxis(fdiff.gradient4(mode.evaluate, pts, FD_H), 0, -2)
         f_fd = g_fd - np.swapaxes(g_fd, -1, -2)
         worst_hel_fd = max(worst_hel_fd, _rel(
             helicity_dual(f_fd, check_antisymmetry=False) - label.s * f_fd, f_fd))
@@ -330,7 +326,8 @@ def _field_equations(family, spec):
             worst_helm = max(worst_helm, float(np.abs(gg.values + al**2 * ref).max()
                                                / np.abs(ref).max()))
         # gauge and helicity coefficient identities (algebra on the label)
-        a0_c, am, ap = cyl_dyad_coefficients(lab)
+        coef = cylindrical_mode(lab)
+        a0_c, am, ap = coef.cz, coef.cm, coef.cp
         p3 = -lab.pz   # covariant longitudinal component
         gauge = abs(1j * p3 * a0_c + (al / math.sqrt(2)) * (am - ap))
         h1 = abs(1j * lab.p0 * a0_c - lab.s * (al / math.sqrt(2)) * (am + ap))
@@ -486,7 +483,7 @@ def _algebra(spec):
         for name, xi, lam in observable_set(label):
             if not name.startswith("P"):
                 continue
-            lt = lie_derivative_tensor2(xi, dual.evaluate, *pts, h=FD_H)
+            lt = lie_derivative(xi, dual, *pts, h=FD_H)
             worst = max(worst, _rel(lt - lam * ref, ref))
     residuals["dual_translation_eigen_fd"] = worst
 
@@ -496,8 +493,7 @@ def _algebra(spec):
                          ("spherical", (0.0, 1.1, 0.9, 1.2))):
         predicted = dyad_derivatives(chart, *point)
         for n in range(3):
-            fd = np.stack([fdiff.partial(lambda *c: dyads(chart, *c)[n],
-                                         point, mu, 0.005) for mu in range(4)])
+            fd = fdiff.gradient4(lambda *c: dyads(chart, *c)[n], point, 0.005)
             worst = max(worst, float(np.abs(fd - predicted[n]).max()))
     residuals["dyad_derivative_fd"] = worst
 
@@ -680,11 +676,8 @@ def _inner_product(spec):
     def jfield(t, x, y, z):
         return current(m1, m2, t, x, y, z)
 
-    div = None
-    for mu in range(4):
-        d = fdiff.partial(jfield, pts, mu, FD_H)[..., mu]
-        term = np.array([1.0, -1, -1, -1])[mu] * d
-        div = term if div is None else div + term
+    grad = fdiff.gradient4(jfield, pts, FD_H)
+    div = sum(ETA_DIAG[mu] * grad[mu, ..., mu] for mu in range(4))
     jref = jfield(*pts)
     residuals["current_conservation_fd"] = float(np.abs(div).max() / np.abs(jref).max())
 
@@ -857,30 +850,6 @@ def run_check(check: Check, spec: CheckSpec):
     passed = all(residuals[k] <= tol for k, tol in check.gates.items())
     return CheckReport(check.name, list(check.claims), labels, residuals,
                        dict(check.gates), passed, runtime)
-
-
-def run_eigen_suite(family, spec: CheckSpec):
-    return run_check(REGISTRY[f"eigen_{family}"], spec)
-
-
-def run_field_equation_suite(family, spec: CheckSpec):
-    return run_check(REGISTRY[f"field_equations_{family}"], spec)
-
-
-def run_degeneracy_suite(spec: CheckSpec = None):
-    return run_check(REGISTRY["degeneracy"], spec or CheckSpec("degeneracy"))
-
-
-def run_crosscheck_suite(spec: CheckSpec = None):
-    return run_check(REGISTRY["crosscheck_jacobi_anger"], spec or CheckSpec("crosscheck"))
-
-
-def run_algebra_suite(spec: CheckSpec = None):
-    return run_check(REGISTRY["algebra"], spec or CheckSpec("algebra"))
-
-
-def run_inner_product_suite(spec: CheckSpec = None):
-    return run_check(REGISTRY["inner_product"], spec or CheckSpec("inner_product"))
 
 
 def run_suite(name, seed=20240801, n_labels=20):

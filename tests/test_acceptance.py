@@ -26,11 +26,7 @@ import time
 
 import pytest
 
-from photonmodes.validation import (CheckSpec, run_eigen_suite,
-                                    run_field_equation_suite,
-                                    run_degeneracy_suite, run_crosscheck_suite,
-                                    run_algebra_suite, run_inner_product_suite,
-                                    FAMILIES)
+from photonmodes.validation import CheckSpec, REGISTRY, run_check, FAMILIES
 
 SEED = 20240801
 
@@ -45,24 +41,24 @@ def _line(num, name, passed, detail=""):
 def eigen_reports():
     t0 = time.perf_counter()
     spec = CheckSpec("acceptance", seed=SEED, n_labels=20)
-    reports = {f: run_eigen_suite(f, spec) for f in FAMILIES}
+    reports = {f: run_check(REGISTRY[f"eigen_{f}"], spec) for f in FAMILIES}
     return reports, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def field_reports():
     spec = CheckSpec("acceptance", seed=SEED, n_labels=20)
-    return {f: run_field_equation_suite(f, spec) for f in FAMILIES}
+    return {f: run_check(REGISTRY[f"field_equations_{f}"], spec) for f in FAMILIES}
 
 
 @pytest.fixture(scope="module")
 def algebra_report():
-    return run_algebra_suite(CheckSpec("acceptance", seed=SEED))
+    return run_check(REGISTRY["algebra"], CheckSpec("acceptance", seed=SEED))
 
 
 @pytest.fixture(scope="module")
 def inner_report():
-    return run_inner_product_suite(CheckSpec("acceptance", seed=SEED))
+    return run_check(REGISTRY["inner_product"], CheckSpec("acceptance", seed=SEED))
 
 
 def test_criterion_1_eigenbasis(eigen_reports):
@@ -136,7 +132,7 @@ def test_criterion_7_bessel_tables(inner_report):
 
 
 def test_criterion_8_degeneracies():
-    rep = run_degeneracy_suite(CheckSpec("acceptance", seed=SEED))
+    rep = run_check(REGISTRY["degeneracy"], CheckSpec("acceptance", seed=SEED))
     ok = rep.passed
     assert _line(8, "degeneracies", ok,
                  f"alpha0-zeros exact, l0 rejected, l1 helicity "
@@ -151,7 +147,7 @@ def test_criterion_9_gauge_invariance(inner_report):
 
 
 def test_criterion_10_jacobi_anger():
-    rep = run_crosscheck_suite(CheckSpec("acceptance", seed=SEED))
+    rep = run_check(REGISTRY["crosscheck_jacobi_anger"], CheckSpec("acceptance", seed=SEED))
     err = rep.residuals["reconstruction_error_M20"]
     ok = rep.passed and err < 1e-8
     assert _line(10, "Jacobi-Anger crosscheck", ok, f"M=20 error={err:.2e}")

@@ -1,0 +1,80 @@
+"""The public surface: the names the package exports, written out by hand
+as CLAIM_LIST is for the claims, and the names the benchmark harness under
+perfbench/ binds.  The perfbench files are read, never imported as modules
+or written to, so no bytecode lands beside them."""
+
+import importlib
+import re
+import types
+from pathlib import Path
+
+import photonmodes
+from photonmodes import fdiff, modes
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+#: Hand-written list of the package's public names (the coverage lock of the
+#: API: adding or deleting a name means editing this list).
+PUBLIC = [
+    # charts
+    "dyads", "dyad_derivatives", "LEVI_CIVITA",
+    # harmonics
+    "bessel_j", "CylHarmonicLabel", "SphHarmonicLabel", "eth_analytic",
+    "ethbar_analytic", "eth_numeric", "ethbar_numeric", "sample_harmonic",
+    # modes
+    "PlaneWaveLabel", "CylindricalLabel", "SphericalLabel", "plane_wave",
+    "cylindrical_mode", "spherical_mode", "field_strength",
+    "sample_grid", "GridSpec", "FieldGrid", "sph_radial_profiles",
+    # operators
+    "KillingField", "P_lower", "P_upper", "M_lower", "L1", "L2", "L3", "L_plus",
+    "L_minus", "lie_derivative", "angular_momentum_squared", "helicity_dual",
+    "dalembertian_residual", "divergence_residual", "commutator_check",
+    "check_all_brackets", "pauli_lubanski_residual",
+    # inner_product
+    "QuadratureSpec", "WavePacket", "Superposition", "inner",
+    "inner_field_strength_form", "current", "gauge_shift", "GaussianBumpScalar",
+    "discrete_orthonormality", "bessel_overlap", "bessel_overlap_closed_form",
+    "smeared_radial_delta",
+    # validation
+    "CheckSpec", "CheckReport", "run_suite", "run_all", "claims_manifest",
+    "CLAIM_LIST", "SUITES",
+]
+
+
+def _perfbench_namespace(name):
+    """Module-level names of a perfbench file, executed from its source."""
+    path = PERFBENCH / name
+    namespace = {"__name__": f"perfbench_{path.stem}"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace
+
+
+def test_package_exports_exactly_the_public_names():
+    exported = {name for name, value in vars(photonmodes).items()
+                if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert len(PUBLIC) == len(set(PUBLIC))
+    assert exported == set(PUBLIC)
+
+
+def test_names_the_tracer_binds_resolve():
+    tracer = _perfbench_namespace("tracer.py")
+    for module, attr, _, _ in tracer["FUNCTIONS"]:
+        owner = importlib.import_module(f"photonmodes.{module}")
+        assert callable(getattr(owner, attr, None)), f"{module}.{attr}"
+    # the tracer wraps each family's own evaluate and gradient, read from the
+    # class __dict__, so an inherited method would escape it
+    for cls_name, _ in tracer["MODE_CLASSES"]:
+        cls = getattr(modes, cls_name)
+        for meth in ("evaluate", "gradient"):
+            assert callable(cls.__dict__.get(meth)), f"{cls_name}.{meth}"
+    assert callable(fdiff.gradient4)
+
+
+def test_names_the_workloads_bind_resolve():
+    # field_worker.py and workloads.py reach the package as `pm`
+    names = set()
+    for name in ("field_worker.py", "workloads.py"):
+        names |= set(re.findall(r"\bpm\.(\w+)", (PERFBENCH / name).read_text()))
+    assert {"plane_wave", "cylindrical_mode", "spherical_mode"} <= names
+    for name in sorted(names):
+        assert hasattr(photonmodes, name), name

@@ -50,6 +50,14 @@ def test_validate_prints_worst_gate_margin(capsys):
     assert float(row.split()[1]) < 1.0
 
 
+def test_validate_rejects_a_label_count_below_one(capsys):
+    # zero labels would check nothing and still print pass rows
+    for bad in ("0", "-2"):
+        assert main(["validate", "eigen", "--n-labels", bad]) == 2
+        captured = capsys.readouterr()
+        assert "n_labels" in captured.err and "pass" not in captured.out
+
+
 def test_validate_unknown_suite(capsys):
     rc = main(["validate", "nonsense"])
     assert rc == 2

@@ -8,14 +8,11 @@ from scipy.special import jv, sph_harm_y
 
 from photonmodes.harmonics import (bessel_j, bessel_j_int_orders,
                                    CylHarmonicLabel, SphHarmonicLabel,
-                                   sw_cyl_harmonic, sw_sph_harmonic,
                                    cyl_harmonic_values, sph_harmonic_values,
                                    eth_analytic, ethbar_analytic,
-                                   ethbar_eth_eigenvalue, eth_numeric,
-                                   ethbar_numeric, sample_harmonic,
-                                   sph_harmonic_theta_derivative)
-from photonmodes.errors import (InvalidLabelError, InvalidOrderError, PoleError,
-                                ResolutionError)
+                                   eth_factor_sph, ethbar_factor_sph, eth_numeric,
+                                   ethbar_numeric, sample_harmonic)
+from photonmodes.errors import InvalidLabelError, InvalidOrderError, ResolutionError
 
 from oracles import bessel_series, bessel_half_trig
 
@@ -195,12 +192,12 @@ def test_bessel_series_band_recurrence_where_the_top_order_underflows():
 # ---------------------------------------------------------------------------
 
 def test_cyl_harmonic_examples():
-    assert sw_cyl_harmonic(CylHarmonicLabel(0, 1.0, 0), 0.0, 0.3).value == 1.0
-    v = sw_cyl_harmonic(CylHarmonicLabel(1, 2.0, 0), 1.0, math.pi)
-    assert v.value == pytest.approx(bessel_series(1, 2.0), rel=1e-12)
-    assert v.spin_weight == 1
-    v = sw_cyl_harmonic(CylHarmonicLabel(0, 1.0, -2), 1.0, 0.0)
-    assert v.value == pytest.approx(bessel_series(2, 1.0), rel=1e-12)
+    # Z[n, alpha, m](rho, phi) at (n, alpha, m) = (0, 1, 0), (1, 2, 0), (0, 1, -2)
+    assert complex(cyl_harmonic_values(0, 1.0, 0, 0.0, 0.3)) == 1.0
+    v = complex(cyl_harmonic_values(1, 2.0, 0, 1.0, math.pi))
+    assert v == pytest.approx(bessel_series(1, 2.0), rel=1e-12)
+    v = complex(cyl_harmonic_values(0, 1.0, -2, 1.0, 0.0))
+    assert v == pytest.approx(bessel_series(2, 1.0), rel=1e-12)
 
 
 def test_harmonic_label_validation():
@@ -224,7 +221,6 @@ def test_cyl_ladder_factors():
     assert (lab.n, lab.alpha, lab.m, fac) == (1, 3.0, 1, 3.0)
     lab, fac = ethbar_analytic("cylindrical", CylHarmonicLabel(1, 2.0, 0))
     assert (lab.n, fac) == (0, -2.0)
-    assert ethbar_eth_eigenvalue("cylindrical", CylHarmonicLabel(0, 2.0, 0)) == -4.0
 
 
 # ---------------------------------------------------------------------------
@@ -246,12 +242,12 @@ def test_sph_harmonic_values_against_scipy():
 
 
 def test_sph_harmonic_examples():
-    assert sw_sph_harmonic(SphHarmonicLabel(0, 0, 0), 0.7, 1.3).value == \
+    assert complex(sph_harmonic_values(0, 0, 0, 0.7, 1.3)) == \
         pytest.approx(1.0 / math.sqrt(4 * math.pi), rel=1e-14)
     # vanishes identically for l < |n|
-    assert sw_sph_harmonic(SphHarmonicLabel(1, 0, 0), 0.7, 1.3).value == 0.0
+    assert complex(sph_harmonic_values(1, 0, 0, 0.7, 1.3)) == 0.0
     # Y[1,1,0] at the equator: +sqrt(3/(8 pi))
-    got = sw_sph_harmonic(SphHarmonicLabel(1, 1, 0), math.pi / 2, 0.0).value
+    got = complex(sph_harmonic_values(1, 1, 0, math.pi / 2, 0.0))
     assert got == pytest.approx(math.sqrt(3.0 / (8.0 * math.pi)), rel=1e-13)
 
 
@@ -262,17 +258,6 @@ def test_sph_ladder_factors():
     assert fac == 0.0
     lab, fac = ethbar_analytic("spherical", SphHarmonicLabel(0, 2, 1))
     assert (lab.n, fac) == (-1, pytest.approx(-math.sqrt(6.0)))
-    assert ethbar_eth_eigenvalue("spherical", SphHarmonicLabel(0, 1, 0)) == -2.0
-    assert ethbar_eth_eigenvalue("spherical", SphHarmonicLabel(1, 1, 1)) == 0.0
-
-
-def test_sph_pole_policy():
-    # direction-dependent limits raise; continuous limits evaluate
-    with pytest.raises(PoleError):
-        sw_sph_harmonic(SphHarmonicLabel(-1, 1, 1), 0.0, 0.2)
-    with pytest.raises(PoleError):
-        sw_sph_harmonic(SphHarmonicLabel(1, 2, 1), math.pi, 0.2)
-    assert sw_sph_harmonic(SphHarmonicLabel(1, 2, 0), 0.0, 0.2).value == 0.0
 
 
 def test_sph_ladder_against_symbolic_differentiation():
@@ -312,7 +297,9 @@ def test_ladder_action_on_m():
     th, ph = 1.1, 0.7
     for n, l, m in ((0, 2, 1), (1, 2, 0), (-1, 3, -2)):
         y = sph_harmonic_values(n, l, m, th, ph)
-        dth = sph_harmonic_theta_derivative(n, l, m, th, ph)
+        # d_theta = -(eth + ethb) / 2 on a spin-n function
+        dth = -0.5 * (eth_factor_sph(n, l) * sph_harmonic_values(n + 1, l, m, th, ph)
+                      + ethbar_factor_sph(n, l) * sph_harmonic_values(n - 1, l, m, th, ph))
         dph = 1j * m * y
         for pm in (+1, -1):
             lpm = pm * np.exp(pm * 1j * ph) * (dth + pm * 1j / math.tan(th) * dph)

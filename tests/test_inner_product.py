@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -58,8 +60,9 @@ def test_current_takes_one_jet_per_distinct_field():
         assert a.calls == {"jet": 1} and b.calls == {"jet": 1}
         ga, gb = a.field.gradient(*pts), b.field.gradient(*pts)
         av, bv = a.field.evaluate(*pts), b.field.evaluate(*pts)
-        ref = 1j * (np.einsum("...ab,b,...b->...a", np.conj(ga), up, bv)
-                    - np.einsum("...b,b,...ab->...a", np.conj(av), up, gb))
+        ref = np.stack([1j * np.einsum("b,...b->...", up, np.conj(ga[..., c, :]) * bv
+                                       - np.conj(av) * gb[..., c, :]) for c in range(4)],
+                       axis=-1)
         assert np.array_equal(j, ref)
 
 
@@ -105,6 +108,18 @@ def test_packet_norm_matches_g_squared(packet):
     expected = packet.norm_expected()
     assert abs(val.imag) < 1e-10
     assert abs(val.real - expected) < 1e-3 * expected
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    ({"width": -0.2}, "width"), ({"width": math.nan}, "width"),
+    ({"width": math.inf}, "width"), ({"width": 0.0}, "width"),
+    ({"center": math.nan}, "center"), ({"center": math.inf}, "center"),
+    ({"n_nodes": 0}, "n_nodes"), ({"n_nodes": 2.5}, "n_nodes"),
+])
+def test_wave_packet_rejects_a_bad_spectrum(kwargs, field):
+    # a negative width ran the energy nodes downward and gave a norm of -1
+    with pytest.raises(ValueError, match=field):
+        WavePacket(1, 0, 1, **{"center": 1.0, "width": 0.2, **kwargs})
 
 
 def test_packet_norm_slice_independent(packet):
@@ -331,6 +346,38 @@ def test_slice_gram_evaluates_each_field_once(form, derivative):
                 assert gram[i, j] == reference(a, b, box)
     with pytest.raises(ValueError, match="form"):
         slice_gram(left, right, box, "j-form")
+
+
+@pytest.mark.parametrize("form", ["current", "field_strength"])
+def test_slice_gram_frees_its_arrays_on_return(form):
+    # with the cycle collector off, every array a field returned to
+    # slice_gram is freed when the call returns: no reference cycle holds
+    # the pairs or the nodes until a later collection
+    refs = []
+
+    class Tracked:
+        def __init__(self, field):
+            self.field = field
+
+        def __getattr__(self, name):
+            method = getattr(self.field, name)
+
+            def tracked(*args, **kwargs):
+                out = method(*args, **kwargs)
+                refs.extend(weakref.ref(a) for a in (out if isinstance(out, tuple) else (out,)))
+                return out
+            return tracked
+
+    box = QuadratureSpec(chart="cartesian", box_half=3.0, n_box=8)
+    left = Tracked(plane_wave(PlaneWaveLabel((0.2, -0.4, 0.7), -1)))
+    right = gauge_shift(Tracked(cylindrical_mode(CylindricalLabel(1.2, 0.5, 1, +1))),
+                        GaussianBumpScalar(center=(0.1, 0.0, 0.2), width=0.6))
+    gc.disable()
+    try:
+        slice_gram([left], [right, left], box, form)
+        assert refs and all(ref() is None for ref in refs)
+    finally:
+        gc.enable()
 
 
 def _field_strength_form_reference(a_field, b_field, spec):

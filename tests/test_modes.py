@@ -7,8 +7,7 @@ import pytest
 from photonmodes.modes import (PlaneWaveLabel, CylindricalLabel, SphericalLabel,
                                plane_wave, cylindrical_mode, spherical_mode,
                                field_strength, sample_grid, GridSpec,
-                               sph_radial_profiles, cyl_dyad_coefficients,
-                               SPH_L_MAX)
+                               sph_radial_profiles, SPH_L_MAX)
 from photonmodes.operators import (helicity_dual, dalembertian_residual,
                                    divergence_residual)
 from photonmodes.errors import InvalidLabelError, DegenerateAxisError
@@ -143,7 +142,8 @@ def test_cylindrical_gauge_identity(rng):
         p0 = rng.uniform(0.3, 2.5)
         label = CylindricalLabel(p0, rng.uniform(-0.95, 0.95) * p0,
                                  int(rng.integers(-4, 5)), int(rng.choice([-1, 1])))
-        a0, am, ap = cyl_dyad_coefficients(label)
+        mode = cylindrical_mode(label)
+        a0, am, ap = mode.cz, mode.cm, mode.cp
         p3 = -label.pz
         residual = 1j * p3 * a0 + label.alpha / SQ2 * (am - ap)
         assert abs(residual) < 1e-15 * max(abs(a0) * label.p0, 1e-3)
@@ -352,6 +352,14 @@ def test_sample_grid_shape_and_gauge():
     assert grid.values.shape == (1, 16, 16, 16, 4)
     assert np.abs(grid.values[..., 0]).max() == 0.0
 
+
+def test_sample_grid_warns_on_a_coarse_descending_axis():
+    # |p| = 5 needs |spacing| <= 1/40; x runs 1 -> -1 in steps of -1
+    mode = plane_wave(PlaneWaveLabel((3.0, 4.0, 0.0), +1))
+    with pytest.warns(UserWarning) as record:
+        sample_grid(mode, GridSpec(x=(1.0, -1.0, 3)))
+    assert sorted(str(w.message).split()[2] for w in record) == ["x", "y", "z"]
+    assert "spacing 1 exceeds" in str(record[0].message)
 
 
 def test_sample_grid_resolves_the_largest_energy_of_a_packet():

@@ -6,14 +6,12 @@ import pytest
 from photonmodes.modes import (PlaneWaveLabel, CylindricalLabel, SphericalLabel,
                                plane_wave, cylindrical_mode, spherical_mode,
                                field_strength, sample_grid, GridSpec)
-from photonmodes.operators import (P_lower, P_upper, L1, L2, L3, L_plus,
+from photonmodes.operators import (P_lower, P_upper, M_lower, L1, L2, L3, L_plus,
                                    L_minus, lie_derivative, angular_momentum_squared,
                                    helicity_dual, dalembertian_residual,
                                    divergence_residual, bracket, expected_bracket,
                                    commutator_check, check_all_brackets,
-                                   pauli_lubanski_residual, eigen_residual,
-                                   DualField, LieField,
-                                   lie_derivative_tensor2)
+                                   pauli_lubanski_residual, DualField, LieField)
 from photonmodes.errors import AsymmetryError, StencilError
 from photonmodes import fdiff
 from photonmodes.charts import dyads
@@ -296,13 +294,22 @@ def test_dual_field_translation_eigenvalues():
     dual = DualField(mode)
     pts = (np.array([0.2]), np.array([1.0]), np.array([0.5]), np.array([0.7]))
     ref = dual.evaluate(*pts)
-    lt = lie_derivative_tensor2(P_upper(0), dual.evaluate, *pts, h=0.01)
+    lt = lie_derivative(P_upper(0), dual, *pts, h=0.01)
     assert np.abs(lt - 1.3 * ref).max() < 1e-6 * np.abs(ref).max()
 
 
-def test_eigen_residual_definition():
-    a = np.array([1.0, 2.0])
-    res = eigen_residual(2.0 * a, a, 2.0)
-    assert res.residual == 0.0
-    res = eigen_residual(2.0 * a + 0.1, a, 2.0)
-    assert res.residual == pytest.approx(np.linalg.norm([0.1, 0.1]) / np.linalg.norm(a))
+def test_lie_derivative_of_a_rank_two_field():
+    # (Lie_xi F)_ab = xi^c d_c F_ab + F_cb d_a xi^c + F_ac d_b xi^c, the rank
+    # read from the value's shape, d_c F by the same stencils
+    dual = DualField(spherical_mode(SphericalLabel(0.9, 1, 1, -1)))
+    pts = (np.array([0.1, -0.2]), np.array([0.9, 1.1]), np.array([-0.4, 0.3]),
+           np.array([0.8, 0.6]))
+    f = dual.evaluate(*pts)
+    grad = np.moveaxis(fdiff.gradient4(dual.evaluate, pts, 0.01), 0, -3)
+    for xi in (P_upper(0), L3(), L_plus(), M_lower(0, 1)):
+        d_xi = xi.d_xi()
+        want = (np.einsum("...c,...cab->...ab", xi.value(*pts), grad)
+                + d_xi @ f + f @ d_xi.T)
+        got = lie_derivative(xi, dual, *pts, h=0.01)
+        assert got.shape == f.shape
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

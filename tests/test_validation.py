@@ -5,9 +5,8 @@ import pytest
 
 from photonmodes.cli import main
 from photonmodes.validation import (Check, CheckReport, CheckSpec, REGISTRY,
-                                    run_check, run_suite, run_eigen_suite,
-                                    run_degeneracy_suite, run_crosscheck_suite,
-                                    claims_manifest, CLAIM_LIST, SUITES)
+                                    run_check, run_suite, claims_manifest,
+                                    CLAIM_LIST, SUITES)
 
 
 def test_unknown_suite():
@@ -16,13 +15,13 @@ def test_unknown_suite():
 
 
 def test_degeneracy_suite_passes():
-    rep = run_degeneracy_suite()
+    rep = run_check(REGISTRY["degeneracy"], CheckSpec("degeneracy"))
     assert rep.passed
     assert rep.residuals["alpha0_forbidden_max"] == 0.0
 
 
 def test_crosscheck_suite():
-    rep = run_crosscheck_suite()
+    rep = run_check(REGISTRY["crosscheck_jacobi_anger"], CheckSpec("crosscheck"))
     assert rep.passed
     assert rep.residuals["reconstruction_error_M20"] < 1e-8
     assert rep.residuals["reconstruction_error_M0"] > 0.1
@@ -34,18 +33,19 @@ def test_crosscheck_suite():
 def test_small_eigen_suite_each_family():
     spec = CheckSpec("t", n_labels=4)
     for family in ("plane", "cylindrical", "spherical"):
-        rep = run_eigen_suite(family, spec)
+        rep = run_check(REGISTRY[f"eigen_{family}"], spec)
         assert rep.passed, rep.residuals
 
 
 def test_reports_deterministic_at_fixed_seed():
-    a = run_degeneracy_suite(CheckSpec("d", seed=7))
-    b = run_degeneracy_suite(CheckSpec("d", seed=7))
+    a = run_check(REGISTRY["degeneracy"], CheckSpec("d", seed=7))
+    b = run_check(REGISTRY["degeneracy"], CheckSpec("d", seed=7))
     assert a.canonical_json() == b.canonical_json()
-    r1 = run_eigen_suite("cylindrical", CheckSpec("e", seed=7, n_labels=3))
-    r2 = run_eigen_suite("cylindrical", CheckSpec("e", seed=7, n_labels=3))
+    eigen = REGISTRY["eigen_cylindrical"]
+    r1 = run_check(eigen, CheckSpec("e", seed=7, n_labels=3))
+    r2 = run_check(eigen, CheckSpec("e", seed=7, n_labels=3))
     assert r1.canonical_json() == r2.canonical_json()
-    r3 = run_eigen_suite("cylindrical", CheckSpec("e", seed=8, n_labels=3))
+    r3 = run_check(eigen, CheckSpec("e", seed=8, n_labels=3))
     assert r1.labels != r3.labels
 
 
@@ -82,6 +82,13 @@ def test_report_file_is_strict_json_and_round_trips(tmp_path):
         for d in payload["reports"]:
             assert CheckReport(**d).to_dict() == d
             assert d["claims"] == list(REGISTRY[d["name"]].claims)
+
+
+def test_check_spec_rejects_a_bad_label_count():
+    for bad in (0, -1, 2.5, float("nan")):
+        with pytest.raises(ValueError, match="n_labels"):
+            CheckSpec("t", n_labels=bad)
+    assert type(CheckSpec("t", n_labels=3.0).n_labels) is int
 
 
 def test_undeclared_residual_rejected():

@@ -7,8 +7,8 @@ checks, 2 usage error (bad flags, unknown suite, invalid label).
 Output formats: field grids are written as a JSON header plus a CSV body
 (one row per node: t, x, y, z then Re/Im of the four covector components,
 17 significant digits, row-major over the axes as declared); reports and
-Gram matrices are JSON with a provenance block (tool version, seed, config
-hash).
+Gram matrices are JSON with a provenance block (tool, python and numpy
+versions, seed, config hash).
 """
 
 from __future__ import annotations
@@ -35,6 +35,8 @@ def _provenance(seed, config):
     return {
         "tool": "photonmodes",
         "version": __version__,
+        "python": ".".join(map(str, sys.version_info[:3])),
+        "numpy": np.__version__,
         "seed": seed,
         "config_hash": hashlib.sha256(blob.encode()).hexdigest(),
     }

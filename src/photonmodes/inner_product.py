@@ -16,11 +16,13 @@ many-term energy spectrum, so one pass of the multipole kernel gives its
 values and time derivatives at every energy node.
 
 slice_gram(left, right, spec, form) takes every product on one slice: the
-nodes are built once and each distinct field object's pair (A, d_t A), or
-(A, F_{0b}) from one field jet for the gauge-invariant field-strength form,
-once.  inner and inner_field_strength_form are its 1x1 case.  A gauge shift
-by a static Lambda reuses its base's pair and adds only grad(Lambda) to the
-value.
+nodes are built once and walked in contiguous blocks of _SLICE_BLOCK nodes.
+In each block, each distinct field object's pair (A, d_t A), or (A, F_{0b})
+from one field jet for the gauge-invariant field-strength form, is taken
+once and freed before the next block, so the working set does not grow with
+the slice.  inner and inner_field_strength_form are its 1x1 case.  A gauge
+shift by a static Lambda reuses its base's pair and adds only grad(Lambda)
+to the value.
 
 Radial overlap integrals of Bessel products are conditionally convergent;
 they are regularized two independent ways and both must agree:
@@ -157,6 +159,10 @@ def _field_strength_jet(field, t, x, y, z):
 
 _FORM_JETS = {"current": _current_jet, "field_strength": _field_strength_jet}
 
+#: Slice nodes per block of slice_gram.  A block's 4x4 complex jet is 4 MB,
+#: so its pairs stay small however many nodes the slice has.
+_SLICE_BLOCK = 16384
+
 
 def _slice_pair(field, jets, form_jet, nodes):
     """The field's pair (A, dA) on the slice nodes, memoized in jets by object
@@ -174,33 +180,12 @@ def _slice_pair(field, jets, form_jet, nodes):
     return jets[key]
 
 
-def slice_gram(left, right, spec: QuadratureSpec, form="current"):
-    """The len(left) x len(right) matrix of slice integrals
-    int i [ conj(dA)_b A'^b - conj(A)^b dA'_b ] d^3x, A in left, A' in right,
-    with dA = d_t A (form 'current': the inner product) or dA_b = F_{0b}
-    (form 'field_strength').
-
-    The nodes are built once and each distinct field object's pair (A, dA)
-    once: evaluate and d_dt for the current, one field jet for the
-    field-strength form.  A GaugeShiftedField's pair is its base's plus
-    grad(Lambda) on the value: Lambda is static, so it adds exactly zero to
-    d_t A and to F_{0b} = d_0 A_b - d_b A_0, and no Hessian is built.  Every
-    other field is evaluated through its own methods.  Columns are reduced
-    as they are computed; a pair outlives its column only when a left field
-    or a later column needs it."""
-    if form not in _FORM_JETS:
-        raise ValueError(f"form must be 'current' or 'field_strength', got {form!r}")
-    form_jet = _FORM_JETS[form]
-    *nodes, w = slice_nodes(spec)
+def _block_gram(left, right, form_jet, nodes, w, last_use):
+    """The Gram contribution of one block of slice nodes.  Columns are
+    reduced as they are computed; a pair outlives its column only when a
+    left field or a later column needs it, and every pair is freed on
+    return."""
     jets = {}
-
-    def chain(field):
-        yield field
-        while isinstance(field, GaugeShiftedField):
-            field = field.base
-            yield field
-
-    last_use = {id(f): j for j, b in enumerate(right) for f in chain(b)}
     rows = [_slice_pair(a, jets, form_jet, nodes) for a in left]
     kept = {id(a) for a in left}
     gram = np.empty((len(left), len(right)), dtype=complex)
@@ -210,6 +195,41 @@ def slice_gram(left, right, spec: QuadratureSpec, form="current"):
             gram[i, j] = np.sum(w * _density(da, av, db, bv))
         for key in [k for k in jets if k not in kept and last_use.get(k, -1) <= j]:
             del jets[key]
+    return gram
+
+
+def slice_gram(left, right, spec: QuadratureSpec, form="current"):
+    """The len(left) x len(right) matrix of slice integrals
+    int i [ conj(dA)_b A'^b - conj(A)^b dA'_b ] d^3x, A in left, A' in right,
+    with dA = d_t A (form 'current': the inner product) or dA_b = F_{0b}
+    (form 'field_strength').
+
+    The nodes are built once and walked in contiguous blocks of _SLICE_BLOCK
+    nodes; each block's pairs are freed before the next block starts.  In a
+    block, each distinct field object's pair (A, dA) is taken once: evaluate
+    and d_dt for the current, one field jet for the field-strength form.  A
+    GaugeShiftedField's pair is its base's plus grad(Lambda) on the value:
+    Lambda is static, so it adds exactly zero to d_t A and to
+    F_{0b} = d_0 A_b - d_b A_0, and no Hessian is built.  Every other field
+    is evaluated through its own methods.  A slice of at most _SLICE_BLOCK
+    nodes is one block."""
+    if form not in _FORM_JETS:
+        raise ValueError(f"form must be 'current' or 'field_strength', got {form!r}")
+    form_jet = _FORM_JETS[form]
+    *nodes, w = slice_nodes(spec)
+
+    def chain(field):
+        yield field
+        while isinstance(field, GaugeShiftedField):
+            field = field.base
+            yield field
+
+    last_use = {id(f): j for j, b in enumerate(right) for f in chain(b)}
+    gram = np.zeros((len(left), len(right)), dtype=complex)
+    for start in range(0, len(w), _SLICE_BLOCK):
+        block = slice(start, start + _SLICE_BLOCK)
+        gram += _block_gram(left, right, form_jet, [a[block] for a in nodes], w[block],
+                            last_use)
     return gram
 
 
@@ -543,7 +563,13 @@ def smeared_radial_delta(kind, order, k_fixed, center, sigma, spec: QuadratureSp
         int dk' G(k'; center, sigma) int_0^inf w(r) J(k r) J(k' r) dr
             = G(k_fixed; center, sigma) / k_fixed,
 
-    kind 'cyl_rho' (w = rho, J = J_m) or 'sph_r' (w = r, J = J_{l+1/2})."""
+    kind 'cyl_rho' (w = rho, J = J_m) or 'sph_r' (w = r, J = J_{l+1/2}).
+    ValueError naming kind for any other kind, and sigma unless it is finite
+    and > 0."""
+    if kind not in ("cyl_rho", "sph_r"):
+        raise ValueError(f"unknown smeared-delta kind {kind!r}; expected 'cyl_rho' or 'sph_r'")
+    if not 0 < sigma < math.inf:
+        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     nu = order if kind == "cyl_rho" else order + 0.5
     xg, wg = _gauss_legendre(n_k)
     lo, hi = center - 6.0 * sigma, center + 6.0 * sigma
@@ -594,12 +620,23 @@ def discrete_orthonormality(family, fixed, ranges, spec: QuadratureSpec) -> Gram
 
     Angular integrals use exact-degree rules; radial integrals share one
     regularized truncation protocol so the normalization is uniform.
+    ValueError naming the field unless l_max is an integer >= 1 and m_max an
+    integer >= 0.
     """
     if family == "spherical":
-        return _gram_spherical(fixed["p0"], ranges["l_max"], spec)
+        return _gram_spherical(fixed["p0"], _label_range(ranges, "l_max", 1), spec)
     if family == "cylindrical":
-        return _gram_cylindrical(fixed["p0"], fixed["pz"], ranges["m_max"], spec)
+        return _gram_cylindrical(fixed["p0"], fixed["pz"], _label_range(ranges, "m_max", 0),
+                                 spec)
     raise ValueError(f"unknown family {family!r}")
+
+
+def _label_range(ranges, name, low):
+    """ranges[name] as an int; ValueError naming it unless an integer >= low."""
+    value = ranges[name]
+    if not float(value).is_integer() or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
 
 
 def _gram_spherical(p0, l_max, spec):

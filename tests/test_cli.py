@@ -1,4 +1,8 @@
 import json
+import platform
+
+import numpy as np
+import pytest
 
 from photonmodes.cli import main
 
@@ -74,6 +78,26 @@ def test_overlap_single_label(tmp_path):
     assert len(mat) == 2               # one m, two helicities
     assert abs(mat[0][0] - 1.0) < 1e-12
     assert abs(mat[0][1]) < 1e-8       # opposite-helicity block vanishes
+
+
+@pytest.mark.parametrize("family, label, field", [
+    ("cylindrical", "p0=1,pz=0.3,mmax=-1", "m_max"),
+    ("spherical", "p0=1,lmax=0", "l_max")])
+def test_overlap_rejects_an_invalid_label_range(capsys, family, label, field):
+    assert main(["overlap", "--family", family, "--label", label]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_outputs_record_python_and_numpy_versions(tmp_path):
+    assert main(["eval", "--family", "plane", "--label", "px=0,py=0,pz=1,s=1",
+                 "--grid", "x:0:0.1:2,y:0:0:1,z:0:0:1", "--out", str(tmp_path / "field")]) == 0
+    assert main(["validate", "degeneracy", "--out", str(tmp_path / "report.json")]) == 0
+    assert main(["overlap", "--family", "cylindrical", "--label", "p0=1.0,pz=0.0,mmax=0",
+                 "--out", str(tmp_path / "gram.json")]) == 0
+    for name in ("field.header.json", "report.json", "gram.json"):
+        provenance = json.loads((tmp_path / name).read_text())["provenance"]
+        assert provenance["python"] == platform.python_version()
+        assert provenance["numpy"] == np.__version__
 
 
 def test_overlap_rejects_invalid_quadrature(capsys):

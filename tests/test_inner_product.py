@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -380,6 +381,60 @@ def test_slice_gram_frees_its_arrays_on_return(form):
         gc.enable()
 
 
+@pytest.mark.parametrize("form, derivative", [("current", "d_dt"),
+                                              ("field_strength", "jet")])
+def test_slice_gram_in_blocks_matches_the_full_node_sum(monkeypatch, form, derivative):
+    # 12^3 = 1728 nodes in blocks of 300: five full blocks and one of 228
+    monkeypatch.setattr(inner_product, "_SLICE_BLOCK", 300)
+    box = QuadratureSpec(chart="cartesian", box_half=3.0, n_box=12)
+    shared = _Counted(cylindrical_mode(CylindricalLabel(1.2, 0.5, 1, +1)))
+    other = plane_wave(PlaneWaveLabel((0.2, -0.4, 0.7), -1))
+    shift = gauge_shift(shared, GaussianBumpScalar(center=(0.1, 0.0, 0.2), width=0.6,
+                                                   c0=0.9, linear=(0.2, 0.1, -0.3)))
+    reference = {"current": _current_form_reference,
+                 "field_strength": _field_strength_form_reference}[form]
+    left, right = [shared, other], [shift, other, shared]
+    gram = slice_gram(left, right, box, form)
+    # each field once per block, the shift through its base's pair
+    assert shared.calls == ({"evaluate": 6, "d_dt": 6} if derivative == "d_dt"
+                            else {"jet": 6})
+    for i, a in enumerate(left):
+        for j, b in enumerate(right):
+            want = reference(a, b, box)
+            assert abs(gram[i, j] - want) <= 1e-14 * abs(want)
+
+
+def _traced_peak_mb(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_slice_gram_working_set_is_bounded_on_a_large_box():
+    # 64^3 field-strength gauge block: one full-slice 4x4 complex jet alone
+    # would be 67 MB; per-block pairs keep the whole call near the nodes' 10 MB
+    gbox = QuadratureSpec(chart="cartesian", box_half=6.5, n_box=64)
+    pw_b = plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1))
+    shifted = [gauge_shift(pw_b, GaussianBumpScalar(center=(0.1 * k, -0.2, 0.3), width=0.7,
+                                                    c0=1.0, linear=(0.2, -0.1, 0.3)))
+               for k in range(3)]
+    peak = _traced_peak_mb(lambda: slice_gram([plane_wave(PlaneWaveLabel((0.0, 0.0, 1.2), +1))],
+                                              [pw_b, *shifted], gbox, "field_strength"))
+    assert peak < 40.0
+
+
+def test_inner_error_estimate_working_set_is_bounded():
+    # the doubled rule of a 40^3 box has 80^3 = 512,000 nodes
+    box = QuadratureSpec(chart="cartesian", box_half=5.0, n_box=40)
+    la, lb = PlaneWaveLabel((0.0, 0.0, 1.2), +1), PlaneWaveLabel((0.0, 0.3, 0.9), +1)
+    peak = _traced_peak_mb(lambda: inner(plane_wave(la), plane_wave(lb), box,
+                                         return_error=True))
+    assert peak < 50.0
+
+
 def _field_strength_form_reference(a_field, b_field, spec):
     """inner_field_strength_form from the full 4x4 field strength of each
     field's jet (a gauge shift's jet carries the Hessian of Lambda)."""
@@ -441,6 +496,15 @@ def test_smeared_delta_rows():
     assert abs(num - want) < 0.02 * abs(want)
     num, want = smeared_radial_delta("sph_r", 1, 1.0, 1.05, 0.05, spec)
     assert abs(num - want) < 0.02 * abs(want)
+
+
+@pytest.mark.parametrize("kind, sigma, field", [("cyl", 0.05, "kind"), ("sph", 0.05, "kind"),
+                                                ("sph_r", -0.05, "sigma"), ("sph_r", 0.0, "sigma"),
+                                                ("cyl_rho", math.nan, "sigma"),
+                                                ("cyl_rho", math.inf, "sigma")])
+def test_smeared_delta_rejects_an_unknown_kind_or_a_bad_sigma(kind, sigma, field):
+    with pytest.raises(ValueError, match=field):
+        smeared_radial_delta(kind, 1, 1.0, 1.05, sigma, QuadratureSpec())
 
 
 
@@ -515,6 +579,18 @@ def test_gram_cylindrical_sector_and_helicity_blocks():
         for j, (mp, sp_) in enumerate(g.labels):
             if s != sp_ and m == mp:
                 assert abs(g.matrix[i, j]) < 1e-8
+
+
+@pytest.mark.parametrize("family, fixed, ranges, field", [
+    ("spherical", {"p0": 1.0}, {"l_max": 0}, "l_max"),
+    ("spherical", {"p0": 1.0}, {"l_max": -2}, "l_max"),
+    ("spherical", {"p0": 1.0}, {"l_max": 1.5}, "l_max"),
+    ("spherical", {"p0": 1.0}, {"l_max": math.nan}, "l_max"),
+    ("cylindrical", {"p0": 1.0, "pz": 0.3}, {"m_max": -1}, "m_max"),
+    ("cylindrical", {"p0": 1.0, "pz": 0.3}, {"m_max": 0.5}, "m_max")])
+def test_gram_rejects_an_invalid_label_range(family, fixed, ranges, field):
+    with pytest.raises(ValueError, match=field):
+        discrete_orthonormality(family, fixed, ranges, GRAM_QUAD)
 
 
 def test_gram_single_label():

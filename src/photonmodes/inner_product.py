@@ -49,7 +49,7 @@ from .errors import NonConvergenceError
 from .charts import ETA_DIAG
 from .harmonics import _gauss_legendre, bessel_j, sph_harmonic_gram
 from .modes import (SphericalLabel, CylindricalLabel, CylindricalMode, SphericalMode,
-                    sph_radial_profiles, _broadcast)
+                    Superposition, sph_radial_profiles, _broadcast)
 
 TWO_PI = 2.0 * math.pi
 
@@ -263,29 +263,8 @@ def inner_field_strength_form(a_field, b_field, spec: QuadratureSpec):
 
 
 # ---------------------------------------------------------------------------
-# Superpositions, gauge shifts, wave packets
+# Gauge shifts and wave packets
 # ---------------------------------------------------------------------------
-
-class Superposition:
-    """Finite linear combination sum_k c_k F_k of fields (same interface)."""
-
-    def __init__(self, terms):
-        self.terms = list(terms)
-
-    def evaluate(self, t, x, y, z):
-        return sum(c * f.evaluate(t, x, y, z) for c, f in self.terms)
-
-    def d_dt(self, t, x, y, z, order=1):
-        return sum(c * f.d_dt(t, x, y, z, order=order) for c, f in self.terms)
-
-    def jet(self, t, x, y, z):
-        """The sum of the terms' jets."""
-        value = grad = 0.0
-        for c, f in self.terms:
-            a, g = f.jet(t, x, y, z)
-            value, grad = value + c * a, grad + c * g
-        return value, grad
-
 
 class GaussianBumpScalar:
     """Compact-support-like scalar Lambda = (c0 + c.x) exp(-|x-x0|^2 / w^2),
@@ -620,8 +599,9 @@ def discrete_orthonormality(family, fixed, ranges, spec: QuadratureSpec) -> Gram
 
     Angular integrals use exact-degree rules; radial integrals share one
     regularized truncation protocol so the normalization is uniform.
-    ValueError naming the field unless l_max is an integer >= 1 and m_max an
-    integer >= 0.
+    ValueError naming the field, before any quadrature, unless p0 is finite
+    and > 0, pz finite with |pz| <= p0 (the labels check both), l_max an
+    integer >= 1 and m_max an integer >= 0.
     """
     if family == "spherical":
         return _gram_spherical(fixed["p0"], _label_range(ranges, "l_max", 1), spec)
@@ -644,12 +624,13 @@ def _gram_spherical(p0, l_max, spec):
     labels = [(l, m, s) for l, m in lm for s in (+1, -1)]
     # per sector (R0, Rm, Rp): the overlaps of its harmonics Y[n], n = 0, -1, +1
     angular = [sph_harmonic_gram(n, lm, 2 * l_max + 6, 4 * l_max + 8) for n in (0, -1, 1)]
+    profile = {(l, s): SphericalLabel(p0, l, 0, s) for l in range(1, l_max + 1) for s in (1, -1)}
 
     @lru_cache(maxsize=None)
     def radial(sector, l, s, lp, sp_):
         def f(r):
-            fa = sph_radial_profiles(SphericalLabel(p0, l, 0, s), r)[sector]
-            fb = sph_radial_profiles(SphericalLabel(p0, lp, 0, sp_), r)[sector]
+            fa = sph_radial_profiles(profile[l, s], r)[sector]
+            fb = sph_radial_profiles(profile[lp, sp_], r)[sector]
             return np.conj(fa) * fb * r**2
         return oscillatory_integral(f, [2.0 * p0], spec)
 

@@ -41,6 +41,7 @@ factor Y[n] dyad_n built once per point set (see SphericalMode).
 
 from __future__ import annotations
 
+import copy
 import math
 import warnings
 from dataclasses import dataclass, replace
@@ -144,8 +145,10 @@ class SphericalLabel:
 # ---------------------------------------------------------------------------
 
 class ModeField:
-    """Common interface: label, energy, vectorized evaluate and jet; each
-    family also defines gradient as the jet's second member."""
+    """Common interface of the families: label, energy, vectorized evaluate,
+    dalembertian and jet (A, dA), dA[..., mu, nu] = d_mu A_nu from one kernel
+    pass, with gradient the jet's second member.  d_t of the field is
+    time_derivative(), another field with the same interface."""
 
     label = None
 
@@ -159,19 +162,13 @@ class ModeField:
         """Largest energy in the field (for a WavePacket, its top node)."""
         return self.p0
 
-    def evaluate(self, t, x, y, z):
-        raise NotImplementedError
+    def time_derivative(self):
+        """d_t as a field: every mode is an energy eigenfield, so -i p0 times it."""
+        return Superposition([(-1j * self.p0, self)])
 
-    def jet(self, t, x, y, z):
-        """(A, dA) with dA[..., mu, nu] = d_mu A_nu, from one kernel pass."""
-        raise NotImplementedError
-
-    def d_dt(self, t, x, y, z, order=1):
-        """Time derivatives are algebraic: every mode is an energy eigenfield."""
-        return (-1j * self.p0) ** order * self.evaluate(t, x, y, z)
-
-    def dalembertian(self, t, x, y, z):
-        raise NotImplementedError
+    def d_dt(self, t, x, y, z):
+        """The first time derivative; higher orders are time_derivative().d_dt."""
+        return -1j * self.p0 * self.evaluate(t, x, y, z)
 
 
 def _broadcast(t, x, y, z):
@@ -411,10 +408,10 @@ class SphericalMode(ModeField):
         sum_n [ sum_k w_k (-i p_k)^order e^{-i p_k t} R_n(p_k, r) ] Y[n] dyad_n
 
     with the angular x dyad factor Y[n] dyad_n built once per point set:
-    order 0 is evaluate, order > 0 is d_dt; jet and dalembertian take
+    order 0 is evaluate, order 1 is d_dt; jet and dalembertian take
     r-derivatives of the same radial sum (_radial) through the same
-    contraction (_contract).  A WavePacket is a SphericalMode with a
-    many-term spectrum.
+    contraction (_contract).  time_derivative() has the weights w_k (-i p_k).
+    A WavePacket is a SphericalMode with a many-term spectrum.
 
     Evaluation is regular everywhere: on the polar axis and at the origin
     the (finite) limit of the combined expression is used even though the
@@ -472,11 +469,19 @@ class SphericalMode(ModeField):
                 np.stack([-0.5 * (eth_factor_sph(n, l) * y[n + 1]
                                   + ethbar_factor_sph(n, l) * y[n - 1]) for n in SPINS]))
 
-    def evaluate(self, t, x, y, z):
-        return self.d_dt(t, x, y, z, order=0)
+    def time_derivative(self):
+        """d_t of the field: a copy whose spectrum weights are w_k (-i p_k)."""
+        dt, (p, w) = copy.copy(self), self._spectrum
+        dt._spectrum = (p, w * (-1j * p))
+        return dt
 
-    def d_dt(self, t, x, y, z, order=1):
-        """d^order/dt^order of the field; order 0 is evaluate."""
+    def evaluate(self, t, x, y, z):
+        return self._multipole_sum(t, x, y, z, 0)
+
+    def d_dt(self, t, x, y, z):
+        return self._multipole_sum(t, x, y, z, 1)
+
+    def _multipole_sum(self, t, x, y, z, order):
         t, x, y, z = _broadcast(t, x, y, z)
         r, theta, phi = sph_angles(x, y, z)
         # components scale as r^{l-1}: l >= 2 vanishes at the origin (those
@@ -558,6 +563,30 @@ def make_mode(label) -> ModeField:
     if isinstance(label, CylindricalLabel):
         return cylindrical_mode(label)
     return spherical_mode(label)
+
+
+class Superposition:
+    """Finite linear combination sum_k c_k F_k of fields (same interface)."""
+
+    def __init__(self, terms):
+        self.terms = list(terms)
+
+    def evaluate(self, t, x, y, z):
+        return sum(c * f.evaluate(t, x, y, z) for c, f in self.terms)
+
+    def d_dt(self, t, x, y, z):
+        return sum(c * f.d_dt(t, x, y, z) for c, f in self.terms)
+
+    def time_derivative(self):
+        return Superposition([(c, f.time_derivative()) for c, f in self.terms])
+
+    def jet(self, t, x, y, z):
+        """The sum of the terms' jets."""
+        value = grad = 0.0
+        for c, f in self.terms:
+            a, g = f.jet(t, x, y, z)
+            value, grad = value + c * a, grad + c * g
+        return value, grad
 
 
 # ---------------------------------------------------------------------------

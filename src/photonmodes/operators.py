@@ -19,6 +19,8 @@ identity regardless of orientation.
 One lie_derivative serves covectors (A_a) and rank-2 tensors (F_ab); it
 is taken analytically, from one ``jet`` (value and gradient), whenever the
 field exposes one and by fdiff's 4th-order finite differences otherwise.
+A LieField is that derivative as a field, its d_dt taken on the base's
+time_derivative(); the finite-difference checks ask for method="fd".
 Residual operators (d'Alembertian, divergence) act on sampled FieldGrids.
 """
 
@@ -155,7 +157,9 @@ def lie_derivative(xi: KillingField, field, t, x, y, z, h=fdiff.DEFAULT_H, metho
 
 
 class LieField:
-    """Lazy Lie derivative of a field, itself evaluable (for composition)."""
+    """Lazy Lie derivative of a field, itself evaluable: from the base's jet
+    where it has one (off-axis points for a multipole), else by finite
+    differences of step h."""
 
     def __init__(self, xi, base, h=fdiff.DEFAULT_H):
         self.xi = xi
@@ -163,22 +167,23 @@ class LieField:
         self.h = h
 
     def evaluate(self, t, x, y, z):
-        return lie_derivative(self.xi, self.base, t, x, y, z, h=self.h, method="fd")
+        return lie_derivative(self.xi, self.base, t, x, y, z, h=self.h)
 
-    __call__ = evaluate
+    def time_derivative(self):
+        """Lie_xi of the base's time derivative: exact for a time-independent
+        generator, which commutes with d_t."""
+        return LieField(self.xi, self.base.time_derivative(), h=self.h)
 
-    def d_dt(self, t, x, y, z, order=1):
-        """Time derivative, exact for a time-independent generator (it
-        commutes with d_t); needs a base with an analytic d_dt."""
-        return lie_derivative(self.xi, lambda *c: self.base.d_dt(*c, order=order),
-                              t, x, y, z, h=self.h, method="fd")
+    def d_dt(self, t, x, y, z):
+        return self.time_derivative().evaluate(t, x, y, z)
 
 
 def angular_momentum_squared(field, t, x, y, z, h=fdiff.DEFAULT_H):
-    """L^2 A = sum_i Lie_{L_i} Lie_{L_i} A by nested finite differences."""
+    """L^2 A = sum_i Lie_{L_i} Lie_{L_i} A by finite differences at both levels."""
     out = None
     for gen in (L1(), L2(), L3()):
-        inner = LieField(gen, field, h=h)
+        def inner(tt, xx, yy, zz, gen=gen):
+            return lie_derivative(gen, field, tt, xx, yy, zz, h=h, method="fd")
         term = lie_derivative(gen, inner, t, x, y, z, h=h, method="fd")
         out = term if out is None else out + term
     return out
@@ -209,8 +214,6 @@ class DualField:
 
     def evaluate(self, t, x, y, z):
         return helicity_dual(field_strength(self.mode, t, x, y, z), check_antisymmetry=False)
-
-    __call__ = evaluate
 
 
 def pauli_lubanski_residual(mode, t, x, y, z, h=fdiff.DEFAULT_H):

@@ -659,9 +659,9 @@ def _inner_product(spec):
     # Kronecker sectors at the quadrature level
     residuals["kronecker_m_sector"] = abs(inner(pk, pk2, packet_quad)) / expected
 
-    # hermiticity of P^0 and L_3 on packets
+    # hermiticity of P^0 = i d_t and L_3 on packets, both applied analytically
     worst = 0.0
-    for op in (_P0Applied, lambda f: LieField(L3(), f, h=FD_H)):
+    for op in (lambda f: Superposition([(1j, f.time_derivative())]), lambda f: LieField(L3(), f)):
         f1, f2 = Superposition([(1.0, pk), (0.7, pk2)]), Superposition([(1.0, pk2), (0.5j, pk3)])
         lhs = inner(op(f1), f2, packet_quad)
         rhs = inner(f1, op(f2), packet_quad)
@@ -727,19 +727,6 @@ def _inner_product(spec):
     residuals["delta_smearing"] = worst_smear
 
     return residuals, []
-
-
-class _P0Applied:
-    """P^0 f = i d_t f, analytic on energy superpositions."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def evaluate(self, t, x, y, z):
-        return 1j * self.base.d_dt(t, x, y, z)
-
-    def d_dt(self, t, x, y, z, order=1):
-        return 1j * self.base.d_dt(t, x, y, z, order=order + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -88,6 +88,12 @@ def test_overlap_rejects_an_invalid_label_range(capsys, family, label, field):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("label", ["p0=nan,lmax=1", "p0=inf,lmax=1"])
+def test_overlap_rejects_a_non_finite_energy(capsys, label):
+    assert main(["overlap", "--family", "spherical", "--label", label]) == 2
+    assert "p0 must be finite" in capsys.readouterr().err
+
+
 def test_outputs_record_python_and_numpy_versions(tmp_path):
     assert main(["eval", "--family", "plane", "--label", "px=0,py=0,pz=1,s=1",
                  "--grid", "x:0:0.1:2,y:0:0:1,z:0:0:1", "--out", str(tmp_path / "field")]) == 0

@@ -168,9 +168,9 @@ def test_packet_matches_explicit_mode_sum(l, m, s, rng):
     pts = tuple(rng.uniform(-2.0, 2.0, 64) for _ in range(4))
     close(pk.evaluate(*pts), oracle("evaluate", *pts), 1e-12)
     close(pk.gradient(*pts), oracle("gradient", *pts), 1e-12)
-    for order in (1, 2):
-        close(pk.d_dt(*pts, order=order),
-              sum(a * (-1j * md.p0) ** order * md.evaluate(*pts) for a, md in terms), 1e-12)
+    # d_dt is the first derivative; the second is time_derivative().d_dt
+    for order, got in ((1, pk.d_dt(*pts)), (2, pk.time_derivative().d_dt(*pts))):
+        close(got, sum(a * (-1j * md.p0) ** order * md.evaluate(*pts) for a, md in terms), 1e-12)
     # polar axis, both poles: m = 0 and m = +-1 have nonzero limits
     axis = (np.array([0.0, 0.3, -0.2]), np.zeros(3), np.zeros(3), np.array([1.3, -0.7, 2.2]))
     close(pk.evaluate(*axis), oracle("evaluate", *axis), 1e-12)
@@ -202,11 +202,11 @@ def test_packet_batch_shares_radial_work_per_distinct_t_r(monkeypatch, rng):
         return profiles(label, r, derivs)
 
     monkeypatch.setattr(modes, "sph_radial_profiles", counted)
-    for method, kwargs in (("evaluate", {}), ("d_dt", {"order": 1}), ("gradient", {})):
+    for method in ("evaluate", "d_dt", "gradient"):
         seen.clear()
-        batch = getattr(pk, method)(*pts, **kwargs)
+        batch = getattr(pk, method)(*pts)
         assert seen == [pk.p_nodes.size * n_pairs]
-        single = np.stack([getattr(pk, method)(*(c[i] for c in pts), **kwargs)
+        single = np.stack([getattr(pk, method)(*(c[i] for c in pts))
                            for i in range(radii.size)])
         assert np.abs(batch - single).max() <= 1e-13 * np.abs(single).max()
 
@@ -590,6 +590,25 @@ def test_gram_cylindrical_sector_and_helicity_blocks():
     ("cylindrical", {"p0": 1.0, "pz": 0.3}, {"m_max": 0.5}, "m_max")])
 def test_gram_rejects_an_invalid_label_range(family, fixed, ranges, field):
     with pytest.raises(ValueError, match=field):
+        discrete_orthonormality(family, fixed, ranges, GRAM_QUAD)
+
+
+@pytest.mark.parametrize("family, fixed, field", [
+    ("spherical", {"p0": math.nan}, "p0"),
+    ("spherical", {"p0": math.inf}, "p0"),
+    ("spherical", {"p0": 0.0}, "p0"),
+    ("cylindrical", {"p0": -math.inf, "pz": 0.0}, "p0"),
+    ("cylindrical", {"p0": 1.0, "pz": math.nan}, "pz"),
+    ("cylindrical", {"p0": 1.0, "pz": -math.inf}, "pz")])
+def test_gram_rejects_a_bad_energy_before_any_quadrature(monkeypatch, family, fixed, field):
+    # rejected by name before any radial rule runs: a non-finite p0 would
+    # otherwise reach the rule's segment count
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran on a bad energy")
+
+    monkeypatch.setattr(inner_product, "oscillatory_integral", no_quadrature)
+    ranges = {"l_max": 1} if family == "spherical" else {"m_max": 1}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
         discrete_orthonormality(family, fixed, ranges, GRAM_QUAD)
 
 

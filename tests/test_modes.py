@@ -12,7 +12,7 @@ from photonmodes.operators import (helicity_dual, dalembertian_residual,
                                    divergence_residual)
 from photonmodes.errors import InvalidLabelError, DegenerateAxisError
 from photonmodes.charts import U_MINUS, U_PLUS, Z_HAT
-from photonmodes.inner_product import WavePacket
+from photonmodes.inner_product import WavePacket, Superposition
 from photonmodes import fdiff, harmonics, modes
 
 from oracles import bessel_series, bessel_half_trig
@@ -238,6 +238,29 @@ def test_jet_equals_evaluate_and_gradient(mode, rng):
     assert a.shape == ref_a.shape and g.shape == ref_g.shape == a.shape + (4,)
     assert np.abs(a - ref_a).max() <= 1e-14 * np.abs(ref_a).max()
     assert np.abs(g - ref_g).max() <= 1e-14 * np.abs(ref_g).max()
+
+
+@pytest.mark.parametrize("field", [
+    plane_wave(PlaneWaveLabel((0.3, 0.5, -0.7), +1)),
+    cylindrical_mode(CylindricalLabel(1.3, -0.4, -2, -1)),
+    spherical_mode(SphericalLabel(1.1, 3, -2, +1)),
+    WavePacket(l=2, m=-1, s=-1, center=1.0, width=0.2, n_nodes=12),
+    Superposition([(0.6, plane_wave(PlaneWaveLabel((0.0, 0.4, 0.9), -1))),
+                   (1.5j, WavePacket(l=1, m=1, s=+1, center=1.1, width=0.2, n_nodes=12))])],
+    ids=["plane", "cyl", "sph", "packet", "superposition"])
+def test_time_derivative_is_the_field_of_d_dt(field, rng):
+    # d_t as a field: its values are d_dt (spectrum weights w_k (-i p_k) for
+    # a multipole or packet, the mode scaled by -i p0 otherwise) and equal
+    # the d_t row of the jet
+    pts = _jet_batch(rng, on_axis=False)
+    want = field.d_dt(*pts)
+    dt = field.time_derivative()
+    for got in (dt.evaluate(*pts), field.jet(*pts)[1][..., 0, :]):
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    # and it is a field in its own right: its d_dt is the second derivative
+    second = dt.d_dt(*pts)
+    assert np.abs(second - dt.time_derivative().evaluate(*pts)).max() \
+        <= 1e-13 * np.abs(second).max()
 
 
 @pytest.mark.parametrize("m", [-3, -1, 0, 2])

@@ -11,8 +11,11 @@ from photonmodes.operators import (P_lower, P_upper, M_lower, L1, L2, L3, L_plus
                                    helicity_dual, dalembertian_residual,
                                    divergence_residual, bracket, expected_bracket,
                                    commutator_check, check_all_brackets,
-                                   pauli_lubanski_residual, DualField, LieField)
-from photonmodes.errors import AsymmetryError, StencilError
+                                   pauli_lubanski_residual, DualField, LieField,
+                                   KillingField)
+from photonmodes.inner_product import (QuadratureSpec, WavePacket, Superposition, inner,
+                                       slice_nodes)
+from photonmodes.errors import AsymmetryError, DegenerateAxisError, StencilError
 from photonmodes import fdiff
 from photonmodes.charts import dyads
 
@@ -138,6 +141,70 @@ def test_angular_momentum_squared_eigenvalues():
         a = mode.evaluate(*pts)
         l2 = angular_momentum_squared(mode, *pts, h=0.008)
         assert np.abs(l2 - l * (l + 1) * a).max() < 1e-6 * np.abs(a).max()
+
+
+def test_angular_momentum_squared_takes_no_jet(monkeypatch):
+    # L^2 is a finite-difference check at both levels, so it must not reach
+    # the analytic jet that LieField takes
+    mode = spherical_mode(SphericalLabel(1.0, 2, 1, +1))
+    pts = (np.array([0.1]), np.array([0.8]), np.array([-0.5]), np.array([0.9]))
+    jets = []
+    jet = mode.jet
+    monkeypatch.setattr(mode, "jet", lambda *c: jets.append(c) or jet(*c))
+    l2 = angular_momentum_squared(mode, *pts, h=0.008)
+    assert jets == []
+    a = mode.evaluate(*pts)
+    assert np.abs(l2 - 6.0 * a).max() < 1e-6 * np.abs(a).max()
+    LieField(L3(), mode).evaluate(*pts)
+    assert len(jets) == 1    # the wrapper does see the analytic path
+
+
+PACKET_QUAD = QuadratureSpec(r_max=50.0, n_r=128, n_theta=8, n_phi=8)
+
+
+def _packet_superpositions():
+    """The two packet superpositions of the hermiticity_p0_l3 check."""
+    pk = WavePacket(l=1, m=0, s=+1, center=1.0, width=0.2, n_nodes=48)
+    pk2 = WavePacket(l=1, m=1, s=-1, center=1.1, width=0.2, n_nodes=48)
+    pk3 = WavePacket(l=2, m=0, s=+1, center=0.9, width=0.18, n_nodes=48)
+    return (Superposition([(1.0, pk), (0.7, pk2)]), Superposition([(1.0, pk2), (0.5j, pk3)]),
+            pk.norm_expected())
+
+
+def test_lie_field_matches_finite_differences_on_the_packet_slice():
+    # the analytic LieField (one jet of the base, or of its time derivative)
+    # against 4th-order finite differences of evaluate and d_dt at h = 1e-3
+    f, _, _ = _packet_superpositions()
+    nodes = slice_nodes(PACKET_QUAD)[:4]
+    assert nodes[0].size == 8192
+    lie = LieField(L3(), f)
+    for got, base in ((lie.evaluate(*nodes), f.evaluate), (lie.d_dt(*nodes), f.d_dt)):
+        want = lie_derivative(L3(), base, *nodes, h=1e-3, method="fd")
+        assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+
+def test_hermiticity_check_fails_for_a_non_killing_field():
+    # positive control for hermiticity_p0_l3: the same packet pair and rule
+    # with L3 replaced by the dilation xi = i (x, y, z), which is not a
+    # Killing field, so Lie_xi is not Hermitian under the inner product
+    f1, f2, scale = _packet_superpositions()
+    dilation = KillingField("dilation", np.zeros(4, dtype=complex),
+                            1j * np.diag([0.0, 1.0, 1.0, 1.0]))
+
+    def residual(xi):
+        lhs = inner(LieField(xi, f1), f2, PACKET_QUAD)
+        rhs = inner(f1, LieField(xi, f2), PACKET_QUAD)
+        return abs(lhs - rhs) / max(abs(lhs), scale)
+
+    assert residual(L3()) < 1e-6
+    assert residual(dilation) > 0.1
+
+
+def test_lie_field_of_a_multipole_needs_off_axis_points():
+    lie = LieField(L3(), spherical_mode(SphericalLabel(1.0, 1, 0, +1)))
+    for method in (lie.evaluate, lie.d_dt):
+        with pytest.raises(DegenerateAxisError):
+            method(0.0, 0.0, 0.0, 1.3)
 
 
 def test_l3_twice_on_m3_mode():

@@ -8,7 +8,11 @@ Output formats: field grids are written as a JSON header plus a CSV body
 (one row per node: t, x, y, z then Re/Im of the four covector components,
 17 significant digits, row-major over the axes as declared); reports and
 Gram matrices are JSON with a provenance block (tool, python and numpy
-versions, seed, config hash).
+versions, seed, config hash).  eval streams the body in the node blocks of
+sample_grid, so its memory is the sampled values plus one block of rows.
+
+A label key the family does not take, or a key or grid axis given twice, is
+a usage error: it is never ignored, nor copied into the provenance.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 from . import __version__
 from .errors import InvalidLabelError, NonConvergenceError
 from .modes import (PlaneWaveLabel, CylindricalLabel, SphericalLabel,
-                    GridSpec, make_mode, sample_grid)
+                    GridSpec, make_mode, sample_grid, _grid_blocks)
 from .inner_product import QuadratureSpec, discrete_orthonormality
 from . import validation
 
@@ -50,12 +54,31 @@ def _parse_kv(pairs):
                 continue
             if "=" not in chunk:
                 raise ValueError(f"expected key=value, got {chunk!r}")
-            k, v = chunk.split("=", 1)
-            out[k.strip()] = v.strip()
+            k, v = (part.strip() for part in chunk.split("=", 1))
+            if k in out:
+                raise ValueError(f"key {k!r} given twice")
+            out[k] = v
     return out
 
 
+LABEL_KEYS = {"plane": ("px", "py", "pz", "s"), "cylindrical": ("p0", "pz", "m", "s"),
+              "spherical": ("p0", "l", "m", "s")}
+OVERLAP_KEYS = {"cylindrical": ("p0", "pz", "mmax"), "spherical": ("p0", "lmax")}
+
+
+def _check_keys(kv, allowed, what):
+    """Reject a key the request does not take, naming it: an ignored key
+    would be a silent no-op, and eval would copy it into the provenance."""
+    unknown = [k for k in kv if k not in allowed]
+    if unknown:
+        raise ValueError(f"unknown {what} key(s) {', '.join(map(repr, unknown))}; "
+                         f"it takes {', '.join(allowed)}")
+
+
 def _build_label(family, kv):
+    if family not in LABEL_KEYS:
+        raise ValueError(f"unknown family {family!r}")
+    _check_keys(kv, LABEL_KEYS[family], f"{family} label")
     try:
         if family == "plane":
             return PlaneWaveLabel((float(kv["px"]), float(kv["py"]), float(kv["pz"])),
@@ -63,12 +86,10 @@ def _build_label(family, kv):
         if family == "cylindrical":
             return CylindricalLabel(float(kv["p0"]), float(kv.get("pz", 0.0)),
                                     int(kv.get("m", 0)), int(kv.get("s", 1)))
-        if family == "spherical":
-            return SphericalLabel(float(kv["p0"]), int(kv["l"]),
-                                  int(kv.get("m", 0)), int(kv.get("s", 1)))
+        return SphericalLabel(float(kv["p0"]), int(kv["l"]),
+                              int(kv.get("m", 0)), int(kv.get("s", 1)))
     except KeyError as exc:
         raise ValueError(f"missing label key {exc} for family {family!r}") from exc
-    raise ValueError(f"unknown family {family!r}")
 
 
 def _parse_grid(items):
@@ -83,6 +104,8 @@ def _parse_grid(items):
             name, lo, hi, n = parts
             if name not in ("t", "x", "y", "z"):
                 raise ValueError(f"unknown grid axis {name!r}")
+            if name in axes:
+                raise ValueError(f"grid axis {name!r} given twice")
             axes[name] = (float(lo), float(hi), int(n))
     defaults = {"t": (0.0, 0.0, 1), "x": (-1.0, 1.0, 8), "y": (-1.0, 1.0, 8),
                 "z": (-1.0, 1.0, 8)}
@@ -107,11 +130,27 @@ def _parse_quad(items):
     return QuadratureSpec(**kwargs)
 
 
+def _body_blocks(grid):
+    """The output rows of a FieldGrid, in the blocks sample_grid evaluated:
+    per block a (nodes, 12) array of t, x, y, z, re_A0, im_A0, ..., im_A3."""
+    vals = grid.values.reshape(-1, 4)
+    for block, coords in _grid_blocks(grid.axes):
+        body = np.empty((block.stop - block.start, 12))
+        body[:, :4] = np.stack(coords, axis=1)
+        body[:, 4::2] = vals[block].real
+        body[:, 5::2] = vals[block].imag
+        yield body
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 def cmd_eval(args):
+    """Sample one mode on a grid; write the header JSON and the CSV or JSON
+    body.  sample_grid is called once for the whole grid; the body is then
+    formatted and written one node block at a time to one open file, with
+    the bytes of a single np.savetxt (CSV) or json.dump (JSON) of all rows."""
     kv = _parse_kv(args.label)
     mode = make_mode(_build_label(args.family, kv))
     spec = _parse_grid(args.grid)
@@ -131,27 +170,26 @@ def cmd_eval(args):
     with open(base + ".header.json", "w") as fh:
         json.dump(header, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    tt, xx, yy, zz = np.meshgrid(*grid.axes.values(), indexing="ij")
-    coords = np.stack([tt.ravel(), xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
-    vals = grid.values.reshape(-1, 4)
-    body = np.concatenate([coords, np.stack(
-        [vals.real[:, 0], vals.imag[:, 0], vals.real[:, 1], vals.imag[:, 1],
-         vals.real[:, 2], vals.imag[:, 2], vals.real[:, 3], vals.imag[:, 3]], axis=1)],
-        axis=1)
-    if args.format == "csv":
-        np.savetxt(base + ".csv", body, fmt=FMT, delimiter=",",
-                   header=",".join(header["columns"]), comments="")
-    else:
-        # covectors as JSON arrays of [re, im] pairs per component
-        rows = [{"coords": [float(FMT % c) for c in row[:4]],
-                 "A": [[float(FMT % row[4 + 2 * k]), float(FMT % row[5 + 2 * k])]
-                       for k in range(4)]}
-                for row in body]
-        with open(base + ".json", "w") as fh:
-            json.dump({"header": header, "rows": rows}, fh)
-            fh.write("\n")
+    with open(f"{base}.{args.format}", "w") as fh:
+        if args.format == "csv":
+            fh.write(",".join(header["columns"]) + "\n")
+            for body in _body_blocks(grid):
+                np.savetxt(fh, body, fmt=FMT, delimiter=",")
+        else:
+            # json.dump's bytes with its default separators, streamed;
+            # covectors as JSON arrays of [re, im] pairs per component
+            fh.write('{"header": ' + json.dumps(header) + ', "rows": [')
+            sep = ""
+            for body in _body_blocks(grid):
+                rows = [{"coords": [float(FMT % c) for c in row[:4]],
+                         "A": [[float(FMT % row[4 + 2 * k]), float(FMT % row[5 + 2 * k])]
+                               for k in range(4)]}
+                        for row in body]
+                fh.write(sep + json.dumps(rows)[1:-1])
+                sep = ", "
+            fh.write("]}\n")
     print(f"wrote {base}.header.json and {base}.{args.format} "
-          f"({body.shape[0]} rows)")
+          f"({grid.values.size // 4} rows)")
     return 0
 
 
@@ -191,14 +229,15 @@ def cmd_overlap(args):
     spec = _parse_quad(args.quad) if args.quad else QuadratureSpec(
         tail_r0=300.0, tail_rounds=4)
     try:
+        if args.family not in OVERLAP_KEYS:
+            raise ValueError("overlap supports the cylindrical and spherical families")
+        _check_keys(kv, OVERLAP_KEYS[args.family], f"{args.family} overlap label")
         if args.family == "spherical":
             fixed = {"p0": float(kv.get("p0", 1.0))}
             ranges = {"l_max": int(kv.get("lmax", 3))}
-        elif args.family == "cylindrical":
+        else:
             fixed = {"p0": float(kv.get("p0", 1.0)), "pz": float(kv.get("pz", 0.0))}
             ranges = {"m_max": int(kv.get("mmax", 3))}
-        else:
-            raise ValueError("overlap supports the cylindrical and spherical families")
         gram = discrete_orthonormality(args.family, fixed, ranges, spec)
         entries = [[None if not np.isfinite(v) else v
                     for v in row] for row in np.real(gram.matrix).tolist()]

@@ -633,10 +633,33 @@ class FieldGrid:
         return self.values.shape
 
 
+_GRID_BLOCK = 16384
+
+
+def _grid_blocks(axes):
+    """Walk the nodes of a (t, x, y, z) tensor grid in row-major order, in
+    contiguous blocks of _GRID_BLOCK nodes: yields (block, (t, x, y, z)),
+    block the slice of flat node indices and the coordinates 1-d arrays of
+    its nodes.  No whole-grid coordinate array is built."""
+    shape = tuple(len(ax) for ax in axes.values())
+    n = math.prod(shape)
+    for start in range(0, n, _GRID_BLOCK):
+        block = slice(start, min(start + _GRID_BLOCK, n))
+        index = np.unravel_index(np.arange(block.start, block.stop), shape)
+        yield block, tuple(ax[i] for ax, i in zip(axes.values(), index))
+
+
 def sample_grid(mode: ModeField, spec: GridSpec) -> FieldGrid:
     """Evaluate a mode on a tensor grid; warns when the spacing under-resolves
     the mode's largest wavenumber (|spacing| > 1/(8 p_max), p_max its largest
-    energy; an axis may run in either direction)."""
+    energy; an axis may run in either direction).
+
+    The nodes are evaluated in row-major blocks of _GRID_BLOCK, so the
+    working set is the values array plus one block's evaluation, whatever
+    the grid size.  A grid of at most one block is one evaluate call.  On a
+    larger one a Bessel-beam or multipole value can differ at rounding level
+    from a whole-grid call: the downward Bessel recurrence starts from the
+    largest argument of the batch, here of the block."""
     axes = {name: spec.axis(name) for name in ("t", "x", "y", "z")}
     kmax = getattr(mode, "p_max", mode.p0)   # a duck-typed field may carry p0 only
     for name, ax in axes.items():
@@ -645,5 +668,8 @@ def sample_grid(mode: ModeField, spec: GridSpec) -> FieldGrid:
                 f"grid axis {name} spacing {abs(ax[1]-ax[0]):.3g} exceeds "
                 f"1/(8 kmax) = {1.0/(8*kmax):.3g}; sampled field may be "
                 "under-resolved", stacklevel=2)
-    tt, xx, yy, zz = np.meshgrid(*axes.values(), indexing="ij")
-    return FieldGrid(axes=axes, values=mode.evaluate(tt, xx, yy, zz), label=mode.label)
+    values = np.empty(tuple(len(ax) for ax in axes.values()) + (4,), dtype=complex)
+    flat = values.reshape(-1, 4)
+    for block, coords in _grid_blocks(axes):
+        flat[block] = mode.evaluate(*coords)
+    return FieldGrid(axes=axes, values=values, label=mode.label)

@@ -4,7 +4,9 @@ import platform
 import numpy as np
 import pytest
 
-from photonmodes.cli import main
+from photonmodes import modes
+from photonmodes.cli import FMT, main
+from photonmodes.modes import GridSpec, SphericalLabel, make_mode, sample_grid
 
 
 def test_eval_polar_slice(tmp_path):
@@ -35,6 +37,87 @@ def test_eval_deterministic(tmp_path):
     main(args + ["--out", str(tmp_path / "a")])
     main(args + ["--out", str(tmp_path / "b")])
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+# 2 * 7 * 11 * 13 = 2002 nodes: with blocks of 300 nodes, six full blocks and
+# a partial one of 202
+_BLOCKED_GRID = "t:0:0.05:2,x:0.1:0.4:7,y:-0.25:0.25:11,z:-0.3:0.3:13"
+_BLOCKED_SPEC = GridSpec(t=(0.0, 0.05, 2), x=(0.1, 0.4, 7), y=(-0.25, 0.25, 11),
+                         z=(-0.3, 0.3, 13))
+_BLOCKED_LABEL = "p0=0.9,l=4,m=-3,s=1"
+
+
+def _whole_body_writer(grid, header, base, fmt):
+    """Reference writer: the whole body built at once, as one np.savetxt or
+    one json.dump of every row."""
+    tt, xx, yy, zz = np.meshgrid(*grid.axes.values(), indexing="ij")
+    coords = np.stack([tt.ravel(), xx.ravel(), yy.ravel(), zz.ravel()], axis=1)
+    vals = grid.values.reshape(-1, 4)
+    body = np.concatenate([coords, np.stack(
+        [vals.real[:, 0], vals.imag[:, 0], vals.real[:, 1], vals.imag[:, 1],
+         vals.real[:, 2], vals.imag[:, 2], vals.real[:, 3], vals.imag[:, 3]], axis=1)],
+        axis=1)
+    if fmt == "csv":
+        np.savetxt(f"{base}.csv", body, fmt=FMT, delimiter=",",
+                   header=",".join(header["columns"]), comments="")
+        return
+    rows = [{"coords": [float(FMT % c) for c in row[:4]],
+             "A": [[float(FMT % row[4 + 2 * k]), float(FMT % row[5 + 2 * k])]
+                   for k in range(4)]}
+            for row in body]
+    with open(f"{base}.json", "w") as fh:
+        json.dump({"header": header, "rows": rows}, fh)
+        fh.write("\n")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_eval_streams_the_bytes_of_the_whole_body_writer(tmp_path, monkeypatch, fmt):
+    monkeypatch.setattr(modes, "_GRID_BLOCK", 300)
+    assert main(["eval", "--family", "spherical", "--label", _BLOCKED_LABEL,
+                 "--grid", _BLOCKED_GRID, "--format", fmt,
+                 "--out", str(tmp_path / "blocked")]) == 0
+    grid = sample_grid(make_mode(SphericalLabel(0.9, 4, -3, 1)), _BLOCKED_SPEC)
+    if fmt == "csv":
+        header = json.loads((tmp_path / "blocked.header.json").read_text())
+    else:   # the header as embedded, in its key order
+        header = json.loads((tmp_path / "blocked.json").read_text())["header"]
+    _whole_body_writer(grid, header, tmp_path / "whole", fmt)
+    assert ((tmp_path / f"blocked.{fmt}").read_bytes()
+            == (tmp_path / f"whole.{fmt}").read_bytes())
+    if fmt == "json":
+        assert len(json.loads((tmp_path / "blocked.json").read_text())["rows"]) == 2002
+
+
+def test_eval_formats_one_block_of_rows_at_a_time(tmp_path, monkeypatch):
+    monkeypatch.setattr(modes, "_GRID_BLOCK", 300)
+    rows, savetxt = [], np.savetxt
+    monkeypatch.setattr(np, "savetxt", lambda fh, body, **kw: (rows.append(len(body)),
+                                                               savetxt(fh, body, **kw)))
+    assert main(["eval", "--family", "spherical", "--label", _BLOCKED_LABEL,
+                 "--grid", _BLOCKED_GRID, "--out", str(tmp_path / "f")]) == 0
+    assert rows == [300] * 6 + [202]
+    assert len((tmp_path / "f.csv").read_text().splitlines()) == 1 + 2002
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["overlap", "--family", "cylindrical", "--label", "p0=1,lmax=1,mmax=1"], "'lmax'"),
+    (["overlap", "--family", "spherical", "--label", "p0=1,lmax=1,pz=0.2"], "'pz'"),
+    (["eval", "--family", "spherical", "--label", "p0=1,l=1,m=0,s=1,pz=7,bogus=3"],
+     "'pz', 'bogus'"),
+    (["eval", "--family", "plane", "--label", "px=0,py=0,pz=1,m=2"], "'m'"),
+    (["eval", "--family", "plane", "--label", "px=0,py=0,pz=1",
+      "--grid", "x:-1:1:4,x:0:1:3"], "grid axis 'x'"),
+    (["eval", "--family", "plane", "--label", "px=0,py=0,pz=1",
+      "--grid", "x:-1:1:4", "--grid", "y:0:1:3,x:0:1:3"], "grid axis 'x'"),
+    (["eval", "--family", "plane", "--label", "px=0,py=0,pz=1", "--label", "pz=2"], "'pz'"),
+], ids=["overlap-cyl-lmax", "overlap-sph-pz", "eval-sph-pz-bogus", "eval-plane-m",
+        "eval-grid-x-twice", "eval-grid-x-twice-across-flags", "eval-label-pz-twice"])
+def test_a_key_or_axis_that_would_be_ignored_is_a_usage_error(tmp_path, capsys, argv, named):
+    if argv[0] == "eval":
+        argv = argv + ["--out", str(tmp_path / "f")]
+    assert main(argv) == 2
+    assert named in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def test_validate_degeneracy_exit_zero(tmp_path):

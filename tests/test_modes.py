@@ -411,3 +411,46 @@ def test_grid_determinism():
     a = sample_grid(mode, spec)
     b = sample_grid(mode, spec)
     assert np.array_equal(a.values, b.values)
+
+
+# a grid of 2 * 7 * 11 * 13 = 2002 nodes: with blocks of 300 nodes, six full
+# blocks and a partial one of 202; spacing 0.05 resolves energies up to 2.5
+_BLOCKED_SPEC = GridSpec(t=(0.0, 0.05, 2), x=(0.1, 0.4, 7), y=(-0.25, 0.25, 11),
+                         z=(-0.3, 0.3, 13))
+
+
+@pytest.mark.parametrize("field, exact", [
+    (plane_wave(PlaneWaveLabel((0.3, -0.5, 0.7), +1)), True),
+    (cylindrical_mode(CylindricalLabel(1.2, 0.4, 2, -1)), False),
+    (spherical_mode(SphericalLabel(0.9, 4, -3, 1)), False),
+    (WavePacket(l=2, m=1, s=-1, center=1.0, width=0.2, n_nodes=24), False),
+], ids=["plane", "cylindrical", "spherical", "packet"])
+def test_blocked_sample_grid_equals_a_whole_grid_evaluate(monkeypatch, field, exact):
+    monkeypatch.setattr(modes, "_GRID_BLOCK", 300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        grid = sample_grid(field, _BLOCKED_SPEC)
+    sizes = [b.stop - b.start for b, _ in modes._grid_blocks(grid.axes)]
+    assert sizes == [300] * 6 + [202]
+    whole = field.evaluate(*np.meshgrid(*grid.axes.values(), indexing="ij"))
+    assert grid.values.shape == whole.shape == (2, 7, 11, 13, 4)
+    if exact:
+        assert np.array_equal(grid.values, whole)
+    else:
+        assert np.abs(grid.values - whole).max() <= 1e-14 * np.abs(whole).max()
+
+
+def test_sample_grid_memory_is_bounded_by_the_values_and_one_block():
+    # 64^3 multipole: the values are 16.8 MB; a whole-grid evaluation
+    # peaked at 143 MB, one block of 16,384 nodes stays near 10 MB
+    import tracemalloc
+    mode = spherical_mode(SphericalLabel(1.0, 4, 2, 1))
+    axis = (-3.5, 3.5, 64)
+    tracemalloc.start()
+    try:
+        grid = sample_grid(mode, GridSpec(t=(0.0, 0.0, 1), x=axis, y=axis, z=axis))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grid.values.nbytes == 64 ** 3 * 64
+    assert peak < 40e6

@@ -181,9 +181,7 @@ def cmd_eval(args):
             fh.write('{"header": ' + json.dumps(header) + ', "rows": [')
             sep = ""
             for body in _body_blocks(grid):
-                rows = [{"coords": [float(FMT % c) for c in row[:4]],
-                         "A": [[float(FMT % row[4 + 2 * k]), float(FMT % row[5 + 2 * k])]
-                               for k in range(4)]}
+                rows = [{"coords": row[:4].tolist(), "A": row[4:].reshape(4, 2).tolist()}
                         for row in body]
                 fh.write(sep + json.dumps(rows)[1:-1])
                 sep = ", "

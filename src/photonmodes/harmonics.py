@@ -526,6 +526,10 @@ class PolarGridFunction:
 
 
 def sample_harmonic(kind, label, radial, n_phi=32) -> PolarGridFunction:
+    """The harmonic of label on the grid radial x (2 pi k / n_phi); kind is
+    'cylindrical' or 'spherical', ValueError naming any other kind."""
+    if kind not in ("cylindrical", "spherical"):
+        raise ValueError(f"unknown kind {kind!r}; expected 'cylindrical' or 'spherical'")
     radial = np.asarray(radial, dtype=float)
     phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     rr, pp = np.meshgrid(radial, phi, indexing="ij")

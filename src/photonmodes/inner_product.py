@@ -7,13 +7,12 @@ slice integral of the current
 
     (A, A') = int_Sigma j'_0 d^3x.
 
-Because every field here is a positive-energy eigen- or wave-packet field,
-the time derivatives entering j'_0 are taken analytically; the spatial
-quadrature is a tensor rule on a truncated slice (Gauss-Legendre radially
-and in cos(theta), uniform in phi -- exact for the trigonometric angular
-content of the harmonics).  A WavePacket is a SphericalMode with a
-many-term energy spectrum, so one pass of the multipole kernel gives its
-values and time derivatives at every energy node.
+Every field here is a positive-energy eigen- or wave-packet field, so d_t A
+in j'_0 is analytic: the evaluate of the field's time_derivative().  The
+spatial quadrature is a tensor rule on a truncated slice (Gauss-Legendre
+radially and in cos(theta), uniform in phi -- exact for the trigonometric
+angular content of the harmonics).  A WavePacket is a SphericalMode with a
+many-term energy spectrum: one multipole kernel pass sums all its energies.
 
 slice_gram(left, right, spec, form) takes every product on one slice: the
 nodes are built once and walked in contiguous blocks of _SLICE_BLOCK nodes.
@@ -147,8 +146,8 @@ def current(a_field, b_field, t, x, y, z):
 
 
 def _current_jet(field, t, x, y, z):
-    """(A, d_t A): the pair the current j'_0 takes."""
-    return field.evaluate(t, x, y, z), field.d_dt(t, x, y, z)
+    """(A, d_t A), d_t A from time_derivative(): the pair j'_0 takes."""
+    return field.evaluate(t, x, y, z), field.time_derivative().evaluate(t, x, y, z)
 
 
 def _field_strength_jet(field, t, x, y, z):
@@ -207,12 +206,12 @@ def slice_gram(left, right, spec: QuadratureSpec, form="current"):
     The nodes are built once and walked in contiguous blocks of _SLICE_BLOCK
     nodes; each block's pairs are freed before the next block starts.  In a
     block, each distinct field object's pair (A, dA) is taken once: evaluate
-    and d_dt for the current, one field jet for the field-strength form.  A
-    GaugeShiftedField's pair is its base's plus grad(Lambda) on the value:
-    Lambda is static, so it adds exactly zero to d_t A and to
-    F_{0b} = d_0 A_b - d_b A_0, and no Hessian is built.  Every other field
-    is evaluated through its own methods.  A slice of at most _SLICE_BLOCK
-    nodes is one block."""
+    of the field and of its time_derivative() for the current, one field jet
+    for the field-strength form.  A GaugeShiftedField's pair is its base's
+    plus grad(Lambda) on the value: Lambda is static, so it adds exactly zero
+    to d_t A and to F_{0b} = d_0 A_b - d_b A_0, and no Hessian is built.
+    Every other field is evaluated through its own methods.  A slice of at
+    most _SLICE_BLOCK nodes is one block."""
     if form not in _FORM_JETS:
         raise ValueError(f"form must be 'current' or 'field_strength', got {form!r}")
     form_jet = _FORM_JETS[form]
@@ -619,6 +618,20 @@ def _label_range(ranges, name, low):
     return int(value)
 
 
+def _hermitian_gram(family, labels, entry, fixed):
+    """The Hermitian Gram over labels with upper triangle entry(i, j), i <= j
+    (None: nothing to integrate, the pair stays zero), normalized by its
+    real diagonal."""
+    gram = np.zeros((len(labels), len(labels)), dtype=complex)
+    for i, j in zip(*np.triu_indices(len(labels))):
+        value = entry(i, j)
+        if value is not None:
+            gram[i, j] = value
+            gram[j, i] = np.conj(gram[i, j])
+    diag = np.real(np.diag(gram)).copy()
+    return GramResult(family, labels, gram / np.sqrt(np.outer(diag, diag)), diag, fixed)
+
+
 def _gram_spherical(p0, l_max, spec):
     lm = [(l, m) for l in range(1, l_max + 1) for m in range(-l, l + 1)]
     labels = [(l, m, s) for l, m in lm for s in (+1, -1)]
@@ -634,18 +647,13 @@ def _gram_spherical(p0, l_max, spec):
             return np.conj(fa) * fb * r**2
         return oscillatory_integral(f, [2.0 * p0], spec)
 
-    n = len(labels)
-    gram = np.zeros((n, n), dtype=complex)
-    for i, (l, m, s) in enumerate(labels):
-        for j, (lp, mp, sp_) in enumerate(labels[i:], start=i):
-            total = sum(radial(sector, l, s, lp, sp_) * ang[i // 2, j // 2]
-                        for sector, ang in enumerate(angular)
-                        if abs(ang[i // 2, j // 2]) >= 1e-14)
-            gram[i, j] = 2.0 * p0 * total
-            gram[j, i] = np.conj(gram[i, j])
-    diag = np.real(np.diag(gram)).copy()
-    norm = gram / np.sqrt(np.outer(diag, diag))
-    return GramResult("spherical", labels, norm, diag, {"p0": p0})
+    def entry(i, j):
+        (l, _, s), (lp, _, sp_) = labels[i], labels[j]
+        return 2.0 * p0 * sum(radial(sector, l, s, lp, sp_) * ang[i // 2, j // 2]
+                              for sector, ang in enumerate(angular)
+                              if abs(ang[i // 2, j // 2]) >= 1e-14)
+
+    return _hermitian_gram("spherical", labels, entry, {"p0": p0})
 
 
 def _gram_cylindrical(p0, pz, m_max, spec):
@@ -663,20 +671,14 @@ def _gram_cylindrical(p0, pz, m_max, spec):
         return oscillatory_integral(f, [2.0 * alpha], spec)
 
     modes = {(m, s): CylindricalMode(CylindricalLabel(p0, pz, m, s)) for (m, s) in labels}
-    n = len(labels)
-    gram = np.zeros((n, n), dtype=complex)
-    for i, (m, s) in enumerate(labels):
-        for j, (mp, sp_) in enumerate(labels[i:], start=i):
-            ang = np.sum(np.exp(1j * (mp - m) * phi)) * wphi
-            if abs(ang) < 1e-13:
-                continue
-            ca = modes[(m, s)]
-            cb = modes[(mp, sp_)]
-            total = (np.conj(ca.cz) * cb.cz * radial(m)
-                     + np.conj(ca.cm) * cb.cm * radial(m - 1)
-                     + np.conj(ca.cp) * cb.cp * radial(m + 1))
-            gram[i, j] = 2.0 * p0 * ang * total
-            gram[j, i] = np.conj(gram[i, j])
-    diag = np.real(np.diag(gram)).copy()
-    norm = gram / np.sqrt(np.outer(diag, diag))
-    return GramResult("cylindrical", labels, norm, diag, {"p0": p0, "pz": pz})
+
+    def entry(i, j):
+        (m, _), (mp, _), ca, cb = labels[i], labels[j], modes[labels[i]], modes[labels[j]]
+        ang = np.sum(np.exp(1j * (mp - m) * phi)) * wphi
+        if abs(ang) < 1e-13:
+            return None
+        return 2.0 * p0 * ang * (np.conj(ca.cz) * cb.cz * radial(m)
+                                 + np.conj(ca.cm) * cb.cm * radial(m - 1)
+                                 + np.conj(ca.cp) * cb.cp * radial(m + 1))
+
+    return _hermitian_gram("cylindrical", labels, entry, {"p0": p0, "pz": pz})

@@ -166,10 +166,6 @@ class ModeField:
         """d_t as a field: every mode is an energy eigenfield, so -i p0 times it."""
         return Superposition([(-1j * self.p0, self)])
 
-    def d_dt(self, t, x, y, z):
-        """The first time derivative; higher orders are time_derivative().d_dt."""
-        return -1j * self.p0 * self.evaluate(t, x, y, z)
-
 
 def _broadcast(t, x, y, z):
     """Coordinates as broadcast float arrays; ValueError if any is NaN or
@@ -408,9 +404,9 @@ class SphericalMode(ModeField):
         sum_n [ sum_k w_k (-i p_k)^order e^{-i p_k t} R_n(p_k, r) ] Y[n] dyad_n
 
     with the angular x dyad factor Y[n] dyad_n built once per point set:
-    order 0 is evaluate, order 1 is d_dt; jet and dalembertian take
-    r-derivatives of the same radial sum (_radial) through the same
-    contraction (_contract).  time_derivative() has the weights w_k (-i p_k).
+    evaluate is order 0; jet and dalembertian take r- and t-derivatives of
+    the same radial sum (_radial) through the same contraction (_contract).
+    d_t A is the evaluate of time_derivative(), the weights w_k (-i p_k).
     A WavePacket is a SphericalMode with a many-term spectrum.
 
     Evaluation is regular everywhere: on the polar axis and at the origin
@@ -476,12 +472,6 @@ class SphericalMode(ModeField):
         return dt
 
     def evaluate(self, t, x, y, z):
-        return self._multipole_sum(t, x, y, z, 0)
-
-    def d_dt(self, t, x, y, z):
-        return self._multipole_sum(t, x, y, z, 1)
-
-    def _multipole_sum(self, t, x, y, z, order):
         t, x, y, z = _broadcast(t, x, y, z)
         r, theta, phi = sph_angles(x, y, z)
         # components scale as r^{l-1}: l >= 2 vanishes at the origin (those
@@ -496,7 +486,7 @@ class SphericalMode(ModeField):
         on_axis = np.sin(theta) < _POLE_TOL
         theta = np.where(on_axis, np.where(z > 0, 0.0, math.pi), theta)
         phi = np.where(on_axis, 0.0, phi)
-        rad, = self._radial(t, r, (0, order))
+        rad, = self._radial(t, r, (0, 0))
         out = _contract(rad * self._harmonics(theta, phi), sph_dyads(theta, phi))
         out[vanishing] = 0.0
         return out
@@ -573,9 +563,6 @@ class Superposition:
 
     def evaluate(self, t, x, y, z):
         return sum(c * f.evaluate(t, x, y, z) for c, f in self.terms)
-
-    def d_dt(self, t, x, y, z):
-        return sum(c * f.d_dt(t, x, y, z) for c, f in self.terms)
 
     def time_derivative(self):
         return Superposition([(c, f.time_derivative()) for c, f in self.terms])

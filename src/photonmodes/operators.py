@@ -19,8 +19,8 @@ identity regardless of orientation.
 One lie_derivative serves covectors (A_a) and rank-2 tensors (F_ab); it
 is taken analytically, from one ``jet`` (value and gradient), whenever the
 field exposes one and by fdiff's 4th-order finite differences otherwise.
-A LieField is that derivative as a field, its d_dt taken on the base's
-time_derivative(); the finite-difference checks ask for method="fd".
+A LieField is that derivative as a field, and its time_derivative() the Lie
+field of the base's; the finite-difference checks ask for method="fd".
 Residual operators (d'Alembertian, divergence) act on sampled FieldGrids.
 """
 
@@ -134,8 +134,12 @@ def lie_derivative(xi: KillingField, field, t, x, y, z, h=fdiff.DEFAULT_H, metho
 
     ``field`` is either a mode-like object (with .evaluate and, for the
     analytic path, .jet) or a bare callable f(t,x,y,z) -> (..., 4[, 4]).
-    Finite differences skip the axes along which xi vanishes at every point.
+    method 'analytic' takes the jet, 'fd' finite differences of step h, which
+    skip the axes along which xi vanishes at every point, and 'auto' the jet
+    where the field has one; ValueError naming any other method.
     """
+    if method not in ("auto", "analytic", "fd"):
+        raise ValueError(f"unknown method {method!r}; expected 'auto', 'analytic' or 'fd'")
     evaluate = field.evaluate if hasattr(field, "evaluate") else field
     use_analytic = method == "analytic" or (method == "auto" and hasattr(field, "jet"))
     xiv = xi.value(t, x, y, z)
@@ -173,9 +177,6 @@ class LieField:
         """Lie_xi of the base's time derivative: exact for a time-independent
         generator, which commutes with d_t."""
         return LieField(self.xi, self.base.time_derivative(), h=self.h)
-
-    def d_dt(self, t, x, y, z):
-        return self.time_derivative().evaluate(t, x, y, z)
 
 
 def angular_momentum_squared(field, t, x, y, z, h=fdiff.DEFAULT_H):

@@ -9,7 +9,7 @@ import types
 from pathlib import Path
 
 import photonmodes
-from photonmodes import fdiff, modes
+from photonmodes import fdiff, inner_product, modes, operators
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -78,3 +78,16 @@ def test_names_the_workloads_bind_resolve():
     assert {"plane_wave", "cylindrical_mode", "spherical_mode"} <= names
     for name in sorted(names):
         assert hasattr(photonmodes, name), name
+
+
+def test_fields_take_d_t_only_through_time_derivative():
+    # d_t of a field is its time_derivative(), another field; no field class
+    # keeps a second method for the same values
+    fields = {name: cls for module in (modes, operators, inner_product)
+              for name, cls in vars(module).items()
+              if isinstance(cls, type) and cls.__module__ == module.__name__
+              and (hasattr(cls, "evaluate") or hasattr(cls, "time_derivative"))}
+    assert {"ModeField", "PlaneWaveMode", "CylindricalMode", "SphericalMode",
+            "Superposition", "LieField", "WavePacket", "GaugeShiftedField"} <= set(fields)
+    for name, cls in fields.items():
+        assert not hasattr(cls, "d_dt"), name

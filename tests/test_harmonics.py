@@ -343,6 +343,15 @@ def test_eth_numeric_spherical_matches_ladder():
     assert np.abs(dn.values + math.sqrt(6.0) * refd).max() < 1e-7
 
 
+@pytest.mark.parametrize("kind, label", [("sph", SphHarmonicLabel(0, 2, 1)),
+                                         ("cyl", CylHarmonicLabel(0, 1.0, 1))])
+def test_sample_harmonic_rejects_an_unknown_kind(kind, label):
+    # a misspelt kind is an error naming it, not a grid of that kind (which
+    # only eth_numeric would reject) or an AttributeError from the label
+    with pytest.raises(ValueError, match=rf"'{kind}'.*'cylindrical' or 'spherical'"):
+        sample_harmonic(kind, label, np.linspace(0.3, 1.0, 9))
+
+
 def test_eth_numeric_resolution_error():
     # m = 3 content on a 7-point azimuthal grid sits at the Nyquist band
     lab = CylHarmonicLabel(0, 1.0, 3)

@@ -168,8 +168,9 @@ def test_packet_matches_explicit_mode_sum(l, m, s, rng):
     pts = tuple(rng.uniform(-2.0, 2.0, 64) for _ in range(4))
     close(pk.evaluate(*pts), oracle("evaluate", *pts), 1e-12)
     close(pk.gradient(*pts), oracle("gradient", *pts), 1e-12)
-    # d_dt is the first derivative; the second is time_derivative().d_dt
-    for order, got in ((1, pk.d_dt(*pts)), (2, pk.time_derivative().d_dt(*pts))):
+    # time_derivative() is d_t as a field; applied twice, the second derivative
+    dt = pk.time_derivative()
+    for order, got in ((1, dt.evaluate(*pts)), (2, dt.time_derivative().evaluate(*pts))):
         close(got, sum(a * (-1j * md.p0) ** order * md.evaluate(*pts) for a, md in terms), 1e-12)
     # polar axis, both poles: m = 0 and m = +-1 have nonzero limits
     axis = (np.array([0.0, 0.3, -0.2]), np.zeros(3), np.zeros(3), np.array([1.3, -0.7, 2.2]))
@@ -202,12 +203,11 @@ def test_packet_batch_shares_radial_work_per_distinct_t_r(monkeypatch, rng):
         return profiles(label, r, derivs)
 
     monkeypatch.setattr(modes, "sph_radial_profiles", counted)
-    for method in ("evaluate", "d_dt", "gradient"):
+    for method in (pk.evaluate, pk.time_derivative().evaluate, pk.gradient):
         seen.clear()
-        batch = getattr(pk, method)(*pts)
+        batch = method(*pts)
         assert seen == [pk.p_nodes.size * n_pairs]
-        single = np.stack([getattr(pk, method)(*(c[i] for c in pts))
-                           for i in range(radii.size)])
+        single = np.stack([method(*(c[i] for c in pts)) for i in range(radii.size)])
         assert np.abs(batch - single).max() <= 1e-13 * np.abs(single).max()
 
 
@@ -305,18 +305,19 @@ class _Counted:
         return counted
 
 
-def _d_dt(field, t, x, y, z):
-    """d_t A; a static gauge shift adds nothing to it."""
+def _dt_values(field, t, x, y, z):
+    """d_t A, the evaluate of time_derivative(); a static gauge shift adds
+    nothing to it."""
     if isinstance(field, inner_product.GaugeShiftedField):
-        return _d_dt(field.base, t, x, y, z)
-    return field.d_dt(t, x, y, z)
+        return _dt_values(field.base, t, x, y, z)
+    return field.time_derivative().evaluate(t, x, y, z)
 
 
 def _current_form_reference(a_field, b_field, spec):
-    """inner from the node sum of j'_0 over d_dt and evaluate."""
+    """inner from the node sum of j'_0 over d_t A and evaluate."""
     t, x, y, z, w = inner_product.slice_nodes(spec)
-    j0 = inner_product._density(_d_dt(a_field, t, x, y, z), a_field.evaluate(t, x, y, z),
-                                _d_dt(b_field, t, x, y, z), b_field.evaluate(t, x, y, z))
+    j0 = inner_product._density(_dt_values(a_field, t, x, y, z), a_field.evaluate(t, x, y, z),
+                                _dt_values(b_field, t, x, y, z), b_field.evaluate(t, x, y, z))
     return complex(np.sum(w * j0))
 
 
@@ -337,9 +338,9 @@ def test_slice_gram_evaluates_each_field_once(form, derivative):
                         ([other], [shifts[0], other, shifts[1], shared])):
         shared.calls.clear()
         gram = slice_gram(left, right, box, form)
-        # the current pairs evaluate with d_dt; the field-strength form
-        # takes value and gradient from one jet
-        assert shared.calls == ({"evaluate": 1, "d_dt": 1} if derivative == "d_dt"
+        # the current pairs evaluate with the evaluate of time_derivative();
+        # the field-strength form takes value and gradient from one jet
+        assert shared.calls == ({"evaluate": 1, "time_derivative": 1} if derivative == "d_dt"
                                 else {"jet": 1})
         assert gram.shape == (len(left), len(right))
         for i, a in enumerate(left):
@@ -396,7 +397,7 @@ def test_slice_gram_in_blocks_matches_the_full_node_sum(monkeypatch, form, deriv
     left, right = [shared, other], [shift, other, shared]
     gram = slice_gram(left, right, box, form)
     # each field once per block, the shift through its base's pair
-    assert shared.calls == ({"evaluate": 6, "d_dt": 6} if derivative == "d_dt"
+    assert shared.calls == ({"evaluate": 6, "time_derivative": 6} if derivative == "d_dt"
                             else {"jet": 6})
     for i, a in enumerate(left):
         for j, b in enumerate(right):

@@ -100,6 +100,15 @@ def test_p0_eigenvalue_plane_wave():
         assert np.abs(lv - 2.0 * a).max() < tol * np.abs(a).max()
 
 
+@pytest.mark.parametrize("method", ["analytc", "FD", None])
+def test_lie_derivative_rejects_an_unknown_method(method):
+    # a misspelt method is an error naming it, not a silent fall back to
+    # finite differences (whose result would pass an analytic tolerance)
+    mode = cylindrical_mode(CylindricalLabel(1.2, 0.4, 2, +1))
+    with pytest.raises(ValueError, match=rf"{method!r}.*'auto', 'analytic' or 'fd'"):
+        lie_derivative(L3(), mode, 0.1, 0.4, -0.2, 0.7, method=method)
+
+
 def test_l3_annihilates_cylindrical_dyads():
     f = lambda *c: dyads("cylindrical", *c)[1]
     fz = lambda *c: dyads("cylindrical", *c)[0]
@@ -172,13 +181,15 @@ def _packet_superpositions():
 
 
 def test_lie_field_matches_finite_differences_on_the_packet_slice():
-    # the analytic LieField (one jet of the base, or of its time derivative)
-    # against 4th-order finite differences of evaluate and d_dt at h = 1e-3
+    # the analytic LieField and its time derivative (one jet of the base, or
+    # of the base's time derivative) against 4th-order finite differences of
+    # the base and of its time derivative at h = 1e-3
     f, _, _ = _packet_superpositions()
     nodes = slice_nodes(PACKET_QUAD)[:4]
     assert nodes[0].size == 8192
     lie = LieField(L3(), f)
-    for got, base in ((lie.evaluate(*nodes), f.evaluate), (lie.d_dt(*nodes), f.d_dt)):
+    for got, base in ((lie.evaluate(*nodes), f),
+                      (lie.time_derivative().evaluate(*nodes), f.time_derivative())):
         want = lie_derivative(L3(), base, *nodes, h=1e-3, method="fd")
         assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
 
@@ -202,7 +213,7 @@ def test_hermiticity_check_fails_for_a_non_killing_field():
 
 def test_lie_field_of_a_multipole_needs_off_axis_points():
     lie = LieField(L3(), spherical_mode(SphericalLabel(1.0, 1, 0, +1)))
-    for method in (lie.evaluate, lie.d_dt):
+    for method in (lie.evaluate, lie.time_derivative().evaluate):
         with pytest.raises(DegenerateAxisError):
             method(0.0, 0.0, 0.0, 1.3)
 

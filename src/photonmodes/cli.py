@@ -106,7 +106,8 @@ def _parse_grid(items):
                 raise ValueError(f"unknown grid axis {name!r}")
             if name in axes:
                 raise ValueError(f"grid axis {name!r} given twice")
-            axes[name] = (float(lo), float(hi), int(n))
+            # n as a float: GridSpec names the axis of a non-integral count
+            axes[name] = (float(lo), float(hi), float(n))
     defaults = {"t": (0.0, 0.0, 1), "x": (-1.0, 1.0, 8), "y": (-1.0, 1.0, 8),
                 "z": (-1.0, 1.0, 8)}
     defaults.update(axes)

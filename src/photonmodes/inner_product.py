@@ -339,6 +339,10 @@ class GaugeShiftedField:
         a, g = self.base.jet(t, x, y, z)
         return a + self.lam.gradient(t, x, y, z), g + self.lam.hessian(t, x, y, z)
 
+    def time_derivative(self):
+        """d_t of the field: the base's, since Lambda is static."""
+        return self.base.time_derivative()
+
 
 def gauge_shift(a_field, lam: GaussianBumpScalar) -> GaugeShiftedField:
     return GaugeShiftedField(a_field, lam)

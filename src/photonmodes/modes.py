@@ -33,10 +33,12 @@ one Bessel ladder w_k = J_k(alpha rho) e^{i k phi} (k = m-2..m+2) for the
 Bessel beam, one radial and one angular pass for the multipole.  A from jet
 agrees with evaluate to rounding; gradient() is the jet's second member, and
 evaluate keeps its own value-only path.  A consumer that needs both the
-value and the gradient on one point set takes the jet.  The spherical jet
-requires off-axis points.  Multipole fields go through one kernel: a radial
-factor summed over an energy spectrum, contracted with the angular x dyad
-factor Y[n] dyad_n built once per point set (see SphericalMode).
+value and the gradient on one point set takes the jet.  No family has a
+second derivative: validation takes Box A from the jet of any field.  The
+spherical jet requires off-axis points.  Multipole fields go through one
+kernel: a radial factor summed over an energy spectrum, contracted with the
+angular x dyad factor Y[n] dyad_n built once per point set (see
+SphericalMode).
 """
 
 from __future__ import annotations
@@ -145,9 +147,9 @@ class SphericalLabel:
 # ---------------------------------------------------------------------------
 
 class ModeField:
-    """Common interface of the families: label, energy, vectorized evaluate,
-    dalembertian and jet (A, dA), dA[..., mu, nu] = d_mu A_nu from one kernel
-    pass, with gradient the jet's second member.  d_t of the field is
+    """Common interface of the families: label, energy, vectorized evaluate
+    and jet (A, dA), dA[..., mu, nu] = d_mu A_nu from one kernel pass, with
+    gradient the jet's second member.  d_t of the field is
     time_derivative(), another field with the same interface."""
 
     label = None
@@ -207,11 +209,6 @@ class PlaneWaveMode(ModeField):
 
     def gradient(self, t, x, y, z):
         return self.jet(t, x, y, z)[1]
-
-    def dalembertian(self, t, x, y, z):
-        p0sq = self.p0 ** 2
-        psq = sum(c * c for c in self.label.p)
-        return (psq - p0sq) * self.evaluate(t, x, y, z)
 
 
 def plane_wave(label: PlaneWaveLabel) -> PlaneWaveMode:
@@ -303,22 +300,6 @@ class CylindricalMode(ModeField):
     def gradient(self, t, x, y, z):
         return self.jet(t, x, y, z)[1]
 
-    def dalembertian(self, t, x, y, z):
-        """Box A assembled from the transverse ladder:
-        (d_x^2 + d_y^2) w_k = (alpha^2/4)(w_{k-2} - 2 w_k + w_{k+2})
-                              - (alpha^2/4)(w_{k+2} + 2 w_k + w_{k-2})."""
-        t, x, y, z = _broadcast(t, x, y, z)
-        al = self.alpha
-        w = np.moveaxis(self._ladder(t, x, y, z, 3), -1, 0)   # w[3 + k - m]
-        lon = (self.label.pz ** 2 - self.label.p0 ** 2)
-        out = np.zeros(t.shape + (4,), dtype=complex)
-        for i, coef, pol in ((3, self.cz, Z_HAT), (2, self.cm, U_MINUS), (4, self.cp, U_PLUS)):
-            dxx = 0.25 * al**2 * (w[i - 2] - 2.0 * w[i] + w[i + 2])
-            dyy = -0.25 * al**2 * (w[i + 2] + 2.0 * w[i] + w[i - 2])
-            box_k = lon * w[i] - dxx - dyy
-            out += (coef * box_k)[..., None] * pol
-        return out
-
 
 def cylindrical_mode(label: CylindricalLabel) -> CylindricalMode:
     return CylindricalMode(label)
@@ -327,14 +308,17 @@ def cylindrical_mode(label: CylindricalLabel) -> CylindricalMode:
 # -- spherical ---------------------------------------------------------------
 
 def sph_radial_profiles(label: SphericalLabel, r, derivs=0):
-    """Radial profiles (R0, Rm, Rp) of the multipole mode and optionally
-    their first/second r-derivatives, from Bessel recurrences.
+    """Radial profiles (R0, Rm, Rp) of the multipole mode and, with
+    derivs=1, their first r-derivatives, from Bessel recurrences; ValueError
+    for any other derivs.
 
     R0 = (sqrt(L)/2) J_{l+1/2}(x) / (x sqrt(r)),  x = p0 r, L = l(l+1)
     Rm/Rp = g_-/+(x) / (2 sqrt(2 r)),
     g_- = ((i s x - l)/x) J_{l+1/2} + J_{l-1/2}
     g_+ = ((i s x + l)/x) J_{l+1/2} - J_{l-1/2}
     """
+    if derivs not in (0, 1):
+        raise ValueError(f"derivs must be 0 or 1, got {derivs!r}")
     r = np.asarray(r, dtype=float)
     p0, l, s = label.p0, label.l, label.s
     L = l * (l + 1)
@@ -363,24 +347,7 @@ def sph_radial_profiles(label: SphericalLabel, r, derivs=0):
     dR0 = (math.sqrt(L) / 2.0) * (p0 * djp / (x * sru) - jp * (p0 / (x**2 * sru) + 0.5 / (x * r * sru)))
     dRm = (p0 * dgm_dx - 0.5 * gm / r) / (2.0 * SQRT2 * sru)
     dRp = (p0 * dgp_dx - 0.5 * gp / r) / (2.0 * SQRT2 * sru)
-    if derivs == 1:
-        return (R0, Rm, Rp), (dR0, dRm, dRp)
-
-    # second derivatives via J''_nu = (-2 J_nu + ((nu-1)/x) J_{nu-1} + ((nu+1)/x) J_{nu+1})/2
-    nup = l + 0.5
-    num = l - 0.5
-    d2jp = 0.5 * (-2.0 * jp + ((nup - 1.0) / x) * jm + ((nup + 1.0) / x) * jp2)
-    d2jm = 0.5 * (-2.0 * jm + ((num - 1.0) / x) * jm2 + ((num + 1.0) / x) * jp)
-    d2gm = (-2.0 * l / x**3) * jp + 2.0 * (l / x**2) * djp + (1j * s - l / x) * d2jp + d2jm
-    d2gp = (2.0 * l / x**3) * jp - 2.0 * (l / x**2) * djp + (1j * s + l / x) * d2jp - d2jm
-    c0 = math.sqrt(L) / 2.0
-    # d^2/dr^2 of jp/(x sqrt r) with x = p0 r
-    d2R0 = c0 * (p0**2 * d2jp / (x * sru)
-                 - 2.0 * p0 * djp * (p0 / (x**2 * sru) + 0.5 / (x * r * sru))
-                 + jp * (2.0 * p0**2 / (x**3 * sru) + p0 / (x**2 * r * sru) + 0.75 / (x * r**2 * sru)))
-    d2Rm = (p0**2 * d2gm - p0 * dgm_dx / r + 0.75 * gm / r**2) / (2.0 * SQRT2 * sru)
-    d2Rp = (p0**2 * d2gp - p0 * dgp_dx / r + 0.75 * gp / r**2) / (2.0 * SQRT2 * sru)
-    return (R0, Rm, Rp), (dR0, dRm, dRp), (d2R0, d2Rm, d2Rp)
+    return (R0, Rm, Rp), (dR0, dRm, dRp)
 
 
 def _contract(coef, dyads):
@@ -404,8 +371,8 @@ class SphericalMode(ModeField):
         sum_n [ sum_k w_k (-i p_k)^order e^{-i p_k t} R_n(p_k, r) ] Y[n] dyad_n
 
     with the angular x dyad factor Y[n] dyad_n built once per point set:
-    evaluate is order 0; jet and dalembertian take r- and t-derivatives of
-    the same radial sum (_radial) through the same contraction (_contract).
+    evaluate is order 0; jet takes the first r- and t-derivatives of the
+    same radial sum (_radial) through the same contraction (_contract).
     d_t A is the evaluate of time_derivative(), the weights w_k (-i p_k).
     A WavePacket is a SphericalMode with a many-term spectrum.
 
@@ -426,9 +393,9 @@ class SphericalMode(ModeField):
 
     def _radial(self, t, r, *terms):
         """Radial factors summed over the spectrum: for each (j, order) in
-        terms, sum_k w_k (-i p_k)^order e^{-i p_k t} d^j/dr^j (R0, Rm, Rp)
-        at energy p_k, stacked to shape (3,) + r.shape.  One
-        sph_radial_profiles call at unit energy serves every p_k, since
+        terms, j = 0 or 1, sum_k w_k (-i p_k)^order e^{-i p_k t}
+        d^j/dr^j (R0, Rm, Rp) at energy p_k, stacked to shape (3,) + r.shape.
+        One sph_radial_profiles call at unit energy serves every p_k, since
         R(p, r) = sqrt(p) R(1, p r).
 
         With more than one energy the sum runs once per distinct (t, r) pair
@@ -524,23 +491,6 @@ class SphericalMode(ModeField):
     def gradient(self, t, x, y, z):
         return self.jet(t, x, y, z)[1]
 
-    def dalembertian(self, t, x, y, z):
-        """Box A in dyad components, using the eth ladder on the angular
-        factors and Bessel recurrences on the radial ones.  The radial parts
-        reproduce the multipole radial system, so this residual is a genuine
-        consistency check of the Bessel evaluation."""
-        t, x, y, z = _broadcast(t, x, y, z)
-        r, theta, phi = sph_angles(x, y, z)
-        L = float(self.label.l * (self.label.l + 1))
-        rad, d_rad, d2_rad, dt2_rad = self._radial(t, r, (0, 0), (1, 0), (2, 0), (0, 2))
-        R0, Rm, Rp = rad
-        # d_t^2 - d_r^2 - (2/r) d_r + L/r^2 on each dyad component, plus the
-        # couplings between components that the angular ladder brings in
-        c = math.sqrt(2.0 * L) / r**2
-        coupling = np.stack([(2.0 / r**2) * R0 - c * (Rm - Rp), -c * R0, c * R0])
-        box = dt2_rad - (d2_rad + (2.0 / r) * d_rad) + (L / r**2) * rad + coupling
-        return _contract(box * self._harmonics(theta, phi), sph_dyads(theta, phi))
-
 
 def spherical_mode(label: SphericalLabel) -> SphericalMode:
     return SphericalMode(label)
@@ -588,16 +538,26 @@ def field_strength(mode: ModeField, t, x, y, z):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Axis ranges (min, max, n) for a Lorentz-chart tensor grid."""
+    """Axis ranges (min, max, n) for a Lorentz-chart tensor grid.
+    ValueError naming the axis unless min and max are finite and n is an
+    integer >= 1 (stored as int)."""
     t: tuple = (0.0, 0.0, 1)
     x: tuple = (-1.0, 1.0, 9)
     y: tuple = (-1.0, 1.0, 9)
     z: tuple = (-1.0, 1.0, 9)
 
+    def __post_init__(self):
+        for name in ("t", "x", "y", "z"):
+            lo, hi, n = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"grid axis {name}: min and max must be finite, "
+                                 f"got {lo!r}, {hi!r}")
+            if not float(n).is_integer() or n < 1:
+                raise ValueError(f"grid axis {name}: n must be an integer >= 1, got {n!r}")
+            object.__setattr__(self, name, (lo, hi, int(n)))
+
     def axis(self, name):
         lo, hi, n = getattr(self, name)
-        if n < 1:
-            raise ValueError("each axis needs at least one node")
         return np.linspace(lo, hi, n) if n > 1 else np.array([0.5 * (lo + hi)])
 
 

@@ -110,8 +110,11 @@ def test_eval_formats_one_block_of_rows_at_a_time(tmp_path, monkeypatch):
     (["eval", "--family", "plane", "--label", "px=0,py=0,pz=1",
       "--grid", "x:-1:1:4", "--grid", "y:0:1:3,x:0:1:3"], "grid axis 'x'"),
     (["eval", "--family", "plane", "--label", "px=0,py=0,pz=1", "--label", "pz=2"], "'pz'"),
+    (["eval", "--family", "plane", "--label", "px=0,py=0,pz=1",
+      "--grid", "x:-1:1:2.5"], "grid axis x"),
 ], ids=["overlap-cyl-lmax", "overlap-sph-pz", "eval-sph-pz-bogus", "eval-plane-m",
-        "eval-grid-x-twice", "eval-grid-x-twice-across-flags", "eval-label-pz-twice"])
+        "eval-grid-x-twice", "eval-grid-x-twice-across-flags", "eval-label-pz-twice",
+        "eval-grid-count-not-integer"])
 def test_a_key_or_axis_that_would_be_ignored_is_a_usage_error(tmp_path, capsys, argv, named):
     if argv[0] == "eval":
         argv = argv + ["--out", str(tmp_path / "f")]

@@ -12,7 +12,8 @@ from photonmodes.operators import (helicity_dual, dalembertian_residual,
                                    divergence_residual, L3, LieField)
 from photonmodes.errors import InvalidLabelError, DegenerateAxisError
 from photonmodes.charts import U_MINUS, U_PLUS, Z_HAT
-from photonmodes.inner_product import WavePacket, Superposition
+from photonmodes.inner_product import (WavePacket, Superposition, GaussianBumpScalar,
+                                       gauge_shift)
 from photonmodes import fdiff, harmonics, modes
 
 from oracles import bessel_series, bessel_half_trig
@@ -249,8 +250,11 @@ def test_jet_equals_evaluate_and_gradient(mode, rng):
                    (1.5j, WavePacket(l=1, m=1, s=+1, center=1.1, width=0.2, n_nodes=12))]),
     LieField(L3(), Superposition([
         (1.0, WavePacket(l=1, m=0, s=+1, center=1.0, width=0.2, n_nodes=12)),
-        (0.7, WavePacket(l=2, m=1, s=-1, center=1.1, width=0.2, n_nodes=12))]))],
-    ids=["plane", "cyl", "sph", "packet", "superposition", "lie"])
+        (0.7, WavePacket(l=2, m=1, s=-1, center=1.1, width=0.2, n_nodes=12))])),
+    gauge_shift(cylindrical_mode(CylindricalLabel(1.2, 0.5, 1, +1)),
+                GaussianBumpScalar(center=(0.3, -0.2, 0.4), width=1.5, c0=0.8,
+                                   linear=(0.2, 0.1, -0.3)))],
+    ids=["plane", "cyl", "sph", "packet", "superposition", "lie", "gauge"])
 def test_time_derivative_is_the_field_of_d_dt(field, rng):
     # d_t as a field (spectrum weights w_k (-i p_k) for a multipole or
     # packet, the mode scaled by -i p0 otherwise): its evaluate against an
@@ -331,6 +335,13 @@ def test_spherical_radial_identity():
     assert complex(Rm[0] + Rp[0]) == pytest.approx(expect, rel=1e-12)
     # frozen value of the Bessel factor itself
     assert bessel_half_trig(1, 2.0) == pytest.approx(0.4912937786871624, rel=1e-13)
+
+
+def test_radial_profiles_reject_a_second_derivative():
+    label = SphericalLabel(1.1, 2, 1, -1)
+    for bad in (2, -1, 0.5):
+        with pytest.raises(ValueError, match="derivs"):
+            sph_radial_profiles(label, np.array([1.0]), bad)
 
 
 def test_spherical_maxwell_residual_grid():
@@ -419,6 +430,20 @@ def test_grid_determinism():
     a = sample_grid(mode, spec)
     b = sample_grid(mode, spec)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("axis, bad", [
+    ("x", (-1.0, 1.0, 2.5)), ("y", (-1.0, 1.0, 0)), ("z", (-1.0, 1.0, float("nan"))),
+    ("t", (float("nan"), 0.0, 1)), ("x", (-1.0, math.inf, 3))])
+def test_grid_spec_validates_every_axis(axis, bad):
+    with pytest.raises(ValueError, match=f"grid axis {axis}"):
+        GridSpec(**{axis: bad})
+
+
+def test_grid_spec_stores_an_integral_count_as_int():
+    spec = GridSpec(x=(-1, 1, 9.0))
+    assert spec.x == (-1, 1, 9) and type(spec.x[2]) is int
+    assert np.array_equal(spec.axis("x"), np.linspace(-1.0, 1.0, 9))
 
 
 # a grid of 2 * 7 * 11 * 13 = 2002 nodes: with blocks of 300 nodes, six full

@@ -59,6 +59,41 @@ def test_partial_calls_the_field_once_per_stencil():
     assert len(calls) == 3 * 3
 
 
+def test_gradient4_calls_the_field_once_with_the_stencils_of_partial():
+    # a polynomial field: every stencil value is the same float whatever the
+    # batch, so one call over all four axes must reproduce the four partials
+    # bit for bit (same offsets, weights and summation order)
+    pts = (np.array([0.1, -0.3]), np.array([0.9, 0.2]), np.array([0.5, 1.2]), 0.7)
+    calls = []
+
+    def poly(t, x, y, z):
+        calls.append(np.broadcast(t, x, y, z).shape)
+        return np.stack([t * x * x + y * z, z * z * z - t * y], axis=-1)
+
+    got = fdiff.gradient4(poly, pts, 0.01)
+    assert calls == [(4, len(fdiff.D1_OFFSETS), 2)]
+    want = np.stack([fdiff.partial(poly, pts, mu, 0.01) for mu in range(4)])
+    assert np.array_equal(got, want)
+    # a descending axis has a negative spacing: a negative step is allowed
+    assert np.allclose(fdiff.gradient4(poly, pts, -0.01), want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("h", [0.0, -0.0, math.nan, math.inf, -math.inf])
+def test_fdiff_rejects_a_zero_or_non_finite_step(h):
+    mode = plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1))
+    pts = (0.1, 0.4, -0.2, 0.6)
+    with pytest.raises(ValueError, match="step h"):
+        fdiff.partial(mode.evaluate, pts, 1, h)
+    with pytest.raises(ValueError, match="step h"):
+        fdiff.gradient4(mode.evaluate, pts, h)
+    with pytest.raises(ValueError, match="step h"):
+        fdiff.grid_partial(np.zeros(8), 0, h)
+    # and through the finite-difference Lie derivative, where h = 0 would
+    # divide by zero and h = nan would put NaN into the stencil coordinates
+    with pytest.raises(ValueError, match="step h"):
+        lie_derivative(L3(), mode.evaluate, *pts, h=h, method="fd")
+
+
 def test_analytic_lie_derivative_takes_one_jet():
     # one jet per field, equal bit for bit to the explicit formula over
     # evaluate and gradient

@@ -3,10 +3,11 @@ import json
 
 import pytest
 
+from photonmodes import modes
 from photonmodes.cli import main
 from photonmodes.validation import (Check, CheckReport, CheckSpec, REGISTRY,
-                                    run_check, run_suite, claims_manifest,
-                                    CLAIM_LIST, SUITES)
+                                    TOL_ANALYTIC, run_check, run_suite,
+                                    claims_manifest, CLAIM_LIST, SUITES)
 
 
 def test_unknown_suite():
@@ -35,6 +36,18 @@ def test_small_eigen_suite_each_family():
     for family in ("plane", "cylindrical", "spherical"):
         rep = run_check(REGISTRY[f"eigen_{family}"], spec)
         assert rep.passed, rep.residuals
+
+
+def test_null_momentum_gate_fails_on_a_mutated_bessel_ladder(monkeypatch):
+    # Box A is taken from the jet, so it sees the field: a Bessel beam whose
+    # ladder reads J_k(1.01 alpha rho) is no longer a solution of the wave
+    # equation, and the gate must say so
+    exact = modes.bessel_j_int_orders
+    monkeypatch.setattr(modes, "bessel_j_int_orders",
+                        lambda orders, x: exact(orders, 1.01 * x))
+    rep = run_check(REGISTRY["eigen_cylindrical"], CheckSpec("e", n_labels=4))
+    assert rep.residuals["null_momentum_analytic"] > TOL_ANALYTIC
+    assert not rep.passed
 
 
 def test_reports_deterministic_at_fixed_seed():

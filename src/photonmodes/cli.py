@@ -119,8 +119,8 @@ def _parse_quad(items):
     kwargs = {}
     # counts are parsed as floats too: QuadratureSpec rejects a non-integral
     # one by name and stores an integral one as int
-    numbers = ("t_slice", "r_max", "box_half", "tail_r0", "tail_eta", "tol",
-               "n_r", "n_theta", "n_phi", "n_box", "tail_rounds", "gl_order")
+    numbers = ("t_slice", "r_max", "box_half", "tail_r0", "tol",
+               "n_r", "n_theta", "n_phi", "n_box", "tail_rounds")
     for k, v in kv.items():
         if k in numbers:
             kwargs[k] = float(v)

@@ -39,8 +39,8 @@ def _check_step(h):
         raise ValueError(f"step h must be finite and nonzero, got {h!r}")
 
 
-def partial(f, coords, axis, h=DEFAULT_H, order=1):
-    """4th-order partial derivative of callable f along one spacetime axis.
+def partial(f, coords, axis, h=DEFAULT_H):
+    """4th-order first partial derivative of callable f along one axis.
 
     coords is a (t, x, y, z) tuple of scalars/arrays; axis in 0..3.  f is
     called once, on the whole stencil: the broadcast coordinates with the
@@ -48,12 +48,11 @@ def partial(f, coords, axis, h=DEFAULT_H, order=1):
     """
     _check_step(h)
     coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
-    offsets, weights = (D1_OFFSETS, D1_WEIGHTS) if order == 1 else (D2_OFFSETS, D2_WEIGHTS)
-    shift = np.array(offsets, dtype=float).reshape((-1,) + (1,) * coords[0].ndim) * h
+    shift = np.array(D1_OFFSETS, dtype=float).reshape((-1,) + (1,) * coords[0].ndim) * h
     stencil = [np.broadcast_to(c, shift.shape[:1] + c.shape) for c in coords]
     stencil[axis] = coords[axis] + shift
     vals = f(*stencil)
-    return sum(w * val for w, val in zip(weights, vals)) / h**order
+    return sum(w * val for w, val in zip(D1_WEIGHTS, vals)) / h
 
 
 def gradient4(f, coords, h=DEFAULT_H):
@@ -70,11 +69,13 @@ def gradient4(f, coords, h=DEFAULT_H):
 
 
 def grid_partial(values, axis, h, order=1):
-    """Stencil derivative of a sampled array along one axis.
+    """Stencil derivative of order 1 or 2 (ValueError otherwise) along one axis.
 
     The returned array is trimmed by BOUNDARY_RING nodes at both ends of the
     differentiated axis only; callers must track the shrinking interior."""
     _check_step(h)
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order!r}")
     n = values.shape[axis]
     if n < 5:
         raise StencilError(

@@ -55,6 +55,7 @@ _SERIES_TERMS = 36
 _HANKEL_MIN = 20.0     # Hankel expansion from max(this, n^2/2) on (_hankel_edge)
 _HANKEL_TERMS = 20     # terms in each of P and Q
 _RECURRENCE_FLOOR = 1e-280   # smallest top-order value the series band recurs from
+_PHI_TAIL_TOL = 1e-8   # largest azimuthal spectral tail (relative) a grid resolves
 
 
 # ---------------------------------------------------------------------------
@@ -482,24 +483,29 @@ def ethbar_factor_sph(n, l):
     return -math.sqrt(prod) if prod > 0 else 0.0
 
 
-def eth_analytic(kind, label):
-    """Raised label and multiplicative factor: eth maps label -> factor * label'."""
-    if kind == "cylindrical":
-        return CylHarmonicLabel(label.n + 1, label.alpha, label.m), label.alpha
-    if kind == "spherical":
-        return (SphHarmonicLabel(label.n + 1, label.l, label.m),
-                eth_factor_sph(label.n, label.l))
-    raise ValueError(f"unknown kind {kind!r}")
+def _not_a_harmonic(label):
+    return TypeError(f"expected a CylHarmonicLabel or SphHarmonicLabel, got {type(label).__name__}")
 
 
-def ethbar_analytic(kind, label):
-    """Lowered label and factor: ethb maps label -> factor * label'."""
-    if kind == "cylindrical":
-        return CylHarmonicLabel(label.n - 1, label.alpha, label.m), -label.alpha
-    if kind == "spherical":
-        return (SphHarmonicLabel(label.n - 1, label.l, label.m),
-                ethbar_factor_sph(label.n, label.l))
-    raise ValueError(f"unknown kind {kind!r}")
+def _ladder(label, sign):
+    """sign=+1: eth, sign=-1: ethb, in the geometry of the label's type."""
+    if isinstance(label, CylHarmonicLabel):
+        return CylHarmonicLabel(label.n + sign, label.alpha, label.m), sign * label.alpha
+    if isinstance(label, SphHarmonicLabel):
+        factor = eth_factor_sph if sign > 0 else ethbar_factor_sph
+        return SphHarmonicLabel(label.n + sign, label.l, label.m), factor(label.n, label.l)
+    raise _not_a_harmonic(label)
+
+
+def eth_analytic(label):
+    """Raised label and factor: eth maps label -> factor * label', in the
+    geometry of the label's type; TypeError naming any other type."""
+    return _ladder(label, +1)
+
+
+def ethbar_analytic(label):
+    """Lowered label and factor: ethb maps label -> factor * label', as eth_analytic."""
+    return _ladder(label, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -525,37 +531,37 @@ class PolarGridFunction:
             raise ValueError("values must have shape (n_radial, n_azimuthal)")
 
 
-def sample_harmonic(kind, label, radial, n_phi=32) -> PolarGridFunction:
-    """The harmonic of label on the grid radial x (2 pi k / n_phi); kind is
-    'cylindrical' or 'spherical', ValueError naming any other kind."""
-    if kind not in ("cylindrical", "spherical"):
-        raise ValueError(f"unknown kind {kind!r}; expected 'cylindrical' or 'spherical'")
+def sample_harmonic(label, radial, n_phi=32) -> PolarGridFunction:
+    """The harmonic of label on the grid radial x (2 pi k / n_phi), of the geometry
+    of the label's type; TypeError naming any other type."""
     radial = np.asarray(radial, dtype=float)
     phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     rr, pp = np.meshgrid(radial, phi, indexing="ij")
-    if kind == "cylindrical":
-        vals = cyl_harmonic_values(label.n, label.alpha, label.m, rr, pp)
+    if isinstance(label, CylHarmonicLabel):
+        kind, vals = "cylindrical", cyl_harmonic_values(label.n, label.alpha, label.m, rr, pp)
+    elif isinstance(label, SphHarmonicLabel):
+        kind, vals = "spherical", sph_harmonic_values(label.n, label.l, label.m, rr, pp)
     else:
-        vals = sph_harmonic_values(label.n, label.l, label.m, rr, pp)
+        raise _not_a_harmonic(label)
     return PolarGridFunction(kind, label.n, radial, phi, vals)
 
 
-def _spectral_phi_derivative(grid: PolarGridFunction, tail_tol=1e-8):
+def _spectral_phi_derivative(grid: PolarGridFunction):
     fhat = np.fft.fft(grid.values, axis=1)
     nphi = len(grid.azimuthal)
     k = np.fft.fftfreq(nphi, d=1.0 / nphi)
     peak = np.abs(fhat).max()
     if peak > 0:
         band = np.abs(k) >= nphi // 2 - 1
-        if np.abs(fhat[:, band]).max() > tail_tol * peak:
+        if np.abs(fhat[:, band]).max() > _PHI_TAIL_TOL * peak:
             raise ResolutionError(
                 "azimuthal grid does not resolve the sampled function "
-                f"(spectral tail above {tail_tol:g})")
+                f"(spectral tail above {_PHI_TAIL_TOL:g})")
     return np.fft.ifft(1j * k[None, :] * fhat, axis=1)
 
 
-def _eth_like(kind, grid, sign):
-    """sign=+1: eth, sign=-1: ethb, both returning the interior sub-grid."""
+def _eth_like(grid, sign):
+    """sign=+1: eth, sign=-1: ethb, of grid.kind, on the interior sub-grid."""
     h = grid.radial[1] - grid.radial[0]
     if not np.allclose(np.diff(grid.radial), h):
         raise ValueError("radial axis must be uniform")
@@ -566,22 +572,23 @@ def _eth_like(kind, grid, sign):
     f = grid.values[inner]
     dphi = dphi[inner]
     n = grid.spin
-    if kind == "cylindrical":
+    if grid.kind == "cylindrical":
         out = -(drad + sign * (1j / rad) * dphi - sign * (n / rad) * f)
-    elif kind == "spherical":
+    elif grid.kind == "spherical":
         csc = 1.0 / np.sin(rad)
         cot = np.cos(rad) * csc
         out = -(drad + sign * 1j * csc * dphi - sign * n * cot * f)
     else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return PolarGridFunction(kind, n + sign, grid.radial[inner], grid.azimuthal, out)
+        raise ValueError(f"unknown grid kind {grid.kind!r}")
+    return PolarGridFunction(grid.kind, n + sign, grid.radial[inner], grid.azimuthal, out)
 
 
-def eth_numeric(kind, grid: PolarGridFunction) -> PolarGridFunction:
-    """Apply the differential eth (spectral in phi, 4th-order radial);
-    returns the function on the radial interior with spin raised by one."""
-    return _eth_like(kind, grid, +1)
+def eth_numeric(grid: PolarGridFunction) -> PolarGridFunction:
+    """Apply the differential eth of the grid's geometry (grid.kind), spectral
+    in phi and 4th-order radially; returns the radial interior, spin + 1."""
+    return _eth_like(grid, +1)
 
 
-def ethbar_numeric(kind, grid: PolarGridFunction) -> PolarGridFunction:
-    return _eth_like(kind, grid, -1)
+def ethbar_numeric(grid: PolarGridFunction) -> PolarGridFunction:
+    """The differential ethb, as eth_numeric; spin - 1."""
+    return _eth_like(grid, -1)

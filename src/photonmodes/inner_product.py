@@ -51,6 +51,9 @@ from .modes import (SphericalLabel, CylindricalLabel, CylindricalMode, Spherical
                     Superposition, sph_radial_profiles, _broadcast)
 
 TWO_PI = 2.0 * math.pi
+GL_ORDER = 16       # nodes per segment of the composite radial rule
+TAIL_ETA = 0.02     # largest damping rate of the damped tail (then /2, /4)
+SMEAR_NODES = 48    # Gauss-Legendre nodes of a smeared delta row's k' integral
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +66,8 @@ class QuadratureSpec:
 
     chart selects the slice rule ('spherical' ball of radius r_max or
     'cartesian' box of half-width box_half); tail selects the radial
-    regularization for overlap integrals."""
+    regularization for overlap integrals, 'averaged' (tail_r0, tail_rounds)
+    or 'damped' (TAIL_ETA); both take the composite GL_ORDER-node rule."""
 
     chart: str = "spherical"
     t_slice: float = 0.0
@@ -73,11 +77,9 @@ class QuadratureSpec:
     n_phi: int = 24
     box_half: float = 6.0
     n_box: int = 40
-    tail: str = "averaged"        # averaged | damped | none
+    tail: str = "averaged"        # averaged | damped
     tail_r0: float = 150.0
     tail_rounds: int = 3
-    tail_eta: float = 0.02
-    gl_order: int = 16
     tol: float = 1e-3
 
     def __post_init__(self):
@@ -85,15 +87,14 @@ class QuadratureSpec:
         stored as int."""
         if self.chart not in ("spherical", "cartesian"):
             raise ValueError(f"chart must be 'spherical' or 'cartesian', got {self.chart!r}")
-        if self.tail not in ("averaged", "damped", "none"):
-            raise ValueError(f"tail must be 'averaged', 'damped' or 'none', got {self.tail!r}")
+        if self.tail not in ("averaged", "damped"):
+            raise ValueError(f"tail must be 'averaged' or 'damped', got {self.tail!r}")
         if not math.isfinite(self.t_slice):
             raise ValueError("t_slice must be finite")
-        for nm in ("r_max", "box_half", "tail_r0", "tail_eta", "tol"):
+        for nm in ("r_max", "box_half", "tail_r0", "tol"):
             if not 0 < getattr(self, nm) < math.inf:
                 raise ValueError(f"{nm} must be finite and > 0")
-        for nm, low in (("n_r", 4), ("n_theta", 4), ("n_phi", 4), ("n_box", 4),
-                        ("tail_rounds", 0), ("gl_order", 1)):
+        for nm, low in (("n_r", 4), ("n_theta", 4), ("n_phi", 4), ("n_box", 4), ("tail_rounds", 0)):
             value = getattr(self, nm)
             if not float(value).is_integer() or value < low:
                 raise ValueError(f"{nm} must be an integer >= {low}")
@@ -402,12 +403,12 @@ def _segment(freqs):
     return min(0.25 * TWO_PI / max(max(freqs) if freqs else 1.0, 1e-9), 2.0)
 
 
-def _composite_gl(f, a, b, seg_len, order=16):
+def _composite_gl(f, a, b, seg_len):
     if b <= a:
         return 0.0
     nseg = max(1, int(math.ceil((b - a) / seg_len)))
     edges = np.linspace(a, b, nseg + 1)
-    xg, wg = _gauss_legendre(order)
+    xg, wg = _gauss_legendre(GL_ORDER)
     mid = 0.5 * (edges[1:] + edges[:-1])
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
@@ -431,14 +432,14 @@ def _averaging_lattice(freqs, rounds):
     return sorted(merged.items())
 
 
-def _averaged_at(f, r0, freqs, rounds, seg, order):
+def _averaged_at(f, r0, freqs, rounds, seg):
     lattice = _averaging_lattice(sorted(freqs), rounds)
-    base = _composite_gl(f, 0.0, r0, seg, order)
+    base = _composite_gl(f, 0.0, r0, seg)
     cumulative = {}
     prev_off, prev_v = 0.0, base
     for off, _ in lattice:
         if off > prev_off:
-            prev_v = prev_v + _composite_gl(f, r0 + prev_off, r0 + off, seg, order)
+            prev_v = prev_v + _composite_gl(f, r0 + prev_off, r0 + off, seg)
             prev_off = off
         cumulative[off] = prev_v
     return sum(wt * cumulative[off] for off, wt in lattice)
@@ -451,30 +452,30 @@ def averaged_oscillatory_integral(f, freqs, spec: QuadratureSpec):
     which removes the ~1/R contribution of the slowly decaying
     non-oscillatory part of Bessel-product tails."""
     seg = _segment(freqs)
-    s1 = _averaged_at(f, spec.tail_r0, freqs, spec.tail_rounds, seg, spec.gl_order)
-    s2 = _averaged_at(f, 2.0 * spec.tail_r0, freqs, spec.tail_rounds, seg, spec.gl_order)
+    s1 = _averaged_at(f, spec.tail_r0, freqs, spec.tail_rounds, seg)
+    s2 = _averaged_at(f, 2.0 * spec.tail_r0, freqs, spec.tail_rounds, seg)
     return 2.0 * s2 - s1
 
 
-def damped_oscillatory_integral(f, freqs, spec: QuadratureSpec):
+def damped_oscillatory_integral(f, freqs):
     """Exact head integral plus an exponentially damped tail,
 
         I(eta) = int_0^{k/eta} f + int_{k/eta}^inf e^{-eta (r - k/eta)} f(r) dr,
 
-    Richardson-extrapolated eta -> 0 through (eta, eta/2, eta/4).  Tying the
+    Richardson-extrapolated eta -> 0 through eta = TAIL_ETA, /2, /4.  Tying the
     head length to k/eta makes the error of the slowly decaying ~1/r^2 part
     of Bessel-product tails exactly linear in eta, so the polynomial
     extrapolation removes it."""
     seg = _segment(freqs)
     kappa = 3.0
-    etas = [spec.tail_eta, spec.tail_eta / 2.0, spec.tail_eta / 4.0]
+    etas = [TAIL_ETA, TAIL_ETA / 2.0, TAIL_ETA / 4.0]
     vals = []
     for eta in etas:
         r0 = kappa / eta   # head must scale with 1/eta to keep the error linear
         r_max = r0 + 10.0 / eta
-        head = _composite_gl(f, 0.0, r0, seg, spec.gl_order)
+        head = _composite_gl(f, 0.0, r0, seg)
         vals.append(head + _composite_gl(
-            lambda r, e=eta, rr=r0: np.exp(-e * (r - rr)) * f(r), r0, r_max, seg, spec.gl_order))
+            lambda r, e=eta, rr=r0: np.exp(-e * (r - rr)) * f(r), r0, r_max, seg))
     # Neville to eta = 0 through the three points
     x = np.array(etas)
     p = list(vals)
@@ -487,9 +488,7 @@ def damped_oscillatory_integral(f, freqs, spec: QuadratureSpec):
 def oscillatory_integral(f, freqs, spec: QuadratureSpec):
     if spec.tail == "averaged":
         return averaged_oscillatory_integral(f, freqs, spec)
-    if spec.tail == "damped":
-        return damped_oscillatory_integral(f, freqs, spec)
-    return _composite_gl(f, 0.0, spec.tail_r0, _segment(freqs), spec.gl_order)
+    return damped_oscillatory_integral(f, freqs)
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +538,7 @@ def bessel_overlap_closed_form(kind, order, k1, k2):
     raise ValueError(f"unknown overlap kind {kind!r}")
 
 
-def smeared_radial_delta(kind, order, k_fixed, center, sigma, spec: QuadratureSpec, n_k=48):
+def smeared_radial_delta(kind, order, k_fixed, center, sigma):
     """Gaussian-smeared delta row: returns (numeric, expected) for
 
         int dk' G(k'; center, sigma) int_0^inf w(r) J(k r) J(k' r) dr
@@ -553,7 +552,7 @@ def smeared_radial_delta(kind, order, k_fixed, center, sigma, spec: QuadratureSp
     if not 0 < sigma < math.inf:
         raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
     nu = order if kind == "cyl_rho" else order + 0.5
-    xg, wg = _gauss_legendre(n_k)
+    xg, wg = _gauss_legendre(SMEAR_NODES)
     lo, hi = center - 6.0 * sigma, center + 6.0 * sigma
     if lo <= 0:
         raise ValueError("smearing window must stay positive")
@@ -567,7 +566,7 @@ def smeared_radial_delta(kind, order, k_fixed, center, sigma, spec: QuadratureSp
         kernel = np.einsum("k,kr->r", wk * gauss, jk)
         return r * bessel_j(nu, k_fixed * r) * kernel
 
-    numeric = _composite_gl(f, 0.0, r_max, _segment([center + k_fixed]), spec.gl_order)
+    numeric = _composite_gl(f, 0.0, r_max, _segment([center + k_fixed]))
     expected = float(np.exp(-((k_fixed - center) ** 2) / (2.0 * sigma**2))
                      / (sigma * math.sqrt(TWO_PI)) / k_fixed)
     return numeric, expected

@@ -163,20 +163,19 @@ def lie_derivative(xi: KillingField, field, t, x, y, z, h=fdiff.DEFAULT_H, metho
 class LieField:
     """Lazy Lie derivative of a field, itself evaluable: from the base's jet
     where it has one (off-axis points for a multipole), else by finite
-    differences of step h."""
+    differences of step fdiff.DEFAULT_H."""
 
-    def __init__(self, xi, base, h=fdiff.DEFAULT_H):
+    def __init__(self, xi, base):
         self.xi = xi
         self.base = base
-        self.h = h
 
     def evaluate(self, t, x, y, z):
-        return lie_derivative(self.xi, self.base, t, x, y, z, h=self.h)
+        return lie_derivative(self.xi, self.base, t, x, y, z)
 
     def time_derivative(self):
         """Lie_xi of the base's time derivative: exact for a time-independent
         generator, which commutes with d_t."""
-        return LieField(self.xi, self.base.time_derivative(), h=self.h)
+        return LieField(self.xi, self.base.time_derivative())
 
 
 def angular_momentum_squared(field, t, x, y, z, h=fdiff.DEFAULT_H):
@@ -261,7 +260,6 @@ def pauli_lubanski_residual(mode, t, x, y, z, h=fdiff.DEFAULT_H):
 class GridResidual:
     name: str
     residual: float
-    boundary_ring: int = fdiff.BOUNDARY_RING
     extra: dict = dataclass_field(default_factory=dict)
 
 

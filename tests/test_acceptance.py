@@ -40,25 +40,25 @@ def _line(num, name, passed, detail=""):
 @pytest.fixture(scope="module")
 def eigen_reports():
     t0 = time.perf_counter()
-    spec = CheckSpec("acceptance", seed=SEED, n_labels=20)
+    spec = CheckSpec(seed=SEED, n_labels=20)
     reports = {f: run_check(REGISTRY[f"eigen_{f}"], spec) for f in FAMILIES}
     return reports, time.perf_counter() - t0
 
 
 @pytest.fixture(scope="module")
 def field_reports():
-    spec = CheckSpec("acceptance", seed=SEED, n_labels=20)
+    spec = CheckSpec(seed=SEED, n_labels=20)
     return {f: run_check(REGISTRY[f"field_equations_{f}"], spec) for f in FAMILIES}
 
 
 @pytest.fixture(scope="module")
 def algebra_report():
-    return run_check(REGISTRY["algebra"], CheckSpec("acceptance", seed=SEED))
+    return run_check(REGISTRY["algebra"], CheckSpec(seed=SEED))
 
 
 @pytest.fixture(scope="module")
 def inner_report():
-    return run_check(REGISTRY["inner_product"], CheckSpec("acceptance", seed=SEED))
+    return run_check(REGISTRY["inner_product"], CheckSpec(seed=SEED))
 
 
 def test_criterion_1_eigenbasis(eigen_reports):
@@ -132,7 +132,7 @@ def test_criterion_7_bessel_tables(inner_report):
 
 
 def test_criterion_8_degeneracies():
-    rep = run_check(REGISTRY["degeneracy"], CheckSpec("acceptance", seed=SEED))
+    rep = run_check(REGISTRY["degeneracy"], CheckSpec(seed=SEED))
     ok = rep.passed
     assert _line(8, "degeneracies", ok,
                  f"alpha0-zeros exact, l0 rejected, l1 helicity "
@@ -147,7 +147,7 @@ def test_criterion_9_gauge_invariance(inner_report):
 
 
 def test_criterion_10_jacobi_anger():
-    rep = run_check(REGISTRY["crosscheck_jacobi_anger"], CheckSpec("acceptance", seed=SEED))
+    rep = run_check(REGISTRY["crosscheck_jacobi_anger"], CheckSpec(seed=SEED))
     err = rep.residuals["reconstruction_error_M20"]
     ok = rep.passed and err < 1e-8
     assert _line(10, "Jacobi-Anger crosscheck", ok, f"M=20 error={err:.2e}")

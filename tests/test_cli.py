@@ -193,10 +193,15 @@ def test_outputs_record_python_and_numpy_versions(tmp_path):
 
 
 def test_overlap_rejects_invalid_quadrature(capsys):
-    rc = main(["overlap", "--family", "spherical", "--label", "p0=1.0,lmax=1",
-               "--quad", "r_max=-5"])
-    assert rc == 2
-    assert "r_max" in capsys.readouterr().err
+    # a bad value is named, and so is a key that is no longer a setting (the
+    # composite rule order and the damping rate are constants) or a tail
+    # rule that does not exist
+    for quad, named in (("r_max=-5", "r_max"), ("gl_order=8", "gl_order"),
+                        ("tail_eta=0.01", "tail_eta"), ("tail=none", "'none'")):
+        rc = main(["overlap", "--family", "spherical", "--label", "p0=1.0,lmax=1",
+                   "--quad", quad])
+        assert rc == 2, quad
+        assert named in capsys.readouterr().err, quad
 
 
 def test_usage_error_exit_code():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from photonmodes.harmonics import (bessel_j, bessel_j_int_orders,
                                    eth_factor_sph, ethbar_factor_sph, eth_numeric,
                                    ethbar_numeric, sample_harmonic)
 from photonmodes.errors import InvalidLabelError, InvalidOrderError, ResolutionError
+from photonmodes.modes import SphericalLabel
 
 from oracles import bessel_series, bessel_half_trig
 
@@ -217,9 +219,9 @@ def test_harmonic_label_validation():
 
 
 def test_cyl_ladder_factors():
-    lab, fac = eth_analytic("cylindrical", CylHarmonicLabel(0, 3.0, 1))
+    lab, fac = eth_analytic(CylHarmonicLabel(0, 3.0, 1))
     assert (lab.n, lab.alpha, lab.m, fac) == (1, 3.0, 1, 3.0)
-    lab, fac = ethbar_analytic("cylindrical", CylHarmonicLabel(1, 2.0, 0))
+    lab, fac = ethbar_analytic(CylHarmonicLabel(1, 2.0, 0))
     assert (lab.n, fac) == (0, -2.0)
 
 
@@ -252,11 +254,11 @@ def test_sph_harmonic_examples():
 
 
 def test_sph_ladder_factors():
-    lab, fac = eth_analytic("spherical", SphHarmonicLabel(0, 1, 0))
+    lab, fac = eth_analytic(SphHarmonicLabel(0, 1, 0))
     assert (lab.n, fac) == (1, pytest.approx(math.sqrt(2.0)))
-    lab, fac = eth_analytic("spherical", SphHarmonicLabel(1, 1, 1))
+    lab, fac = eth_analytic(SphHarmonicLabel(1, 1, 1))
     assert fac == 0.0
-    lab, fac = ethbar_analytic("spherical", SphHarmonicLabel(0, 2, 1))
+    lab, fac = ethbar_analytic(SphHarmonicLabel(0, 2, 1))
     assert (lab.n, fac) == (-1, pytest.approx(-math.sqrt(6.0)))
 
 
@@ -315,8 +317,8 @@ def test_ladder_action_on_m():
 
 def test_eth_numeric_cylindrical_matches_ladder():
     lab = CylHarmonicLabel(0, 1.0, 0)
-    grid = sample_harmonic("cylindrical", lab, np.linspace(0.3, 3.0, 161), n_phi=16)
-    up = eth_numeric("cylindrical", grid)
+    grid = sample_harmonic(lab, np.linspace(0.3, 3.0, 161), n_phi=16)
+    up = eth_numeric(grid)
     ref = cyl_harmonic_values(1, 1.0, 0, up.radial[:, None], up.azimuthal[None, :])
     assert up.spin == 1
     assert np.abs(up.values - 1.0 * ref).max() < 1e-7
@@ -327,37 +329,57 @@ def test_eth_numeric_constant_zero():
     from photonmodes.harmonics import PolarGridFunction
     grid = PolarGridFunction("cylindrical", 0, np.linspace(0.5, 2.0, 31), phi,
                              np.ones((31, 16), dtype=complex))
-    out = eth_numeric("cylindrical", grid)
+    out = eth_numeric(grid)
     assert np.abs(out.values).max() < 1e-12
 
 
 def test_eth_numeric_spherical_matches_ladder():
     lab = SphHarmonicLabel(0, 2, 1)
-    grid = sample_harmonic("spherical", lab, np.linspace(0.3, math.pi - 0.3, 161),
-                           n_phi=16)
-    up = eth_numeric("spherical", grid)
+    grid = sample_harmonic(lab, np.linspace(0.3, math.pi - 0.3, 161), n_phi=16)
+    up = eth_numeric(grid)
     ref = sph_harmonic_values(1, 2, 1, up.radial[:, None], up.azimuthal[None, :])
     assert np.abs(up.values - math.sqrt(6.0) * ref).max() < 1e-7
-    dn = ethbar_numeric("spherical", grid)
+    dn = ethbar_numeric(grid)
     refd = sph_harmonic_values(-1, 2, 1, dn.radial[:, None], dn.azimuthal[None, :])
     assert np.abs(dn.values + math.sqrt(6.0) * refd).max() < 1e-7
 
 
-@pytest.mark.parametrize("kind, label", [("sph", SphHarmonicLabel(0, 2, 1)),
-                                         ("cyl", CylHarmonicLabel(0, 1.0, 1))])
-def test_sample_harmonic_rejects_an_unknown_kind(kind, label):
-    # a misspelt kind is an error naming it, not a grid of that kind (which
-    # only eth_numeric would reject) or an AttributeError from the label
-    with pytest.raises(ValueError, match=rf"'{kind}'.*'cylindrical' or 'spherical'"):
-        sample_harmonic(kind, label, np.linspace(0.3, 1.0, 9))
+def test_eth_numeric_takes_the_geometry_of_the_grid():
+    # a SphHarmonicLabel samples a spherical grid, and eth of that grid is
+    # the spherical operator: the cylindrical one on the same values is far
+    # off the ladder
+    lab = SphHarmonicLabel(0, 2, 1)
+    grid = sample_harmonic(lab, np.linspace(0.3, math.pi - 0.3, 161), n_phi=16)
+    assert grid.kind == "spherical"
+    lab_up, fac = eth_analytic(lab)
+    for geometry, near in (("spherical", True), ("cylindrical", False)):
+        up = eth_numeric(replace(grid, kind=geometry))
+        assert up.kind == geometry
+        ref = sph_harmonic_values(lab_up.n, lab_up.l, lab_up.m,
+                                  up.radial[:, None], up.azimuthal[None, :])
+        assert (np.abs(up.values - fac * ref).max() < 1e-7) == near
+    assert sample_harmonic(CylHarmonicLabel(0, 1.0, 1), [0.5, 1.0]).kind == "cylindrical"
+
+
+@pytest.mark.parametrize("label", [SphericalLabel(1.0, 2, 1, +1), (0, 2, 1)],
+                         ids=["mode_label", "tuple"])
+def test_sample_harmonic_rejects_a_non_harmonic_label(label):
+    # the geometry comes from the label's type: anything else is a TypeError
+    # naming that type, not an AttributeError from a missing field
+    name = type(label).__name__
+    with pytest.raises(TypeError, match=name):
+        sample_harmonic(label, np.linspace(0.3, 1.0, 9))
+    for ladder in (eth_analytic, ethbar_analytic):
+        with pytest.raises(TypeError, match=name):
+            ladder(label)
 
 
 def test_eth_numeric_resolution_error():
     # m = 3 content on a 7-point azimuthal grid sits at the Nyquist band
     lab = CylHarmonicLabel(0, 1.0, 3)
-    grid = sample_harmonic("cylindrical", lab, np.linspace(0.5, 2.0, 31), n_phi=7)
+    grid = sample_harmonic(lab, np.linspace(0.5, 2.0, 31), n_phi=7)
     with pytest.raises(ResolutionError):
-        eth_numeric("cylindrical", grid)
+        eth_numeric(grid)
 
 
 def test_l3_spectral_eigenvalue():

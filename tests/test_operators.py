@@ -24,6 +24,17 @@ from photonmodes.charts import dyads
 # Lie derivatives
 # ---------------------------------------------------------------------------
 
+def _stencil_loop(mode, pts, axis, h, offsets, weights):
+    """sum_k w_k A(pts + offset_k h e_axis), one evaluate call per offset."""
+    want = None
+    for off, w in zip(offsets, weights):
+        shifted = list(pts)
+        shifted[axis] = np.asarray(shifted[axis], dtype=float) + off * h
+        val = w * mode.evaluate(*shifted)
+        want = val if want is None else want + val
+    return want
+
+
 def test_partial_calls_the_field_once_per_stencil():
     mode = spherical_mode(SphericalLabel(1.3, 2, 1, +1))
     pts = (np.array([0.0, 0.4]), np.array([0.9, -0.3]), np.array([0.5, 1.2]), 0.7)
@@ -33,30 +44,44 @@ def test_partial_calls_the_field_once_per_stencil():
         calls.append(np.broadcast(*coords).shape)
         return mode.evaluate(*coords)
 
-    for order, (offsets, weights) in ((1, (fdiff.D1_OFFSETS, fdiff.D1_WEIGHTS)),
-                                      (2, (fdiff.D2_OFFSETS, fdiff.D2_WEIGHTS))):
-        for axis in range(4):
-            calls.clear()
-            got = fdiff.partial(counted, pts, axis, 0.01, order=order)
-            assert calls == [(len(offsets), 2)]
-            # the loop over offsets, one call each
-            want = None
-            for off, w in zip(offsets, weights):
-                shifted = list(pts)
-                shifted[axis] = np.asarray(shifted[axis], dtype=float) + off * 0.01
-                val = w * mode.evaluate(*shifted)
-                want = val if want is None else want + val
-            want = want / 0.01**order
-            # numpy's vectorised kernels can round a point differently in a
-            # larger batch: equal to rounding
-            assert got.shape == want.shape
-            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for axis in range(4):
+        calls.clear()
+        got = fdiff.partial(counted, pts, axis, 0.01)
+        assert calls == [(len(fdiff.D1_OFFSETS), 2)]
+        want = _stencil_loop(mode, pts, axis, 0.01, fdiff.D1_OFFSETS, fdiff.D1_WEIGHTS) / 0.01
+        # numpy's vectorised kernels can round a point differently in a
+        # larger batch: equal to rounding
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
     # nested partials make one call of the base field per level: L3 moves x
     # and y, so Lie_L3 f is f plus two partials, three calls, and
     # Lie_L3 Lie_L3 f is three calls of Lie_L3 f (81 with a call per offset)
     calls.clear()
-    lie_derivative(L3(), LieField(L3(), counted, h=0.01), *pts, h=0.01, method="fd")
+    lie_derivative(L3(), LieField(L3(), counted), *pts, h=0.01, method="fd")
     assert len(calls) == 3 * 3
+
+
+def test_grid_partial_second_derivative_is_the_d2_stencil():
+    # the field sampled on five nodes along each axis: the one interior node
+    # of grid_partial(order=2) is the loop over the D2 offsets and weights
+    mode = spherical_mode(SphericalLabel(1.3, 2, 1, +1))
+    pts = (np.array([0.0, 0.4]), np.array([0.9, -0.3]), np.array([0.5, 1.2]), 0.7)
+    coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in pts))
+    for axis in range(4):
+        line = [np.broadcast_to(c, (5,) + c.shape) for c in coords]
+        line[axis] = coords[axis] + np.arange(-2, 3)[:, None] * 0.01
+        got = fdiff.grid_partial(mode.evaluate(*line), 0, 0.01, order=2)
+        want = _stencil_loop(mode, pts, axis, 0.01, fdiff.D2_OFFSETS,
+                             fdiff.D2_WEIGHTS) / 0.01**2
+        assert got.shape == (1,) + want.shape
+        assert np.abs(got[0] - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("order", [0, 3, 1.5])
+def test_grid_partial_rejects_an_order_other_than_1_or_2(order):
+    # the third derivative used to come back as the second one over h
+    with pytest.raises(ValueError, match="order"):
+        fdiff.grid_partial(np.arange(8.0) ** 3, 0, 1.0, order=order)
 
 
 def test_gradient4_calls_the_field_once_with_the_stencils_of_partial():
@@ -257,7 +282,7 @@ def test_l3_twice_on_m3_mode():
     mode = cylindrical_mode(CylindricalLabel(1.1, 0.2, 3, +1))
     pts = (np.array([0.0]), np.array([1.2]), np.array([0.4]), np.array([0.3]))
     from photonmodes.operators import LieField
-    once = LieField(L3(), mode, h=0.008)
+    once = LieField(L3(), mode)
     twice = lie_derivative(L3(), once, *pts, h=0.008, method="fd")
     a = mode.evaluate(*pts)
     assert np.abs(twice - 9.0 * a).max() < 1e-5 * np.abs(a).max()

@@ -16,13 +16,13 @@ def test_unknown_suite():
 
 
 def test_degeneracy_suite_passes():
-    rep = run_check(REGISTRY["degeneracy"], CheckSpec("degeneracy"))
+    rep = run_check(REGISTRY["degeneracy"], CheckSpec())
     assert rep.passed
     assert rep.residuals["alpha0_forbidden_max"] == 0.0
 
 
 def test_crosscheck_suite():
-    rep = run_check(REGISTRY["crosscheck_jacobi_anger"], CheckSpec("crosscheck"))
+    rep = run_check(REGISTRY["crosscheck_jacobi_anger"], CheckSpec())
     assert rep.passed
     assert rep.residuals["reconstruction_error_M20"] < 1e-8
     assert rep.residuals["reconstruction_error_M0"] > 0.1
@@ -32,7 +32,7 @@ def test_crosscheck_suite():
 
 
 def test_small_eigen_suite_each_family():
-    spec = CheckSpec("t", n_labels=4)
+    spec = CheckSpec(n_labels=4)
     for family in ("plane", "cylindrical", "spherical"):
         rep = run_check(REGISTRY[f"eigen_{family}"], spec)
         assert rep.passed, rep.residuals
@@ -45,20 +45,20 @@ def test_null_momentum_gate_fails_on_a_mutated_bessel_ladder(monkeypatch):
     exact = modes.bessel_j_int_orders
     monkeypatch.setattr(modes, "bessel_j_int_orders",
                         lambda orders, x: exact(orders, 1.01 * x))
-    rep = run_check(REGISTRY["eigen_cylindrical"], CheckSpec("e", n_labels=4))
+    rep = run_check(REGISTRY["eigen_cylindrical"], CheckSpec(n_labels=4))
     assert rep.residuals["null_momentum_analytic"] > TOL_ANALYTIC
     assert not rep.passed
 
 
 def test_reports_deterministic_at_fixed_seed():
-    a = run_check(REGISTRY["degeneracy"], CheckSpec("d", seed=7))
-    b = run_check(REGISTRY["degeneracy"], CheckSpec("d", seed=7))
+    a = run_check(REGISTRY["degeneracy"], CheckSpec(seed=7))
+    b = run_check(REGISTRY["degeneracy"], CheckSpec(seed=7))
     assert a.canonical_json() == b.canonical_json()
     eigen = REGISTRY["eigen_cylindrical"]
-    r1 = run_check(eigen, CheckSpec("e", seed=7, n_labels=3))
-    r2 = run_check(eigen, CheckSpec("e", seed=7, n_labels=3))
+    r1 = run_check(eigen, CheckSpec(seed=7, n_labels=3))
+    r2 = run_check(eigen, CheckSpec(seed=7, n_labels=3))
     assert r1.canonical_json() == r2.canonical_json()
-    r3 = run_check(eigen, CheckSpec("e", seed=8, n_labels=3))
+    r3 = run_check(eigen, CheckSpec(seed=8, n_labels=3))
     assert r1.labels != r3.labels
 
 
@@ -100,15 +100,15 @@ def test_report_file_is_strict_json_and_round_trips(tmp_path):
 def test_check_spec_rejects_a_bad_label_count():
     for bad in (0, -1, 2.5, float("nan")):
         with pytest.raises(ValueError, match="n_labels"):
-            CheckSpec("t", n_labels=bad)
-    assert type(CheckSpec("t", n_labels=3.0).n_labels) is int
+            CheckSpec(n_labels=bad)
+    assert type(CheckSpec(n_labels=3.0).n_labels) is int
 
 
 def test_undeclared_residual_rejected():
     check = Check("t", "t", (), {"a": 1.0}, (),
                   lambda spec: ({"a": 0.0, "b": 0.0}, []))
     with pytest.raises(RuntimeError, match="'b'"):
-        run_check(check, CheckSpec("t"))
+        run_check(check, CheckSpec())
 
 
 def test_suite_names_stable():

@@ -115,19 +115,19 @@ def _parse_grid(items):
 
 
 def _parse_quad(items):
-    kv = _parse_kv(items)
+    """The Gram quadrature from --quad: only the tail-rule keys, since the
+    Gram reads nothing else; any other key is a usage error."""
     kwargs = {}
-    # counts are parsed as floats too: QuadratureSpec rejects a non-integral
-    # one by name and stores an integral one as int
-    numbers = ("t_slice", "r_max", "box_half", "tail_r0", "tol",
-               "n_r", "n_theta", "n_phi", "n_box", "tail_rounds")
-    for k, v in kv.items():
-        if k in numbers:
+    for k, v in _parse_kv(items).items():
+        if k in ("tail_r0", "tail_rounds"):
+            # tail_rounds as a float too: QuadratureSpec rejects a
+            # non-integral one by name and stores an integral one as int
             kwargs[k] = float(v)
-        elif k in ("chart", "tail"):
+        elif k == "tail":
             kwargs[k] = v
         else:
-            raise ValueError(f"unknown quadrature key {k!r}")
+            raise ValueError(f"unknown quadrature key {k!r}; overlap takes "
+                             f"tail, tail_r0 and tail_rounds")
     return QuadratureSpec(**kwargs)
 
 
@@ -244,8 +244,10 @@ def cmd_overlap(args):
         print(f"quadrature failed to converge: {exc}", file=sys.stderr)
         return 1
     payload = {
-        "provenance": _provenance(args.seed, {"family": args.family, "fixed": fixed,
-                                              "ranges": ranges}),
+        "provenance": _provenance(args.seed, {
+            "family": args.family, "fixed": fixed, "ranges": ranges,
+            "quad": {"tail": spec.tail, "tail_r0": spec.tail_r0,
+                     "tail_rounds": spec.tail_rounds}}),
         "family": args.family,
         "fixed": fixed,
         "labels": [list(lb) for lb in gram.labels],
@@ -290,7 +292,8 @@ def build_parser():
                       choices=("cylindrical", "spherical"))
     p_ov.add_argument("--label", action="append",
                       help="p0=...,pz=...,lmax=...,mmax=...")
-    p_ov.add_argument("--quad", action="append", help="quadrature key=value list")
+    p_ov.add_argument("--quad", action="append",
+                      help="tail=averaged|damped,tail_r0=...,tail_rounds=...")
     p_ov.add_argument("--out")
     p_ov.set_defaults(func=cmd_overlap)
     return ap

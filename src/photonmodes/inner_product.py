@@ -31,6 +31,11 @@ they are regularized two independent ways and both must agree:
 - 'damped':   exponential damper exp(-eta r) with Richardson extrapolation
   eta -> 0 over (eta, eta/2, eta/4).
 
+An integrand may return a (K, n) stack of K integrands on the same nodes.
+The radial integrals of one discrete-sector Gram share their beat frequency
+and so their nodes; each Gram takes them as one stacked integral (one per l
+for the multipoles), walked in blocks of _TAIL_BLOCK nodes.
+
 Delta-normalization in the continuous labels is always verified through
 square-integrable wave packets or Gaussian-smeared overlaps, never by
 pointwise evaluation of a distribution.
@@ -40,7 +45,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dataclass_field, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -403,7 +407,17 @@ def _segment(freqs):
     return min(0.25 * TWO_PI / max(max(freqs) if freqs else 1.0, 1e-9), 2.0)
 
 
+#: Radial nodes per block of _composite_gl.  An integrand sees at most this
+#: many nodes at once, so its working set does not grow with the tail length;
+#: much smaller blocks slow the scalar integrands (per-call set-up).
+_TAIL_BLOCK = 2048
+
+
 def _composite_gl(f, a, b, seg_len):
+    """int_a^b f(r) dr by the composite GL_ORDER-node Gauss-Legendre rule,
+    segments at most seg_len long.  f maps n nodes to n values, or to a
+    (K, n) stack of K integrands, whose K integrals are returned.  The nodes
+    are walked in blocks of _TAIL_BLOCK."""
     if b <= a:
         return 0.0
     nseg = max(1, int(math.ceil((b - a) / seg_len)))
@@ -413,7 +427,11 @@ def _composite_gl(f, a, b, seg_len):
     half = 0.5 * (edges[1:] - edges[:-1])
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     weights = (half[:, None] * wg[None, :]).ravel()
-    return np.sum(weights * f(nodes))
+    total = 0.0
+    for start in range(0, len(nodes), _TAIL_BLOCK):
+        block = slice(start, start + _TAIL_BLOCK)
+        total = total + f(nodes[block]) @ weights[block]
+    return total
 
 
 def _averaging_lattice(freqs, rounds):
@@ -486,6 +504,8 @@ def damped_oscillatory_integral(f, freqs):
 
 
 def oscillatory_integral(f, freqs, spec: QuadratureSpec):
+    """The regularized int_0^inf f(r) dr under spec.tail; an f returning a
+    (K, n) stack gets its K integrals, all on the same nodes."""
     if spec.tail == "averaged":
         return averaged_oscillatory_integral(f, freqs, spec)
     return damped_oscillatory_integral(f, freqs)
@@ -642,17 +662,25 @@ def _gram_spherical(p0, l_max, spec):
     angular = [sph_harmonic_gram(n, lm, 2 * l_max + 6, 4 * l_max + 8) for n in (0, -1, 1)]
     profile = {(l, s): SphericalLabel(p0, l, 0, s) for l in range(1, l_max + 1) for s in (1, -1)}
 
-    @lru_cache(maxsize=None)
-    def radial(sector, l, s, lp, sp_):
+    def products(l):
+        """The 12 radial products conj(R_n[l, s]) R_n[l, s'] r^2, stacked in
+        (sector n, s, s') order: the angular Gram vanishes unless l = l'."""
         def f(r):
-            fa = sph_radial_profiles(profile[l, s], r)[sector]
-            fb = sph_radial_profiles(profile[lp, sp_], r)[sector]
-            return np.conj(fa) * fb * r**2
-        return oscillatory_integral(f, [2.0 * p0], spec)
+            prof = [sph_radial_profiles(profile[l, s], r) for s in (1, -1)]
+            r2 = r**2
+            return np.stack([np.conj(fa[sector]) * fb[sector] * r2
+                             for sector in range(3) for fa in prof for fb in prof])
+        return f
+
+    # radial[l][sector, s, s'], s and s' indexed 0 for +1 and 1 for -1
+    radial = {l: oscillatory_integral(products(l), [2.0 * p0], spec).reshape(3, 2, 2)
+              for l in range(1, l_max + 1)}
 
     def entry(i, j):
         (l, _, s), (lp, _, sp_) = labels[i], labels[j]
-        return 2.0 * p0 * sum(radial(sector, l, s, lp, sp_) * ang[i // 2, j // 2]
+        if l != lp:
+            return None
+        return 2.0 * p0 * sum(radial[l][sector, i % 2, j % 2] * ang[i // 2, j // 2]
                               for sector, ang in enumerate(angular)
                               if abs(ang[i // 2, j // 2]) >= 1e-14)
 
@@ -661,27 +689,26 @@ def _gram_spherical(p0, l_max, spec):
 
 def _gram_cylindrical(p0, pz, m_max, spec):
     labels = [(m, s) for m in range(-m_max, m_max + 1) for s in (+1, -1)]
+    modes = {(m, s): CylindricalMode(CylindricalLabel(p0, pz, m, s)) for (m, s) in labels}
     alpha = math.sqrt(max(p0**2 - pz**2, 0.0))
     n_phi = 8 * m_max + 8
     phi = np.arange(n_phi) * TWO_PI / n_phi
     wphi = TWO_PI / n_phi
 
-    @lru_cache(maxsize=None)
-    def radial(k):
-        def f(rho):
-            jk = bessel_j(abs(k), alpha * rho)
-            return rho * jk * jk
-        return oscillatory_integral(f, [2.0 * alpha], spec)
+    def f(rho):
+        x = alpha * rho
+        return np.stack([rho * jk * jk for jk in (bessel_j(k, x) for k in range(m_max + 2))])
 
-    modes = {(m, s): CylindricalMode(CylindricalLabel(p0, pz, m, s)) for (m, s) in labels}
+    # row k: the regularized int rho J_k(alpha rho)^2 drho, k = 0..m_max+1
+    radial = oscillatory_integral(f, [2.0 * alpha], spec)
 
     def entry(i, j):
         (m, _), (mp, _), ca, cb = labels[i], labels[j], modes[labels[i]], modes[labels[j]]
         ang = np.sum(np.exp(1j * (mp - m) * phi)) * wphi
         if abs(ang) < 1e-13:
             return None
-        return 2.0 * p0 * ang * (np.conj(ca.cz) * cb.cz * radial(m)
-                                 + np.conj(ca.cm) * cb.cm * radial(m - 1)
-                                 + np.conj(ca.cp) * cb.cp * radial(m + 1))
+        return 2.0 * p0 * ang * (np.conj(ca.cz) * cb.cz * radial[abs(m)]
+                                 + np.conj(ca.cm) * cb.cm * radial[abs(m - 1)]
+                                 + np.conj(ca.cp) * cb.cp * radial[abs(m + 1)])
 
     return _hermitian_gram("cylindrical", labels, entry, {"p0": p0, "pz": pz})

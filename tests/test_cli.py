@@ -204,5 +204,31 @@ def test_overlap_rejects_invalid_quadrature(capsys):
         assert named in capsys.readouterr().err, quad
 
 
+@pytest.mark.parametrize("key", ["chart=cartesian", "t_slice=0.5", "r_max=30", "n_r=4",
+                                 "n_theta=8", "n_phi=8", "box_half=2", "n_box=8", "tol=0.5"])
+def test_overlap_quad_takes_only_the_tail_keys(capsys, key):
+    # the Gram reads no slice setting, so a slice key is a usage error, not a no-op
+    rc = main(["overlap", "--family", "spherical", "--label", "p0=1.0,lmax=1",
+               "--quad", f"tail_r0=300,{key}"])
+    assert rc == 2
+    assert repr(key.split("=")[0]) in capsys.readouterr().err
+
+
+def test_overlap_config_hash_covers_the_quadrature(tmp_path):
+    def config_hash(*quad):
+        out = tmp_path / "gram.json"
+        argv = ["overlap", "--family", "spherical", "--label", "p0=1.0,lmax=1",
+                "--out", str(out)]
+        assert main(argv + [arg for q in quad for arg in ("--quad", q)]) == 0
+        return json.loads(out.read_text())["provenance"]["config_hash"]
+
+    default = config_hash()
+    # the default quadrature spelt out is the same configuration
+    assert config_hash("tail=averaged,tail_r0=300,tail_rounds=4") == default
+    damped = config_hash("tail=damped")
+    assert damped != default and config_hash("tail=damped") == damped
+    assert config_hash("tail_r0=300,tail_rounds=3") != default
+
+
 def test_usage_error_exit_code():
     assert main(["eval"]) == 2

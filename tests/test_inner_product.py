@@ -1,3 +1,4 @@
+import functools
 import gc
 import math
 import tracemalloc
@@ -14,7 +15,7 @@ from photonmodes.inner_product import (QuadratureSpec, WavePacket, Superposition
                                        bessel_overlap, bessel_overlap_closed_form,
                                        smeared_radial_delta, discrete_orthonormality,
                                        averaged_oscillatory_integral,
-                                       damped_oscillatory_integral)
+                                       damped_oscillatory_integral, oscillatory_integral)
 from photonmodes.errors import NonConvergenceError
 from photonmodes.operators import L3, LieField
 from photonmodes import charts, fdiff, harmonics, modes, inner_product
@@ -570,6 +571,46 @@ def test_regularization_consistency_simple_integrand():
     assert abs(damped_oscillatory_integral(f, [1.0]) - want) < 1e-5
 
 
+# four integrands on shared beat frequencies, three of them complex: the
+# sph_inv_r and sph_cross rows of bessel_overlap and a damped cosine
+_STACK_ROWS = (lambda r: harmonics.bessel_j(1.5, r) * harmonics.bessel_j(1.5, 2.0 * r) / r,
+               lambda r: (1.0 + 0.5j) * harmonics.bessel_j(0.5, r) * harmonics.bessel_j(1.5, 2.0 * r),
+               lambda r: (1.0 - 1.0j) * np.exp(-r / 4.0) * np.cos(r),
+               lambda r: 1.0j * harmonics.bessel_j(2.5, 0.7 * r) ** 2 / r)
+
+
+@pytest.mark.parametrize("tail", ["averaged", "damped"])
+def test_stacked_integrand_equals_one_scalar_integral_per_row(tail):
+    spec = QuadratureSpec(tail=tail)
+    freqs = [3.0, 1.0]
+    stacked = oscillatory_integral(lambda r: np.stack([g(r) for g in _STACK_ROWS]), freqs, spec)
+    assert stacked.shape == (len(_STACK_ROWS),)
+    for k, g in enumerate(_STACK_ROWS):
+        scalar = oscillatory_integral(g, freqs, spec)
+        assert abs(stacked[k] - scalar) <= 1e-14 * abs(scalar), k
+
+
+def test_composite_rule_in_blocks_matches_the_single_block_sum(monkeypatch):
+    # 37 segments of 16 nodes = 592 nodes in blocks of 100: five full blocks and one of 92
+    seen = []
+
+    def f(r):
+        seen.append(r.copy())
+        return np.stack([np.cos(r), (1.0 + 1.0j) * r * np.exp(-0.1 * r)])
+
+    monkeypatch.setattr(inner_product, "_TAIL_BLOCK", 10**6)
+    whole = inner_product._composite_gl(f, 0.0, 37.0, 1.0)
+    (nodes,) = seen
+    seen.clear()
+    monkeypatch.setattr(inner_product, "_TAIL_BLOCK", 100)
+    blocked = inner_product._composite_gl(f, 0.0, 37.0, 1.0)
+    assert [len(r) for r in seen] == [100] * 5 + [92]
+    assert np.array_equal(np.concatenate(seen), nodes)
+    assert blocked.shape == (2,)
+    assert np.all(np.abs(blocked - whole) <= 1e-14 * np.abs(whole))
+    assert blocked[0] == pytest.approx(math.sin(37.0), abs=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # Gram matrices
 # ---------------------------------------------------------------------------
@@ -631,3 +672,99 @@ def test_gram_single_label():
     # a single m with two helicities: 2x2, unit diagonal
     assert g.matrix.shape == (2, 2)
     assert np.allclose(np.diag(g.matrix), 1.0)
+
+
+def _spherical_gram_reference(p0, l_max, spec):
+    """The unnormalized multipole Gram entry by entry: one scalar radial
+    integral per (sector, l, s, l', s') with a nonzero angular overlap."""
+    lm = [(l, m) for l in range(1, l_max + 1) for m in range(-l, l + 1)]
+    labels = [(l, m, s) for l, m in lm for s in (+1, -1)]
+    angular = [harmonics.sph_harmonic_gram(n, lm, 2 * l_max + 6, 4 * l_max + 8)
+               for n in (0, -1, 1)]
+
+    @functools.cache
+    def radial(sector, l, s, lp, sp_):
+        def f(r):
+            fa = modes.sph_radial_profiles(SphericalLabel(p0, l, 0, s), r)[sector]
+            fb = modes.sph_radial_profiles(SphericalLabel(p0, lp, 0, sp_), r)[sector]
+            return np.conj(fa) * fb * r**2
+        return oscillatory_integral(f, [2.0 * p0], spec)
+
+    gram = np.zeros((len(labels), len(labels)), dtype=complex)
+    for i, j in zip(*np.triu_indices(len(labels))):
+        (l, _, s), (lp, _, sp_) = labels[i], labels[j]
+        gram[i, j] = 2.0 * p0 * sum(radial(sector, l, s, lp, sp_) * ang[i // 2, j // 2]
+                                    for sector, ang in enumerate(angular)
+                                    if abs(ang[i // 2, j // 2]) >= 1e-14)
+        gram[j, i] = np.conj(gram[i, j])
+    return gram
+
+
+def _cylindrical_gram_reference(p0, pz, m_max, spec):
+    """The unnormalized Bessel-beam Gram entry by entry: one scalar radial
+    integral of rho J_|k|(alpha rho)^2 per signed k."""
+    labels = [(m, s) for m in range(-m_max, m_max + 1) for s in (+1, -1)]
+    alpha = math.sqrt(p0**2 - pz**2)
+    phi = np.arange(8 * m_max + 8) * 2.0 * math.pi / (8 * m_max + 8)
+
+    @functools.cache
+    def radial(k):
+        def f(rho):
+            jk = harmonics.bessel_j(abs(k), alpha * rho)
+            return rho * jk * jk
+        return oscillatory_integral(f, [2.0 * alpha], spec)
+
+    beams = [cylindrical_mode(CylindricalLabel(p0, pz, m, s)) for m, s in labels]
+    gram = np.zeros((len(labels), len(labels)), dtype=complex)
+    for i, j in zip(*np.triu_indices(len(labels))):
+        (m, _), (mp, _), ca, cb = labels[i], labels[j], beams[i], beams[j]
+        ang = np.sum(np.exp(1j * (mp - m) * phi)) * (phi[1] - phi[0])
+        if abs(ang) >= 1e-13:
+            gram[i, j] = 2.0 * p0 * ang * (np.conj(ca.cz) * cb.cz * radial(m)
+                                           + np.conj(ca.cm) * cb.cm * radial(m - 1)
+                                           + np.conj(ca.cp) * cb.cp * radial(m + 1))
+            gram[j, i] = np.conj(gram[i, j])
+    return gram
+
+
+@pytest.mark.parametrize("tail", ["averaged", "damped"])
+def test_gram_takes_its_radial_integrals_in_one_pass(monkeypatch, tail):
+    spec = QuadratureSpec(tail=tail, tail_r0=GRAM_QUAD.tail_r0, tail_rounds=GRAM_QUAD.tail_rounds)
+    calls = {"integral": 0, "integrand": 0, "profiles": 0, "orders": []}
+
+    def counted_integral(f, freqs, spec):
+        calls["integral"] += 1
+
+        def counted_f(r):
+            calls["integrand"] += 1
+            return f(r)
+        return oscillatory_integral(counted_f, freqs, spec)
+
+    def counted_profiles(label, r):
+        calls["profiles"] += 1
+        return modes.sph_radial_profiles(label, r)
+
+    def counted_bessel(order, x):
+        calls["orders"].append(order)
+        return harmonics.bessel_j(order, x)
+
+    monkeypatch.setattr(inner_product, "oscillatory_integral", counted_integral)
+    monkeypatch.setattr(inner_product, "sph_radial_profiles", counted_profiles)
+    monkeypatch.setattr(inner_product, "bessel_j", counted_bessel)
+
+    # one stacked integral per l, one profile pass per (l, s) and node block
+    g = discrete_orthonormality("spherical", {"p0": 1.0}, {"l_max": 3}, spec)
+    assert calls["integral"] == 3
+    assert calls["profiles"] == 2 * calls["integrand"] and calls["orders"] == []
+    raw = g.matrix * np.sqrt(np.outer(g.diagonal, g.diagonal))
+    want = _spherical_gram_reference(1.0, 3, spec)
+    assert np.abs(raw - want).max() <= 1e-13 * np.abs(np.diag(want)).max()
+
+    # one stacked integral, one bessel_j call per order 0..m_max+1 and node block
+    calls.update(integral=0, integrand=0, profiles=0)
+    g = discrete_orthonormality("cylindrical", {"p0": 1.0, "pz": 0.3}, {"m_max": 3}, spec)
+    assert calls["integral"] == 1 and calls["profiles"] == 0
+    assert calls["orders"] == list(range(5)) * calls["integrand"]
+    raw = g.matrix * np.sqrt(np.outer(g.diagonal, g.diagonal))
+    want = _cylindrical_gram_reference(1.0, 0.3, 3, spec)
+    assert np.abs(raw - want).max() <= 1e-13 * np.abs(np.diag(want)).max()

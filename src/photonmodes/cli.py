@@ -114,10 +114,15 @@ def _parse_grid(items):
     return GridSpec(**defaults)
 
 
+# overlap's tail rule; a key that --quad leaves out keeps its value here
+OVERLAP_QUAD = {"tail": "averaged", "tail_r0": 300.0, "tail_rounds": 4}
+
+
 def _parse_quad(items):
-    """The Gram quadrature from --quad: only the tail-rule keys, since the
-    Gram reads nothing else; any other key is a usage error."""
-    kwargs = {}
+    """The Gram quadrature from --quad over OVERLAP_QUAD: only the tail-rule
+    keys, since the Gram reads nothing else; any other key is a usage
+    error."""
+    kwargs = dict(OVERLAP_QUAD)
     for k, v in _parse_kv(items).items():
         if k in ("tail_r0", "tail_rounds"):
             # tail_rounds as a float too: QuadratureSpec rejects a
@@ -225,8 +230,7 @@ def cmd_validate(args):
 
 def cmd_overlap(args):
     kv = _parse_kv(args.label)
-    spec = _parse_quad(args.quad) if args.quad else QuadratureSpec(
-        tail_r0=300.0, tail_rounds=4)
+    spec = _parse_quad(args.quad)
     try:
         if args.family not in OVERLAP_KEYS:
             raise ValueError("overlap supports the cylindrical and spherical families")

@@ -3,12 +3,16 @@
 Callables take (t, x, y, z) with numpy broadcasting and return arrays whose
 leading dimensions follow the coordinates.  partial() hands a callable the
 whole stencil as one batch: the coordinates broadcast together, with the
-stencil offsets on a new leading axis, so f is called once per partial and
-nested partials (Lie derivatives of Lie derivatives) once per level.
-gradient4() calls f once on the stencils of all four axes (two new leading
-axes [mu, offset]), with the offsets, weights and summation order of
-partial().  The step h must be finite and nonzero (ValueError otherwise);
-it may be negative, as a descending grid axis's spacing is.
+stencil offsets on a new leading axis, so f is called once per partial.
+value_and_partials() takes the value and the partials along several axes
+from one call of f, the base point and each axis's offsets stacked on one
+new leading axis, so a finite-difference Lie derivative is one call of its
+field and nested ones (Lie derivatives of Lie derivatives) one call per
+level.  gradient4() calls f once on the stencils of all four axes (two new
+leading axes [mu, offset]).  All three use the offsets, weights and
+summation order of partial().  The step h must be finite and nonzero
+(ValueError otherwise); it may be negative, as a descending grid axis's
+spacing is.
 
 All stencils are the classic 5-point 4th-order central formulas; halving h
 must shrink the truncation error by ~16x, which the test suite checks.
@@ -53,6 +57,25 @@ def partial(f, coords, axis, h=DEFAULT_H):
     stencil[axis] = coords[axis] + shift
     vals = f(*stencil)
     return sum(w * val for w, val in zip(D1_WEIGHTS, vals)) / h
+
+
+def value_and_partials(f, coords, axes, h=DEFAULT_H):
+    """(f(coords), [d f / d x^axis for axis in axes]) from one call of f.
+
+    f sees the broadcast coordinates stacked 1 + 4 len(axes) deep on a new
+    leading axis: the base point, then the four offsets of each axis in
+    turn.  axes=() calls f on the base point alone (leading axis 1)."""
+    _check_step(h)
+    coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+    n_off = len(D1_OFFSETS)
+    shift = np.array(D1_OFFSETS, dtype=float).reshape((-1,) + (1,) * coords[0].ndim) * h
+    stencil = [np.broadcast_to(c, (1 + n_off * len(axes),) + c.shape).copy() for c in coords]
+    for i, axis in enumerate(axes):
+        stencil[axis][1 + n_off * i:1 + n_off * (i + 1)] += shift
+    vals = f(*stencil)
+    partials = [sum(w * vals[1 + n_off * i + j] for j, w in enumerate(D1_WEIGHTS)) / h
+                for i in range(len(axes))]
+    return vals[0], partials
 
 
 def gradient4(f, coords, h=DEFAULT_H):

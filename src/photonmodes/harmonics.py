@@ -55,6 +55,8 @@ _SERIES_TERMS = 36
 _HANKEL_MIN = 20.0     # Hankel expansion from max(this, n^2/2) on (_hankel_edge)
 _HANKEL_TERMS = 20     # terms in each of P and Q
 _RECURRENCE_FLOOR = 1e-280   # smallest top-order value the series band recurs from
+_RESCALE_AT = 1e250      # Miller columns past this are scaled by its inverse
+_RESCALE_BOUND = 1e240   # growth bound from which _downward scans for them
 _PHI_TAIL_TOL = 1e-8   # largest azimuthal spectral tail (relative) a grid resolves
 
 
@@ -129,31 +131,43 @@ def _downward(x, keep, offset):
     by max(x) and max(keep).
 
     The values share one unknown factor per point.  Returns the kept rows
-    (in the order of keep) and the even-order sum sum_{k>=1} J~_{2k+offset},
-    which normalizes integer orders through J_0 + 2 sum_k J_{2k} = 1.
-    Columns are rescaled on the way down to avoid overflow."""
+    (in the order of keep) and, for offset 0, the even-order sum
+    sum_{k>=1} J~_{2k}, which normalizes integer orders through
+    J_0 + 2 sum_k J_{2k} = 1 (None for any other offset).
+
+    Columns past _RESCALE_AT are rescaled on the way down to avoid overflow.
+    The scan for them runs only once a scalar bound on max |J~|, grown by
+    2 |k + offset| / min(x) + 1 a step, passes _RESCALE_BOUND (or is NaN);
+    below it no column can be past _RESCALE_AT, so the rescale fires at the
+    same steps and points as a scan at every step would."""
     xmax = np.max(x)
     start = int(np.ceil(max(xmax + 10.0 * xmax ** (1.0 / 3.0) + 24.0, max(keep) + 24)))
     slot = {k: i for i, k in enumerate(keep)}
     rows = np.zeros((len(keep), x.size))
     jp = np.zeros_like(x)          # J~_{k+1}
     jc = np.full_like(x, 1e-30)    # J~_k
-    even_sum = np.zeros_like(x)
+    even_sum = np.zeros_like(x) if offset == 0 else None
+    inv_xmin = 1.0 / float(np.min(x))   # inf for min(x) below 1 / DBL_MAX
+    bound = 1e-30                  # >= max(|J~_k|, |J~_{k+1}|) over the points
     for k in range(start, min(min(keep), 0), -1):
         jm = (2.0 * (k + offset) / x) * jc - jp
         jp, jc = jc, jm
+        bound *= 2.0 * abs(k + offset) * inv_xmin + 1.0
         km = k - 1
         if km in slot:
             rows[slot[km]] = jc
-        if km > 0 and km % 2 == 0:
+        if even_sum is not None and km > 0 and km % 2 == 0:
             even_sum += jc
-        big = np.abs(jc) > 1e250
-        if np.any(big):
-            scale = np.where(big, 1e-250, 1.0)
-            jp = jp * scale
-            jc = jc * scale
-            even_sum = even_sum * scale
-            rows *= scale
+        if not bound < _RESCALE_BOUND:
+            big = np.abs(jc) > _RESCALE_AT
+            if np.any(big):
+                scale = np.where(big, 1.0 / _RESCALE_AT, 1.0)
+                jp = jp * scale
+                jc = jc * scale
+                if even_sum is not None:
+                    even_sum = even_sum * scale
+                rows *= scale
+            bound = float(np.maximum(np.abs(jc).max(), np.abs(jp).max()))   # NaN stays NaN
     return rows, even_sum
 
 

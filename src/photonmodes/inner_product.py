@@ -450,11 +450,11 @@ def _averaging_lattice(freqs, rounds):
     return sorted(merged.items())
 
 
-def _averaged_at(f, r0, freqs, rounds, seg):
-    lattice = _averaging_lattice(sorted(freqs), rounds)
-    base = _composite_gl(f, 0.0, r0, seg)
+def _averaged_at(f, head, r0, lattice, seg):
+    """The lattice's average of the partial sums int_0^{r0 + off} f, given
+    head = int_0^r0 f."""
     cumulative = {}
-    prev_off, prev_v = 0.0, base
+    prev_off, prev_v = 0.0, head
     for off, _ in lattice:
         if off > prev_off:
             prev_v = prev_v + _composite_gl(f, r0 + prev_off, r0 + off, seg)
@@ -468,10 +468,14 @@ def averaged_oscillatory_integral(f, freqs, spec: QuadratureSpec):
     averaging stage per beat frequency, spec.tail_rounds deep), then a
     two-point Richardson step in the truncation radius, 2 S(2R) - S(R),
     which removes the ~1/R contribution of the slowly decaying
-    non-oscillatory part of Bessel-product tails."""
+    non-oscillatory part of Bessel-product tails.  The head int_0^R f is
+    taken once: S(2R) starts from it plus int_R^2R f."""
     seg = _segment(freqs)
-    s1 = _averaged_at(f, spec.tail_r0, freqs, spec.tail_rounds, seg)
-    s2 = _averaged_at(f, 2.0 * spec.tail_r0, freqs, spec.tail_rounds, seg)
+    r0 = spec.tail_r0
+    lattice = _averaging_lattice(sorted(freqs), spec.tail_rounds)
+    head = _composite_gl(f, 0.0, r0, seg)
+    s1 = _averaged_at(f, head, r0, lattice, seg)
+    s2 = _averaged_at(f, head + _composite_gl(f, r0, 2.0 * r0, seg), 2.0 * r0, lattice, seg)
     return 2.0 * s2 - s1
 
 

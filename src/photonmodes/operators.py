@@ -135,8 +135,10 @@ def lie_derivative(xi: KillingField, field, t, x, y, z, h=fdiff.DEFAULT_H, metho
     ``field`` is either a mode-like object (with .evaluate and, for the
     analytic path, .jet) or a bare callable f(t,x,y,z) -> (..., 4[, 4]).
     method 'analytic' takes the jet, 'fd' finite differences of step h, which
-    skip the axes along which xi vanishes at every point, and 'auto' the jet
-    where the field has one; ValueError naming any other method.
+    skip the axes along which xi vanishes at every point and take the value
+    and the other partials from one call of the field
+    (fdiff.value_and_partials), and 'auto' the jet where the field has one;
+    ValueError naming any other method.
     """
     if method not in ("auto", "analytic", "fd"):
         raise ValueError(f"unknown method {method!r}; expected 'auto', 'analytic' or 'fd'")
@@ -147,13 +149,12 @@ def lie_derivative(xi: KillingField, field, t, x, y, z, h=fdiff.DEFAULT_H, metho
     if use_analytic:
         a, grad = field.jet(t, x, y, z)
     else:
-        a = evaluate(t, x, y, z)
+        axes = [mu for mu in range(4) if np.any(xiv[..., mu] != 0)]
+        a, partials = fdiff.value_and_partials(evaluate, (t, x, y, z), axes, h)
+        by_axis = dict(zip(axes, partials))
+        grad = np.stack([by_axis.get(mu, np.zeros_like(a)) for mu in range(4)],
+                        axis=xiv.ndim - 1)
     slots = "ab"[:a.ndim - (xiv.ndim - 1)]   # one subscript per slot of the value
-    if not use_analytic:
-        grad = np.stack([
-            fdiff.partial(evaluate, (t, x, y, z), mu, h) if np.any(xiv[..., mu] != 0)
-            else np.zeros_like(a)
-            for mu in range(4)], axis=-1 - len(slots))
     out = np.einsum(f"...c,...c{slots}->...{slots}", xiv, grad)
     for slot in slots:
         out = out + np.einsum(f"...{slots.replace(slot, 'c')},{slot}c->...{slots}", a, dxi)
@@ -179,7 +180,8 @@ class LieField:
 
 
 def angular_momentum_squared(field, t, x, y, z, h=fdiff.DEFAULT_H):
-    """L^2 A = sum_i Lie_{L_i} Lie_{L_i} A by finite differences at both levels."""
+    """L^2 A = sum_i Lie_{L_i} Lie_{L_i} A by finite differences at both
+    levels: one call of the field per generator, on the nested stencils."""
     out = None
     for gen in (L1(), L2(), L3()):
         def inner(tt, xx, yy, zz, gen=gen):

@@ -230,5 +230,21 @@ def test_overlap_config_hash_covers_the_quadrature(tmp_path):
     assert config_hash("tail_r0=300,tail_rounds=3") != default
 
 
+def test_overlap_quad_keys_left_out_keep_the_overlap_default(tmp_path):
+    # naming one tail key must not reset the others to the QuadratureSpec
+    # defaults (tail_r0=150, tail_rounds=3, off-diagonal 3.9e-8 here)
+    def gram(*quad):
+        out = tmp_path / "gram.json"
+        argv = ["overlap", "--family", "cylindrical", "--label", "p0=1.0,pz=0.3,mmax=3",
+                "--out", str(out)]
+        assert main(argv + [arg for q in quad for arg in ("--quad", q)]) == 0
+        return json.loads(out.read_text())
+
+    default, named = gram(), gram("tail_rounds=4")
+    assert named["provenance"]["config_hash"] == default["provenance"]["config_hash"]
+    assert named["matrix_real"] == default["matrix_real"]
+    assert named["max_offdiag"] < 1e-8
+
+
 def test_usage_error_exit_code():
     assert main(["eval"]) == 2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import jv, sph_harm_y
 
+from photonmodes import harmonics
 from photonmodes.harmonics import (bessel_j, bessel_j_int_orders,
                                    CylHarmonicLabel, SphHarmonicLabel,
                                    cyl_harmonic_values, sph_harmonic_values,
@@ -187,6 +188,86 @@ def test_bessel_series_band_recurrence_where_the_top_order_underflows():
         denom = np.maximum(np.abs(ref), 1e-2 * env)
         ok = np.abs(ref) > 1e-270
         assert np.max(np.abs(got[n] - ref)[ok] / denom[ok]) < 1e-12, n
+
+
+def _downward_scanning_every_step(x, keep, offset, rescales):
+    """The Miller recurrence with an overflow scan at every step: the
+    reference for _downward, whose scan waits for a bound on the growth.
+    Appends the step of each rescale to rescales."""
+    xmax = np.max(x)
+    start = int(np.ceil(max(xmax + 10.0 * xmax ** (1.0 / 3.0) + 24.0, max(keep) + 24)))
+    slot = {k: i for i, k in enumerate(keep)}
+    rows = np.zeros((len(keep), x.size))
+    jp = np.zeros_like(x)
+    jc = np.full_like(x, 1e-30)
+    even_sum = np.zeros_like(x)
+    for k in range(start, min(min(keep), 0), -1):
+        jm = (2.0 * (k + offset) / x) * jc - jp
+        jp, jc = jc, jm
+        km = k - 1
+        if km in slot:
+            rows[slot[km]] = jc
+        if km > 0 and km % 2 == 0:
+            even_sum += jc
+        big = np.abs(jc) > 1e250
+        if np.any(big):
+            rescales.append(k)
+            scale = np.where(big, 1e-250, 1.0)
+            jp = jp * scale
+            jc = jc * scale
+            even_sum = even_sum * scale
+            rows *= scale
+    return rows, even_sum
+
+
+def _log_uniform(lo, hi, n, seed):
+    return np.exp(np.random.default_rng(seed).uniform(math.log(lo), math.log(hi), n))
+
+
+@pytest.mark.parametrize("kmax, x, rescaled", [
+    (40, _log_uniform(1e-12, 30.0, 200, 1), True),
+    (40, np.array([1e-300, 5e-324, 1e-3, 0.7, 12.0]), True),
+    (3, np.array([5e-324]), True),
+    (12, _log_uniform(0.05, 30.0, 200, 2), False),
+    (2, np.linspace(0.1, 3.0, 7), False),
+])
+def test_half_integer_downward_recurrence_is_bit_identical_to_a_scan_every_step(
+        monkeypatch, kmax, x, rescaled):
+    # the overflow scan of _downward waits for its growth bound to pass
+    # 1e240; it must rescale at the same steps and points as a scan at every
+    # step, so every value is the same float, NaN and inf included
+    with np.errstate(all="ignore"):
+        got = harmonics._bessel_half_all(kmax, x)
+        rescales = []
+        monkeypatch.setattr(harmonics, "_downward", lambda xs, keep, offset:
+                            _downward_scanning_every_step(xs, keep, offset, rescales))
+        want = harmonics._bessel_half_all(kmax, x)
+    assert bool(rescales) == rescaled
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("orders, x, rescaled", [
+    (range(0, 81), np.linspace(8.01, 3000.0, 300), True),
+    (range(0, 41, 5), _log_uniform(8.01, 800.0, 200, 3), True),
+    (range(0, 5), np.linspace(8.01, 19.99, 50), False),
+])
+def test_integer_downward_recurrence_is_bit_identical_to_a_scan_every_step(
+        monkeypatch, orders, x, rescaled):
+    # the recurrence band of integer orders (8 < x < max(20, n^2/2)), with
+    # the even-order sum that normalizes it
+    xm = x[(x > 8.0) & (x < max(20.0, 0.5 * max(orders) ** 2))]
+    keep = sorted(set(orders) | {0})
+    rescales = []
+    rows, even_sum = harmonics._downward(xm, keep, 0.0)
+    want_rows, want_even = _downward_scanning_every_step(xm, keep, 0.0, rescales)
+    assert bool(rescales) == rescaled
+    assert np.array_equal(rows, want_rows) and np.array_equal(even_sum, want_even)
+    got = harmonics._bessel_int_orders(orders, x)
+    monkeypatch.setattr(harmonics, "_downward", lambda xs, keep, offset:
+                        _downward_scanning_every_step(xs, keep, offset, []))
+    want = harmonics._bessel_int_orders(orders, x)
+    for n in orders:
+        assert np.array_equal(got[n], want[n], equal_nan=True), n
 
 
 # ---------------------------------------------------------------------------

@@ -611,6 +611,57 @@ def test_composite_rule_in_blocks_matches_the_single_block_sum(monkeypatch):
     assert blocked[0] == pytest.approx(math.sin(37.0), abs=1e-13)
 
 
+def _averaged_taking_the_head_twice(f, freqs, spec):
+    """2 S(2R) - S(R) with the head int_0^{2R} f of S(2R) taken on its own,
+    int_0^R f included: the reference for averaged_oscillatory_integral."""
+    seg = inner_product._segment(freqs)
+    lattice = inner_product._averaging_lattice(sorted(freqs), spec.tail_rounds)
+
+    def s_at(r0):
+        head = inner_product._composite_gl(f, 0.0, r0, seg)
+        return inner_product._averaged_at(f, head, r0, lattice, seg)
+    return 2.0 * s_at(2.0 * spec.tail_r0) - s_at(spec.tail_r0)
+
+
+def test_averaged_tail_takes_the_head_once():
+    # beat frequencies below pi/4 give 2-long segments, so the head [0, R]
+    # is 75 segments and [0, 2R] 150: S(2R) from the head plus [R, 2R]
+    # leaves out 75 * GL_ORDER nodes, and no node below R is taken twice
+    spec = QuadratureSpec(tail_r0=150.0, tail_rounds=3)
+    freqs = [0.7, 0.2]
+    seen = []
+
+    def f(r):
+        seen.append(r.copy())
+        return harmonics.bessel_j(1.5, 0.35 * r) * harmonics.bessel_j(2.5, 0.35 * r) / (1.0 + r)
+
+    got = averaged_oscillatory_integral(f, freqs, spec)
+    nodes = np.concatenate(seen)
+    seen.clear()
+    want = _averaged_taking_the_head_twice(f, freqs, spec)
+    head = 75 * inner_product.GL_ORDER
+    assert len(np.concatenate(seen)) - len(nodes) == head
+    assert np.count_nonzero(nodes < spec.tail_r0) == head
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
+def test_averaged_tail_gram_matches_the_head_taken_twice(monkeypatch):
+    # the Grams overlap reports, with the head of S(2R) taken on its own
+    spec = QuadratureSpec(tail_r0=300.0, tail_rounds=4)
+    cases = (("spherical", {"p0": 1.0}, {"l_max": 5}),
+             ("cylindrical", {"p0": 1.0, "pz": 0.3}, {"m_max": 8}))
+    def raw_gram(case):
+        g = discrete_orthonormality(*case, spec)
+        return g.matrix * np.sqrt(np.outer(g.diagonal, g.diagonal))
+
+    got = [raw_gram(case) for case in cases]
+    monkeypatch.setattr(inner_product, "averaged_oscillatory_integral",
+                        _averaged_taking_the_head_twice)
+    for case, g in zip(cases, got):
+        want = raw_gram(case)
+        assert np.abs(g - want).max() <= 1e-13 * np.abs(np.diag(want)).max(), case[0]
+
+
 # ---------------------------------------------------------------------------
 # Gram matrices
 # ---------------------------------------------------------------------------

@@ -53,12 +53,13 @@ def test_partial_calls_the_field_once_per_stencil():
         # larger batch: equal to rounding
         assert got.shape == want.shape
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
-    # nested partials make one call of the base field per level: L3 moves x
-    # and y, so Lie_L3 f is f plus two partials, three calls, and
-    # Lie_L3 Lie_L3 f is three calls of Lie_L3 f (81 with a call per offset)
+    # a finite-difference Lie derivative is one call of its field: L3 moves x
+    # and y, so Lie_L3 f is one call of f on the base point and the two
+    # axes' offsets (1 + 2 * 4 = 9 deep), and Lie_L3 Lie_L3 f is one call of
+    # Lie_L3 f, which makes one call of f on 9 x 9 stencil points
     calls.clear()
     lie_derivative(L3(), LieField(L3(), counted), *pts, h=0.01, method="fd")
-    assert len(calls) == 3 * 3
+    assert calls == [(9, 9, 2)]
 
 
 def test_grid_partial_second_derivative_is_the_d2_stencil():
@@ -103,6 +104,44 @@ def test_gradient4_calls_the_field_once_with_the_stencils_of_partial():
     assert np.allclose(fdiff.gradient4(poly, pts, -0.01), want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("axes", [(0,), (1, 2), (3, 0, 2), (0, 1, 2, 3)])
+def test_value_and_partials_calls_the_field_once(axes):
+    # the base point and each axis's four offsets in one call of the field;
+    # a multipole's batch can round a point differently: equal to rounding
+    mode = spherical_mode(SphericalLabel(1.3, 2, 1, +1))
+    pts = (np.array([0.0, 0.4]), np.array([0.9, -0.3]), np.array([0.5, 1.2]), 0.7)
+    calls = []
+
+    def counted(*coords):
+        calls.append(np.broadcast(*coords).shape)
+        return mode.evaluate(*coords)
+
+    value, partials = fdiff.value_and_partials(counted, pts, axes, 0.01)
+    assert calls == [(1 + len(fdiff.D1_OFFSETS) * len(axes), 2)]
+    want = mode.evaluate(*pts)
+    assert value.shape == want.shape
+    assert np.abs(value - want).max() <= 1e-13 * np.abs(want).max()
+    assert len(partials) == len(axes)
+    for axis, got in zip(axes, partials):
+        want = fdiff.partial(mode.evaluate, pts, axis, 0.01)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_value_and_partials_without_axes_is_the_value_alone():
+    pts = (np.array([0.1, -0.3]), np.array([0.9, 0.2]), np.array([0.5, 1.2]), 0.7)
+    calls = []
+
+    def poly(t, x, y, z):
+        calls.append(np.broadcast(t, x, y, z).shape)
+        return np.stack([t * x * x + y * z, z * z * z - t * y], axis=-1)
+
+    value, partials = fdiff.value_and_partials(poly, pts, (), 0.01)
+    assert calls == [(1, 2)]
+    assert partials == []
+    assert np.array_equal(value, poly(*pts))
+
+
 @pytest.mark.parametrize("h", [0.0, -0.0, math.nan, math.inf, -math.inf])
 def test_fdiff_rejects_a_zero_or_non_finite_step(h):
     mode = plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1))
@@ -111,6 +150,8 @@ def test_fdiff_rejects_a_zero_or_non_finite_step(h):
         fdiff.partial(mode.evaluate, pts, 1, h)
     with pytest.raises(ValueError, match="step h"):
         fdiff.gradient4(mode.evaluate, pts, h)
+    with pytest.raises(ValueError, match="step h"):
+        fdiff.value_and_partials(mode.evaluate, pts, (1,), h)
     with pytest.raises(ValueError, match="step h"):
         fdiff.grid_partial(np.zeros(8), 0, h)
     # and through the finite-difference Lie derivative, where h = 0 would

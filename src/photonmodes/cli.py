@@ -8,8 +8,10 @@ Output formats: field grids are written as a JSON header plus a CSV body
 (one row per node: t, x, y, z then Re/Im of the four covector components,
 17 significant digits, row-major over the axes as declared); reports and
 Gram matrices are JSON with a provenance block (tool, python and numpy
-versions, seed, config hash).  eval streams the body in the node blocks of
-sample_grid, so its memory is the sampled values plus one block of rows.
+versions, seed, config hash).  eval streams the body, so its memory is the
+sampled values plus one chunk of formatted rows: a CSV chunk is _CSV_ROWS
+rows formatted into one string (each axis value formatted once), a JSON
+chunk one node block of sample_grid.
 
 A label key the family does not take, or a key or grid axis given twice, is
 a usage error: it is never ignored, nor copied into the provenance.
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import sys
 
@@ -32,6 +35,7 @@ from .inner_product import QuadratureSpec, discrete_orthonormality
 from . import validation
 
 FMT = "%.16e"   # 17 significant digits, lowercase scientific
+_CSV_ROWS = 1024   # CSV rows formatted and written per chunk
 
 
 def _provenance(seed, config):
@@ -136,6 +140,29 @@ def _parse_quad(items):
     return QuadratureSpec(**kwargs)
 
 
+def _write_csv_body(fh, grid):
+    """Write the CSV rows of a FieldGrid to fh: the bytes of one
+    np.savetxt(fh, rows, fmt=FMT, delimiter=",") of all of them.
+
+    Every node's coordinate is an axis value, so each axis value is
+    formatted once and the t,x,y,z prefixes are joined from those strings.
+    The Re/Im columns go in chunks of _CSV_ROWS rows through one % of the
+    repeated row format, and each chunk is one write."""
+    prefixes = map("".join, itertools.product(
+        *([FMT % v + "," for v in ax.tolist()] for ax in grid.axes.values())))
+    values = grid.values.reshape(-1, 4).view(float)   # re_A0, im_A0, ..., im_A3
+    row_fmt = "%s" + ",".join([FMT] * 8) + "\n"
+    for start in range(0, len(values), _CSV_ROWS):
+        chunk = values[start:start + _CSV_ROWS]
+        n = len(chunk)
+        args = [None] * (9 * n)
+        args[0::9] = itertools.islice(prefixes, n)
+        flat = chunk.ravel().tolist()
+        for k in range(8):
+            args[k + 1::9] = flat[k::8]
+        fh.write((row_fmt * n) % tuple(args))
+
+
 def _body_blocks(grid):
     """The output rows of a FieldGrid, in the blocks sample_grid evaluated:
     per block a (nodes, 12) array of t, x, y, z, re_A0, im_A0, ..., im_A3."""
@@ -155,8 +182,10 @@ def _body_blocks(grid):
 def cmd_eval(args):
     """Sample one mode on a grid; write the header JSON and the CSV or JSON
     body.  sample_grid is called once for the whole grid; the body is then
-    formatted and written one node block at a time to one open file, with
-    the bytes of a single np.savetxt (CSV) or json.dump (JSON) of all rows."""
+    formatted and written to one open file a chunk at a time (_CSV_ROWS rows
+    for CSV, one node block of sample_grid for JSON), with the bytes of a
+    single np.savetxt (CSV) or json.dump (JSON) of all rows.  So memory is
+    the sampled values plus one chunk of formatted rows."""
     kv = _parse_kv(args.label)
     mode = make_mode(_build_label(args.family, kv))
     spec = _parse_grid(args.grid)
@@ -179,8 +208,7 @@ def cmd_eval(args):
     with open(f"{base}.{args.format}", "w") as fh:
         if args.format == "csv":
             fh.write(",".join(header["columns"]) + "\n")
-            for body in _body_blocks(grid):
-                np.savetxt(fh, body, fmt=FMT, delimiter=",")
+            _write_csv_body(fh, grid)
         else:
             # json.dump's bytes with its default separators, streamed;
             # covectors as JSON arrays of [re, im] pairs per component

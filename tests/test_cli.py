@@ -1,12 +1,13 @@
+import io
 import json
 import platform
 
 import numpy as np
 import pytest
 
-from photonmodes import modes
+from photonmodes import cli, modes
 from photonmodes.cli import FMT, main
-from photonmodes.modes import GridSpec, SphericalLabel, make_mode, sample_grid
+from photonmodes.modes import FieldGrid, GridSpec, SphericalLabel, make_mode, sample_grid
 
 
 def test_eval_polar_slice(tmp_path):
@@ -88,15 +89,42 @@ def test_eval_streams_the_bytes_of_the_whole_body_writer(tmp_path, monkeypatch, 
         assert len(json.loads((tmp_path / "blocked.json").read_text())["rows"]) == 2002
 
 
-def test_eval_formats_one_block_of_rows_at_a_time(tmp_path, monkeypatch):
-    monkeypatch.setattr(modes, "_GRID_BLOCK", 300)
-    rows, savetxt = [], np.savetxt
-    monkeypatch.setattr(np, "savetxt", lambda fh, body, **kw: (rows.append(len(body)),
-                                                               savetxt(fh, body, **kw)))
+def test_eval_writes_at_most_one_chunk_of_rows_at_a_time(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_CSV_ROWS", 300)
+    rows = []
+
+    def recording_open(path, *args, **kwargs):
+        fh = open(path, *args, **kwargs)
+        if str(path).endswith(".csv"):
+            write = fh.write
+            fh.write = lambda text: (rows.append(text.count("\n")), write(text))[1]
+        return fh
+
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)
     assert main(["eval", "--family", "spherical", "--label", _BLOCKED_LABEL,
                  "--grid", _BLOCKED_GRID, "--out", str(tmp_path / "f")]) == 0
-    assert rows == [300] * 6 + [202]
+    header, *body = rows
+    assert header == 1 and len(body) > 1
+    assert max(body) <= 300 and sum(body) == 2002
     assert len((tmp_path / "f.csv").read_text().splitlines()) == 1 + 2002
+
+
+def test_csv_writer_matches_savetxt_on_special_values(tmp_path, monkeypatch):
+    # 2 * 3 * 1 * 3 = 18 nodes: four chunks of 5 rows, the last one of 3
+    monkeypatch.setattr(cli, "_CSV_ROWS", 5)
+    axes = {"t": np.array([-0.0, 1e300]), "x": np.array([5e-324, -1e-300, 3.0]),
+            "y": np.array([0.0]), "z": np.array([-2.0, 1.0, 0.1])}
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300,
+                        -7.0, 12.0, 1.0, -0.1, 1 / 3, np.inf, -np.inf, np.nan, 2.0 ** 60])
+    values = np.resize(special, 18 * 8).view(complex).reshape(2, 3, 1, 3, 4)
+    grid = FieldGrid(axes=axes, values=values)
+    header = {"columns": ["t", "x", "y", "z", "re_A0", "im_A0", "re_A1", "im_A1",
+                          "re_A2", "im_A2", "re_A3", "im_A3"]}
+    _whole_body_writer(grid, header, tmp_path / "whole", "csv")
+    buf = io.StringIO()
+    buf.write(",".join(header["columns"]) + "\n")
+    cli._write_csv_body(buf, grid)
+    assert buf.getvalue().encode() == (tmp_path / "whole.csv").read_bytes()
 
 
 @pytest.mark.parametrize("argv, named", [

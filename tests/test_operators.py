@@ -17,7 +17,7 @@ from photonmodes.inner_product import (QuadratureSpec, WavePacket, Superposition
                                        slice_nodes)
 from photonmodes.errors import AsymmetryError, DegenerateAxisError, StencilError
 from photonmodes import fdiff
-from photonmodes.charts import dyads
+from photonmodes.charts import ETA_DIAG, LEVI_CIVITA, dyads
 
 
 # ---------------------------------------------------------------------------
@@ -466,6 +466,52 @@ def test_pauli_lubanski_identity():
     res = pauli_lubanski_residual(mode, np.array([0.1]), np.array([0.9]),
                                   np.array([-0.4]), np.array([0.8]), h=0.01)
     assert res < 1e-6
+
+
+def _ordered_pair_pauli_lubanski(mode, t, x, y, z, h):
+    """Reference: S_mu F summed over every ordered (rho, sigma) pair with
+    weight eps / 2."""
+    def f_eval(tt, xx, yy, zz):
+        return field_strength(mode, tt, xx, yy, zz)
+
+    scale = np.abs(f_eval(t, x, y, z)).max()
+    worst = 0.0
+    for mu in range(4):
+        lhs = 0.0
+        for rho in range(4):
+            for sigma in range(4):
+                if rho == sigma:
+                    continue
+                m_up = ETA_DIAG[rho] * ETA_DIAG[sigma] * M_lower(rho, sigma)
+
+                def g_eval(tt, xx, yy, zz, gen=m_up):
+                    return lie_derivative(gen, f_eval, tt, xx, yy, zz, h=h)
+
+                for nu in range(4):
+                    w = LEVI_CIVITA[mu, nu, rho, sigma]
+                    if w != 0.0:
+                        lhs = lhs + 0.5 * w * 1j * ETA_DIAG[nu] * fdiff.partial(
+                            g_eval, (t, x, y, z), nu, h)
+        rhs = lie_derivative(P_lower(mu), DualField(mode), t, x, y, z, h=h)
+        worst = max(worst, np.abs(lhs - rhs).max() / scale)
+    return worst
+
+
+@pytest.mark.parametrize("mode", [
+    plane_wave(PlaneWaveLabel((0.3, -0.5, 0.8), -1)),
+    spherical_mode(SphericalLabel(1.2, 2, -1, +1))], ids=["plane", "spherical"])
+def test_pauli_lubanski_takes_each_pair_once(monkeypatch, mode):
+    # the (sigma, rho) term equals the (rho, sigma) one: 12 partials, not 24
+    pts = (np.array([0.1, -0.2]), np.array([0.9, 0.4]), np.array([-0.4, 0.7]),
+           np.array([0.8, -0.5]))
+    calls, partial = [], fdiff.partial
+    monkeypatch.setattr(fdiff, "partial",
+                        lambda *a, **kw: (calls.append(a[2]), partial(*a, **kw))[1])
+    res = pauli_lubanski_residual(mode, *pts, h=0.01)
+    monkeypatch.undo()
+    assert len(calls) == 12
+    # both residuals are relative to max |F|
+    assert abs(res - _ordered_pair_pauli_lubanski(mode, *pts, h=0.01)) <= 1e-12
 
 
 def test_dual_field_translation_eigenvalues():

@@ -20,7 +20,7 @@ from .operators import (KillingField, P_lower, P_upper, M_lower, L1, L2, L3,
                         dalembertian_residual, divergence_residual,
                         commutator_check, check_all_brackets,
                         pauli_lubanski_residual)
-from .inner_product import (QuadratureSpec, WavePacket, Superposition, inner,
+from .inner_product import (SliceSpec, TailSpec, WavePacket, Superposition, inner,
                             inner_field_strength_form, current, gauge_shift,
                             GaussianBumpScalar, discrete_orthonormality,
                             bessel_overlap, bessel_overlap_closed_form,

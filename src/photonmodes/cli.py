@@ -20,6 +20,7 @@ a usage error: it is never ignored, nor copied into the provenance.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -28,10 +29,10 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import InvalidLabelError, NonConvergenceError
+from .errors import InvalidLabelError
 from .modes import (PlaneWaveLabel, CylindricalLabel, SphericalLabel,
                     GridSpec, make_mode, sample_grid, _grid_blocks)
-from .inner_product import QuadratureSpec, discrete_orthonormality
+from .inner_product import TailSpec, discrete_orthonormality
 from . import validation
 
 FMT = "%.16e"   # 17 significant digits, lowercase scientific
@@ -118,26 +119,14 @@ def _parse_grid(items):
     return GridSpec(**defaults)
 
 
-# overlap's tail rule; a key that --quad leaves out keeps its value here
-OVERLAP_QUAD = {"tail": "averaged", "tail_r0": 300.0, "tail_rounds": 4}
-
-
 def _parse_quad(items):
-    """The Gram quadrature from --quad over OVERLAP_QUAD: only the tail-rule
-    keys, since the Gram reads nothing else; any other key is a usage
-    error."""
-    kwargs = dict(OVERLAP_QUAD)
-    for k, v in _parse_kv(items).items():
-        if k in ("tail_r0", "tail_rounds"):
-            # tail_rounds as a float too: QuadratureSpec rejects a
-            # non-integral one by name and stores an integral one as int
-            kwargs[k] = float(v)
-        elif k == "tail":
-            kwargs[k] = v
-        else:
-            raise ValueError(f"unknown quadrature key {k!r}; overlap takes "
-                             f"tail, tail_r0 and tail_rounds")
-    return QuadratureSpec(**kwargs)
+    """The Gram's TailSpec from --quad: its fields are the keys, and a key
+    left out keeps its default."""
+    kv = _parse_kv(items)
+    _check_keys(kv, [f.name for f in dataclasses.fields(TailSpec)], "quadrature")
+    # tail_rounds as a float too: TailSpec rejects a non-integral one by name
+    # and stores an integral one as int
+    return TailSpec(**{k: v if k == "tail" else float(v) for k, v in kv.items()})
 
 
 def _write_csv_body(fh, grid):
@@ -259,27 +248,22 @@ def cmd_validate(args):
 def cmd_overlap(args):
     kv = _parse_kv(args.label)
     spec = _parse_quad(args.quad)
-    try:
-        if args.family not in OVERLAP_KEYS:
-            raise ValueError("overlap supports the cylindrical and spherical families")
-        _check_keys(kv, OVERLAP_KEYS[args.family], f"{args.family} overlap label")
-        if args.family == "spherical":
-            fixed = {"p0": float(kv.get("p0", 1.0))}
-            ranges = {"l_max": int(kv.get("lmax", 3))}
-        else:
-            fixed = {"p0": float(kv.get("p0", 1.0)), "pz": float(kv.get("pz", 0.0))}
-            ranges = {"m_max": int(kv.get("mmax", 3))}
-        gram = discrete_orthonormality(args.family, fixed, ranges, spec)
-        entries = [[None if not np.isfinite(v) else v
-                    for v in row] for row in np.real(gram.matrix).tolist()]
-    except NonConvergenceError as exc:
-        print(f"quadrature failed to converge: {exc}", file=sys.stderr)
-        return 1
+    if args.family not in OVERLAP_KEYS:
+        raise ValueError("overlap supports the cylindrical and spherical families")
+    _check_keys(kv, OVERLAP_KEYS[args.family], f"{args.family} overlap label")
+    if args.family == "spherical":
+        fixed = {"p0": float(kv.get("p0", 1.0))}
+        ranges = {"l_max": int(kv.get("lmax", 3))}
+    else:
+        fixed = {"p0": float(kv.get("p0", 1.0)), "pz": float(kv.get("pz", 0.0))}
+        ranges = {"m_max": int(kv.get("mmax", 3))}
+    gram = discrete_orthonormality(args.family, fixed, ranges, spec)
+    entries = [[None if not np.isfinite(v) else v
+                for v in row] for row in np.real(gram.matrix).tolist()]
     payload = {
         "provenance": _provenance(args.seed, {
             "family": args.family, "fixed": fixed, "ranges": ranges,
-            "quad": {"tail": spec.tail, "tail_r0": spec.tail_r0,
-                     "tail_rounds": spec.tail_rounds}}),
+            "quad": dataclasses.asdict(spec)}),
         "family": args.family,
         "fixed": fixed,
         "labels": [list(lb) for lb in gram.labels],

@@ -24,11 +24,6 @@ class StencilError(ValueError):
     """Raised when a finite-difference stencil does not fit on the grid."""
 
 
-class NonConvergenceError(RuntimeError):
-    """Raised when an adaptive quadrature or regularized oscillatory integral
-    fails to settle within its tolerance."""
-
-
 class AsymmetryError(ValueError):
     """Raised when an operator requiring an antisymmetric tensor receives a
     tensor with a symmetric part above tolerance."""

@@ -547,7 +547,10 @@ class PolarGridFunction:
 
 def sample_harmonic(label, radial, n_phi=32) -> PolarGridFunction:
     """The harmonic of label on the grid radial x (2 pi k / n_phi), of the geometry
-    of the label's type; TypeError naming any other type."""
+    of the label's type; TypeError naming any other type, ValueError naming
+    n_phi unless it is an integer >= 1."""
+    if not float(n_phi).is_integer() or n_phi < 1:
+        raise ValueError(f"n_phi must be an integer >= 1, got {n_phi!r}")
     radial = np.asarray(radial, dtype=float)
     phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     rr, pp = np.meshgrid(radial, phi, indexing="ij")

@@ -9,10 +9,11 @@ slice integral of the current
 
 Every field here is a positive-energy eigen- or wave-packet field, so d_t A
 in j'_0 is analytic: the evaluate of the field's time_derivative().  The
-spatial quadrature is a tensor rule on a truncated slice (Gauss-Legendre
-radially and in cos(theta), uniform in phi -- exact for the trigonometric
-angular content of the harmonics).  A WavePacket is a SphericalMode with a
-many-term energy spectrum: one multipole kernel pass sums all its energies.
+spatial quadrature, a SliceSpec, is a tensor rule on a truncated slice
+(Gauss-Legendre radially and in cos(theta), uniform in phi -- exact for the
+trigonometric angular content of the harmonics).  A WavePacket is a
+SphericalMode with a many-term energy spectrum: one multipole kernel pass
+sums all its energies.
 
 slice_gram(left, right, spec, form) takes every product on one slice: the
 nodes are built once and walked in contiguous blocks of _SLICE_BLOCK nodes.
@@ -24,7 +25,8 @@ shift by a static Lambda reuses its base's pair and adds only grad(Lambda)
 to the value.
 
 Radial overlap integrals of Bessel products are conditionally convergent;
-they are regularized two independent ways and both must agree:
+they are regularized two independent ways (TailSpec.tail) and both must
+agree:
 
 - 'averaged': truncation at R plus iterated two-point (Cesaro-style)
   averaging of partial sums at half-period lags of each beat frequency,
@@ -44,11 +46,10 @@ pointwise evaluation of a distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
 
-from .errors import NonConvergenceError
 from .charts import ETA_DIAG
 from .harmonics import _gauss_legendre, bessel_j, sph_harmonic_gram
 from .modes import (SphericalLabel, CylindricalLabel, CylindricalMode, SphericalMode,
@@ -64,48 +65,62 @@ SMEAR_NODES = 48    # Gauss-Legendre nodes of a smeared delta row's k' integral
 # Quadrature specification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Slice-quadrature and oscillatory-tail parameters.
+def _store_count(spec, nm, low):
+    """ValueError naming nm unless it is an integer >= low; stored as int."""
+    value = getattr(spec, nm)
+    if not float(value).is_integer() or value < low:
+        raise ValueError(f"{nm} must be an integer >= {low}")
+    object.__setattr__(spec, nm, int(value))
 
-    chart selects the slice rule ('spherical' ball of radius r_max or
-    'cartesian' box of half-width box_half); tail selects the radial
-    regularization for overlap integrals, 'averaged' (tail_r0, tail_rounds)
-    or 'damped' (TAIL_ETA); both take the composite GL_ORDER-node rule."""
+
+@dataclass(frozen=True)
+class SliceSpec:
+    """The slice rule of inner: a 'spherical' ball of radius r_max or a
+    'cartesian' box of half-width box_half on the t = t_slice slice.  The
+    ball defaults are the rule the packet checks use.  ValueError naming
+    the first invalid field."""
 
     chart: str = "spherical"
     t_slice: float = 0.0
-    r_max: float = 40.0
-    n_r: int = 96
-    n_theta: int = 20
-    n_phi: int = 24
+    r_max: float = 50.0
+    n_r: int = 128
+    n_theta: int = 8
+    n_phi: int = 8
     box_half: float = 6.0
     n_box: int = 40
-    tail: str = "averaged"        # averaged | damped
-    tail_r0: float = 150.0
-    tail_rounds: int = 3
-    tol: float = 1e-3
 
     def __post_init__(self):
-        """ValueError naming the first invalid field; integral counts are
-        stored as int."""
         if self.chart not in ("spherical", "cartesian"):
             raise ValueError(f"chart must be 'spherical' or 'cartesian', got {self.chart!r}")
-        if self.tail not in ("averaged", "damped"):
-            raise ValueError(f"tail must be 'averaged' or 'damped', got {self.tail!r}")
         if not math.isfinite(self.t_slice):
             raise ValueError("t_slice must be finite")
-        for nm in ("r_max", "box_half", "tail_r0", "tol"):
+        for nm in ("r_max", "box_half"):
             if not 0 < getattr(self, nm) < math.inf:
                 raise ValueError(f"{nm} must be finite and > 0")
-        for nm, low in (("n_r", 4), ("n_theta", 4), ("n_phi", 4), ("n_box", 4), ("tail_rounds", 0)):
-            value = getattr(self, nm)
-            if not float(value).is_integer() or value < low:
-                raise ValueError(f"{nm} must be an integer >= {low}")
-            object.__setattr__(self, nm, int(value))
+        for nm in ("n_r", "n_theta", "n_phi", "n_box"):
+            _store_count(self, nm, 4)
 
 
-def slice_nodes(spec: QuadratureSpec):
+@dataclass(frozen=True)
+class TailSpec:
+    """The radial regularization of the overlap integrals: 'averaged'
+    (tail_r0, tail_rounds) or 'damped' (TAIL_ETA), both on the composite
+    GL_ORDER-node rule.  The defaults are the Gram rule.  ValueError naming
+    the first invalid field."""
+
+    tail: str = "averaged"        # averaged | damped
+    tail_r0: float = 300.0
+    tail_rounds: int = 4
+
+    def __post_init__(self):
+        if self.tail not in ("averaged", "damped"):
+            raise ValueError(f"tail must be 'averaged' or 'damped', got {self.tail!r}")
+        if not 0 < self.tail_r0 < math.inf:
+            raise ValueError("tail_r0 must be finite and > 0")
+        _store_count(self, "tail_rounds", 0)
+
+
+def slice_nodes(spec: SliceSpec):
     """Quadrature nodes (t, x, y, z) and weights on the t = t_slice slice,
     all flattened to 1-D arrays.  Weights include the volume element."""
     if spec.chart == "spherical":
@@ -202,7 +217,7 @@ def _block_gram(left, right, form_jet, nodes, w, last_use):
     return gram
 
 
-def slice_gram(left, right, spec: QuadratureSpec, form="current"):
+def slice_gram(left, right, spec: SliceSpec, form="current"):
     """The len(left) x len(right) matrix of slice integrals
     int i [ conj(dA)_b A'^b - conj(A)^b dA'_b ] d^3x, A in left, A' in right,
     with dA = d_t A (form 'current': the inner product) or dA_b = F_{0b}
@@ -237,27 +252,13 @@ def slice_gram(left, right, spec: QuadratureSpec, form="current"):
     return gram
 
 
-def inner(a_field, b_field, spec: QuadratureSpec, return_error=False):
+def inner(a_field, b_field, spec: SliceSpec):
     """(A, A') by slice quadrature of j'_0, time derivatives taken
-    analytically (fields are energy superpositions); optionally also a
-    node-doubling error estimate (NonConvergenceError if it exceeds
-    10x spec.tol)."""
-    val = complex(slice_gram([a_field], [b_field], spec)[0, 0])
-    if not return_error:
-        return val
-    fine = replace(spec, n_r=2 * spec.n_r, n_theta=2 * spec.n_theta,
-                   n_phi=2 * spec.n_phi, n_box=2 * spec.n_box)
-    val2 = complex(slice_gram([a_field], [b_field], fine)[0, 0])
-    err = abs(val2 - val)
-    scale = max(abs(val2), 1e-300)
-    if err > 10.0 * spec.tol * scale:
-        raise NonConvergenceError(
-            f"slice quadrature not converged: doubling changed the result by "
-            f"{err/scale:.3g} relative")
-    return val2, err
+    analytically (fields are energy superpositions)."""
+    return complex(slice_gram([a_field], [b_field], spec)[0, 0])
 
 
-def inner_field_strength_form(a_field, b_field, spec: QuadratureSpec):
+def inner_field_strength_form(a_field, b_field, spec: SliceSpec):
     """The field-strength form of the inner product,
     (F, F') = int i [ conj(F)_{0b} A'^b - conj(A)^b F'_{0b} ] d^3x.
 
@@ -463,7 +464,7 @@ def _averaged_at(f, head, r0, lattice, seg):
     return sum(wt * cumulative[off] for off, wt in lattice)
 
 
-def averaged_oscillatory_integral(f, freqs, spec: QuadratureSpec):
+def averaged_oscillatory_integral(f, freqs, spec: TailSpec):
     """Truncation plus iterated half-period averaging of partial sums (one
     averaging stage per beat frequency, spec.tail_rounds deep), then a
     two-point Richardson step in the truncation radius, 2 S(2R) - S(R),
@@ -507,7 +508,7 @@ def damped_oscillatory_integral(f, freqs):
     return p[0]
 
 
-def oscillatory_integral(f, freqs, spec: QuadratureSpec):
+def oscillatory_integral(f, freqs, spec: TailSpec):
     """The regularized int_0^inf f(r) dr under spec.tail; an f returning a
     (K, n) stack gets its K integrals, all on the same nodes."""
     if spec.tail == "averaged":
@@ -526,7 +527,7 @@ def _beat_freqs(k1, k2, min_sep=5e-2):
     return freqs
 
 
-def bessel_overlap(kind, order, k1, k2, spec: QuadratureSpec):
+def bessel_overlap(kind, order, k1, k2, spec: TailSpec):
     """Regularized radial overlap integral.
 
     kind: 'sph_inv_r'  int (1/r) J_{l+1/2}(k1 r) J_{l+1/2}(k2 r) dr
@@ -569,12 +570,13 @@ def smeared_radial_delta(kind, order, k_fixed, center, sigma):
             = G(k_fixed; center, sigma) / k_fixed,
 
     kind 'cyl_rho' (w = rho, J = J_m) or 'sph_r' (w = r, J = J_{l+1/2}).
-    ValueError naming kind for any other kind, and sigma unless it is finite
-    and > 0."""
+    ValueError naming kind for any other kind, and k_fixed or sigma unless
+    it is finite and > 0."""
     if kind not in ("cyl_rho", "sph_r"):
         raise ValueError(f"unknown smeared-delta kind {kind!r}; expected 'cyl_rho' or 'sph_r'")
-    if not 0 < sigma < math.inf:
-        raise ValueError(f"sigma must be finite and > 0, got {sigma!r}")
+    for nm, value in (("k_fixed", k_fixed), ("sigma", sigma)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{nm} must be finite and > 0, got {value!r}")
     nu = order if kind == "cyl_rho" else order + 0.5
     xg, wg = _gauss_legendre(SMEAR_NODES)
     lo, hi = center - 6.0 * sigma, center + 6.0 * sigma
@@ -615,7 +617,7 @@ class GramResult:
         self.max_offdiag = float(np.abs(off).max()) if off.size else 0.0
 
 
-def discrete_orthonormality(family, fixed, ranges, spec: QuadratureSpec) -> GramResult:
+def discrete_orthonormality(family, fixed, ranges, spec: TailSpec) -> GramResult:
     """Gram matrix over a discrete-label sector at shared continuous labels.
 
     family='spherical': fixed={'p0': ...}, ranges={'l_max': L}; labels run
@@ -626,8 +628,8 @@ def discrete_orthonormality(family, fixed, ranges, spec: QuadratureSpec) -> Gram
     Angular integrals use exact-degree rules; radial integrals share one
     regularized truncation protocol so the normalization is uniform.
     ValueError naming the field, before any quadrature, unless p0 is finite
-    and > 0, pz finite with |pz| <= p0 (the labels check both), l_max an
-    integer >= 1 and m_max an integer >= 0.
+    and > 0, pz finite with |pz| < p0, l_max an integer >= 1 and m_max an
+    integer >= 0.
     """
     if family == "spherical":
         return _gram_spherical(fixed["p0"], _label_range(ranges, "l_max", 1), spec)
@@ -695,6 +697,8 @@ def _gram_cylindrical(p0, pz, m_max, spec):
     labels = [(m, s) for m in range(-m_max, m_max + 1) for s in (+1, -1)]
     modes = {(m, s): CylindricalMode(CylindricalLabel(p0, pz, m, s)) for (m, s) in labels}
     alpha = math.sqrt(max(p0**2 - pz**2, 0.0))
+    if alpha == 0.0:   # |pz| = p0: every label but m = +-1 is the zero field
+        raise ValueError(f"pz must be finite with |pz| < p0, got pz={pz!r}, p0={p0!r}")
     n_phi = 8 * m_max + 8
     phi = np.arange(n_phi) * TWO_PI / n_phi
     wphi = TWO_PI / n_phi

@@ -42,7 +42,7 @@ from .operators import (P_upper, L3, L_plus, L_minus, LieField, lie_derivative,
                         helicity_dual, DualField, pauli_lubanski_residual,
                         dalembertian_residual, divergence_residual,
                         check_all_brackets)
-from .inner_product import (QuadratureSpec, WavePacket, inner,
+from .inner_product import (SliceSpec, TailSpec, WavePacket, inner,
                             inner_field_strength_form, Superposition,
                             GaussianBumpScalar, gauge_shift, current, slice_gram,
                             bessel_overlap, bessel_overlap_closed_form,
@@ -607,12 +607,11 @@ def _inner_product(spec):
     rng = np.random.default_rng(spec.seed + 4)
     residuals = {}
 
-    packet_quad = QuadratureSpec(r_max=50.0, n_r=128, n_theta=8, n_phi=8)
+    packet_quad = SliceSpec()
     pk = WavePacket(l=1, m=0, s=+1, center=1.0, width=0.2, n_nodes=48)
     expected = pk.norm_expected()
     n0 = inner(pk, pk, packet_quad).real
-    n1 = inner(pk, pk, QuadratureSpec(r_max=50.0, n_r=128, n_theta=8, n_phi=8,
-                                      t_slice=1.0)).real
+    n1 = inner(pk, pk, SliceSpec(t_slice=1.0)).real
     residuals["packet_norm"] = abs(n0 - expected) / expected
     residuals["cauchy_slice_agreement"] = abs(n1 - n0) / expected
 
@@ -621,7 +620,7 @@ def _inner_product(spec):
     residuals["form_equivalence"] = abs(jf - n0) / expected
 
     # plane-wave normalization: box inner product against the closed form
-    box = QuadratureSpec(chart="cartesian", box_half=5.0, n_box=40)
+    box = SliceSpec(chart="cartesian", box_half=5.0, n_box=40)
     la = PlaneWaveLabel((0.0, 0.0, 1.2), +1)
     lb = PlaneWaveLabel((0.0, 0.3, 0.9), +1)
     worst = 0.0
@@ -644,7 +643,7 @@ def _inner_product(spec):
     residuals["plane_helicity_orthogonality"] = float(worst_s)
 
     # discrete-sector Gram matrices
-    gram_quad = QuadratureSpec(tail_r0=300.0, tail_rounds=4)
+    gram_quad = TailSpec()
     gs = discrete_orthonormality("spherical", {"p0": 1.0}, {"l_max": 3}, gram_quad)
     gc = discrete_orthonormality("cylindrical", {"p0": 1.0, "pz": 0.3},
                                  {"m_max": 3}, gram_quad)
@@ -689,7 +688,7 @@ def _inner_product(spec):
 
     # gauge invariance of the field-strength-form inner product; Lambda must
     # decay inside the box for the Stokes argument, hence the width cap
-    gbox = QuadratureSpec(chart="cartesian", box_half=6.5, n_box=64)
+    gbox = SliceSpec(chart="cartesian", box_half=6.5, n_box=64)
     worst_inv = 0.0
     min_coulomb_violation = float("inf")
     pw_b = plane_wave(lb)
@@ -711,8 +710,8 @@ def _inner_product(spec):
     residuals["gauge_shift_div_nonzero"] = 0.0 if min_coulomb_violation > 1e-6 else 1.0
 
     # Bessel overlap tables, both regularizations
-    ospec = QuadratureSpec(tail="averaged")
-    dspec = QuadratureSpec(tail="damped")
+    ospec = TailSpec(tail_r0=150.0, tail_rounds=3)
+    dspec = TailSpec(tail="damped")
     worst_table = worst_agree = 0.0
     for kind, order, k1, k2 in (("sph_inv_r", 1, 1.0, 2.0), ("sph_inv_r", 2, 1.0, 1.0),
                                 ("sph_cross", 1, 1.0, 1.0), ("sph_cross", 1, 1.0, 2.0),

@@ -102,9 +102,9 @@ def test_criterion_4_structure_constants(algebra_report):
 
 
 def test_criterion_5_discrete_orthonormality():
-    from photonmodes.inner_product import QuadratureSpec, discrete_orthonormality
+    from photonmodes.inner_product import TailSpec, discrete_orthonormality
     t0 = time.perf_counter()
-    quad = QuadratureSpec(tail_r0=300.0, tail_rounds=4)
+    quad = TailSpec()
     gs = discrete_orthonormality("spherical", {"p0": 1.0}, {"l_max": 3}, quad)
     gc = discrete_orthonormality("cylindrical", {"p0": 1.0, "pz": 0.3},
                                  {"m_max": 3}, quad)

@@ -31,7 +31,7 @@ PUBLIC = [
     "dalembertian_residual", "divergence_residual", "commutator_check",
     "check_all_brackets", "pauli_lubanski_residual",
     # inner_product
-    "QuadratureSpec", "WavePacket", "Superposition", "inner",
+    "SliceSpec", "TailSpec", "WavePacket", "Superposition", "inner",
     "inner_field_strength_form", "current", "gauge_shift", "GaussianBumpScalar",
     "discrete_orthonormality", "bessel_overlap", "bessel_overlap_closed_form",
     "smeared_radial_delta",

@@ -196,7 +196,9 @@ def test_overlap_single_label(tmp_path):
 
 @pytest.mark.parametrize("family, label, field", [
     ("cylindrical", "p0=1,pz=0.3,mmax=-1", "m_max"),
-    ("spherical", "p0=1,lmax=0", "l_max")])
+    ("spherical", "p0=1,lmax=0", "l_max"),
+    # alpha = 0: all but m = +-1 are the zero field, and the Gram was NaN
+    ("cylindrical", "p0=1.0,pz=1.0,mmax=2", "pz")])
 def test_overlap_rejects_an_invalid_label_range(capsys, family, label, field):
     assert main(["overlap", "--family", family, "--label", label]) == 2
     assert field in capsys.readouterr().err
@@ -259,8 +261,8 @@ def test_overlap_config_hash_covers_the_quadrature(tmp_path):
 
 
 def test_overlap_quad_keys_left_out_keep_the_overlap_default(tmp_path):
-    # naming one tail key must not reset the others to the QuadratureSpec
-    # defaults (tail_r0=150, tail_rounds=3, off-diagonal 3.9e-8 here)
+    # naming one tail key keeps the others at the overlap rule (with
+    # tail_r0=150, tail_rounds=3 the off-diagonal is 3.9e-8 here)
     def gram(*quad):
         out = tmp_path / "gram.json"
         argv = ["overlap", "--family", "cylindrical", "--label", "p0=1.0,pz=0.3,mmax=3",

@@ -455,6 +455,13 @@ def test_sample_harmonic_rejects_a_non_harmonic_label(label):
             ladder(label)
 
 
+@pytest.mark.parametrize("n_phi", [0, -4, 2.5, math.nan])
+def test_sample_harmonic_rejects_a_bad_azimuthal_count(n_phi):
+    # n_phi = 0 raised a bare ZeroDivisionError
+    with pytest.raises(ValueError, match="n_phi"):
+        sample_harmonic(CylHarmonicLabel(0, 1.0, 1), np.linspace(0.3, 1.0, 9), n_phi=n_phi)
+
+
 def test_eth_numeric_resolution_error():
     # m = 3 content on a 7-point azimuthal grid sits at the Nyquist band
     lab = CylHarmonicLabel(0, 1.0, 3)

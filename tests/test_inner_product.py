@@ -9,19 +9,18 @@ import pytest
 
 from photonmodes.modes import (PlaneWaveLabel, CylindricalLabel, SphericalLabel,
                                plane_wave, cylindrical_mode, spherical_mode)
-from photonmodes.inner_product import (QuadratureSpec, WavePacket, Superposition,
+from photonmodes.inner_product import (SliceSpec, TailSpec, WavePacket, Superposition,
                                        inner, inner_field_strength_form, current,
                                        GaussianBumpScalar, gauge_shift, slice_gram,
                                        bessel_overlap, bessel_overlap_closed_form,
                                        smeared_radial_delta, discrete_orthonormality,
                                        averaged_oscillatory_integral,
                                        damped_oscillatory_integral, oscillatory_integral)
-from photonmodes.errors import NonConvergenceError
 from photonmodes.operators import L3, LieField
 from photonmodes import charts, fdiff, harmonics, modes, inner_product
 
 
-PACKET_QUAD = QuadratureSpec(r_max=50.0, n_r=128, n_theta=8, n_phi=8)
+PACKET_QUAD = SliceSpec()
 
 
 @pytest.fixture(scope="module")
@@ -127,8 +126,7 @@ def test_wave_packet_rejects_a_bad_spectrum(kwargs, field):
 
 def test_packet_norm_slice_independent(packet):
     v0 = inner(packet, packet, PACKET_QUAD).real
-    v1 = inner(packet, packet, QuadratureSpec(r_max=50.0, n_r=128, n_theta=8,
-                                              n_phi=8, t_slice=1.0)).real
+    v1 = inner(packet, packet, SliceSpec(t_slice=1.0)).real
     assert abs(v1 - v0) < 1e-3 * v0
 
 
@@ -213,18 +211,6 @@ def test_packet_batch_shares_radial_work_per_distinct_t_r(monkeypatch, rng):
         assert np.abs(batch - single).max() <= 1e-13 * np.abs(single).max()
 
 
-def test_inner_error_estimate_and_nonconvergence():
-    mode = plane_wave(PlaneWaveLabel((0.0, 0.0, 1.0), +1))
-    spec = QuadratureSpec(chart="cartesian", box_half=3.0, n_box=24)
-    val, err = inner(mode, mode, spec, return_error=True)
-    assert err < 1e-6 * abs(val)
-    wild = plane_wave(PlaneWaveLabel((0.0, 0.0, 40.0), +1))
-    wild2 = plane_wave(PlaneWaveLabel((40.0, 0.0, 0.0), +1))
-    with pytest.raises(NonConvergenceError):
-        inner(wild, wild2, QuadratureSpec(chart="cartesian", box_half=3.0, n_box=5,
-                                          tol=1e-9), return_error=True)
-
-
 # ---------------------------------------------------------------------------
 # Gauge transformations
 # ---------------------------------------------------------------------------
@@ -245,7 +231,7 @@ def test_inner_of_a_wrapped_gauge_shift():
     lam = GaussianBumpScalar(center=(0.2, -0.3, 0.1), width=0.8, c0=1.1,
                              linear=(0.3, -0.2, 0.4))
     shifted = gauge_shift(mode, lam)
-    box = QuadratureSpec(chart="cartesian", box_half=3.0, n_box=12)
+    box = SliceSpec(chart="cartesian", box_half=3.0, n_box=12)
     got = inner(LieField(L3(), shifted), mode, box)
     assert np.isfinite(got)
     assert got == pytest.approx(_current_form_reference(LieField(L3(), shifted), mode, box),
@@ -253,7 +239,7 @@ def test_inner_of_a_wrapped_gauge_shift():
 
 
 def test_gauge_invariance_of_field_strength_form(rng):
-    box = QuadratureSpec(chart="cartesian", box_half=6.5, n_box=64)
+    box = SliceSpec(chart="cartesian", box_half=6.5, n_box=64)
     la = PlaneWaveLabel((0.0, 0.0, 1.2), +1)
     lb = PlaneWaveLabel((0.0, 0.3, 0.9), +1)
     base = inner_field_strength_form(plane_wave(la), plane_wave(lb), box)
@@ -272,7 +258,7 @@ def test_gauge_shift_that_does_not_decay_in_the_box_changes_the_form():
     # positive control: Stokes needs Lambda to vanish on the box faces, so a
     # bump as wide as the box changes the form, and a jet that dropped
     # grad(Lambda) would leave it unchanged
-    box = QuadratureSpec(chart="cartesian", box_half=4.0, n_box=24)
+    box = SliceSpec(chart="cartesian", box_half=4.0, n_box=24)
     pw_b = plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1))
     shifts = [gauge_shift(pw_b, GaussianBumpScalar(center=(0.2, -0.3, 0.1), width=width,
                                                    c0=1.1, linear=(0.3, -0.2, 0.4)))
@@ -337,7 +323,7 @@ def _current_form_reference(a_field, b_field, spec):
 @pytest.mark.parametrize("form, derivative", [("current", "d_dt"),
                                               ("field_strength", "jet")])
 def test_slice_gram_evaluates_each_field_once(form, derivative):
-    box = QuadratureSpec(chart="cartesian", box_half=3.0, n_box=12)
+    box = SliceSpec(chart="cartesian", box_half=3.0, n_box=12)
     shared = _Counted(cylindrical_mode(CylindricalLabel(1.2, 0.5, 1, +1)))
     other = plane_wave(PlaneWaveLabel((0.2, -0.4, 0.7), -1))
     shifts = [gauge_shift(shared, GaussianBumpScalar(center=c, width=0.6, c0=0.9,
@@ -383,7 +369,7 @@ def test_slice_gram_frees_its_arrays_on_return(form):
                 return out
             return tracked
 
-    box = QuadratureSpec(chart="cartesian", box_half=3.0, n_box=8)
+    box = SliceSpec(chart="cartesian", box_half=3.0, n_box=8)
     left = Tracked(plane_wave(PlaneWaveLabel((0.2, -0.4, 0.7), -1)))
     right = gauge_shift(Tracked(cylindrical_mode(CylindricalLabel(1.2, 0.5, 1, +1))),
                         GaussianBumpScalar(center=(0.1, 0.0, 0.2), width=0.6))
@@ -400,7 +386,7 @@ def test_slice_gram_frees_its_arrays_on_return(form):
 def test_slice_gram_in_blocks_matches_the_full_node_sum(monkeypatch, form, derivative):
     # 12^3 = 1728 nodes in blocks of 300: five full blocks and one of 228
     monkeypatch.setattr(inner_product, "_SLICE_BLOCK", 300)
-    box = QuadratureSpec(chart="cartesian", box_half=3.0, n_box=12)
+    box = SliceSpec(chart="cartesian", box_half=3.0, n_box=12)
     shared = _Counted(cylindrical_mode(CylindricalLabel(1.2, 0.5, 1, +1)))
     other = plane_wave(PlaneWaveLabel((0.2, -0.4, 0.7), -1))
     shift = gauge_shift(shared, GaussianBumpScalar(center=(0.1, 0.0, 0.2), width=0.6,
@@ -430,7 +416,7 @@ def _traced_peak_mb(fn):
 def test_slice_gram_working_set_is_bounded_on_a_large_box():
     # 64^3 field-strength gauge block: one full-slice 4x4 complex jet alone
     # would be 67 MB; per-block pairs keep the whole call near the nodes' 10 MB
-    gbox = QuadratureSpec(chart="cartesian", box_half=6.5, n_box=64)
+    gbox = SliceSpec(chart="cartesian", box_half=6.5, n_box=64)
     pw_b = plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1))
     shifted = [gauge_shift(pw_b, GaussianBumpScalar(center=(0.1 * k, -0.2, 0.3), width=0.7,
                                                     c0=1.0, linear=(0.2, -0.1, 0.3)))
@@ -438,15 +424,6 @@ def test_slice_gram_working_set_is_bounded_on_a_large_box():
     peak = _traced_peak_mb(lambda: slice_gram([plane_wave(PlaneWaveLabel((0.0, 0.0, 1.2), +1))],
                                               [pw_b, *shifted], gbox, "field_strength"))
     assert peak < 40.0
-
-
-def test_inner_error_estimate_working_set_is_bounded():
-    # the doubled rule of a 40^3 box has 80^3 = 512,000 nodes
-    box = QuadratureSpec(chart="cartesian", box_half=5.0, n_box=40)
-    la, lb = PlaneWaveLabel((0.0, 0.0, 1.2), +1), PlaneWaveLabel((0.0, 0.3, 0.9), +1)
-    peak = _traced_peak_mb(lambda: inner(plane_wave(la), plane_wave(lb), box,
-                                         return_error=True))
-    assert peak < 50.0
 
 
 def _field_strength_form_reference(a_field, b_field, spec):
@@ -460,10 +437,10 @@ def _field_strength_form_reference(a_field, b_field, spec):
 
 
 def test_field_strength_form_equals_full_field_strength(packet):
-    quad = QuadratureSpec(r_max=30.0, n_r=32, n_theta=6, n_phi=6)
+    quad = SliceSpec(r_max=30.0, n_r=32, n_theta=6, n_phi=6)
     assert (inner_field_strength_form(packet, packet, quad)
             == _field_strength_form_reference(packet, packet, quad))
-    box = QuadratureSpec(chart="cartesian", box_half=4.0, n_box=16)
+    box = SliceSpec(chart="cartesian", box_half=4.0, n_box=16)
     la = PlaneWaveLabel((0.0, 0.0, 1.2), +1)
     shifted = gauge_shift(plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1)),
                           GaussianBumpScalar(center=(0.2, -0.3, 0.1), width=0.8, c0=1.1,
@@ -476,23 +453,25 @@ def test_field_strength_form_equals_full_field_strength(packet):
 # Bessel overlap tables (both regularizations)
 # ---------------------------------------------------------------------------
 
+# the tail rule of the Bessel-table check
+TABLE_QUAD = TailSpec(tail_r0=150.0, tail_rounds=3)
+
+
 def test_overlap_equal_argument_cross():
     # int_0^inf J_{1/2}(r) J_{3/2}(r) dr = 1/2
-    spec = QuadratureSpec(tail="averaged")
-    got = bessel_overlap("sph_cross", 1, 1.0, 1.0, spec)
+    got = bessel_overlap("sph_cross", 1, 1.0, 1.0, TABLE_QUAD)
     assert abs(got - 0.5) < 1e-3
 
 
 def test_overlap_ordered_cross_zero():
     # J_{l-1/2} with the larger momentum: the integral vanishes
-    spec = QuadratureSpec(tail="averaged")
-    got = bessel_overlap("sph_cross", 1, 2.0, 1.0, spec)
+    got = bessel_overlap("sph_cross", 1, 2.0, 1.0, TABLE_QUAD)
     assert abs(got) < 1e-3
 
 
 def test_overlap_tables_both_methods():
-    ospec = QuadratureSpec(tail="averaged")
-    dspec = QuadratureSpec(tail="damped")
+    ospec = TABLE_QUAD
+    dspec = TailSpec(tail="damped")
     for kind, order, k1, k2 in (("sph_inv_r", 1, 1.0, 2.0), ("sph_inv_r", 2, 1.0, 1.0),
                                 ("sph_cross", 1, 1.0, 2.0), ("sph_cross", 2, 0.7, 0.7)):
         cf = bessel_overlap_closed_form(kind, order, k1, k2)
@@ -520,6 +499,13 @@ def test_smeared_delta_rejects_an_unknown_kind_or_a_bad_sigma(kind, sigma, field
         smeared_radial_delta(kind, 1, 1.0, 1.05, sigma)
 
 
+@pytest.mark.parametrize("k_fixed", [0.0, -1.0, math.nan, math.inf])
+def test_smeared_delta_rejects_a_bad_k_fixed(k_fixed):
+    # k_fixed = 0 gave (0.0, inf) with a divide-by-zero warning
+    with pytest.raises(ValueError, match="k_fixed"):
+        smeared_radial_delta("sph_r", 1, k_fixed, 1.05, 0.05)
+
+
 
 def test_composite_rule_computes_each_gauss_legendre_rule_once(monkeypatch):
     calls = []
@@ -527,8 +513,8 @@ def test_composite_rule_computes_each_gauss_legendre_rule_once(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda deg: calls.append(deg) or leggauss(deg))
     inner_product._gauss_legendre.cache_clear()
-    ball = QuadratureSpec(r_max=2.0, n_r=16, n_theta=8, n_phi=4)
-    box = QuadratureSpec(chart="cartesian", box_half=1.5, n_box=8)
+    ball = SliceSpec(r_max=2.0, n_r=16, n_theta=8, n_phi=4)
+    box = SliceSpec(chart="cartesian", box_half=1.5, n_box=8)
     for _ in range(5):
         val = inner_product._composite_gl(np.cos, 0.0, 10.0, 1.0)
         assert val == pytest.approx(math.sin(10.0), abs=1e-13)
@@ -548,23 +534,30 @@ def test_composite_rule_computes_each_gauss_legendre_rule_once(monkeypatch):
         wg[0] = 0.0
 
 
-def test_quadrature_spec_validates_every_field():
-    for field, value in (("chart", "polar"), ("tail", "exact"), ("tail", "none"),
-                         ("t_slice", math.nan),
+def test_slice_spec_validates_every_field():
+    for field, value in (("chart", "polar"), ("t_slice", math.nan),
                          ("r_max", -1.0), ("r_max", math.nan), ("box_half", 0.0),
-                         ("tail_r0", math.nan), ("tol", -1.0),
                          ("n_r", 8.5), ("n_theta", 3), ("n_phi", math.nan),
-                         ("n_box", math.inf), ("tail_rounds", -1)):
+                         ("n_box", math.inf)):
         with pytest.raises(ValueError, match=field):
-            QuadratureSpec(**{field: value})
+            SliceSpec(**{field: value})
     # integral counts are stored as int (a rule order must be one)
-    spec = QuadratureSpec(n_r=32.0, tail_rounds=0)
-    assert type(spec.n_r) is int and spec.n_r == 32 and spec.tail_rounds == 0
+    spec = SliceSpec(n_r=32.0)
+    assert type(spec.n_r) is int and spec.n_r == 32
+
+
+def test_tail_spec_validates_every_field():
+    for field, value in (("tail", "exact"), ("tail", "none"), ("tail_r0", math.nan),
+                         ("tail_r0", 0.0), ("tail_rounds", -1), ("tail_rounds", 2.5)):
+        with pytest.raises(ValueError, match=field):
+            TailSpec(**{field: value})
+    spec = TailSpec(tail_rounds=0.0)
+    assert type(spec.tail_rounds) is int and spec.tail_rounds == 0
 
 
 def test_regularization_consistency_simple_integrand():
     # both tail handlers reproduce int_0^inf e^{-r/20} cos(r) dr exactly enough
-    spec = QuadratureSpec()
+    spec = TailSpec()
     f = lambda r: np.exp(-r / 20.0) * np.cos(r)
     want = (1.0 / 20.0) / ((1.0 / 20.0) ** 2 + 1.0)
     assert abs(averaged_oscillatory_integral(f, [1.0], spec) - want) < 1e-6
@@ -581,7 +574,7 @@ _STACK_ROWS = (lambda r: harmonics.bessel_j(1.5, r) * harmonics.bessel_j(1.5, 2.
 
 @pytest.mark.parametrize("tail", ["averaged", "damped"])
 def test_stacked_integrand_equals_one_scalar_integral_per_row(tail):
-    spec = QuadratureSpec(tail=tail)
+    spec = TailSpec(tail=tail)
     freqs = [3.0, 1.0]
     stacked = oscillatory_integral(lambda r: np.stack([g(r) for g in _STACK_ROWS]), freqs, spec)
     assert stacked.shape == (len(_STACK_ROWS),)
@@ -627,7 +620,7 @@ def test_averaged_tail_takes_the_head_once():
     # beat frequencies below pi/4 give 2-long segments, so the head [0, R]
     # is 75 segments and [0, 2R] 150: S(2R) from the head plus [R, 2R]
     # leaves out 75 * GL_ORDER nodes, and no node below R is taken twice
-    spec = QuadratureSpec(tail_r0=150.0, tail_rounds=3)
+    spec = TailSpec(tail_r0=150.0, tail_rounds=3)
     freqs = [0.7, 0.2]
     seen = []
 
@@ -647,7 +640,7 @@ def test_averaged_tail_takes_the_head_once():
 
 def test_averaged_tail_gram_matches_the_head_taken_twice(monkeypatch):
     # the Grams overlap reports, with the head of S(2R) taken on its own
-    spec = QuadratureSpec(tail_r0=300.0, tail_rounds=4)
+    spec = TailSpec()
     cases = (("spherical", {"p0": 1.0}, {"l_max": 5}),
              ("cylindrical", {"p0": 1.0, "pz": 0.3}, {"m_max": 8}))
     def raw_gram(case):
@@ -666,7 +659,7 @@ def test_averaged_tail_gram_matches_the_head_taken_twice(monkeypatch):
 # Gram matrices
 # ---------------------------------------------------------------------------
 
-GRAM_QUAD = QuadratureSpec(tail_r0=300.0, tail_rounds=4)
+GRAM_QUAD = TailSpec()
 
 
 def test_gram_spherical_sector():
@@ -704,10 +697,13 @@ def test_gram_rejects_an_invalid_label_range(family, fixed, ranges, field):
     ("spherical", {"p0": 0.0}, "p0"),
     ("cylindrical", {"p0": -math.inf, "pz": 0.0}, "p0"),
     ("cylindrical", {"p0": 1.0, "pz": math.nan}, "pz"),
-    ("cylindrical", {"p0": 1.0, "pz": -math.inf}, "pz")])
+    ("cylindrical", {"p0": 1.0, "pz": -math.inf}, "pz"),
+    ("cylindrical", {"p0": 1.0, "pz": 1.0}, "pz"),
+    ("cylindrical", {"p0": 1.0, "pz": -1.0}, "pz")])
 def test_gram_rejects_a_bad_energy_before_any_quadrature(monkeypatch, family, fixed, field):
     # rejected by name before any radial rule runs: a non-finite p0 would
-    # otherwise reach the rule's segment count
+    # otherwise reach the rule's segment count, and |pz| = p0 (alpha = 0,
+    # every label but m = +-1 the zero field) gave a NaN Gram
     def no_quadrature(*args, **kwargs):
         raise AssertionError("quadrature ran on a bad energy")
 
@@ -780,7 +776,7 @@ def _cylindrical_gram_reference(p0, pz, m_max, spec):
 
 @pytest.mark.parametrize("tail", ["averaged", "damped"])
 def test_gram_takes_its_radial_integrals_in_one_pass(monkeypatch, tail):
-    spec = QuadratureSpec(tail=tail, tail_r0=GRAM_QUAD.tail_r0, tail_rounds=GRAM_QUAD.tail_rounds)
+    spec = TailSpec(tail=tail)
     calls = {"integral": 0, "integrand": 0, "profiles": 0, "orders": []}
 
     def counted_integral(f, freqs, spec):

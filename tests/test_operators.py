@@ -13,7 +13,7 @@ from photonmodes.operators import (P_lower, P_upper, M_lower, L1, L2, L3, L_plus
                                    commutator_check, check_all_brackets,
                                    pauli_lubanski_residual, DualField, LieField,
                                    KillingField)
-from photonmodes.inner_product import (QuadratureSpec, WavePacket, Superposition, inner,
+from photonmodes.inner_product import (SliceSpec, WavePacket, Superposition, inner,
                                        slice_nodes)
 from photonmodes.errors import AsymmetryError, DegenerateAxisError, StencilError
 from photonmodes import fdiff
@@ -269,7 +269,7 @@ def test_angular_momentum_squared_takes_no_jet(monkeypatch):
     assert len(jets) == 1    # the wrapper does see the analytic path
 
 
-PACKET_QUAD = QuadratureSpec(r_max=50.0, n_r=128, n_theta=8, n_phi=8)
+PACKET_QUAD = SliceSpec()
 
 
 def _packet_superpositions():

@@ -10,8 +10,12 @@ Output formats: field grids are written as a JSON header plus a CSV body
 Gram matrices are JSON with a provenance block (tool, python and numpy
 versions, seed, config hash).  eval streams the body, so its memory is the
 sampled values plus one chunk of formatted rows: a CSV chunk is _CSV_ROWS
-rows formatted into one string (each axis value formatted once), a JSON
-chunk one node block of sample_grid.
+rows written as one string, a JSON chunk one node block of sample_grid.
+The CSV fields are the bytes of FMT % v, but their digits come from integer
+arithmetic on whole arrays (a long double product per value, digit tables
+of 4-byte words); FMT % v itself formats only the values that arithmetic
+cannot settle, such as exact decimal ties.  Each axis value is formatted
+once.
 
 A label key the family does not take, or a key or grid axis given twice, is
 a usage error: it is never ignored, nor copied into the provenance.
@@ -22,7 +26,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import itertools
 import json
 import sys
 
@@ -36,7 +39,7 @@ from .inner_product import TailSpec, discrete_orthonormality
 from . import validation
 
 FMT = "%.16e"   # 17 significant digits, lowercase scientific
-_CSV_ROWS = 1024   # CSV rows formatted and written per chunk
+_CSV_ROWS = 512   # CSV rows formatted and written per chunk
 
 
 def _provenance(seed, config):
@@ -80,19 +83,33 @@ def _check_keys(kv, allowed, what):
                          f"it takes {', '.join(allowed)}")
 
 
+def _convert(kind, text, name):
+    """kind(text) for the value of name, a key or grid axis: a text that does
+    not convert is a usage error naming it, where Python's message would not."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {'an integer' if kind is int else 'a number'}, "
+                         f"got {text!r}") from None
+
+
 def _build_label(family, kv):
     if family not in LABEL_KEYS:
         raise ValueError(f"unknown family {family!r}")
     _check_keys(kv, LABEL_KEYS[family], f"{family} label")
+
+    def value(key, kind=float, default=None):
+        return _convert(kind, kv[key] if default is None else kv.get(key, default),
+                        f"label key {key!r}")
+
     try:
         if family == "plane":
-            return PlaneWaveLabel((float(kv["px"]), float(kv["py"]), float(kv["pz"])),
-                                  int(kv.get("s", 1)))
+            return PlaneWaveLabel((value("px"), value("py"), value("pz")), value("s", int, 1))
         if family == "cylindrical":
-            return CylindricalLabel(float(kv["p0"]), float(kv.get("pz", 0.0)),
-                                    int(kv.get("m", 0)), int(kv.get("s", 1)))
-        return SphericalLabel(float(kv["p0"]), int(kv["l"]),
-                              int(kv.get("m", 0)), int(kv.get("s", 1)))
+            return CylindricalLabel(value("p0"), value("pz", float, 0.0),
+                                    value("m", int, 0), value("s", int, 1))
+        return SphericalLabel(value("p0"), value("l", int), value("m", int, 0),
+                              value("s", int, 1))
     except KeyError as exc:
         raise ValueError(f"missing label key {exc} for family {family!r}") from exc
 
@@ -112,7 +129,8 @@ def _parse_grid(items):
             if name in axes:
                 raise ValueError(f"grid axis {name!r} given twice")
             # n as a float: GridSpec names the axis of a non-integral count
-            axes[name] = (float(lo), float(hi), float(n))
+            axes[name] = tuple(_convert(float, text, f"grid axis {name!r} {part}")
+                               for part, text in (("min", lo), ("max", hi), ("n", n)))
     defaults = {"t": (0.0, 0.0, 1), "x": (-1.0, 1.0, 8), "y": (-1.0, 1.0, 8),
                 "z": (-1.0, 1.0, 8)}
     defaults.update(axes)
@@ -126,7 +144,97 @@ def _parse_quad(items):
     _check_keys(kv, [f.name for f in dataclasses.fields(TailSpec)], "quadrature")
     # tail_rounds as a float too: TailSpec rejects a non-integral one by name
     # and stores an integral one as int
-    return TailSpec(**{k: v if k == "tail" else float(v) for k, v in kv.items()})
+    return TailSpec(**{k: v if k == "tail" else _convert(float, v, f"quadrature key {k!r}")
+                       for k, v in kv.items()})
+
+
+def _ascii_words(codes):
+    """The uint32 words of an (..., 4) array of byte values, in the machine's
+    byte order, so that an array of them viewed as bytes reads in order."""
+    return np.ascontiguousarray(codes, dtype=np.uint8).view(np.uint32)[..., 0]
+
+
+# A FMT field is at most 24 characters, "-d.dddddddddddddddde-ddd", plus its
+# separator.  _Fields lays it out in _FIELD_WORDS words with NUL padding:
+# [sign, d, ".", NUL] [dddd] [dddd] [dddd] [dddd] ["e", sign, d or NUL, d]
+# [d, separator, NUL, NUL]; a non-finite value is its text in the first word.
+_FIELD_WORDS = 7
+_EXP_MIN = -330   # FMT exponents span -324 (5e-324) to 308
+
+
+class _Fields:
+    """FMT % v for every v of a float64 array, from whole-array integer
+    arithmetic.  Its tables are built with each instance, not on import: the
+    numpy code they touch would otherwise add 0.4 MB to the peak RSS of every
+    command, which for eval falls inside sample_grid."""
+
+    def __init__(self):
+        self.digits4 = _ascii_words(np.stack(np.meshgrid(
+            *[48 + np.arange(10, dtype=np.uint8)] * 4, indexing="ij"), axis=-1)).ravel()
+        self.lead = np.frombuffer("".join(f"{sign}{d}.\0" for sign in "\0-"
+                                          for d in range(10)).encode(), dtype=np.uint32)
+        exponents = np.arange(_EXP_MIN, 1 - _EXP_MIN)
+        e = abs(exponents)
+        self.exp_high = _ascii_words(np.stack([
+            np.full_like(e, ord("e")), np.where(exponents < 0, ord("-"), ord("+")),
+            np.where(e >= 100, 48 + e // 100, 0), 48 + e // 10 % 10], axis=1))
+        self.exp_low = _ascii_words(np.stack([48 + e % 10] + [np.zeros_like(e)] * 3, axis=1))
+        self.inf, self.neg_inf, self.nan = np.frombuffer(b"\0inf-inf\0nan", dtype=np.uint32)
+        # 10**k for 0 <= k <= 27, each exact in a 64-bit long double mantissa
+        # (5**27 < 2**63): built by *10, never rounded
+        self.pow10 = np.cumprod(np.full(28, 10, dtype=np.longdouble)) / 10
+        # the rounding error of |x| * 10**k, a correctly rounded long double
+        # product below 10**17, is at most half this; where long double is a
+        # plain double the bound exceeds 1/2 and every value takes the % path
+        self.round_bound = np.longdouble(1e17) * np.finfo(np.longdouble).eps
+
+    def __call__(self, x):
+        """The FMT fields of the float64 array x, as (len(x), _FIELD_WORDS)
+        uint32 words without separators: the bytes of FMT % v for each v once
+        the NUL bytes are dropped.
+
+        The 17 digits of a value |x| in [1e-11, 1e17) are
+        N = round(|x| * 10**k) with k = 16 - floor(log10|x|), from one long
+        double product.  That N is taken only where the product is more than
+        its rounding bound away from a rounding tie and N has 17 digits; every
+        other nonzero finite value (an exact decimal tie, a misjudged exponent
+        next to a power of ten, a value outside the range) takes its digits
+        and exponent from FMT % v."""
+        a = np.abs(x)
+        finite = np.isfinite(a)
+        nonzero = finite & (a != 0)
+        k = 16 - np.floor(np.log10(np.where(nonzero, a, 1.0))).astype(np.int64)
+        fast = nonzero & (k >= 0) & (k <= 27)
+        k[~fast] = 16
+        y = np.where(fast, a, 1.0).astype(np.longdouble) * self.pow10[k]
+        digits = y.astype(np.int64)    # floor: y > 0
+        above_half = y - digits - 0.5
+        fast &= (np.abs(above_half) > self.round_bound) & (digits >= 10 ** 16)
+        digits += above_half > 0
+        fast &= digits < 10 ** 17
+        exponent = 16 - k
+        digits[~nonzero] = 0
+        exponent[~nonzero] = 0
+        slow = np.flatnonzero(nonzero & ~fast)
+        if len(slow):
+            texts = [(FMT % v).split("e") for v in x[slow].tolist()]
+            digits[slow] = [abs(int(mantissa.replace(".", ""))) for mantissa, _ in texts]
+            exponent[slow] = [int(exp) for _, exp in texts]
+        words = np.empty((len(x), _FIELD_WORDS), dtype=np.uint32)
+        for col in (4, 3, 2, 1):
+            digits, group = np.divmod(digits, 10000)
+            words[:, col] = self.digits4[group]
+        words[:, 0] = self.lead[digits + 10 * np.signbit(x)]
+        exponent -= _EXP_MIN
+        words[:, 5] = self.exp_high[exponent]
+        words[:, 6] = self.exp_low[exponent]
+        special = np.flatnonzero(~finite)
+        if len(special):
+            v = x[special]
+            words[special] = 0
+            words[special, 0] = np.where(np.isnan(v), self.nan,
+                                         np.where(v > 0, self.inf, self.neg_inf))
+        return words
 
 
 def _write_csv_body(fh, grid):
@@ -134,22 +242,24 @@ def _write_csv_body(fh, grid):
     np.savetxt(fh, rows, fmt=FMT, delimiter=",") of all of them.
 
     Every node's coordinate is an axis value, so each axis value is
-    formatted once and the t,x,y,z prefixes are joined from those strings.
-    The Re/Im columns go in chunks of _CSV_ROWS rows through one % of the
-    repeated row format, and each chunk is one write."""
-    prefixes = map("".join, itertools.product(
-        *([FMT % v + "," for v in ax.tolist()] for ax in grid.axes.values())))
+    formatted once and the rows gather those fields by node index.  The
+    Re/Im columns are formatted in chunks of _CSV_ROWS rows, and each chunk,
+    its NUL padding dropped, is one write."""
+    fields = _Fields()
+    separators = np.frombuffer(b"\0,\0\0" * 11 + b"\0\n\0\0", dtype=np.uint32)
+    axes = list(grid.axes.values())
+    axis_fields = [fields(ax) for ax in axes]
+    shape = [len(ax) for ax in axes]
     values = grid.values.reshape(-1, 4).view(float)   # re_A0, im_A0, ..., im_A3
-    row_fmt = "%s" + ",".join([FMT] * 8) + "\n"
     for start in range(0, len(values), _CSV_ROWS):
         chunk = values[start:start + _CSV_ROWS]
-        n = len(chunk)
-        args = [None] * (9 * n)
-        args[0::9] = itertools.islice(prefixes, n)
-        flat = chunk.ravel().tolist()
-        for k in range(8):
-            args[k + 1::9] = flat[k::8]
-        fh.write((row_fmt * n) % tuple(args))
+        rows = np.empty((len(chunk), 12, _FIELD_WORDS), dtype=np.uint32)
+        nodes = np.unravel_index(np.arange(start, start + len(chunk)), shape)
+        for col, (words, node) in enumerate(zip(axis_fields, nodes)):
+            rows[:, col] = words[node]
+        rows[:, 4:] = fields(chunk.ravel()).reshape(-1, 8, _FIELD_WORDS)
+        rows[:, :, 6] |= separators
+        fh.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
 
 
 def _body_blocks(grid):
@@ -251,12 +361,12 @@ def cmd_overlap(args):
     if args.family not in OVERLAP_KEYS:
         raise ValueError("overlap supports the cylindrical and spherical families")
     _check_keys(kv, OVERLAP_KEYS[args.family], f"{args.family} overlap label")
+    fixed = {"p0": _convert(float, kv.get("p0", 1.0), "label key 'p0'")}
     if args.family == "spherical":
-        fixed = {"p0": float(kv.get("p0", 1.0))}
-        ranges = {"l_max": int(kv.get("lmax", 3))}
+        ranges = {"l_max": _convert(int, kv.get("lmax", 3), "label key 'lmax'")}
     else:
-        fixed = {"p0": float(kv.get("p0", 1.0)), "pz": float(kv.get("pz", 0.0))}
-        ranges = {"m_max": int(kv.get("mmax", 3))}
+        fixed["pz"] = _convert(float, kv.get("pz", 0.0), "label key 'pz'")
+        ranges = {"m_max": _convert(int, kv.get("mmax", 3), "label key 'mmax'")}
     gram = discrete_orthonormality(args.family, fixed, ranges, spec)
     entries = [[None if not np.isfinite(v) else v
                 for v in row] for row in np.real(gram.matrix).tolist()]

@@ -1,6 +1,7 @@
 import io
 import json
 import platform
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,92 @@ def test_csv_writer_matches_savetxt_on_special_values(tmp_path, monkeypatch):
     assert buf.getvalue().encode() == (tmp_path / "whole.csv").read_bytes()
 
 
+def _csv_body(grid):
+    buf = io.StringIO()
+    cli._write_csv_body(buf, grid)
+    return buf.getvalue()
+
+
+def test_csv_fields_are_the_bytes_of_percent_formatting():
+    # the writer's digits come from integer arithmetic on a long double
+    # product; each field must still be FMT % v exactly
+    rng = np.random.default_rng(20240801)
+    with np.errstate(over="ignore"):
+        tens = 10.0 ** np.arange(-324, 310)    # 0 and inf at the ends
+    odd = 2 * rng.integers(2 * 10 ** 15, 9 * 10 ** 15 // 2, 500) + 1
+    edges = np.concatenate([
+        tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+        [9.999999999999999e-2, 1e16, np.nextafter(1e16, 0), 1e17, np.nextafter(1e17, 0),
+         1e-11, np.nextafter(1e-11, 0), np.nextafter(1e-10, 0),   # k = 0 and k = 27 edges
+         5e-324, 2.2250738585072009e-308, 2.2250738585072014e-308, 1.7976931348623157e308,
+         1e300, 1e-300, 0.0, np.inf, np.nan, 1000000000000000.25],
+        odd / 4])                                # exact ties of the 17th digit
+    edges = np.concatenate([edges, -edges])
+    bits = rng.integers(0, 2 ** 64, 200_000, dtype=np.uint64)
+    # three in four in a binade of [1e-11, 1e17), where the digits are not
+    # taken from %: biased exponents 1023 - 37 to 1023 + 56
+    exponent_field = np.uint64(0x7FF) << np.uint64(52)
+    bits[:150_000] = (bits[:150_000] & ~exponent_field) | (
+        rng.integers(986, 1080, 150_000, dtype=np.uint64) << np.uint64(52))
+    bits = bits.view(float)
+    # 160 * 160 rows of eight values; the y and z axes are values too
+    values = np.resize(np.concatenate([edges, bits]), 8 * 160 * 160)
+    axes = {"t": np.array([-0.0]), "x": np.array([np.nan]),
+            "y": values[:-161:-1].copy(), "z": values[:160].copy()}
+    grid = FieldGrid(axes=axes, values=values.view(complex).reshape(1, 1, 160, 160, 4))
+    fields = [FMT % v for v in values.tolist()]
+    tx = f"{FMT % -0.0},{FMT % np.nan}"
+    prefixes = [f"{tx},{y},{z}" for y in [FMT % v for v in axes["y"].tolist()]
+                for z in [FMT % v for v in axes["z"].tolist()]]
+    want = "".join(f"{prefix},{','.join(fields[8 * i:8 * i + 8])}\n"
+                   for i, prefix in enumerate(prefixes))
+    assert _csv_body(grid) == want
+
+
+class _CountingFormat(str):
+    """FMT that counts the values formatted one at a time by %."""
+    calls = 0
+
+    def __mod__(self, value):
+        self.calls += 1
+        return str.__mod__(self, value)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="long double is no wider than double: every field takes %")
+def test_csv_writer_formats_few_values_one_at_a_time(monkeypatch):
+    # the % path is the exact fallback, not the route of every value
+    ax = (-0.75, 0.75, 16)
+    grid = sample_grid(make_mode(SphericalLabel(1.0, 2, 1, 1)),
+                       GridSpec(t=(0.0, 0.0, 1), x=ax, y=ax, z=ax))
+    want = _csv_body(grid)
+    counting = _CountingFormat(FMT)
+    monkeypatch.setattr(cli, "FMT", counting)
+    assert _csv_body(grid) == want
+    assert counting.calls < 0.05 * (grid.values.size * 2 + 3 * 16 + 1)
+
+
+def test_csv_writer_memory_does_not_grow_with_the_grid():
+    # the body is streamed: the writer's own allocations are one chunk's
+    class Discard:
+        def write(self, text):
+            pass
+
+    peaks = []
+    for n in (16, 32):
+        ax = (-0.75, 0.75, n)
+        grid = sample_grid(make_mode(SphericalLabel(1.0, 2, 1, 1)),
+                           GridSpec(t=(0.0, 0.0, 1), x=ax, y=ax, z=ax))
+        tracemalloc.start()
+        try:
+            cli._write_csv_body(Discard(), grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 1e6
+    assert max(peaks) < 1.1 * min(peaks)
+
+
 @pytest.mark.parametrize("argv, named", [
     (["overlap", "--family", "cylindrical", "--label", "p0=1,lmax=1,mmax=1"], "'lmax'"),
     (["overlap", "--family", "spherical", "--label", "p0=1,lmax=1,pz=0.2"], "'pz'"),
@@ -140,9 +227,19 @@ def test_csv_writer_matches_savetxt_on_special_values(tmp_path, monkeypatch):
     (["eval", "--family", "plane", "--label", "px=0,py=0,pz=1", "--label", "pz=2"], "'pz'"),
     (["eval", "--family", "plane", "--label", "px=0,py=0,pz=1",
       "--grid", "x:-1:1:2.5"], "grid axis x"),
+    # a value that does not convert names its key or axis, not just the text
+    (["overlap", "--family", "spherical", "--label", "p0=1,lmax=2.5"], "'lmax'"),
+    (["overlap", "--family", "spherical", "--label", "p0=1,lmax=1",
+      "--quad", "tail_r0=abc"], "'tail_r0'"),
+    (["eval", "--family", "plane", "--label", "px=abc,py=0,pz=1"], "'px'"),
+    (["eval", "--family", "plane", "--label", "px=0,py=0,pz=1",
+      "--grid", "x:a:1:4"], "grid axis 'x'"),
+    (["eval", "--family", "spherical", "--label", "p0=1,l=2.5,m=0,s=1"], "'l'"),
 ], ids=["overlap-cyl-lmax", "overlap-sph-pz", "eval-sph-pz-bogus", "eval-plane-m",
         "eval-grid-x-twice", "eval-grid-x-twice-across-flags", "eval-label-pz-twice",
-        "eval-grid-count-not-integer"])
+        "eval-grid-count-not-integer", "overlap-sph-lmax-not-integer",
+        "overlap-quad-tail-r0-not-a-number", "eval-plane-px-not-a-number",
+        "eval-grid-x-min-not-a-number", "eval-sph-l-not-integer"])
 def test_a_key_or_axis_that_would_be_ignored_is_a_usage_error(tmp_path, capsys, argv, named):
     if argv[0] == "eval":
         argv = argv + ["--out", str(tmp_path / "f")]

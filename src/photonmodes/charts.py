@@ -24,6 +24,14 @@ leading axis of length 3, in the order of the spin weights ``SPINS``:
 
 eps- and eps+ are complex conjugates, null, and cross-normalized to
 g(eps+, eps-) = -1.
+
+The spherical dyads are defined by two maps that the multipole kernel
+applies directly, with no dyad arrays: sph_dyad_to_frame takes dyad
+coefficients to components on the orthonormal frame (dr, r dtheta,
+r sin(theta) dphi), and sph_frame_to_lorentz takes those to Lorentz
+components by elementwise multiply-adds; sph_dyads is the two applied to
+unit coefficients.  sph_frame_gradient gives the Lorentz gradient of a
+covector from the partials of its frame components.
 """
 
 from __future__ import annotations
@@ -87,17 +95,66 @@ def cyl_dyads(phi):
     return np.stack(np.broadcast_arrays(Z_HAT, ph * U_MINUS, np.conj(ph) * U_PLUS))
 
 
+def sph_frame(theta, phi):
+    """(sin theta, cos theta, sin phi, cos phi): the factors of the
+    orthonormal spherical frame (dr, r dtheta, r sin(theta) dphi) in
+    Lorentz components, for sph_frame_to_lorentz."""
+    return np.sin(theta), np.cos(theta), np.sin(phi), np.cos(phi)
+
+
+def sph_dyad_to_frame(c0, cm, cp):
+    """Frame components (a_r, a_theta, a_phi) of c0 dr + cm eps- + cp eps+,
+    eps-/+ = (r dtheta +/- i r sin(theta) dphi)/sqrt(2)."""
+    return c0, (cm + cp) * (1.0 / SQRT2), (cm - cp) * (1j / SQRT2)
+
+
+def sph_frame_to_lorentz(a_r, a_theta, a_phi, frame):
+    """Spatial Lorentz components (A_x, A_y, A_z) of the covector
+    a_r dr + a_theta r dtheta + a_phi r sin(theta) dphi, whose time
+    component is 0, from the factors frame = sph_frame(theta, phi); by
+    elementwise multiply-adds, so the components may be arrays of any shape
+    that broadcasts against the frame."""
+    st, ct, sp, cp = frame
+    a_rho = a_r * st + a_theta * ct    # the component along drho
+    return a_rho * cp - a_phi * sp, a_rho * sp + a_phi * cp, a_r * ct - a_theta * st
+
+
+def sph_frame_gradient(a, d_r, d_theta, d_phi, r, frame):
+    """Spatial Lorentz partials d_i A_j, shape (..., 3, 3) with i, j = x, y,
+    z, of the covector whose frame components are a = (a_r, a_theta, a_phi)
+    (see sph_frame_to_lorentz), from the partials d_r, d_theta, d_phi of
+    those components at radius r.
+
+    The frame gradient D_b A = e_b . grad A (b = r, theta, phi; grad =
+    e_r d_r + e_theta d_theta / r + e_phi d_phi / (r sin(theta))) is turned
+    to Lorentz components on both indices.  The frame turns as
+    d_theta (e_r, e_theta) = (e_theta, -e_r) and d_phi (e_r, e_theta, e_phi)
+    = (sin(theta) e_phi, cos(theta) e_phi, -sin(theta) e_r - cos(theta) e_theta)."""
+    st, ct = frame[:2]
+    a_r, a_th, a_ph = a
+    inv_r = 1.0 / r
+    inv_rst = inv_r / st
+    rows = (sph_frame_to_lorentz(*d_r, frame),
+            sph_frame_to_lorentz((d_theta[0] - a_th) * inv_r, (d_theta[1] + a_r) * inv_r,
+                                 d_theta[2] * inv_r, frame),
+            sph_frame_to_lorentz((d_phi[0] - st * a_ph) * inv_rst, (d_phi[1] - ct * a_ph) * inv_rst,
+                                 (d_phi[2] + st * a_r + ct * a_th) * inv_rst, frame))
+    return np.stack([np.stack(sph_frame_to_lorentz(*column, frame), axis=-1)
+                     for column in zip(*rows)], axis=-1)
+
+
 def sph_dyads(theta, phi):
     """Lorentz components of the dyads (dr, eps-, eps+), shape (3,) + theta.shape
-    + (4,).  Their angular derivatives are combinations of themselves:
+    + (4,): sph_frame_to_lorentz of their frame components sph_dyad_to_frame.
+    Their angular derivatives are combinations of themselves:
     d_theta (dr, eps-, eps+) = (eps- + eps+, -dr, -dr) / sqrt2 and
     d_phi (dr, eps-, eps+) = -i (sin(theta) (eps- - eps+) / sqrt2,
     cos(theta) eps- + sin(theta) dr / sqrt2, -cos(theta) eps+ - sin(theta) dr / sqrt2)."""
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    zero = np.zeros_like(st)
-    em = np.stack([zero, ct * cp - 1j * sp, ct * sp + 1j * cp, -st], axis=-1) / SQRT2
-    return np.stack([np.stack([zero, st * cp, st * sp, ct], axis=-1), em, np.conj(em)])
+    frame = sph_frame(theta, phi)
+    zero = np.zeros(np.broadcast(theta, phi).shape)
+    return np.stack([np.stack(np.broadcast_arrays(
+        zero, *sph_frame_to_lorentz(*sph_dyad_to_frame(*unit), frame)), axis=-1)
+        for unit in np.eye(3)])
 
 
 def dyads(chart, t, x, y, z):

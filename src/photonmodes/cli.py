@@ -183,10 +183,17 @@ class _Fields:
         # 10**k for 0 <= k <= 27, each exact in a 64-bit long double mantissa
         # (5**27 < 2**63): built by *10, never rounded
         self.pow10 = np.cumprod(np.full(28, 10, dtype=np.longdouble)) / 10
-        # the rounding error of |x| * 10**k, a correctly rounded long double
-        # product below 10**17, is at most half this; where long double is a
-        # plain double the bound exceeds 1/2 and every value takes the % path
-        self.round_bound = np.longdouble(1e17) * np.finfo(np.longdouble).eps
+        # how far the long double product |x| * 10**k (below 10**17) must be
+        # from a rounding tie q + 1/2 for its side of the tie to be certain.
+        # Where the product's spacing is at most 1/2 there, every q + 1/2 is
+        # representable and rounding is monotone, so only a product equal to
+        # q + 1/2 is ambiguous: the bound is 0.  Elsewhere the rounding
+        # error is at most half of 10**17 eps; where long double is a plain
+        # double that exceeds 1/2, and every value takes the % path
+        if np.spacing(np.longdouble(1e17)) <= 0.5:
+            self.round_bound = np.longdouble(0.0)
+        else:
+            self.round_bound = np.longdouble(1e17) * np.finfo(np.longdouble).eps
 
     def __call__(self, x):
         """The FMT fields of the float64 array x, as (len(x), _FIELD_WORDS)
@@ -196,10 +203,10 @@ class _Fields:
         The 17 digits of a value |x| in [1e-11, 1e17) are
         N = round(|x| * 10**k) with k = 16 - floor(log10|x|), from one long
         double product.  That N is taken only where the product is more than
-        its rounding bound away from a rounding tie and N has 17 digits; every
-        other nonzero finite value (an exact decimal tie, a misjudged exponent
-        next to a power of ten, a value outside the range) takes its digits
-        and exponent from FMT % v."""
+        round_bound away from a rounding tie (with a 64-bit long double: is
+        not itself a tie) and N has 17 digits; every other nonzero finite
+        value (a tie, a misjudged exponent next to a power of ten, a value
+        outside the range) takes its digits and exponent from FMT % v."""
         a = np.abs(x)
         finite = np.isfinite(a)
         nonzero = finite & (a != 0)

@@ -104,24 +104,30 @@ _HANKEL_PHASE = ((_SQRT_HALF, _SQRT_HALF), (-_SQRT_HALF, _SQRT_HALF),
                  (-_SQRT_HALF, -_SQRT_HALF), (_SQRT_HALF, -_SQRT_HALF))
 
 
-def _hankel_int(n, x):
-    """J_n(x) from the Hankel expansion (DLMF 10.17.3), n >= 0, for
-    x >= _hankel_edge(n): P and Q by Horner in -(s/x)^2, and cos(x - phi)
-    expanded so that only x itself is reduced mod 2 pi."""
-    s, p_coeffs, q_coeffs = _hankel_coeffs(n)
-    u = s / x
-    y = -u * u
-    p = np.full_like(x, p_coeffs[0])
-    for c in p_coeffs[1:]:
-        p = p * y + c
-    q = np.full_like(x, q_coeffs[0])
-    for c in q_coeffs[1:]:
-        q = q * y + c
-    cphi, sphi = _HANKEL_PHASE[n % 4]
+def _hankel_int(ns, x):
+    """dict n -> J_n(x) from the Hankel expansion (DLMF 10.17.3) for the
+    orders ns >= 0, each x >= _hankel_edge(max(ns)): P and Q by Horner in
+    -(s/x)^2, and cos(x - phi) expanded so that only x itself is reduced
+    mod 2 pi.  cos x, sin x and sqrt(2/(pi x)) are taken once for every
+    order."""
     cx, sx = np.cos(x), np.sin(x)
-    cos_w = cx * cphi + sx * sphi
-    sin_w = sx * cphi - cx * sphi
-    return np.sqrt(2.0 / (math.pi * x)) * (p * cos_w - (q * u) * sin_w)
+    amp = np.sqrt(2.0 / (math.pi * x))
+    out = {}
+    for n in ns:
+        s, p_coeffs, q_coeffs = _hankel_coeffs(n)
+        u = s / x
+        y = -u * u
+        p = np.full_like(x, p_coeffs[0])
+        for c in p_coeffs[1:]:
+            p = p * y + c
+        q = np.full_like(x, q_coeffs[0])
+        for c in q_coeffs[1:]:
+            q = q * y + c
+        cphi, sphi = _HANKEL_PHASE[n % 4]
+        cos_w = cx * cphi + sx * sphi
+        sin_w = sx * cphi - cx * sphi
+        out[n] = amp * (p * cos_w - (q * u) * sin_w)
+    return out
 
 
 def _downward(x, keep, offset):
@@ -218,9 +224,8 @@ def _bessel_int_orders(ns, x):
         for n, v in _series_band(ns, x[small]).items():
             out[n][small] = v
     if np.any(large):
-        xl = x[large]
-        for n in ns:
-            out[n][large] = _hankel_int(n, xl)
+        for n, v in _hankel_int(ns, x[large]).items():
+            out[n][large] = v
     if np.any(middle):
         xm = x[middle]
         keep = sorted(set(ns) | {0})
@@ -241,39 +246,51 @@ def _trig_half(x):
     return jm, jp
 
 
+def _upward_half(kmax, x, jm, jp):
+    """J_{k+1/2}(x) for k = -1 .. kmax by the upward recurrence from the
+    trigonometric J_{-1/2} = jm and J_{1/2} = jp; stable for x >= order."""
+    out = np.empty((kmax + 2, x.size))
+    out[0], out[1] = jm, jp
+    for k in range(1, kmax + 1):
+        np.subtract((2.0 * (k - 0.5) / x) * out[k], out[k - 1], out=out[k + 1])
+    return out
+
+
+def _downward_half(kmax, x, jm, jp):
+    """J_{k+1/2}(x) for k = -1 .. kmax, x > 0, by the downward recurrence,
+    scaled onto whichever trigonometric value is better conditioned."""
+    vals, _ = _downward(x, range(-1, kmax + 1), 0.5)
+    anchor_half = np.abs(jp) >= np.abs(jm)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vals *= np.where(anchor_half, jp / vals[1], jm / vals[0])
+    return vals
+
+
 def _bessel_half_all(kmax, x):
     """J_{k+1/2}(x) for k = -1 .. kmax, shape (kmax+2, x.size).
 
-    Upward recurrence where x >= order (stable), the downward recurrence
-    anchored on the trigonometric J_{+-1/2} elsewhere.
+    Upward recurrence where x >= kmax + 3/2 (stable), the downward
+    recurrence anchored on the trigonometric J_{+-1/2} at the other x > 0;
+    at x = 0 every order above -1/2 is 0.  A batch wholly on one side is
+    computed in place; a mixed one takes each branch on its own points and
+    scatters it once.
     """
     x = np.asarray(x, dtype=float)
-    out = np.zeros((kmax + 2, x.size))
     jm, jp = _trig_half(x)
-    out[0] = jm   # k = -1
-    if kmax >= 0:
-        out[1] = jp
     if kmax < 1:
-        return out
+        return np.stack([jm, jp][:kmax + 2])
     up = x >= (kmax + 1.5)
-    if np.any(up):
-        xu = x[up]
-        a, b = jm[up], jp[up]
-        for k in range(1, kmax + 1):
-            nu = k - 0.5
-            c = (2.0 * nu / xu) * b - a
-            out[k + 1][up] = c
-            a, b = b, c
+    if np.all(up):
+        return _upward_half(kmax, x, jm, jp)
     down = ~up & (x > 0)
-    if np.any(down):
-        xd = x[down]
-        vals, _ = _downward(xd, range(-1, kmax + 1), 0.5)
-        # anchor on whichever trig value is better conditioned
-        anchor_half = np.abs(jp[down]) >= np.abs(jm[down])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(anchor_half, jp[down] / vals[1], jm[down] / vals[0])
-        vals *= ratio
-        out[:, down] = vals
+    if np.all(down):
+        return _downward_half(kmax, x, jm, jp)
+    out = np.zeros((kmax + 2, x.size))
+    out[0], out[1] = jm, jp
+    for branch, where in ((_upward_half, up), (_downward_half, down)):
+        at = np.flatnonzero(where)
+        if at.size:
+            out[:, at] = branch(kmax, x.take(at), jm.take(at), jp.take(at))
     return out
 
 
@@ -432,8 +449,9 @@ def sph_harmonic_values(n, l, m, theta, phi):
     n may also be a tuple of spin weights: the values are then stacked on a
     new leading axis.  Every term of every spin weight is a coefficient
     times C^k S^{2l-k} (C = cos(theta/2), S = sin(theta/2)), so the terms
-    are taken in order of k, each power pair built once and shared by all
-    spin weights, and e^{i m phi} is built once.
+    are taken in order of k, each power pair built by repeated
+    multiplication and shared by all spin weights, and cos(m phi) and
+    sin(m phi) are taken once.
 
     At a pole the returned value is the limit along the ray of constant phi;
     it is direction independent unless (theta=0, m=-n) or (theta=pi, m=n)
@@ -441,6 +459,8 @@ def sph_harmonic_values(n, l, m, theta, phi):
     """
     theta = np.asarray(theta, dtype=float)
     phi = np.asarray(phi, dtype=float)
+    shape = np.broadcast(theta, phi).shape
+    theta = theta.reshape((1,) * (len(shape) - theta.ndim) + theta.shape)
     spins = n if isinstance(n, tuple) else (n,)
     by_power = {}
     for row, nw in enumerate(spins):
@@ -448,16 +468,29 @@ def sph_harmonic_values(n, l, m, theta, phi):
             by_power.setdefault(pc, []).append((row, coeff))
     c = np.cos(0.5 * theta)
     s = np.sin(0.5 * theta)
-    tots = [None] * len(spins)
+    # the powers of S by repeated multiplication, kept where a term needs
+    # them; those of C are built on the way up in k
+    s_pow, kept = np.ones_like(s), {}
+    for k in range(2 * l - min(by_power, default=2 * l) + 1):
+        if 2 * l - k in by_power:
+            kept[k] = s_pow
+        s_pow = s_pow * s
+    tots = np.zeros((len(spins),) + c.shape)
+    c_pow, k_c = np.ones_like(c), 0
     for pc in sorted(by_power):
-        c_pow, s_pow = c**pc, s**(2 * l - pc)
+        for _ in range(pc - k_c):
+            c_pow = c_pow * c
+        k_c = pc
+        pair = c_pow * kept.pop(2 * l - pc)
         for row, coeff in by_power[pc]:
-            term = coeff * c_pow * s_pow
-            tots[row] = term if tots[row] is None else tots[row] + term
-    eimphi = np.exp(1j * m * phi)
-    shape = np.broadcast(theta, phi).shape
-    rows = [np.zeros(shape, dtype=complex) if tot is None else tot * eimphi for tot in tots]
-    return np.stack(rows) if isinstance(n, tuple) else rows[0]
+            tots[row] += coeff * pair
+    out = np.zeros((len(spins),) + shape, dtype=complex)
+    if m:
+        out.real[...] = tots * np.cos(m * phi)
+        out.imag[...] = tots * np.sin(m * phi)
+    else:
+        out.real[...] = tots
+    return out if isinstance(n, tuple) else out[0]
 
 
 @lru_cache(maxsize=None)

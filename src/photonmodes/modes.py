@@ -20,7 +20,7 @@ coefficient conventions as the transverse-dyad decompositions.  The dyads
 and the spherical angle map come from charts, which the dyad checks in
 validation evaluate too: Bessel beams use its constants Z_HAT, U_MINUS,
 U_PLUS (the e^{-/+ i phi} of eps-/+ absorbed into J_k(alpha rho) e^{i k phi}),
-multipoles its sph_dyads.
+multipoles the maps that define its sph_dyads.
 
 Evaluators are vectorized over spacetime points: evaluate(t, x, y, z) takes
 broadcastable arrays of finite Lorentz coordinates and returns Lorentz
@@ -30,15 +30,15 @@ The jet contract: jet(t, x, y, z) returns (A, dA), the value and
 dA[..., mu, nu] = d_mu A_nu (two trailing axes, the d_t row included),
 computed analytically in one kernel pass -- one phase for the plane wave,
 one Bessel ladder w_k = J_k(alpha rho) e^{i k phi} (k = m-2..m+2) for the
-Bessel beam, one radial and one angular pass for the multipole.  A from jet
-agrees with evaluate to rounding; gradient() is the jet's second member, and
-evaluate keeps its own value-only path.  A consumer that needs both the
-value and the gradient on one point set takes the jet.  No family has a
-second derivative: validation takes Box A from the jet of any field.  The
-spherical jet requires off-axis points.  Multipole fields go through one
-kernel: a radial factor summed over an energy spectrum, contracted with the
-angular x dyad factor Y[n] dyad_n built once per point set (see
-SphericalMode).
+Bessel beam, one radial pass and one angular pass a block for the multipole.
+A from jet agrees with evaluate to rounding; gradient() is the jet's second
+member, and evaluate keeps its own value-only path.  A consumer that needs
+both the value and the gradient on one point set takes the jet.  No family
+has a second derivative: validation takes Box A from the jet of any field.
+The spherical jet requires off-axis points.  Multipole fields go through one
+kernel: a radial factor summed over an energy spectrum times the harmonics,
+assembled in the frame (dr, r dtheta, r sin(theta) dphi) and turned into
+Lorentz components by elementwise multiply-adds (see SphericalMode).
 """
 
 from __future__ import annotations
@@ -50,7 +50,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .charts import SPINS, SQRT2, U_MINUS, U_PLUS, Z_HAT, sph_angles, sph_dyads
+from .charts import (SPINS, SQRT2, U_MINUS, U_PLUS, Z_HAT, sph_angles, sph_dyad_to_frame,
+                     sph_frame, sph_frame_gradient, sph_frame_to_lorentz)
 from .errors import DegenerateAxisError, InvalidLabelError
 from .harmonics import (
     bessel_j_int_orders,
@@ -316,6 +317,8 @@ def sph_radial_profiles(label: SphericalLabel, r, derivs=0):
     Rm/Rp = g_-/+(x) / (2 sqrt(2 r)),
     g_- = ((i s x - l)/x) J_{l+1/2} + J_{l-1/2}
     g_+ = ((i s x + l)/x) J_{l+1/2} - J_{l-1/2}
+
+    Rp = -conj(Rm) and dRp = -conj(dRm): both come from Re and Im of g_-.
     """
     if derivs not in (0, 1):
         raise ValueError(f"derivs must be 0 or 1, got {derivs!r}")
@@ -331,32 +334,26 @@ def sph_radial_profiles(label: SphericalLabel, r, derivs=0):
     jp2 = half[l + 2].reshape(shape)   # J_{l+3/2}
 
     sru = np.sqrt(r)
+    scale = 1.0 / (2.0 * SQRT2 * sru)
     R0 = (math.sqrt(L) / 2.0) * jp / (x * sru)
-    gm = (1j * s - l / x) * jp + jm
-    gp = (1j * s + l / x) * jp - jm
-    Rm = gm / (2.0 * SQRT2 * sru)
-    Rp = gp / (2.0 * SQRT2 * sru)
+    gm_re = jm - (l / x) * jp          # Im g_- = s J_{l+1/2}
+    Rm = gm_re * scale + 1j * (s * jp * scale)
     if derivs == 0:
-        return R0, Rm, Rp
+        return R0, Rm, -np.conj(Rm)
 
     # first derivatives of the Bessel factors: J'_nu = (J_{nu-1} - J_{nu+1})/2
     djp = 0.5 * (jm - jp2)
     djm = 0.5 * (jm2 - jp)
-    dgm_dx = (l / x**2) * jp + (1j * s - l / x) * djp + djm
-    dgp_dx = (-l / x**2) * jp + (1j * s + l / x) * djp - djm
+    dgm_re = (l / x**2) * jp - (l / x) * djp + djm
     dR0 = (math.sqrt(L) / 2.0) * (p0 * djp / (x * sru) - jp * (p0 / (x**2 * sru) + 0.5 / (x * r * sru)))
-    dRm = (p0 * dgm_dx - 0.5 * gm / r) / (2.0 * SQRT2 * sru)
-    dRp = (p0 * dgp_dx - 0.5 * gp / r) / (2.0 * SQRT2 * sru)
-    return (R0, Rm, Rp), (dR0, dRm, dRp)
-
-
-def _contract(coef, dyads):
-    """sum_n coef_n dyad_n over the spin weights n (the leading axis), where
-    coef_n is a radial factor times Y[n]: the multipole sum."""
-    return np.einsum("n...,n...c->...c", coef, dyads)
+    dRm = (p0 * dgm_re - 0.5 * gm_re / r) * scale + 1j * ((p0 * djp - 0.5 * jp / r) * s * scale)
+    return (R0, Rm, -np.conj(Rm)), (dR0, dRm, -np.conj(dRm))
 
 
 _POLE_TOL = 1e-12
+#: points per block of the multipole frame assembly, whose temporaries then
+#: stay in cache (whole-batch ones would be fresh memory each time)
+_FRAME_BLOCK = 4096
 
 
 class SphericalMode(ModeField):
@@ -370,9 +367,10 @@ class SphericalMode(ModeField):
 
         sum_n [ sum_k w_k (-i p_k)^order e^{-i p_k t} R_n(p_k, r) ] Y[n] dyad_n
 
-    with the angular x dyad factor Y[n] dyad_n built once per point set:
     evaluate is order 0; jet takes the first r- and t-derivatives of the
-    same radial sum (_radial) through the same contraction (_contract).
+    same radial sum (_radial).  The products radial factor x Y[n] are
+    assembled in the spherical frame, _FRAME_BLOCK points at a time, by the
+    maps that define the dyads (charts.sph_dyad_to_frame, sph_frame_to_lorentz).
     d_t A is the evaluate of time_derivative(), the weights w_k (-i p_k).
     A WavePacket is a SphericalMode with a many-term spectrum.
 
@@ -421,16 +419,16 @@ class SphericalMode(ModeField):
         return out
 
     def _harmonics(self, theta, phi, derivs=False):
-        """Y[n, l, m] for n = 0, -1, +1, stacked like the dyads; with derivs
-        also their theta-derivatives -(eth + ethb) Y[n] / 2, from Y[-2..2].
-        One sph_harmonic_values call serves every spin weight."""
+        """Y[n, l, m] for n in SPINS, stacked; with derivs also their
+        theta-derivatives -(eth + ethb) Y[n] / 2, from Y[-2..2].  One
+        sph_harmonic_values call serves every spin weight."""
         l, m = self.label.l, self.label.m
         if not derivs:
             return sph_harmonic_values(SPINS, l, m, theta, phi)
-        y = dict(zip(range(-2, 3), sph_harmonic_values(tuple(range(-2, 3)), l, m, theta, phi)))
-        return (np.stack([y[n] for n in SPINS]),
-                np.stack([-0.5 * (eth_factor_sph(n, l) * y[n + 1]
-                                  + ethbar_factor_sph(n, l) * y[n - 1]) for n in SPINS]))
+        y = sph_harmonic_values(tuple(range(-2, 3)), l, m, theta, phi)
+        return (y[[2 + n for n in SPINS]],
+                np.stack([-0.5 * (eth_factor_sph(n, l) * y[n + 3]
+                                  + ethbar_factor_sph(n, l) * y[n + 1]) for n in SPINS]))
 
     def time_derivative(self):
         """d_t of the field: a copy whose spectrum weights are w_k (-i p_k)."""
@@ -439,7 +437,8 @@ class SphericalMode(ModeField):
         return dt
 
     def evaluate(self, t, x, y, z):
-        t, x, y, z = _broadcast(t, x, y, z)
+        shape = np.broadcast(t, x, y, z).shape
+        t, x, y, z = (c.ravel() for c in _broadcast(t, x, y, z))
         r, theta, phi = sph_angles(x, y, z)
         # components scale as r^{l-1}: l >= 2 vanishes at the origin (those
         # rows are zeroed); l = 1 has a finite limit there and is evaluated
@@ -454,39 +453,40 @@ class SphericalMode(ModeField):
         theta = np.where(on_axis, np.where(z > 0, 0.0, math.pi), theta)
         phi = np.where(on_axis, 0.0, phi)
         rad, = self._radial(t, r, (0, 0))
-        out = _contract(rad * self._harmonics(theta, phi), sph_dyads(theta, phi))
+        out = np.zeros((t.size, 4), dtype=complex)
+        for start in range(0, t.size, _FRAME_BLOCK):
+            b = slice(start, start + _FRAME_BLOCK)
+            out[b, 1], out[b, 2], out[b, 3] = sph_frame_to_lorentz(
+                *sph_dyad_to_frame(*(rad[:, b] * self._harmonics(theta[b], phi[b]))),
+                sph_frame(theta[b], phi[b]))
         out[vanishing] = 0.0
-        return out
+        return out.reshape(shape + (4,))
 
     def jet(self, t, x, y, z):
-        """A and d_mu A_nu from one radial pass (values, r- and
-        t-derivatives) and one angular pass (Y[-2..2]); off-axis points only."""
-        t, x, y, z = _broadcast(t, x, y, z)
+        """A and d_mu A_nu from one radial pass (values, r- and t-derivatives)
+        and one angular pass (Y[-2..2]) a block; off-axis points only."""
+        shape = np.broadcast(t, x, y, z).shape
+        t, x, y, z = (c.ravel() for c in _broadcast(t, x, y, z))
         r, theta, phi = sph_angles(x, y, z)
         if np.any(r < _POLE_TOL) or np.any(np.sin(theta) < _POLE_TOL):
             raise DegenerateAxisError(
                 "analytic spherical gradient requires off-axis points")
-        rad, d_rad, dt_rad = self._radial(t, r, (0, 0), (1, 0), (0, 1))
-        ys, d_ys = self._harmonics(theta, phi, derivs=True)
-        dyads = sph_dyads(theta, phi)
-        st, ct = np.sin(theta), np.cos(theta)
-        f0, fm, fp = f = rad * ys
-        # chart-coordinate partials of the Lorentz components, with the
-        # angular derivatives of the dyads expanded in the dyads
-        d_r = _contract(d_rad * ys, dyads)
-        d_th = _contract(rad * d_ys + np.stack([-(fm + fp), f0, f0]) / SQRT2, dyads)
-        d_ph = _contract(1j * self.label.m * f - 1j * np.stack(
-            [st * (fm - fp) / SQRT2, ct * fm + st * f0 / SQRT2, -ct * fp - st * f0 / SQRT2]), dyads)
-        # Jacobian rows dq^c/dx^mu
-        sp, cp = np.sin(phi), np.cos(phi)
-        out = np.empty(t.shape + (4, 4), dtype=complex)
-        out[..., 0, :] = _contract(dt_rad * ys, dyads)
-        out[..., 1, :] = ((st * cp)[..., None] * d_r + (ct * cp / r)[..., None] * d_th
-                          + (-sp / (r * st))[..., None] * d_ph)
-        out[..., 2, :] = ((st * sp)[..., None] * d_r + (ct * sp / r)[..., None] * d_th
-                          + (cp / (r * st))[..., None] * d_ph)
-        out[..., 3, :] = (ct[..., None] * d_r + (-st / r)[..., None] * d_th)
-        return _contract(f, dyads), out
+        radial = self._radial(t, r, (0, 0), (1, 0), (0, 1))
+        value = np.zeros((t.size, 4), dtype=complex)
+        grad = np.zeros((t.size, 4, 4), dtype=complex)
+        for start in range(0, t.size, _FRAME_BLOCK):
+            b = slice(start, start + _FRAME_BLOCK)
+            rad, d_rad, dt_rad = (factor[:, b] for factor in radial)
+            ys, d_ys = self._harmonics(theta[b], phi[b], derivs=True)
+            frame = sph_frame(theta[b], phi[b])
+            a = sph_dyad_to_frame(*(rad * ys))
+            value[b, 1], value[b, 2], value[b, 3] = sph_frame_to_lorentz(*a, frame)
+            grad[b, 0, 1], grad[b, 0, 2], grad[b, 0, 3] = sph_frame_to_lorentz(
+                *sph_dyad_to_frame(*(dt_rad * ys)), frame)
+            grad[b, 1:, 1:] = sph_frame_gradient(
+                a, sph_dyad_to_frame(*(d_rad * ys)), sph_dyad_to_frame(*(rad * d_ys)),
+                [1j * self.label.m * c for c in a], r[b], frame)
+        return value.reshape(shape + (4,)), grad.reshape(shape + (4, 4))
 
     def gradient(self, t, x, y, z):
         return self.jet(t, x, y, z)[1]

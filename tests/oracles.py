@@ -3,7 +3,9 @@
 These deliberately avoid the package's own evaluation paths: the Bessel
 oracle is a direct ascending power series in exact-ish float arithmetic via
 math.fsum, and the half-integer forms come straight from the closed
-trigonometric expressions.
+trigonometric expressions.  The multipole oracle contracts a mode's radial
+and angular factors with the stacked chart dyads, the defining form of the
+field, where the package assembles it in the spherical frame.
 """
 
 import math
@@ -32,3 +34,38 @@ def bessel_half_trig(k, x):
     if k == 1:
         return amp * (math.sin(x) / x - math.cos(x))
     raise ValueError(k)
+
+
+def multipole_jet(mode, t, x, y, z):
+    """(A, dA) of a SphericalMode or WavePacket at off-axis points, in the
+    defining form: A = sum_n R_n Y[n] dyad_n contracted over the stacked
+    dyads of charts.sph_dyads, and d_mu A_nu from the chart partials d_r,
+    d_theta, d_phi of those Lorentz components (the angular derivatives of
+    the dyads expanded in the dyads), turned to Lorentz partials by the
+    Jacobian dq/dx.  The radial sums and harmonics are the mode's own, so
+    this checks how the kernel assembles them."""
+    import numpy as np
+    from photonmodes.charts import sph_angles, sph_dyads
+
+    def contract(coef, dyads):
+        return np.einsum("n...,n...c->...c", coef, dyads)
+
+    r, theta, phi = sph_angles(x, y, z)
+    rad, d_rad, dt_rad = mode._radial(t, r, (0, 0), (1, 0), (0, 1))
+    ys, d_ys = mode._harmonics(theta, phi, derivs=True)
+    dyads = sph_dyads(theta, phi)
+    st, ct = np.sin(theta), np.cos(theta)
+    sp, cp = np.sin(phi), np.cos(phi)
+    f0, fm, fp = f = rad * ys
+    d_r = contract(d_rad * ys, dyads)
+    sq2 = math.sqrt(2.0)
+    d_th = contract(rad * d_ys + np.stack([-(fm + fp), f0, f0]) / sq2, dyads)
+    d_ph = contract(1j * mode.label.m * f - 1j * np.stack(
+        [st * (fm - fp) / sq2, ct * fm + st * f0 / sq2, -ct * fp - st * f0 / sq2]), dyads)
+    grad = np.empty(np.shape(t) + (4, 4), dtype=complex)
+    grad[..., 0, :] = contract(dt_rad * ys, dyads)
+    for row, (jr, jth, jph) in enumerate(((st * cp, ct * cp / r, -sp / (r * st)),
+                                          (st * sp, ct * sp / r, cp / (r * st)),
+                                          (ct, -st / r, 0.0 * r)), start=1):
+        grad[..., row, :] = jr[..., None] * d_r + jth[..., None] * d_th + jph[..., None] * d_ph
+    return contract(f, dyads), grad

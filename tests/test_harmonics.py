@@ -5,7 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.special import jv, sph_harm_y
+from scipy.special import jv, sph_harm_y, spherical_jn
 
 from photonmodes import harmonics
 from photonmodes.harmonics import (bessel_j, bessel_j_int_orders,
@@ -110,6 +110,23 @@ def test_bessel_accuracy_vs_scipy():
         denom = np.maximum(np.abs(ref), 1e-2 * env)
         ok = np.abs(ref) > 1e-270
         assert np.max(np.abs(mine - ref)[ok] / denom[ok]) < 1e-12
+
+
+@pytest.mark.parametrize("x", [
+    np.geomspace(7.5, 1e3, 120),                                # all upward (x >= kmax + 3/2)
+    np.geomspace(1e-3, 7.4, 120),                               # all downward
+    np.geomspace(1e-3, 1e3, 240),                               # mixed: one scatter per branch
+    np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 119), [0.0]]),   # mixed, with x = 0
+], ids=["above", "below", "mixed", "zero"])
+def test_half_integer_batch_branches_vs_scipy(x):
+    # every branch of _bessel_half_all (kmax = 6) to 1e-12 of the envelope
+    kmax = 6
+    got = harmonics._bessel_half_all(kmax, x)
+    assert got.shape == (kmax + 2, x.size)
+    for k in range(0, kmax + 1):
+        ref = spherical_jn(k, x) * np.sqrt(2.0 * x / math.pi)
+        env = np.sqrt(2.0 / (math.pi * np.maximum(x, k + 1.5)))
+        assert np.max(np.abs(got[k + 1] - ref) / env) < 1e-12, k
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

@@ -16,7 +16,7 @@ from photonmodes.inner_product import (WavePacket, Superposition, GaussianBumpSc
                                        gauge_shift)
 from photonmodes import fdiff, harmonics, modes
 
-from oracles import bessel_series, bessel_half_trig
+from oracles import bessel_series, bessel_half_trig, multipole_jet
 
 SQ2 = math.sqrt(2.0)
 
@@ -321,6 +321,77 @@ def test_cylindrical_evaluate_and_gradient_share_bessel_work(monkeypatch, rng):
 # ---------------------------------------------------------------------------
 # Spherical modes
 # ---------------------------------------------------------------------------
+
+def _sph_cloud(rng, n, p0):
+    """n off-axis points with p0 r log-uniform on [1e-3, 1e3] and |cos(theta)|
+    up to 1 - 1e-6 (the first points at the extremes of both)."""
+    pr = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n))
+    ct = rng.uniform(-1.0, 1.0, n) * (1.0 - 1e-6)
+    pr[:4] = 1e-3, 1e-3, 1e3, 1e3
+    ct[:4] = 1.0 - 1e-6, -(1.0 - 1e-6), 1.0 - 1e-6, -(1.0 - 1e-6)
+    st = np.sqrt((1.0 - ct) * (1.0 + ct))
+    ph = rng.uniform(-math.pi, math.pi, n)
+    r = pr / p0
+    return rng.uniform(-3.0, 3.0, n), r * st * np.cos(ph), r * st * np.sin(ph), r * ct
+
+
+def _assert_matches_multipole_oracle(mode, pts):
+    """Values to 1e-13 of the batch max-norm.  A gradient entry sums chart
+    terms of size |A| / rho (rho = r sin(theta)) that cancel near the origin
+    and the polar axis, where either form loses rounding of that size (about
+    1e-10 of the max-norm at p0 r = 1e-3, |cos(theta)| = 1 - 1e-6), so each
+    point's gradient is held to 1e-13 of the larger of the max-norm and its
+    |A| / rho."""
+    want_a, want_g = multipole_jet(mode, *pts)
+    got_a, got_g = mode.jet(*pts)
+    for got in (mode.evaluate(*pts), got_a):
+        assert np.abs(got - want_a).max() <= 1e-13 * np.abs(want_a).max()
+    scale = np.maximum(np.abs(want_g).max(), np.abs(want_a).max(axis=-1) / np.hypot(*pts[1:3]))
+    assert np.all(np.abs(got_g - want_g).max(axis=(-2, -1)) <= 1e-13 * scale)
+
+
+@pytest.mark.parametrize("s", [1, -1])
+def test_spherical_frame_assembly_matches_the_dyad_sum(s, rng):
+    # evaluate and jet assemble the field in the (r, theta, phi) frame; the
+    # oracle contracts the same radial and angular factors with the stacked
+    # chart dyads and takes the gradient from the chart partials
+    for l in range(1, SPH_L_MAX + 1):
+        m = int(rng.integers(-l, l + 1))
+        mode = spherical_mode(SphericalLabel(0.7 + 0.05 * l, l, m, s))
+        _assert_matches_multipole_oracle(mode, _sph_cloud(rng, 64, mode.p0))
+
+
+@pytest.mark.parametrize("field", [spherical_mode(SphericalLabel(1.3, 5, -3, -1)),
+                                   WavePacket(l=3, m=2, s=1, center=1.0, width=0.2, n_nodes=2)],
+                         ids=["mode", "two-energy-packet"])
+def test_spherical_frame_assembly_over_several_blocks(field, rng):
+    # more points than one block of the frame assembly, the last one ragged
+    n = 2 * modes._FRAME_BLOCK + 123
+    pts = _sph_cloud(rng, n, field.p0)
+    _assert_matches_multipole_oracle(field, pts)
+    grid_pts = tuple(c.reshape(5, -1) for c in pts)
+    a, g = field.jet(*grid_pts)
+    assert a.shape == (5, n // 5, 4) and g.shape == (5, n // 5, 4, 4)
+    ref_a, ref_g = field.jet(*pts)
+    assert np.array_equal(a.reshape(-1, 4), ref_a)
+    assert np.array_equal(g.reshape(-1, 4, 4), ref_g)
+
+
+def test_spherical_jet_memory_is_bounded_by_its_outputs():
+    # 40,000 off-axis points at l = 6: the value and gradient are 12.8 MB;
+    # whole-batch dyad arrays and contractions peaked at 3.5 times that
+    import tracemalloc
+    mode = spherical_mode(SphericalLabel(1.0, 6, 2, 1))
+    pts = _sph_cloud(np.random.default_rng(5), 40_000, mode.p0)
+    tracemalloc.start()
+    try:
+        a, g = mode.jet(*pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert a.nbytes + g.nbytes == 40_000 * 20 * 16
+    assert peak < 2.5 * (a.nbytes + g.nbytes)
+
 
 def test_spherical_radial_identity():
     # R- + R+ = b J_{l+1/2}(p0 r) / sqrt(p0 r) with b = i s b0 sqrt2/sqrt(L)

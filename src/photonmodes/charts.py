@@ -31,7 +31,9 @@ coefficients to components on the orthonormal frame (dr, r dtheta,
 r sin(theta) dphi), and sph_frame_to_lorentz takes those to Lorentz
 components by elementwise multiply-adds; sph_dyads is the two applied to
 unit coefficients.  sph_frame_gradient gives the Lorentz gradient of a
-covector from the partials of its frame components.
+covector from the partials of its frame components; the spherical
+dyad_derivatives are it on constant dyad coefficients, so the dyad checks
+test the connection the multipole jet uses.
 """
 
 from __future__ import annotations
@@ -182,10 +184,8 @@ def dyad_derivatives(chart, t, x, y, z):
         nabla dz      = 0
         nabla_a eps-_b = k [eps+_a - eps-_a] eps-_b
         nabla_a eps+_b = k [eps-_a - eps+_a] eps+_b
-    Spherical, with k = cot(theta) / (sqrt(2) r):
-        nabla_a dr_b   = (1/r) [eps-_a eps+_b + eps+_a eps-_b]
-        nabla_a eps-_b = k [eps+_a - eps-_a] eps-_b - (1/r) eps-_a dr_b
-        and the conjugate relation for eps+.
+    Spherical: sph_frame_gradient of each member's constant dyad
+    coefficients, the connection the multipole jet is assembled with.
 
     DegenerateAxisError on the z axis: rho = 0 (cylindrical), r = 0 or the
     polar axis (spherical)."""
@@ -193,13 +193,15 @@ def dyad_derivatives(chart, t, x, y, z):
     rho = np.hypot(x, y)
     if np.any(rho == 0.0):
         raise DegenerateAxisError(f"{chart} dyad derivatives undefined on the z axis")
-    ax, em, ep = dyads(chart, t, x, y, z)
-    if chart == "cylindrical":
-        k, inv_r = 1.0 / (SQRT2 * rho), np.zeros_like(rho)
-    else:
-        r, theta, _ = sph_angles(x, y, z)
-        k, inv_r = np.cos(theta) / (np.sin(theta) * SQRT2 * r), 1.0 / r
-    k, inv_r = k[..., None, None], inv_r[..., None, None]
-    return np.stack([inv_r * (_outer(em, ep) + _outer(ep, em)),
-                     k * _outer(ep - em, em) - inv_r * _outer(em, ax),
-                     k * _outer(em - ep, ep) - inv_r * _outer(ep, ax)])
+    if chart == "spherical":
+        r, theta, phi = sph_angles(x, y, z)
+        frame, zero = sph_frame(theta, phi), (0.0, 0.0, 0.0)
+        out = np.zeros((3,) + rho.shape + (4, 4), dtype=complex)
+        for member, unit in zip(out, np.eye(3)):
+            member[..., 1:, 1:] = sph_frame_gradient(sph_dyad_to_frame(*unit), zero, zero, zero,
+                                                     r, frame)
+        return out
+    _, em, ep = dyads(chart, t, x, y, z)
+    k = (1.0 / (SQRT2 * rho))[..., None, None]
+    return np.stack([np.zeros(em.shape + (4,), dtype=complex), k * _outer(ep - em, em),
+                     k * _outer(em - ep, ep)])

@@ -1,16 +1,13 @@
 """Fourth-order central finite differences for callables and grids.
 
 Callables take (t, x, y, z) with numpy broadcasting and return arrays whose
-leading dimensions follow the coordinates.  partial() hands a callable the
-whole stencil as one batch: the coordinates broadcast together, with the
-stencil offsets on a new leading axis, so f is called once per partial.
-value_and_partials() takes the value and the partials along several axes
-from one call of f, the base point and each axis's offsets stacked on one
-new leading axis, so a finite-difference Lie derivative is one call of its
-field and nested ones (Lie derivatives of Lie derivatives) one call per
-level.  gradient4() calls f once on the stencils of all four axes (two new
-leading axes [mu, offset]).  All three use the offsets, weights and
-summation order of partial().  The step h must be finite and nonzero
+leading dimensions follow the coordinates.  partial(), value_and_partials()
+and gradient4() each call f once, on a whole stencil: the broadcast
+coordinates with the stencil points stacked on new leading axes, so a
+finite-difference Lie derivative is one call of its field and nested ones
+(Lie derivatives of Lie derivatives) one call per level.  All three are
+cases of one private builder, _stencil, which lays out the stencil, calls f
+and forms the weighted sums.  The step h must be finite and nonzero
 (ValueError otherwise); it may be negative, as a descending grid axis's
 spacing is.
 
@@ -43,6 +40,26 @@ def _check_step(h):
         raise ValueError(f"step h must be finite and nonzero, got {h!r}")
 
 
+def _stencil(f, coords, axes, h, base=False, lead=None):
+    """(vals, partials) from one call of f: its values on one leading axis
+    and the first partials along axes, stacked in their order.  The stencil
+    stacks the base point (if base) and then each axis's four offsets on one
+    new leading axis, which f sees reshaped to lead (if given)."""
+    _check_step(h)
+    coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
+    shape = coords[0].shape
+    n_off = len(D1_OFFSETS)
+    shift = np.array(D1_OFFSETS, dtype=float).reshape((-1,) + (1,) * len(shape)) * h
+    stencil = [np.broadcast_to(c, (base + n_off * len(axes),) + shape).copy() for c in coords]
+    for i, axis in enumerate(axes):
+        stencil[axis][base + n_off * i:base + n_off * (i + 1)] += shift
+    lead = lead or stencil[0].shape[:1]
+    vals = np.asarray(f(*(c.reshape(lead + shape) for c in stencil)))
+    vals = vals.reshape((-1,) + vals.shape[len(lead):])
+    offsets = vals[base:].reshape((len(axes), n_off) + vals.shape[1:])
+    return vals, sum(w * offsets[:, j] for j, w in enumerate(D1_WEIGHTS)) / h
+
+
 def partial(f, coords, axis, h=DEFAULT_H):
     """4th-order first partial derivative of callable f along one axis.
 
@@ -50,13 +67,7 @@ def partial(f, coords, axis, h=DEFAULT_H):
     called once, on the whole stencil: the broadcast coordinates with the
     offsets along axis stacked on a new leading axis.
     """
-    _check_step(h)
-    coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
-    shift = np.array(D1_OFFSETS, dtype=float).reshape((-1,) + (1,) * coords[0].ndim) * h
-    stencil = [np.broadcast_to(c, shift.shape[:1] + c.shape) for c in coords]
-    stencil[axis] = coords[axis] + shift
-    vals = f(*stencil)
-    return sum(w * val for w, val in zip(D1_WEIGHTS, vals)) / h
+    return _stencil(f, coords, (axis,), h)[1][0]
 
 
 def value_and_partials(f, coords, axes, h=DEFAULT_H):
@@ -65,30 +76,15 @@ def value_and_partials(f, coords, axes, h=DEFAULT_H):
     f sees the broadcast coordinates stacked 1 + 4 len(axes) deep on a new
     leading axis: the base point, then the four offsets of each axis in
     turn.  axes=() calls f on the base point alone (leading axis 1)."""
-    _check_step(h)
-    coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
-    n_off = len(D1_OFFSETS)
-    shift = np.array(D1_OFFSETS, dtype=float).reshape((-1,) + (1,) * coords[0].ndim) * h
-    stencil = [np.broadcast_to(c, (1 + n_off * len(axes),) + c.shape).copy() for c in coords]
-    for i, axis in enumerate(axes):
-        stencil[axis][1 + n_off * i:1 + n_off * (i + 1)] += shift
-    vals = f(*stencil)
-    partials = [sum(w * vals[1 + n_off * i + j] for j, w in enumerate(D1_WEIGHTS)) / h
-                for i in range(len(axes))]
-    return vals[0], partials
+    vals, partials = _stencil(f, coords, axes, h, base=True)
+    return vals[0], list(partials)
 
 
 def gradient4(f, coords, h=DEFAULT_H):
     """All four first partials of f, stacked on a new leading axis [mu], from
-    one call of f on the stencils of every axis."""
-    _check_step(h)
-    coords = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in coords))
-    shift = np.array(D1_OFFSETS, dtype=float).reshape((-1,) + (1,) * coords[0].ndim) * h
-    stencil = [np.broadcast_to(c, (4,) + shift.shape[:1] + c.shape).copy() for c in coords]
-    for mu in range(4):
-        stencil[mu][mu] += shift
-    vals = f(*stencil)
-    return sum(w * vals[:, i] for i, w in enumerate(D1_WEIGHTS)) / h
+    one call of f on the stencils of every axis (two new leading axes
+    [mu, offset])."""
+    return _stencil(f, coords, range(4), h, lead=(4, len(D1_OFFSETS)))[1]
 
 
 def grid_partial(values, axis, h, order=1):

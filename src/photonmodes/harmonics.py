@@ -1,18 +1,19 @@
 """Bessel functions, spin-weighted harmonics and the eth ladder operators.
 
-Bessel functions of the first kind are evaluated in-package.  Integer
-orders take one of three branches per point, by its own argument: the
-series band for x <= 8, the Hankel asymptotic expansion (DLMF 10.17.3) for
-x >= max(20, n_max^2/2), and in between the downward (Miller) three-term
-recurrence, started from that band's largest argument and normalized with
-the even-order sum rule.  The series band takes the ascending power series
-at the two highest orders asked for and the downward recurrence
-J_{k-1} = (2k/x) J_k - J_{k+1} below them; a point whose top-order value is
-not well above underflow (below 1e-280, e.g. x = 0 or J_80(1e-4)) keeps the
-series at every order instead.  Half-integer orders use the
-closed trigonometric forms, the upward recurrence where x exceeds the
-order, and the same downward recurrence kernel (_downward) anchored on
-J_{+-1/2} elsewhere.
+Bessel functions of the first kind are evaluated in-package, from one
+downward three-term recurrence, J_{k-1} = (2k/x) J_k - J_{k+1} from given
+seeds (_downward), and one branch dispatcher, which runs a batch wholly in
+one branch in place and gathers and scatters a mixed one once by index
+(_by_branch).  Integer orders take one of three branches per point, by its
+own argument: the series band for x <= 8, the Hankel asymptotic expansion
+(DLMF 10.17.3) for x >= max(20, n_max^2/2), and in between Miller's
+algorithm (seeds 0 and 1e-30, normalized with the even-order sum rule),
+started from that band's largest argument.  The series band seeds the
+descent with the ascending power series at the two highest orders asked
+for; a point whose top-order value is below 1e-280 (x = 0, J_80(1e-4))
+keeps the series at every order.  Half-integer orders use the closed
+trigonometric forms, the upward recurrence where x exceeds the order, and
+Miller's algorithm anchored on J_{+-1/2} elsewhere.
 
 Spin-weighted cylindrical harmonics:
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -105,15 +106,15 @@ _HANKEL_PHASE = ((_SQRT_HALF, _SQRT_HALF), (-_SQRT_HALF, _SQRT_HALF),
 
 
 def _hankel_int(ns, x):
-    """dict n -> J_n(x) from the Hankel expansion (DLMF 10.17.3) for the
-    orders ns >= 0, each x >= _hankel_edge(max(ns)): P and Q by Horner in
+    """Rows J_n(x), one per order of ns >= 0, from the Hankel expansion
+    (DLMF 10.17.3), each x >= _hankel_edge(max(ns)): P and Q by Horner in
     -(s/x)^2, and cos(x - phi) expanded so that only x itself is reduced
     mod 2 pi.  cos x, sin x and sqrt(2/(pi x)) are taken once for every
     order."""
     cx, sx = np.cos(x), np.sin(x)
     amp = np.sqrt(2.0 / (math.pi * x))
-    out = {}
-    for n in ns:
+    out = np.empty((len(ns), x.size))
+    for row, n in enumerate(ns):
         s, p_coeffs, q_coeffs = _hankel_coeffs(n)
         u = s / x
         y = -u * u
@@ -126,36 +127,53 @@ def _hankel_int(ns, x):
         cphi, sphi = _HANKEL_PHASE[n % 4]
         cos_w = cx * cphi + sx * sphi
         sin_w = sx * cphi - cx * sphi
-        out[n] = amp * (p * cos_w - (q * u) * sin_w)
+        out[row] = amp * (p * cos_w - (q * u) * sin_w)
     return out
 
 
-def _downward(x, keep, offset):
-    """J~_{k + offset}(x) for every k in keep (integers >= -1), by the
-    downward recurrence J_{nu-1} = (2 nu / x) J_nu - J_{nu+1} from a tiny
-    seed to k = min(min(keep), 0); x > 0 vectorized.  The start index is set
-    by max(x) and max(keep).
+def _by_branch(n_rows, branches, *args):
+    """(n_rows, n) rows over the n points of the 1-D args, each point from
+    the branch (where, fn) whose mask holds there (the masks partition the
+    points); fn maps its points' args to their rows.  A batch wholly in one
+    branch runs in place; a mixed one is gathered and scattered once."""
+    n = args[0].size
+    if not n:
+        return np.empty((n_rows, 0))
+    out = None
+    for where, fn in branches:
+        at = np.flatnonzero(where)
+        if at.size == n:
+            return fn(*args)
+        if at.size:
+            if out is None:
+                out = np.empty((n_rows, n))
+            out[:, at] = fn(*(a.take(at) for a in args))
+    return out
 
-    The values share one unknown factor per point.  Returns the kept rows
-    (in the order of keep) and, for offset 0, the even-order sum
-    sum_{k>=1} J~_{2k}, which normalizes integer orders through
-    J_0 + 2 sum_k J_{2k} = 1 (None for any other offset).
+
+def _downward(x, keep, offset, start, j_above, j_start):
+    """J~_{k + offset}(x) for every k in keep (sorted integers <= start + 1)
+    by the downward recurrence J_{nu-1} = (2 nu / x) J_nu - J_{nu+1} from
+    the seeds j_above = J~_{start+1+offset} and j_start = J~_{start+offset};
+    x > 0 vectorized.  Returns the kept rows (in the order of keep) and, for
+    offset 0, the sum of the even orders 0 < 2k < start (else None).
 
     Columns past _RESCALE_AT are rescaled on the way down to avoid overflow.
     The scan for them runs only once a scalar bound on max |J~|, grown by
-    2 |k + offset| / min(x) + 1 a step, passes _RESCALE_BOUND (or is NaN);
-    below it no column can be past _RESCALE_AT, so the rescale fires at the
-    same steps and points as a scan at every step would."""
-    xmax = np.max(x)
-    start = int(np.ceil(max(xmax + 10.0 * xmax ** (1.0 / 3.0) + 24.0, max(keep) + 24)))
+    2 |k + offset| / min(x) + 1 a step from the larger seed, passes
+    _RESCALE_BOUND (or is NaN); below it no column can be past _RESCALE_AT,
+    so the rescale fires at the same steps and points as a scan at every
+    step would."""
     slot = {k: i for i, k in enumerate(keep)}
     rows = np.zeros((len(keep), x.size))
-    jp = np.zeros_like(x)          # J~_{k+1}
-    jc = np.full_like(x, 1e-30)    # J~_k
+    for k, seed in ((start + 1, j_above), (start, j_start)):
+        if k in slot:
+            rows[slot[k]] = seed
+    jp, jc = j_above, j_start
     even_sum = np.zeros_like(x) if offset == 0 else None
     inv_xmin = 1.0 / float(np.min(x))   # inf for min(x) below 1 / DBL_MAX
-    bound = 1e-30                  # >= max(|J~_k|, |J~_{k+1}|) over the points
-    for k in range(start, min(min(keep), 0), -1):
+    bound = float(np.maximum(np.abs(jc).max(), np.abs(jp).max()))
+    for k in range(start, min(keep), -1):
         jm = (2.0 * (k + offset) / x) * jc - jp
         jp, jc = jc, jm
         bound *= 2.0 * abs(k + offset) * inv_xmin + 1.0
@@ -177,68 +195,56 @@ def _downward(x, keep, offset):
     return rows, even_sum
 
 
+def _miller(x, keep, offset):
+    """Miller's algorithm (DLMF 10.74(iv)): _downward from the seeds 0 and
+    1e-30 at a start index set by max(x) and max(keep), so the rows share
+    one unknown factor per point; the even-order sum normalizes integer
+    orders through J_0 + 2 sum_k J_{2k} = 1."""
+    xmax = np.max(x)
+    start = int(np.ceil(max(xmax + 10.0 * xmax ** (1.0 / 3.0) + 24.0, max(keep) + 24)))
+    return _downward(x, keep, offset, start, np.zeros_like(x), np.full_like(x, 1e-30))
+
+
+def _series_rows(ns, x):
+    return np.stack([_series_int(n, x) for n in ns])
+
+
 def _series_band(ns, x):
-    """dict n -> J_n(x) for the sorted nonnegative orders ns on the series
-    band (x <= 8): the series at the two highest orders, then the downward
-    recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, in which J is the dominant
-    solution.  A recurrence from an underflowed top value (J_n(0) = 0,
-    J_80(1e-4) ~ 1e-463) would give zeros, so points whose top value is
-    below _RECURRENCE_FLOOR take the series at every order instead."""
+    """Rows J_n(x) for the sorted orders ns >= 0 on the series band (x <= 8):
+    _downward, in which J is the dominant solution, from the series at the
+    two highest orders; from an underflowed top value (J_n(0) = 0) it would
+    give zeros, so points below _RECURRENCE_FLOOR keep the series."""
     top = ns[-1]
     if top - ns[0] < 2:
-        return {n: _series_int(n, x) for n in ns}
+        return _series_rows(ns, x)
     j_top, j_next = _series_int(top, x), _series_int(top - 1, x)
-    ok = np.abs(j_top) >= _RECURRENCE_FLOOR
-    out = {n: np.empty_like(x) for n in ns}
-    xr, jp, jc = x[ok], j_top[ok], j_next[ok]
-    out[top][ok] = jp
-    if top - 1 in out:
-        out[top - 1][ok] = jc
-    for k in range(top - 1, ns[0], -1):
-        jp, jc = jc, (2.0 * k / xr) * jc - jp
-        if k - 1 in out:
-            out[k - 1][ok] = jc
-    if not np.all(ok):
-        xs = x[~ok]
-        for n in ns:
-            out[n][~ok] = _series_int(n, xs)
-    return out
+    recur = np.abs(j_top) >= _RECURRENCE_FLOOR
+    return _by_branch(len(ns), (
+        (recur, lambda xs, jt, jn: _downward(xs, ns, 0.0, top - 1, jt, jn)[0]),
+        (~recur, lambda xs, jt, jn: _series_rows(ns, xs))), x, j_top, j_next)
+
+
+def _miller_int(ns, x):
+    keep = sorted(set(ns) | {0})
+    rows, even_sum = _miller(x, keep, 0.0)
+    return rows[[keep.index(n) for n in ns]] / (rows[0] + 2.0 * even_sum)
 
 
 def _bessel_int_orders(ns, x):
-    """dict n -> J_n(x) for nonnegative integer orders, vectorized.
-
-    Each point takes the branch its own argument calls for: the series band
-    for x <= 8 (the series at the two highest orders and the downward
-    recurrence below them, or the series at every order where the top one
-    is not well above underflow; see _series_band), the Hankel expansion
-    for x >= max(20, n_max^2/2), and the downward recurrence in between,
-    started from that band's largest x."""
-    x = np.asarray(x, dtype=float)
-    ns = sorted(ns)
-    out = {n: np.zeros_like(x) for n in ns}
+    """Rows J_n(x), one per order of the sorted orders ns >= 0, over the 1-D
+    x: each point on the band its own argument calls for (series, Hankel or
+    Miller; see the module docstring)."""
+    if not ns:
+        return np.empty((0, x.size))
     small = x <= _SERIES_CUTOFF
-    large = x >= _hankel_edge(max(ns, default=0))
-    middle = ~small & ~large
-    if np.any(small) and ns:
-        for n, v in _series_band(ns, x[small]).items():
-            out[n][small] = v
-    if np.any(large):
-        for n, v in _hankel_int(ns, x[large]).items():
-            out[n][large] = v
-    if np.any(middle):
-        xm = x[middle]
-        keep = sorted(set(ns) | {0})
-        rows, even_sum = _downward(xm, keep, 0.0)
-        norm = rows[0] + 2.0 * even_sum
-        for n in ns:
-            out[n][middle] = rows[keep.index(n)] / norm
-    return out
+    large = x >= _hankel_edge(ns[-1])
+    return _by_branch(len(ns), ((small, partial(_series_band, ns)),
+                                (large, partial(_hankel_int, ns)),
+                                (~(small | large), partial(_miller_int, ns))), x)
 
 
 def _trig_half(x):
     """(J_{-1/2}, J_{1/2}) from the closed forms, safe at x = 0."""
-    x = np.asarray(x, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         amp = np.sqrt(2.0 / (math.pi * x))
         jm = np.where(x > 0, amp * np.cos(x), np.inf)
@@ -257,9 +263,9 @@ def _upward_half(kmax, x, jm, jp):
 
 
 def _downward_half(kmax, x, jm, jp):
-    """J_{k+1/2}(x) for k = -1 .. kmax, x > 0, by the downward recurrence,
+    """J_{k+1/2}(x) for k = -1 .. kmax, x > 0, by Miller's algorithm,
     scaled onto whichever trigonometric value is better conditioned."""
-    vals, _ = _downward(x, range(-1, kmax + 1), 0.5)
+    vals, _ = _miller(x, range(-1, kmax + 1), 0.5)
     anchor_half = np.abs(jp) >= np.abs(jm)
     with np.errstate(divide="ignore", invalid="ignore"):
         vals *= np.where(anchor_half, jp / vals[1], jm / vals[0])
@@ -269,29 +275,19 @@ def _downward_half(kmax, x, jm, jp):
 def _bessel_half_all(kmax, x):
     """J_{k+1/2}(x) for k = -1 .. kmax, shape (kmax+2, x.size).
 
-    Upward recurrence where x >= kmax + 3/2 (stable), the downward
-    recurrence anchored on the trigonometric J_{+-1/2} at the other x > 0;
-    at x = 0 every order above -1/2 is 0.  A batch wholly on one side is
-    computed in place; a mixed one takes each branch on its own points and
-    scatters it once.
+    Upward recurrence where x >= kmax + 3/2 (stable), Miller's algorithm
+    anchored on the trigonometric J_{+-1/2} at the other x > 0; at x = 0
+    every order above -1/2 is 0 (and J_{-1/2} is inf).
     """
     x = np.asarray(x, dtype=float)
     jm, jp = _trig_half(x)
     if kmax < 1:
         return np.stack([jm, jp][:kmax + 2])
     up = x >= (kmax + 1.5)
-    if np.all(up):
-        return _upward_half(kmax, x, jm, jp)
-    down = ~up & (x > 0)
-    if np.all(down):
-        return _downward_half(kmax, x, jm, jp)
-    out = np.zeros((kmax + 2, x.size))
-    out[0], out[1] = jm, jp
-    for branch, where in ((_upward_half, up), (_downward_half, down)):
-        at = np.flatnonzero(where)
-        if at.size:
-            out[:, at] = branch(kmax, x.take(at), jm.take(at), jp.take(at))
-    return out
+    positive = x > 0
+    return _by_branch(kmax + 2, (
+        (up, partial(_upward_half, kmax)), (positive & ~up, partial(_downward_half, kmax)),
+        (~positive, lambda xs, m, p: np.vstack([m, p, np.zeros((kmax, xs.size))]))), x, jm, jp)
 
 
 def _finite_argument(x):
@@ -333,16 +329,14 @@ def bessel_j(order, x):
     xa = _finite_argument(x)
     if np.any(xa < 0):
         raise ValueError("bessel_j requires x >= 0")
-    scalar = np.isscalar(x) or xa.ndim == 0
-    xa = np.atleast_1d(xa)
     if nu2 % 2 == 0:
         n = nu2 // 2
         sign = 1.0 if (n >= 0 or n % 2 == 0) else -1.0
-        res = sign * _bessel_int_orders([abs(n)], xa)[abs(n)]
+        res = sign * _bessel_int_orders([abs(n)], xa.ravel())[0].reshape(xa.shape)
     else:
         k = (nu2 - 1) // 2   # order = k + 1/2, k >= -1
         res = _bessel_half_all(max(k, 0), xa.ravel())[k + 1].reshape(xa.shape)
-    return res[0] if scalar and res.shape == (1,) else (res.item() if scalar else res)
+    return res[()]   # a float for a scalar x
 
 
 def bessel_j_int_orders(orders, x):
@@ -355,12 +349,11 @@ def bessel_j_int_orders(orders, x):
     xa = _finite_argument(x)
     if np.any(xa < 0):
         raise ValueError("bessel_j_int_orders requires x >= 0")
-    shape = xa.shape
     need = sorted({abs(int(n)) for n in orders})
-    base = _bessel_int_orders(need, np.atleast_1d(xa).ravel())
+    rows = _bessel_int_orders(need, xa.ravel())
     out = {}
     for n in orders:
-        v = base[abs(int(n))].reshape(shape)
+        v = rows[need.index(abs(int(n)))].reshape(xa.shape)
         out[n] = v if (n >= 0 or n % 2 == 0) else -v
     return out
 

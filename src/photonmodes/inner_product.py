@@ -533,7 +533,11 @@ def bessel_overlap(kind, order, k1, k2, spec: TailSpec):
     kind: 'sph_inv_r'  int (1/r) J_{l+1/2}(k1 r) J_{l+1/2}(k2 r) dr
           'sph_cross'  int       J_{l-1/2}(k1 r) J_{l+1/2}(k2 r) dr
     with order = l.  The delta-normalized rows are only meaningful smeared;
-    see smeared_radial_delta."""
+    see smeared_radial_delta.  ValueError naming k1 or k2 unless it is
+    finite and >= 0."""
+    for nm, value in (("k1", k1), ("k2", k2)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{nm} must be finite and >= 0, got {value!r}")
     if kind == "sph_inv_r":
         nu1 = nu2 = order + 0.5
         weight = lambda r: 1.0 / r
@@ -570,10 +574,12 @@ def smeared_radial_delta(kind, order, k_fixed, center, sigma):
             = G(k_fixed; center, sigma) / k_fixed,
 
     kind 'cyl_rho' (w = rho, J = J_m) or 'sph_r' (w = r, J = J_{l+1/2}).
-    ValueError naming kind for any other kind, and k_fixed or sigma unless
-    it is finite and > 0."""
+    ValueError naming kind for any other kind, k_fixed or sigma unless it
+    is finite and > 0, and center unless it is finite."""
     if kind not in ("cyl_rho", "sph_r"):
         raise ValueError(f"unknown smeared-delta kind {kind!r}; expected 'cyl_rho' or 'sph_r'")
+    if not math.isfinite(center):
+        raise ValueError(f"center must be finite, got {center!r}")
     for nm, value in (("k_fixed", k_fixed), ("sigma", sigma)):
         if not 0 < value < math.inf:
             raise ValueError(f"{nm} must be finite and > 0, got {value!r}")

@@ -134,19 +134,17 @@ def lie_derivative(xi: KillingField, field, t, x, y, z, h=fdiff.DEFAULT_H, metho
 
     ``field`` is either a mode-like object (with .evaluate and, for the
     analytic path, .jet) or a bare callable f(t,x,y,z) -> (..., 4[, 4]).
-    method 'analytic' takes the jet, 'fd' finite differences of step h, which
-    skip the axes along which xi vanishes at every point and take the value
-    and the other partials from one call of the field
-    (fdiff.value_and_partials), and 'auto' the jet where the field has one;
-    ValueError naming any other method.
+    method 'auto' takes the jet where the field has one, 'fd' finite
+    differences of step h, which skip the axes along which xi vanishes at
+    every point and take the value and the other partials from one call of
+    the field (fdiff.value_and_partials); ValueError naming any other method.
     """
-    if method not in ("auto", "analytic", "fd"):
-        raise ValueError(f"unknown method {method!r}; expected 'auto', 'analytic' or 'fd'")
+    if method not in ("auto", "fd"):
+        raise ValueError(f"unknown method {method!r}; expected 'auto' or 'fd'")
     evaluate = field.evaluate if hasattr(field, "evaluate") else field
-    use_analytic = method == "analytic" or (method == "auto" and hasattr(field, "jet"))
     xiv = xi.value(t, x, y, z)
     dxi = xi.d_xi()
-    if use_analytic:
+    if method == "auto" and hasattr(field, "jet"):
         a, grad = field.jet(t, x, y, z)
     else:
         axes = [mu for mu in range(4) if np.any(xiv[..., mu] != 0)]
@@ -195,15 +193,14 @@ def angular_momentum_squared(field, t, x, y, z, h=fdiff.DEFAULT_H):
 # Helicity dual
 # ---------------------------------------------------------------------------
 
-def helicity_dual(F, check_antisymmetry=True):
-    """S F_ab = -(i/2) eps_abcd F^{cd}; involutive: S(S F) = F."""
+def helicity_dual(F):
+    """S F_ab = -(i/2) eps_abcd F^{cd}, involutive; AsymmetryError unless F = -F^T to 1e-12."""
     F = np.asarray(F, dtype=complex)
-    if check_antisymmetry:
-        asym = np.abs(F + np.swapaxes(F, -1, -2)).max()
-        scale = np.abs(F).max()
-        if scale > 0 and asym > 1e-12 * scale:
-            raise AsymmetryError(
-                f"input is not antisymmetric: |F + F^T| = {asym:.3g} vs |F| = {scale:.3g}")
+    asym = np.abs(F + np.swapaxes(F, -1, -2)).max()
+    scale = np.abs(F).max()
+    if scale > 0 and asym > 1e-12 * scale:
+        raise AsymmetryError(
+            f"input is not antisymmetric: |F + F^T| = {asym:.3g} vs |F| = {scale:.3g}")
     f_up = ETA_DIAG[:, None] * ETA_DIAG[None, :] * F
     return -0.5j * np.einsum("abcd,...cd->...ab", LEVI_CIVITA, f_up)
 
@@ -215,7 +212,7 @@ class DualField:
         self.mode = mode
 
     def evaluate(self, t, x, y, z):
-        return helicity_dual(field_strength(self.mode, t, x, y, z), check_antisymmetry=False)
+        return helicity_dual(field_strength(self.mode, t, x, y, z))
 
 
 def pauli_lubanski_residual(mode, t, x, y, z, h=fdiff.DEFAULT_H):

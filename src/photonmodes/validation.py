@@ -244,15 +244,14 @@ def _eigen(family, spec):
         for name, xi, lam in observable_set(label):
             fd = lie_derivative(xi, mode, *pts, h=FD_H, method="fd")
             worst_fd = max(worst_fd, _rel(fd - lam * a, a))
-            an = lie_derivative(xi, mode, *pts, method="analytic")
+            an = lie_derivative(xi, mode, *pts)
             worst_an = max(worst_an, _rel(an - lam * a, a))
         # helicity: dual(F) = s F, analytic F and FD F
         f_an = field_strength(mode, *pts)
         worst_hel_an = max(worst_hel_an, _rel(helicity_dual(f_an) - label.s * f_an, f_an))
         g_fd = np.moveaxis(fdiff.gradient4(mode.evaluate, pts, FD_H), 0, -2)
         f_fd = g_fd - np.swapaxes(g_fd, -1, -2)
-        worst_hel_fd = max(worst_hel_fd, _rel(
-            helicity_dual(f_fd, check_antisymmetry=False) - label.s * f_fd, f_fd))
+        worst_hel_fd = max(worst_hel_fd, _rel(helicity_dual(f_fd) - label.s * f_fd, f_fd))
         if isinstance(label, SphericalLabel):
             l2 = angular_momentum_squared(mode, *pts, h=FD_H_NESTED)
             worst_l2 = max(worst_l2, _rel(l2 - label.l * (label.l + 1) * a, a))

@@ -5,7 +5,10 @@ oracle is a direct ascending power series in exact-ish float arithmetic via
 math.fsum, and the half-integer forms come straight from the closed
 trigonometric expressions.  The multipole oracle contracts a mode's radial
 and angular factors with the stacked chart dyads, the defining form of the
-field, where the package assembles it in the spherical frame.
+field, where the package assembles it in the spherical frame.  The Bessel
+layout references (bessel_int_rows, bessel_half_rows) keep an earlier
+arrangement of the package's own branches, to pin a rearrangement bit for
+bit.
 """
 
 import math
@@ -69,3 +72,73 @@ def multipole_jet(mode, t, x, y, z):
                                           (ct, -st / r, 0.0 * r)), start=1):
         grad[..., row, :] = jr[..., None] * d_r + jth[..., None] * d_th + jph[..., None] * d_ph
     return contract(f, dyads), grad
+
+
+def bessel_int_rows(ns, x):
+    """Rows J_n(x) for the sorted orders ns >= 0 over the 1-D x, in the
+    earlier layout of the integer-order ladder: a boolean mask per band, a
+    dict per order, and the series band's own descent loop.  The branch
+    primitives are the package's (_series_int, _hankel_int, _miller), so
+    this pins how the bands are split, recurred and put back together."""
+    import numpy as np
+    from photonmodes import harmonics as hm
+
+    out = {n: np.zeros_like(x) for n in ns}
+    small = x <= 8.0
+    large = x >= max(20.0, 0.5 * ns[-1] ** 2)
+    middle = ~small & ~large
+    if np.any(small):
+        xs, top = x[small], ns[-1]
+        if top - ns[0] < 2:
+            band = {n: hm._series_int(n, xs) for n in ns}
+        else:
+            j_top, j_next = hm._series_int(top, xs), hm._series_int(top - 1, xs)
+            ok = np.abs(j_top) >= 1e-280
+            band = {n: np.empty_like(xs) for n in ns}
+            xr, jp, jc = xs[ok], j_top[ok], j_next[ok]
+            band[top][ok] = jp
+            if top - 1 in band:
+                band[top - 1][ok] = jc
+            for k in range(top - 1, ns[0], -1):
+                jp, jc = jc, (2.0 * k / xr) * jc - jp
+                if k - 1 in band:
+                    band[k - 1][ok] = jc
+            for n in ns:
+                band[n][~ok] = hm._series_int(n, xs[~ok])
+        for n in ns:
+            out[n][small] = band[n]
+    if np.any(large):
+        for n, v in zip(ns, hm._hankel_int(ns, x[large])):
+            out[n][large] = v
+    if np.any(middle):
+        keep = sorted(set(ns) | {0})
+        rows, even_sum = hm._miller(x[middle], keep, 0.0)
+        for n in ns:
+            out[n][middle] = rows[keep.index(n)] / (rows[0] + 2.0 * even_sum)
+    return np.stack([out[n] for n in ns]) if ns else np.zeros((0, x.size))
+
+
+def bessel_half_rows(kmax, x):
+    """J_{k+1/2}(x) for k = -1 .. kmax in the earlier layout of the
+    half-integer ladder: a batch wholly above or below the order computed
+    in place, a mixed one scattered into a zero array whose first rows are
+    the trigonometric values; branch primitives are the package's."""
+    import numpy as np
+    from photonmodes import harmonics as hm
+
+    jm, jp = hm._trig_half(x)
+    if kmax < 1:
+        return np.stack([jm, jp][:kmax + 2])
+    up = x >= (kmax + 1.5)
+    if np.all(up):
+        return hm._upward_half(kmax, x, jm, jp)
+    down = ~up & (x > 0)
+    if np.all(down):
+        return hm._downward_half(kmax, x, jm, jp)
+    out = np.zeros((kmax + 2, x.size))
+    out[0], out[1] = jm, jp
+    for branch, where in ((hm._upward_half, up), (hm._downward_half, down)):
+        at = np.flatnonzero(where)
+        if at.size:
+            out[:, at] = branch(kmax, x.take(at), jm.take(at), jp.take(at))
+    return out

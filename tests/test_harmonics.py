@@ -17,7 +17,7 @@ from photonmodes.harmonics import (bessel_j, bessel_j_int_orders,
 from photonmodes.errors import InvalidLabelError, InvalidOrderError, ResolutionError
 from photonmodes.modes import SphericalLabel
 
-from oracles import bessel_series, bessel_half_trig
+from oracles import bessel_half_rows, bessel_half_trig, bessel_int_rows, bessel_series
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +208,9 @@ def test_bessel_series_band_recurrence_where_the_top_order_underflows():
 
 
 def _downward_scanning_every_step(x, keep, offset, rescales):
-    """The Miller recurrence with an overflow scan at every step: the
-    reference for _downward, whose scan waits for a bound on the growth.
-    Appends the step of each rescale to rescales."""
+    """Miller's algorithm with an overflow scan at every step: the reference
+    for _miller, whose scan waits for a bound on the growth.  Appends the
+    step of each rescale to rescales."""
     xmax = np.max(x)
     start = int(np.ceil(max(xmax + 10.0 * xmax ** (1.0 / 3.0) + 24.0, max(keep) + 24)))
     slot = {k: i for i, k in enumerate(keep)}
@@ -256,7 +256,7 @@ def test_half_integer_downward_recurrence_is_bit_identical_to_a_scan_every_step(
     with np.errstate(all="ignore"):
         got = harmonics._bessel_half_all(kmax, x)
         rescales = []
-        monkeypatch.setattr(harmonics, "_downward", lambda xs, keep, offset:
+        monkeypatch.setattr(harmonics, "_miller", lambda xs, keep, offset:
                             _downward_scanning_every_step(xs, keep, offset, rescales))
         want = harmonics._bessel_half_all(kmax, x)
     assert bool(rescales) == rescaled
@@ -275,16 +275,76 @@ def test_integer_downward_recurrence_is_bit_identical_to_a_scan_every_step(
     xm = x[(x > 8.0) & (x < max(20.0, 0.5 * max(orders) ** 2))]
     keep = sorted(set(orders) | {0})
     rescales = []
-    rows, even_sum = harmonics._downward(xm, keep, 0.0)
+    rows, even_sum = harmonics._miller(xm, keep, 0.0)
     want_rows, want_even = _downward_scanning_every_step(xm, keep, 0.0, rescales)
     assert bool(rescales) == rescaled
     assert np.array_equal(rows, want_rows) and np.array_equal(even_sum, want_even)
     got = harmonics._bessel_int_orders(orders, x)
-    monkeypatch.setattr(harmonics, "_downward", lambda xs, keep, offset:
+    monkeypatch.setattr(harmonics, "_miller", lambda xs, keep, offset:
                         _downward_scanning_every_step(xs, keep, offset, []))
     want = harmonics._bessel_int_orders(orders, x)
+    for row, n in enumerate(orders):
+        assert np.array_equal(got[row], want[row], equal_nan=True), n
+
+
+def _layout_batches():
+    """Argument batches for the layout references: the series/recurrence
+    and Hankel edges (8, 20 and n^2/2 with their neighbours), underflowing
+    and subnormal arguments, the field workload's near and wide ranges, a
+    batch spanning 0 and 1e-8 .. 3e3, an empty and an all-zero batch."""
+    rng = np.random.default_rng(20240801)
+    edges = [e for n in range(0, 21) for e in (0.5 * n * n, np.nextafter(0.5 * n * n, 0.0),
+                                              np.nextafter(0.5 * n * n, 1e9))]
+    special = np.array([0.0, 5e-324, 1e-300, 1e-200, 1e-70, 1e-8, 1e-3, 8.0,
+                        np.nextafter(8.0, 9.0), 20.0, np.nextafter(20.0, 0.0)] + edges)
+    return {"edges": special,
+            "near": rng.uniform(0.05, 8.0, 2000),
+            "wide": _log_uniform(0.1, 500.0, 2000, 4),
+            "spanning": np.concatenate([[0.0], _log_uniform(1e-8, 3e3, 1999, 5)]),
+            "empty": np.zeros(0),
+            "zero": np.zeros(5)}
+
+
+@pytest.mark.parametrize("orders", [range(m - 2, m + 3) for m in range(-4, 5)]
+                         + [range(-20, 21)])
+@pytest.mark.parametrize("batch", list(_layout_batches()))
+def test_integer_ladder_is_bit_identical_to_the_mask_layout(orders, batch):
+    # one branch dispatcher and one descent replace the per-band masks and
+    # the series band's own loop; every value stays the same float
+    x = _layout_batches()[batch]
+    need = sorted({abs(n) for n in orders})
+    want = bessel_int_rows(need, x)
+    got = bessel_j_int_orders(orders, x)
     for n in orders:
-        assert np.array_equal(got[n], want[n], equal_nan=True), n
+        sign = -1.0 if n % 2 and n < 0 else 1.0
+        assert got[n].shape == x.shape
+        assert np.array_equal(got[n], sign * want[need.index(abs(n))]), n
+        assert np.array_equal(bessel_j(n, x), sign * bessel_int_rows([abs(n)], x)[0]), n
+
+
+@pytest.mark.parametrize("batch", list(_layout_batches()))
+def test_half_integer_ladder_is_bit_identical_to_the_mask_layout(batch):
+    x = _layout_batches()[batch]
+    with np.errstate(all="ignore"):
+        for kmax in range(0, 22):
+            want = bessel_half_rows(kmax, x)
+            assert np.array_equal(harmonics._bessel_half_all(kmax, x), want, equal_nan=True), kmax
+            assert np.array_equal(bessel_j(kmax + 0.5, x), want[kmax + 1], equal_nan=True), kmax
+
+
+@pytest.mark.parametrize("kmax", [0, 1, 6])
+def test_bessel_ladders_on_empty_and_all_zero_batches(kmax):
+    # an empty branch is not the whole batch: an empty batch gives empty
+    # rows, and x = 0 gives J_0 = 1, J_{-1/2} = inf and zeros elsewhere
+    for x in (np.zeros(0), np.zeros((2, 0))):
+        assert all(v.shape == x.shape for v in bessel_j_int_orders(range(-2, 3), x).values())
+        assert harmonics._bessel_half_all(kmax, x.ravel()).shape == (kmax + 2, 0)
+    zero = np.zeros(4)
+    got = bessel_j_int_orders(range(-2, 3), zero)
+    assert all(np.array_equal(got[n], np.full(4, float(n == 0))) for n in range(-2, 3))
+    with np.errstate(all="ignore"):
+        half = harmonics._bessel_half_all(kmax, zero)
+    assert np.array_equal(half[0], np.full(4, np.inf)) and not half[1:].any()
 
 
 # ---------------------------------------------------------------------------

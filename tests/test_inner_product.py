@@ -507,6 +507,21 @@ def test_smeared_delta_rejects_a_bad_k_fixed(k_fixed):
 
 
 
+@pytest.mark.parametrize("field, value", [("center", math.nan), ("center", math.inf),
+                                          ("k1", math.nan), ("k1", math.inf), ("k1", -1.0),
+                                          ("k2", math.nan), ("k2", math.inf), ("k2", -1.0)])
+def test_bessel_overlaps_name_a_bad_wavenumber(field, value):
+    # these died in an integer conversion, a ZeroDivisionError or a
+    # complaint about the Bessel argument; k = 0 keeps its answer, 0.0
+    with pytest.raises(ValueError, match=field):
+        if field == "center":
+            smeared_radial_delta("sph_r", 1, 1.0, value, 0.05)
+        else:
+            ks = {"k1": 1.0, "k2": 1.0, field: value}
+            bessel_overlap("sph_inv_r", 1, ks["k1"], ks["k2"], TailSpec())
+    assert bessel_overlap("sph_inv_r", 1, 0.0, 1.0, TailSpec()) == 0.0
+
+
 def test_composite_rule_computes_each_gauss_legendre_rule_once(monkeypatch):
     calls = []
     leggauss = np.polynomial.legendre.leggauss

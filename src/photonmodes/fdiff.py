@@ -90,8 +90,10 @@ def gradient4(f, coords, h=DEFAULT_H):
 def grid_partial(values, axis, h, order=1):
     """Stencil derivative of order 1 or 2 (ValueError otherwise) along one axis.
 
-    The returned array is trimmed by BOUNDARY_RING nodes at both ends of the
-    differentiated axis only; callers must track the shrinking interior."""
+    The returned array is the interior only: trimmed by BOUNDARY_RING nodes
+    at both ends of the differentiated axis, and nowhere else, so callers
+    that keep a smaller interior trim the other axes of values first.  The
+    weighted terms are accumulated in place in the stencil's order."""
     _check_step(h)
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order!r}")
@@ -101,14 +103,17 @@ def grid_partial(values, axis, h, order=1):
             f"axis {axis} has {n} nodes; the 4th-order stencil needs >= 5 "
             f"(boundary ring width {BOUNDARY_RING})")
     offsets, weights = (D1_OFFSETS, D1_WEIGHTS) if order == 1 else (D2_OFFSETS, D2_WEIGHTS)
-    core = [slice(None)] * values.ndim
-    core[axis] = slice(BOUNDARY_RING, n - BOUNDARY_RING)
-    out = np.zeros_like(values[tuple(core)])
+    sl = [slice(None)] * values.ndim
+    out = term = None
     for off, w in zip(offsets, weights):
-        sl = [slice(None)] * values.ndim
         sl[axis] = slice(BOUNDARY_RING + off, n - BOUNDARY_RING + off or None)
-        out = out + w * values[tuple(sl)]
-    return out / h**order
+        if out is None:
+            out = w * values[tuple(sl)]
+            term = np.empty_like(out)
+        else:
+            out += np.multiply(w, values[tuple(sl)], out=term)
+    out /= h**order
+    return out
 
 
 def trim_interior(values, axes):

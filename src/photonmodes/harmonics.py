@@ -8,12 +8,14 @@ one branch in place and gathers and scatters a mixed one once by index
 own argument: the series band for x <= 8, the Hankel asymptotic expansion
 (DLMF 10.17.3) for x >= max(20, n_max^2/2), and in between Miller's
 algorithm (seeds 0 and 1e-30, normalized with the even-order sum rule),
-started from that band's largest argument.  The series band seeds the
-descent with the ascending power series at the two highest orders asked
-for; a point whose top-order value is below 1e-280 (x = 0, J_80(1e-4))
-keeps the series at every order.  Half-integer orders use the closed
-trigonometric forms, the upward recurrence where x exceeds the order, and
-Miller's algorithm anchored on J_{+-1/2} elsewhere.
+started from that band's largest argument; only this band sums the even
+orders.  The series band seeds the descent with the ascending power series
+at the two highest orders asked for, its 36 terms summed by Horner's rule in
+q = x^2/4 from coefficients cached per order; a point whose top-order value
+is below 1e-280 (x = 0, J_80(1e-4)) keeps the series at every order.
+Half-integer orders use the closed trigonometric forms, the upward
+recurrence where x exceeds the order, and Miller's algorithm anchored on
+J_{+-1/2} elsewhere.
 
 Spin-weighted cylindrical harmonics:
 
@@ -65,19 +67,32 @@ _PHI_TAIL_TOL = 1e-8   # largest azimuthal spectral tail (relative) a grid resol
 # Bessel J of integer and half-integer order
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _series_coeffs(n):
+    """c_k = (-1)^k / (k! (n+1)_k), k < _SERIES_TERMS, of the ascending
+    series J_n(x) = (x/2)^n / n! sum_k c_k q^k, q = x^2/4; highest k first
+    for Horner's rule."""
+    c = [1.0]
+    for k in range(1, _SERIES_TERMS):
+        c.append(-c[-1] / (k * (n + k)))
+    return tuple(c[::-1])
+
+
 def _series_int(n, x):
-    """Ascending series for J_n(x), n >= 0, vectorized over x (x <= cutoff)."""
+    """Ascending series for J_n(x), n >= 0, vectorized over x (x <= cutoff):
+    its _SERIES_TERMS terms by Horner's rule in q = x^2/4."""
     x = np.asarray(x, dtype=float)
     half = 0.5 * x
     with np.errstate(divide="ignore"):
         logt0 = n * np.log(np.where(half > 0, half, 1.0)) - math.lgamma(n + 1)
-    term = np.where(half > 0, np.exp(logt0), 1.0 if n == 0 else 0.0)
-    total = term.copy()
+    lead = np.where(half > 0, np.exp(logt0), 1.0 if n == 0 else 0.0)
     q = half * half
-    for k in range(1, _SERIES_TERMS):
-        term = -term * q / (k * (n + k))
-        total += term
-    return total
+    coeffs = _series_coeffs(n)
+    total = np.full_like(q, coeffs[0])
+    for c in coeffs[1:]:
+        total *= q
+        total += c
+    return lead * total
 
 
 def _hankel_edge(n):
@@ -151,12 +166,12 @@ def _by_branch(n_rows, branches, *args):
     return out
 
 
-def _downward(x, keep, offset, start, j_above, j_start):
+def _downward(x, keep, offset, start, j_above, j_start, sum_even=False):
     """J~_{k + offset}(x) for every k in keep (sorted integers <= start + 1)
     by the downward recurrence J_{nu-1} = (2 nu / x) J_nu - J_{nu+1} from
     the seeds j_above = J~_{start+1+offset} and j_start = J~_{start+offset};
-    x > 0 vectorized.  Returns the kept rows (in the order of keep) and, for
-    offset 0, the sum of the even orders 0 < 2k < start (else None).
+    x > 0 vectorized.  Returns the kept rows (in the order of keep) and, if
+    sum_even, the sum of the even orders 0 < 2k < start (else None).
 
     Columns past _RESCALE_AT are rescaled on the way down to avoid overflow.
     The scan for them runs only once a scalar bound on max |J~|, grown by
@@ -170,7 +185,7 @@ def _downward(x, keep, offset, start, j_above, j_start):
         if k in slot:
             rows[slot[k]] = seed
     jp, jc = j_above, j_start
-    even_sum = np.zeros_like(x) if offset == 0 else None
+    even_sum = np.zeros_like(x) if sum_even else None
     inv_xmin = 1.0 / float(np.min(x))   # inf for min(x) below 1 / DBL_MAX
     bound = float(np.maximum(np.abs(jc).max(), np.abs(jp).max()))
     for k in range(start, min(keep), -1):
@@ -198,11 +213,13 @@ def _downward(x, keep, offset, start, j_above, j_start):
 def _miller(x, keep, offset):
     """Miller's algorithm (DLMF 10.74(iv)): _downward from the seeds 0 and
     1e-30 at a start index set by max(x) and max(keep), so the rows share
-    one unknown factor per point; the even-order sum normalizes integer
-    orders through J_0 + 2 sum_k J_{2k} = 1."""
+    one unknown factor per point; for integer orders (offset 0) the
+    even-order sum, returned with them (else None), normalizes them through
+    J_0 + 2 sum_k J_{2k} = 1."""
     xmax = np.max(x)
     start = int(np.ceil(max(xmax + 10.0 * xmax ** (1.0 / 3.0) + 24.0, max(keep) + 24)))
-    return _downward(x, keep, offset, start, np.zeros_like(x), np.full_like(x, 1e-30))
+    return _downward(x, keep, offset, start, np.zeros_like(x), np.full_like(x, 1e-30),
+                     sum_even=offset == 0)
 
 
 def _series_rows(ns, x):

@@ -20,9 +20,12 @@ nodes are built once and walked in contiguous blocks of _SLICE_BLOCK nodes.
 In each block, each distinct field object's pair (A, d_t A), or (A, F_{0b})
 from one field jet for the gauge-invariant field-strength form, is taken
 once and freed before the next block, so the working set does not grow with
-the slice.  inner and inner_field_strength_form are its 1x1 case.  A gauge
-shift by a static Lambda reuses its base's pair and adds only grad(Lambda)
-to the value.
+the slice.  Each column forms w eta A' and then w eta dA' once (w the node
+weights, eta the metric diagonal), and each entry is two conjugated dot
+products, i [ vdot(dA, w eta A') - vdot(A, w eta dA') ]: beyond the pairs a
+column holds one (n, 4) complex buffer, freed before the next column's pair
+is taken.  inner and inner_field_strength_form are its 1x1 case.  A gauge shift by a static Lambda reuses its base's pair and
+adds only grad(Lambda) to the value.
 
 Radial overlap integrals of Bessel products are conditionally convergent;
 they are regularized two independent ways (TailSpec.tail) and both must
@@ -200,18 +203,25 @@ def _slice_pair(field, jets, form_jet, nodes):
 
 
 def _block_gram(left, right, form_jet, nodes, w, last_use):
-    """The Gram contribution of one block of slice nodes.  Columns are
-    reduced as they are computed; a pair outlives its column only when a
-    left field or a later column needs it, and every pair is freed on
-    return."""
+    """The Gram contribution of one block of slice nodes.  Each column's
+    w eta A' and then w eta dA' are formed once, in one buffer, and each
+    entry is i [ vdot(dA, w eta A') - vdot(A, w eta dA') ]: two conjugated
+    dot products over the nodes and the Lorentz index.  Columns are reduced
+    as they are computed; a pair outlives its column only when a left field
+    or a later column needs it, and every pair is freed on return."""
     jets = {}
     rows = [_slice_pair(a, jets, form_jet, nodes) for a in left]
     kept = {id(a) for a in left}
     gram = np.empty((len(left), len(right)), dtype=complex)
     for j, b in enumerate(right):
         bv, db = _slice_pair(b, jets, form_jet, nodes)
-        for i, (av, da) in enumerate(rows):
-            gram[i, j] = np.sum(w * _density(da, av, db, bv))
+        w_eta = w[:, None] * ETA_DIAG
+        weighted = w_eta * bv
+        first = [np.vdot(da, weighted) for _, da in rows]
+        np.multiply(w_eta, db, out=weighted)
+        for i, (av, _) in enumerate(rows):
+            gram[i, j] = 1j * (first[i] - np.vdot(av, weighted))
+        del w_eta, weighted   # freed before the next column's pair is taken
         for key in [k for k in jets if k not in kept and last_use.get(k, -1) <= j]:
             del jets[key]
     return gram
@@ -227,11 +237,13 @@ def slice_gram(left, right, spec: SliceSpec, form="current"):
     nodes; each block's pairs are freed before the next block starts.  In a
     block, each distinct field object's pair (A, dA) is taken once: evaluate
     of the field and of its time_derivative() for the current, one field jet
-    for the field-strength form.  A GaugeShiftedField's pair is its base's
-    plus grad(Lambda) on the value: Lambda is static, so it adds exactly zero
-    to d_t A and to F_{0b} = d_0 A_b - d_b A_0, and no Hessian is built.
-    Every other field is evaluated through its own methods.  A slice of at
-    most _SLICE_BLOCK nodes is one block."""
+    for the field-strength form.  Each column's w eta A' and w eta dA' are
+    formed once, in turn in one buffer, and each entry reduces the block as
+    i [ vdot(dA, w eta A') - vdot(A, w eta dA') ].  A GaugeShiftedField's
+    pair is its base's plus grad(Lambda) on the value: Lambda is static, so
+    it adds exactly zero to d_t A and to F_{0b} = d_0 A_b - d_b A_0, and no
+    Hessian is built.  Every other field is evaluated through its own
+    methods.  A slice of at most _SLICE_BLOCK nodes is one block."""
     if form not in _FORM_JETS:
         raise ValueError(f"form must be 'current' or 'field_strength', got {form!r}")
     form_jet = _FORM_JETS[form]
@@ -294,11 +306,13 @@ class GaussianBumpScalar:
                                  f"got {vec.tolist()!r}")
 
     def _poly_env(self, t, x, y, z):
+        """The offsets (x - x0, y - y0, z - z0), the polynomial and the
+        envelope, each on the broadcast coordinates."""
         _, x, y, z = _broadcast(t, x, y, z)
-        dx = np.stack([x - self.center[0], y - self.center[1], z - self.center[2]], axis=-1)
-        poly = self.c0 + dx @ self.linear
-        env = np.exp(-np.sum(dx * dx, axis=-1) / self.width**2)
-        return dx, poly, env
+        d = (x - self.center[0], y - self.center[1], z - self.center[2])
+        poly = self.c0 + (d[0] * self.linear[0] + d[1] * self.linear[1] + d[2] * self.linear[2])
+        env = np.exp(-(d[0] * d[0] + d[1] * d[1] + d[2] * d[2]) / self.width**2)
+        return d, poly, env
 
     def value(self, t, x, y, z):
         _, poly, env = self._poly_env(t, x, y, z)
@@ -306,26 +320,23 @@ class GaussianBumpScalar:
 
     def gradient(self, t, x, y, z):
         """Spacetime gradient (d_t Lambda = 0)."""
-        dx, poly, env = self._poly_env(t, x, y, z)
-        dpoly = np.broadcast_to(self.linear, dx.shape)
-        denv = -2.0 * dx / self.width**2
-        spatial = (dpoly + poly[..., None] * denv) * env[..., None]
-        out = np.zeros(spatial.shape[:-1] + (4,), dtype=complex)
-        out[..., 1:] = spatial
+        d, poly, env = self._poly_env(t, x, y, z)
+        out = np.zeros(poly.shape + (4,), dtype=complex)
+        for i in range(3):
+            out.real[..., 1 + i] = (self.linear[i] + poly * (-2.0 * d[i] / self.width**2)) * env
         return out
 
     def hessian(self, t, x, y, z):
         """d_mu d_nu Lambda (spatial block only)."""
-        dx, poly, env = self._poly_env(t, x, y, z)
+        d, poly, env = self._poly_env(t, x, y, z)
         w2 = self.width**2
-        dpoly = np.broadcast_to(self.linear, dx.shape)
-        g = -2.0 * dx / w2
-        spatial = (dpoly[..., :, None] * g[..., None, :]
-                   + dpoly[..., None, :] * g[..., :, None]
-                   + poly[..., None, None] * (g[..., :, None] * g[..., None, :]
-                                              - (2.0 / w2) * np.eye(3)))
-        out = np.zeros(spatial.shape[:-2] + (4, 4), dtype=complex)
-        out[..., 1:, 1:] = spatial * env[..., None, None]
+        g = [-2.0 * di / w2 for di in d]
+        out = np.zeros(poly.shape + (4, 4), dtype=complex)
+        for i in range(3):
+            for j in range(i, 3):
+                gg = g[i] * g[j] - (2.0 / w2) if i == j else g[i] * g[j]
+                out.real[..., 1 + i, 1 + j] = out.real[..., 1 + j, 1 + i] = (
+                    (self.linear[i] * g[j] + self.linear[j] * g[i] + poly * gg) * env)
         return out
 
 

@@ -268,7 +268,8 @@ def dalembertian_residual(grid: FieldGrid) -> GridResidual:
     """max |Box A| over the grid interior, relative to max |A|.
 
     Requires >= 5 nodes on every axis; the excluded boundary ring has width
-    2 per differentiated axis."""
+    2 per differentiated axis.  Each axis's stencil runs on the interior
+    only: the other axes are trimmed before it differentiates."""
     vals = grid.values
     for ax in range(4):
         if vals.shape[ax] < 5:
@@ -276,8 +277,8 @@ def dalembertian_residual(grid: FieldGrid) -> GridResidual:
     names = ("t", "x", "y", "z")
     box = None
     for ax, sign in ((0, 1.0), (1, -1.0), (2, -1.0), (3, -1.0)):
-        d2 = fdiff.grid_partial(vals, ax, grid.spacing(names[ax]), order=2)
-        d2 = fdiff.trim_interior(d2, [a for a in range(4) if a != ax])
+        kept = fdiff.trim_interior(vals, [a for a in range(4) if a != ax])
+        d2 = fdiff.grid_partial(kept, ax, grid.spacing(names[ax]), order=2)
         box = sign * d2 if box is None else box + sign * d2
     denom = np.abs(vals).max()
     res = float(np.abs(box).max() / denom) if denom > 0 else 0.0
@@ -288,7 +289,9 @@ def divergence_residual(grid: FieldGrid) -> GridResidual:
     """max |div A| / max |A| plus the largest temporal component.
 
     div A = eta^{mu nu} d_mu A_nu.  On a single-time-slice grid the d_t A_0
-    term requires A_0 = 0 (checked) and is dropped."""
+    term requires A_0 = 0 (checked) and is dropped.  Each axis's stencil
+    runs on the interior only: the other axes are trimmed before it
+    differentiates."""
     vals = grid.values
     names = ("t", "x", "y", "z")
     a0_max = float(np.abs(vals[..., 0]).max())
@@ -300,8 +303,8 @@ def divergence_residual(grid: FieldGrid) -> GridResidual:
             raise StencilError("time axis too short for d_t A_0 and A_0 != 0")
         axes = [1, 2, 3]
     for ax in axes:
-        d = fdiff.grid_partial(vals[..., ax], ax, grid.spacing(names[ax]), order=1)
-        d = fdiff.trim_interior(d, [a for a in axes if a != ax])
+        kept = fdiff.trim_interior(vals[..., ax], [a for a in axes if a != ax])
+        d = fdiff.grid_partial(kept, ax, grid.spacing(names[ax]), order=1)
         term = ETA_DIAG[ax] * d
         div = term if div is None else div + term
     res = float(np.abs(div).max() / denom) if denom > 0 else 0.0

@@ -8,7 +8,12 @@ and angular factors with the stacked chart dyads, the defining form of the
 field, where the package assembles it in the spherical frame.  The Bessel
 layout references (bessel_int_rows, bessel_half_rows) keep an earlier
 arrangement of the package's own branches, to pin a rearrangement bit for
-bit.
+bit.  The frozen forms (series_int_forward, bump_gradient_stacked,
+bump_hessian_stacked, dalembertian_full_grid, divergence_full_grid) keep
+earlier evaluations of package quantities that were rearranged for speed:
+the series summed term by term, the gauge scalar's derivatives from
+stacked coordinate offsets, and the grid residuals differentiated on the
+whole grid before the interior was cut.
 """
 
 import math
@@ -142,3 +147,119 @@ def bessel_half_rows(kmax, x):
         if at.size:
             out[:, at] = branch(kmax, x.take(at), jm.take(at), jp.take(at))
     return out
+
+
+def series_int_forward(n, x):
+    """J_n(x) by the ascending series summed forward, each of its 36 terms
+    from the one before: the earlier form of harmonics._series_int."""
+    import numpy as np
+
+    x = np.asarray(x, dtype=float)
+    half = 0.5 * x
+    with np.errstate(divide="ignore"):
+        logt0 = n * np.log(np.where(half > 0, half, 1.0)) - math.lgamma(n + 1)
+    term = np.where(half > 0, np.exp(logt0), 1.0 if n == 0 else 0.0)
+    total = term.copy()
+    q = half * half
+    for k in range(1, 36):
+        term = -term * q / (k * (n + k))
+        total += term
+    return total
+
+
+def _bump_stack(lam, t, x, y, z):
+    import numpy as np
+
+    _, x, y, z = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (t, x, y, z)))
+    dx = np.stack([x - lam.center[0], y - lam.center[1], z - lam.center[2]], axis=-1)
+    return dx, lam.c0 + dx @ lam.linear, np.exp(-np.sum(dx * dx, axis=-1) / lam.width**2)
+
+
+def bump_gradient_stacked(lam, t, x, y, z):
+    """The spacetime gradient of a GaussianBumpScalar from the (n, 3) stack
+    of coordinate offsets, the earlier form of its gradient."""
+    import numpy as np
+
+    dx, poly, env = _bump_stack(lam, t, x, y, z)
+    spatial = (np.broadcast_to(lam.linear, dx.shape)
+               + poly[..., None] * (-2.0 * dx / lam.width**2)) * env[..., None]
+    out = np.zeros(spatial.shape[:-1] + (4,), dtype=complex)
+    out[..., 1:] = spatial
+    return out
+
+
+def bump_hessian_stacked(lam, t, x, y, z):
+    """The spatial Hessian of a GaussianBumpScalar from the (n, 3) stack of
+    coordinate offsets, the earlier form of its hessian."""
+    import numpy as np
+
+    dx, poly, env = _bump_stack(lam, t, x, y, z)
+    w2 = lam.width**2
+    dpoly = np.broadcast_to(lam.linear, dx.shape)
+    g = -2.0 * dx / w2
+    spatial = (dpoly[..., :, None] * g[..., None, :] + dpoly[..., None, :] * g[..., :, None]
+               + poly[..., None, None] * (g[..., :, None] * g[..., None, :]
+                                          - (2.0 / w2) * np.eye(3)))
+    out = np.zeros(spatial.shape[:-2] + (4, 4), dtype=complex)
+    out[..., 1:, 1:] = spatial * env[..., None, None]
+    return out
+
+
+def _full_axis_stencil(values, axis, h, order):
+    """The 4th-order stencil along one axis on every cross-section of the
+    grid, summed from zeros into a new array per term."""
+    import numpy as np
+
+    offsets, weights = ((-2, -1, 1, 2), (1 / 12, -8 / 12, 8 / 12, -1 / 12)) if order == 1 \
+        else ((-2, -1, 0, 1, 2), (-1 / 12, 16 / 12, -30 / 12, 16 / 12, -1 / 12))
+    n = values.shape[axis]
+    core = [slice(None)] * values.ndim
+    core[axis] = slice(2, n - 2)
+    out = np.zeros_like(values[tuple(core)])
+    for off, w in zip(offsets, weights):
+        sl = [slice(None)] * values.ndim
+        sl[axis] = slice(2 + off, n - 2 + off or None)
+        out = out + w * values[tuple(sl)]
+    return out / h**order
+
+
+def _trim(values, axes):
+    sl = [slice(None)] * values.ndim
+    for ax in axes:
+        sl[ax] = slice(2, values.shape[ax] - 2)
+    return values[tuple(sl)]
+
+
+def dalembertian_full_grid(grid):
+    """max |Box A| / max |A| with each axis differentiated on the whole grid
+    and the other axes trimmed afterwards: the earlier form of
+    operators.dalembertian_residual's residual."""
+    import numpy as np
+
+    vals, box = grid.values, None
+    for ax, (name, sign) in enumerate((("t", 1.0), ("x", -1.0), ("y", -1.0), ("z", -1.0))):
+        d2 = _full_axis_stencil(vals, ax, grid.spacing(name), 2)
+        d2 = _trim(d2, [a for a in range(4) if a != ax])
+        box = sign * d2 if box is None else box + sign * d2
+    denom = np.abs(vals).max()
+    return float(np.abs(box).max() / denom) if denom > 0 else 0.0
+
+
+def divergence_full_grid(grid):
+    """max |div A| / max |A| over the axes with at least 5 nodes (the time
+    axis only then), each differentiated on the whole grid and the others
+    trimmed afterwards: the earlier form of operators.divergence_residual's
+    residual."""
+    import numpy as np
+
+    from photonmodes.charts import ETA_DIAG
+
+    vals, div = grid.values, None
+    axes = [0, 1, 2, 3] if vals.shape[0] >= 5 else [1, 2, 3]
+    for ax in axes:
+        d = _full_axis_stencil(vals[..., ax], ax, grid.spacing("txyz"[ax]), 1)
+        d = _trim(d, [a for a in axes if a != ax])
+        term = ETA_DIAG[ax] * d
+        div = term if div is None else div + term
+    denom = np.abs(vals).max()
+    return float(np.abs(div).max() / denom) if denom > 0 else 0.0

@@ -17,7 +17,8 @@ from photonmodes.harmonics import (bessel_j, bessel_j_int_orders,
 from photonmodes.errors import InvalidLabelError, InvalidOrderError, ResolutionError
 from photonmodes.modes import SphericalLabel
 
-from oracles import bessel_half_rows, bessel_half_trig, bessel_int_rows, bessel_series
+from oracles import (bessel_half_rows, bessel_half_trig, bessel_int_rows, bessel_series,
+                     series_int_forward)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +331,30 @@ def test_half_integer_ladder_is_bit_identical_to_the_mask_layout(batch):
             want = bessel_half_rows(kmax, x)
             assert np.array_equal(harmonics._bessel_half_all(kmax, x), want, equal_nan=True), kmax
             assert np.array_equal(bessel_j(kmax + 0.5, x), want[kmax + 1], equal_nan=True), kmax
+
+
+def test_series_by_horner_matches_the_forward_sum():
+    # the 36 series terms by Horner's rule in x^2/4 against the same terms
+    # summed forward, each from the one before, on the whole series band
+    x = np.linspace(0.0, 8.0, 4001)
+    with np.errstate(divide="ignore"):
+        env = np.minimum(1.0, np.sqrt(2.0 / (math.pi * x)))
+    for n in range(0, 81):
+        got, want = harmonics._series_int(n, x), series_int_forward(n, x)
+        assert np.max(np.abs(got - want) / env) <= 2e-13, n
+    assert harmonics._series_int(0, 0.0) == 1.0 and harmonics._series_int(3, 0.0) == 0.0
+
+
+def test_only_the_integer_miller_band_sums_the_even_orders():
+    # the series band's descent and the half-integer Miller band throw an
+    # even-order sum away, so they take none; the rows do not depend on it
+    x = np.linspace(0.5, 8.0, 40)
+    seeds = harmonics._series_int(12, x), harmonics._series_int(11, x)
+    rows, even_sum = harmonics._downward(x, [0, 1, 2, 5], 0, 11, *seeds)
+    summed, _ = harmonics._downward(x, [0, 1, 2, 5], 0, 11, *seeds, sum_even=True)
+    assert even_sum is None and np.array_equal(rows, summed)
+    assert harmonics._miller(x, range(-1, 4), 0.5)[1] is None
+    assert harmonics._miller(x, [0, 1], 0.0)[1] is not None
 
 
 @pytest.mark.parametrize("kmax", [0, 1, 6])

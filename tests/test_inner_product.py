@@ -19,6 +19,8 @@ from photonmodes.inner_product import (SliceSpec, TailSpec, WavePacket, Superpos
 from photonmodes.operators import L3, LieField
 from photonmodes import charts, fdiff, harmonics, modes, inner_product
 
+from oracles import bump_gradient_stacked, bump_hessian_stacked
+
 
 PACKET_QUAD = SliceSpec()
 
@@ -292,6 +294,24 @@ def test_gaussian_bump_broadcasts_coordinates_like_the_modes():
         lam.value(0.0, math.nan, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("width", [0.7, math.inf])
+def test_gaussian_bump_derivatives_match_the_stacked_form_and_finite_differences(width, rng):
+    lam = GaussianBumpScalar(center=(0.1, -0.2, 0.3), width=width, c0=0.8,
+                             linear=(0.4, -0.3, 0.2))
+    pts = (0.3, *rng.uniform(-1.5, 1.5, (3, 64)))
+    grad, hess = lam.gradient(*pts), lam.hessian(*pts)
+    # from three coordinate offsets, as from the stacked (n, 3) ones
+    for got, want in ((grad, bump_gradient_stacked(lam, *pts)),
+                      (hess, bump_hessian_stacked(lam, *pts))):
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    # d_mu of the value is the gradient, d_mu of the gradient the Hessian
+    # (zero for width = inf: Lambda is then affine)
+    fd_grad = np.moveaxis(fdiff.gradient4(lam.value, pts, 1e-3), 0, -1)
+    assert np.abs(fd_grad - grad).max() <= 1e-9 * np.abs(grad).max()
+    fd_hess = np.moveaxis(fdiff.gradient4(lam.gradient, pts, 1e-3), 0, -2)
+    assert np.abs(fd_hess - hess).max() <= 1e-9 * np.abs(grad).max() / min(width, 1.0)
+
+
 class _Counted:
     """A field that counts the calls of each of its methods."""
 
@@ -312,12 +332,20 @@ def _dt_values(field, t, x, y, z):
     return field.time_derivative().evaluate(t, x, y, z)
 
 
+def _entry(av, da, bv, db, w):
+    """One slice_gram entry as slice_gram reduces it: the node sum of
+    i [ conj(dA)_b A'^b - conj(A)^b dA'_b ] as the two conjugated dot
+    products i [ vdot(dA, w eta A') - vdot(A, w eta dA') ]."""
+    w_eta = w[:, None] * charts.ETA_DIAG
+    return complex(1j * (np.vdot(da, w_eta * bv) - np.vdot(av, w_eta * db)))
+
+
 def _current_form_reference(a_field, b_field, spec):
-    """inner from the node sum of j'_0 over d_t A and evaluate."""
+    """inner from j'_0 over d_t A and evaluate of each field on the whole
+    slice, reduced as slice_gram reduces an entry."""
     t, x, y, z, w = inner_product.slice_nodes(spec)
-    j0 = inner_product._density(_dt_values(a_field, t, x, y, z), a_field.evaluate(t, x, y, z),
-                                _dt_values(b_field, t, x, y, z), b_field.evaluate(t, x, y, z))
-    return complex(np.sum(w * j0))
+    return _entry(a_field.evaluate(t, x, y, z), _dt_values(a_field, t, x, y, z),
+                  b_field.evaluate(t, x, y, z), _dt_values(b_field, t, x, y, z), w)
 
 
 @pytest.mark.parametrize("form, derivative", [("current", "d_dt"),
@@ -428,12 +456,12 @@ def test_slice_gram_working_set_is_bounded_on_a_large_box():
 
 def _field_strength_form_reference(a_field, b_field, spec):
     """inner_field_strength_form from the full 4x4 field strength of each
-    field's jet (a gauge shift's jet carries the Hessian of Lambda)."""
+    field's jet (a gauge shift's jet carries the Hessian of Lambda),
+    reduced as slice_gram reduces an entry."""
     t, x, y, z, w = inner_product.slice_nodes(spec)
     (av, ga), (bv, gb) = a_field.jet(t, x, y, z), b_field.jet(t, x, y, z)
-    j0 = inner_product._density((ga - np.swapaxes(ga, -1, -2))[..., 0, :], av,
-                                (gb - np.swapaxes(gb, -1, -2))[..., 0, :], bv)
-    return complex(np.sum(w * j0))
+    return _entry(av, (ga - np.swapaxes(ga, -1, -2))[..., 0, :],
+                  bv, (gb - np.swapaxes(gb, -1, -2))[..., 0, :], w)
 
 
 def test_field_strength_form_equals_full_field_strength(packet):
@@ -447,6 +475,36 @@ def test_field_strength_form_equals_full_field_strength(packet):
                                              linear=(0.3, -0.2, 0.4)))
     assert (inner_field_strength_form(plane_wave(la), shifted, box)
             == _field_strength_form_reference(plane_wave(la), shifted, box))
+
+
+def _density_node_sum(a_field, b_field, spec, form):
+    """The slice integral as the elementwise node sum of _density, the form
+    slice_gram reduced before it took conjugated dot products."""
+    nodes = inner_product.slice_nodes(spec)
+    pair = inner_product._FORM_JETS[form]
+    (av, da), (bv, db) = pair(a_field, *nodes[:4]), pair(b_field, *nodes[:4])
+    return complex(np.sum(nodes[4] * inner_product._density(da, av, db, bv)))
+
+
+@pytest.mark.parametrize("form", ["current", "field_strength"])
+def test_slice_gram_equals_the_elementwise_density_node_sum(packet, form):
+    # the dot products only reorder the sum over nodes and Lorentz index:
+    # on the packet ball (one block) and on a gauge box of two blocks
+    near = WavePacket(l=1, m=0, s=+1, center=1.1, width=0.2, n_nodes=48)
+    pw_b = plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1))
+    shifts = [gauge_shift(pw_b, GaussianBumpScalar(center=(0.1 * k, -0.2, 0.3), width=0.7,
+                                                   c0=1.0, linear=(0.2, -0.1, 0.3)))
+              for k in range(2)]
+    gbox = SliceSpec(chart="cartesian", box_half=6.5, n_box=28)
+    assert inner_product._SLICE_BLOCK < 28**3 <= 2 * inner_product._SLICE_BLOCK
+    for left, right, spec in (([packet], [packet, near], PACKET_QUAD),
+                              ([plane_wave(PlaneWaveLabel((0.0, 0.0, 1.2), +1))],
+                               [pw_b, *shifts], gbox)):
+        gram = slice_gram(left, right, spec, form)
+        for i, a in enumerate(left):
+            for j, b in enumerate(right):
+                want = _density_node_sum(a, b, spec, form)
+                assert abs(gram[i, j] - want) <= 1e-14 * abs(want), (i, j)
 
 
 # ---------------------------------------------------------------------------

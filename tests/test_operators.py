@@ -19,6 +19,8 @@ from photonmodes.errors import AsymmetryError, DegenerateAxisError, StencilError
 from photonmodes import fdiff
 from photonmodes.charts import ETA_DIAG, LEVI_CIVITA, dyads
 
+from oracles import dalembertian_full_grid, divergence_full_grid
+
 
 # ---------------------------------------------------------------------------
 # Lie derivatives
@@ -426,6 +428,25 @@ def test_mode_residuals_small():
         assert dalembertian_residual(grid).residual < 1e-6
         rep = divergence_residual(grid)
         assert rep.residual < 1e-6 and rep.extra["a0_max"] < 1e-12
+
+
+@pytest.mark.parametrize("mode, axes", [
+    (plane_wave(PlaneWaveLabel((0.5, -0.3, 0.9), -1)), {}),
+    (cylindrical_mode(CylindricalLabel(1.2, 0.4, 1, +1)), {"y": (1.2, 1.09, 12)}),
+    (spherical_mode(SphericalLabel(1.3, 2, 1, -1)), {}),
+])
+def test_grid_residuals_equal_the_full_grid_then_trim_form(mode, axes):
+    # each stencil runs on the kept interior only: the same sums of the same
+    # nodes as differentiating the whole grid and trimming afterwards (a
+    # descending y axis, with its negative spacing, in the Bessel beam's)
+    spec = dict(t=(-0.055, 0.055, 12), x=(0.9, 1.01, 12), y=(0.6, 0.71, 12),
+                z=(0.5, 0.61, 12))
+    grid = sample_grid(mode, GridSpec(**{**spec, **axes}))
+    assert dalembertian_residual(grid).residual == dalembertian_full_grid(grid)
+    assert divergence_residual(grid).residual == divergence_full_grid(grid)
+    # one time slice: the divergence drops d_t A_0
+    grid = sample_grid(mode, GridSpec(**{**spec, **axes, "t": (0.0, 0.0, 1)}))
+    assert divergence_residual(grid).residual == divergence_full_grid(grid)
 
 
 # ---------------------------------------------------------------------------

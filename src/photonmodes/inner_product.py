@@ -15,8 +15,9 @@ trigonometric angular content of the harmonics).  A WavePacket is a
 SphericalMode with a many-term energy spectrum: one multipole kernel pass
 sums all its energies.
 
-slice_gram(left, right, spec, form) takes every product on one slice: the
-nodes are built once and walked in contiguous blocks of _SLICE_BLOCK nodes.
+slice_gram(left, right, spec, form) takes every product on one slice,
+walked in row-major blocks of _SLICE_BLOCK nodes whose nodes and weights
+are gathered from the rule's 1-d factors, so no whole-slice array is built.
 In each block, each distinct field object's pair (A, d_t A), or (A, F_{0b})
 from one field jet for the gauge-invariant field-strength form, is taken
 once and freed before the next block, so the working set does not grow with
@@ -24,8 +25,9 @@ the slice.  Each column forms w eta A' and then w eta dA' once (w the node
 weights, eta the metric diagonal), and each entry is two conjugated dot
 products, i [ vdot(dA, w eta A') - vdot(A, w eta dA') ]: beyond the pairs a
 column holds one (n, 4) complex buffer, freed before the next column's pair
-is taken.  inner and inner_field_strength_form are its 1x1 case.  A gauge shift by a static Lambda reuses its base's pair and
-adds only grad(Lambda) to the value.
+is taken.  inner and inner_field_strength_form are its 1x1 case.  A gauge
+shift by a static Lambda reuses its base's pair and adds only grad(Lambda)
+to the value.
 
 Radial overlap integrals of Bessel products are conditionally convergent;
 they are regularized two independent ways (TailSpec.tail) and both must
@@ -56,7 +58,7 @@ import numpy as np
 from .charts import ETA_DIAG
 from .harmonics import _gauss_legendre, bessel_j, sph_harmonic_gram
 from .modes import (SphericalLabel, CylindricalLabel, CylindricalMode, SphericalMode,
-                    Superposition, sph_radial_profiles, _broadcast)
+                    Superposition, sph_radial_profiles, _broadcast, _index_blocks)
 
 TWO_PI = 2.0 * math.pi
 GL_ORDER = 16       # nodes per segment of the composite radial rule
@@ -123,9 +125,13 @@ class TailSpec:
         _store_count(self, "tail_rounds", 0)
 
 
-def slice_nodes(spec: SliceSpec):
-    """Quadrature nodes (t, x, y, z) and weights on the t = t_slice slice,
-    all flattened to 1-D arrays.  Weights include the volume element."""
+def _slice_blocks(spec: SliceSpec, size=None):
+    """Walk the slice rule's nodes in row-major blocks of size nodes (all of
+    them as one block when size is None): yields ((t, x, y, z), w) for each
+    block, gathered by flat index from the rule's 1-d factors -- r, theta,
+    phi and their weights for the ball, the axis and its weights for the
+    box -- so no whole-slice array is built.  Weights include the volume
+    element."""
     if spec.chart == "spherical":
         xr, wr = _gauss_legendre(spec.n_r)
         r = 0.5 * (xr + 1.0) * (spec.r_max - 1e-9) + 1e-9
@@ -133,20 +139,33 @@ def slice_nodes(spec: SliceSpec):
         xu, wu = _gauss_legendre(spec.n_theta)
         theta = np.arccos(xu)
         phi = np.arange(spec.n_phi) * TWO_PI / spec.n_phi
-        R, TH, PH = np.meshgrid(r, theta, phi, indexing="ij")
-        W = np.broadcast_to((wr * r**2)[:, None, None] * wu[None, :, None]
-                            * (TWO_PI / spec.n_phi), R.shape)
-        x = R * np.sin(TH) * np.cos(PH)
-        y = R * np.sin(TH) * np.sin(PH)
-        z = R * np.cos(TH)
+        wr2 = wr * r**2
+        shape = (spec.n_r, spec.n_theta, spec.n_phi)
+
+        def nodes(i, j, k):
+            R, TH, PH = r[i], theta[j], phi[k]
+            return (R * np.sin(TH) * np.cos(PH), R * np.sin(TH) * np.sin(PH), R * np.cos(TH),
+                    wr2[i] * wu[j] * (TWO_PI / spec.n_phi))
     else:
         xg, wg = _gauss_legendre(spec.n_box)
         ax = xg * spec.box_half
         wax = wg * spec.box_half
-        x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
-        W = wax[:, None, None] * wax[None, :, None] * wax[None, None, :]
-    x, y, z = x.ravel(), y.ravel(), z.ravel()
-    return np.full(x.shape, spec.t_slice), x, y, z, W.ravel()
+        shape = (spec.n_box,) * 3
+
+        def nodes(i, j, k):
+            return ax[i], ax[j], ax[k], wax[i] * wax[j] * wax[k]
+    for _, index in _index_blocks(shape, size):
+        *xyz, w = nodes(*index)
+        del index   # not held while the block is in use
+        yield (np.full(w.shape, spec.t_slice), *xyz), w
+
+
+def slice_nodes(spec: SliceSpec):
+    """Quadrature nodes (t, x, y, z) and weights on the t = t_slice slice,
+    all flattened to 1-D arrays: the slice rule's nodes as one block.
+    Weights include the volume element."""
+    (nodes, w), = _slice_blocks(spec)
+    return (*nodes, w)
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +200,9 @@ def _field_strength_jet(field, t, x, y, z):
 
 _FORM_JETS = {"current": _current_jet, "field_strength": _field_strength_jet}
 
-#: Slice nodes per block of slice_gram.  A block's 4x4 complex jet is 4 MB,
-#: so its pairs stay small however many nodes the slice has.
+#: Slice nodes per block of slice_gram.  A block's 4x4 complex jet is 4 MB
+#: and its nodes and weights 0.7 MB, so a block's working set stays small
+#: however many nodes the slice has.
 _SLICE_BLOCK = 16384
 
 
@@ -233,8 +253,10 @@ def slice_gram(left, right, spec: SliceSpec, form="current"):
     with dA = d_t A (form 'current': the inner product) or dA_b = F_{0b}
     (form 'field_strength').
 
-    The nodes are built once and walked in contiguous blocks of _SLICE_BLOCK
-    nodes; each block's pairs are freed before the next block starts.  In a
+    The slice is walked in row-major blocks of _SLICE_BLOCK nodes, each
+    block's nodes and weights gathered from the rule's 1-d factors
+    (_slice_blocks); a block's nodes and pairs are freed before the next
+    block starts, so the working set does not grow with the slice.  In a
     block, each distinct field object's pair (A, dA) is taken once: evaluate
     of the field and of its time_derivative() for the current, one field jet
     for the field-strength form.  Each column's w eta A' and w eta dA' are
@@ -247,7 +269,6 @@ def slice_gram(left, right, spec: SliceSpec, form="current"):
     if form not in _FORM_JETS:
         raise ValueError(f"form must be 'current' or 'field_strength', got {form!r}")
     form_jet = _FORM_JETS[form]
-    *nodes, w = slice_nodes(spec)
 
     def chain(field):
         yield field
@@ -257,10 +278,8 @@ def slice_gram(left, right, spec: SliceSpec, form="current"):
 
     last_use = {id(f): j for j, b in enumerate(right) for f in chain(b)}
     gram = np.zeros((len(left), len(right)), dtype=complex)
-    for start in range(0, len(w), _SLICE_BLOCK):
-        block = slice(start, start + _SLICE_BLOCK)
-        gram += _block_gram(left, right, form_jet, [a[block] for a in nodes], w[block],
-                            last_use)
+    for nodes, w in _slice_blocks(spec, _SLICE_BLOCK):
+        gram += _block_gram(left, right, form_jet, nodes, w, last_use)
     return gram
 
 

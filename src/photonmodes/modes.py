@@ -518,11 +518,18 @@ class Superposition:
         return Superposition([(c, f.time_derivative()) for c, f in self.terms])
 
     def jet(self, t, x, y, z):
-        """The sum of the terms' jets."""
+        """The sum of the terms' jets, accumulated in place: the first term
+        makes the sum's arrays and each later one is added into them.  A
+        term's jet is freed before the next term's is taken."""
         value = grad = 0.0
-        for c, f in self.terms:
+        for i, (c, f) in enumerate(self.terms):
             a, g = f.jet(t, x, y, z)
-            value, grad = value + c * a, grad + c * g
+            if i:
+                value += c * a
+                grad += c * g
+            else:
+                value, grad = value + c * a, grad + c * g
+            del a, g
         return value, grad
 
 
@@ -583,16 +590,27 @@ class FieldGrid:
 _GRID_BLOCK = 16384
 
 
+def _index_blocks(shape, size=None):
+    """Walk the flat indices of a row-major array of the given shape in
+    contiguous blocks of size indices (the whole range as one block when
+    size is None): yields (block, index), block the slice of flat indices
+    and index the tuple of per-axis index arrays of its entries, so that
+    1-d factors gathered by index give the block's nodes without any
+    whole-array coordinate being built."""
+    n = math.prod(shape)
+    size = size or n
+    for start in range(0, n, size):
+        block = slice(start, min(start + size, n))
+        yield block, np.unravel_index(np.arange(block.start, block.stop), shape)
+
+
 def _grid_blocks(axes):
     """Walk the nodes of a (t, x, y, z) tensor grid in row-major order, in
     contiguous blocks of _GRID_BLOCK nodes: yields (block, (t, x, y, z)),
     block the slice of flat node indices and the coordinates 1-d arrays of
     its nodes.  No whole-grid coordinate array is built."""
     shape = tuple(len(ax) for ax in axes.values())
-    n = math.prod(shape)
-    for start in range(0, n, _GRID_BLOCK):
-        block = slice(start, min(start + _GRID_BLOCK, n))
-        index = np.unravel_index(np.arange(block.start, block.stop), shape)
+    for block, index in _index_blocks(shape, _GRID_BLOCK):
         yield block, tuple(ax[i] for ax, i in zip(axes.values(), index))
 
 

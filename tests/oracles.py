@@ -9,11 +9,13 @@ field, where the package assembles it in the spherical frame.  The Bessel
 layout references (bessel_int_rows, bessel_half_rows) keep an earlier
 arrangement of the package's own branches, to pin a rearrangement bit for
 bit.  The frozen forms (series_int_forward, bump_gradient_stacked,
-bump_hessian_stacked, dalembertian_full_grid, divergence_full_grid) keep
-earlier evaluations of package quantities that were rearranged for speed:
-the series summed term by term, the gauge scalar's derivatives from
-stacked coordinate offsets, and the grid residuals differentiated on the
-whole grid before the interior was cut.
+bump_hessian_stacked, dalembertian_full_grid, divergence_full_grid,
+slice_nodes_meshgrid, superposition_jet_summed) keep earlier evaluations of
+package quantities that were rearranged for speed or memory: the series
+summed term by term, the gauge scalar's derivatives from stacked coordinate
+offsets, the grid residuals differentiated on the whole grid before the
+interior was cut, the slice nodes built as whole-slice meshgrids, and a
+superposition's jet summed into a new array per term.
 """
 
 import math
@@ -263,3 +265,44 @@ def divergence_full_grid(grid):
         div = term if div is None else div + term
     denom = np.abs(vals).max()
     return float(np.abs(div).max() / denom) if denom > 0 else 0.0
+
+
+def slice_nodes_meshgrid(spec):
+    """Quadrature nodes (t, x, y, z) and weights of a SliceSpec from
+    whole-slice meshgrids of the 1-d rules, flattened: the earlier form of
+    inner_product.slice_nodes."""
+    import numpy as np
+
+    two_pi = 2.0 * math.pi
+    leggauss = np.polynomial.legendre.leggauss
+    if spec.chart == "spherical":
+        xr, wr = leggauss(spec.n_r)
+        r = 0.5 * (xr + 1.0) * (spec.r_max - 1e-9) + 1e-9
+        wr = wr * 0.5 * spec.r_max
+        xu, wu = leggauss(spec.n_theta)
+        theta = np.arccos(xu)
+        phi = np.arange(spec.n_phi) * two_pi / spec.n_phi
+        R, TH, PH = np.meshgrid(r, theta, phi, indexing="ij")
+        W = np.broadcast_to((wr * r**2)[:, None, None] * wu[None, :, None]
+                            * (two_pi / spec.n_phi), R.shape)
+        x = R * np.sin(TH) * np.cos(PH)
+        y = R * np.sin(TH) * np.sin(PH)
+        z = R * np.cos(TH)
+    else:
+        xg, wg = leggauss(spec.n_box)
+        ax = xg * spec.box_half
+        wax = wg * spec.box_half
+        x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
+        W = wax[:, None, None] * wax[None, :, None] * wax[None, None, :]
+    x, y, z = x.ravel(), y.ravel(), z.ravel()
+    return np.full(x.shape, spec.t_slice), x, y, z, W.ravel()
+
+
+def superposition_jet_summed(terms, t, x, y, z):
+    """The jet of sum_k c_k F_k as a new array per term, value + c a and
+    grad + c g from zero: the earlier form of Superposition.jet."""
+    value = grad = 0.0
+    for c, f in terms:
+        a, g = f.jet(t, x, y, z)
+        value, grad = value + c * a, grad + c * g
+    return value, grad

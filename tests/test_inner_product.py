@@ -19,7 +19,8 @@ from photonmodes.inner_product import (SliceSpec, TailSpec, WavePacket, Superpos
 from photonmodes.operators import L3, LieField
 from photonmodes import charts, fdiff, harmonics, modes, inner_product
 
-from oracles import bump_gradient_stacked, bump_hessian_stacked
+from oracles import (bump_gradient_stacked, bump_hessian_stacked, slice_nodes_meshgrid,
+                     superposition_jet_summed)
 
 
 PACKET_QUAD = SliceSpec()
@@ -441,17 +442,61 @@ def _traced_peak_mb(fn):
         tracemalloc.stop()
 
 
-def test_slice_gram_working_set_is_bounded_on_a_large_box():
-    # 64^3 field-strength gauge block: one full-slice 4x4 complex jet alone
-    # would be 67 MB; per-block pairs keep the whole call near the nodes' 10 MB
-    gbox = SliceSpec(chart="cartesian", box_half=6.5, n_box=64)
+def _gauge_box_gram(n_box):
+    """The field-strength Gram of a plane wave against another and three
+    gauge shifts of it on a box of n_box^3 nodes."""
+    gbox = SliceSpec(chart="cartesian", box_half=6.5, n_box=n_box)
     pw_b = plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1))
     shifted = [gauge_shift(pw_b, GaussianBumpScalar(center=(0.1 * k, -0.2, 0.3), width=0.7,
                                                     c0=1.0, linear=(0.2, -0.1, 0.3)))
                for k in range(3)]
-    peak = _traced_peak_mb(lambda: slice_gram([plane_wave(PlaneWaveLabel((0.0, 0.0, 1.2), +1))],
-                                              [pw_b, *shifted], gbox, "field_strength"))
-    assert peak < 40.0
+    return slice_gram([plane_wave(PlaneWaveLabel((0.0, 0.0, 1.2), +1))],
+                      [pw_b, *shifted], gbox, "field_strength")
+
+
+def test_slice_gram_working_set_is_bounded_on_a_large_box():
+    # 64^3 field-strength gauge box: one full-slice 4x4 complex jet alone
+    # would be 67 MB, and whole-slice nodes and weights 10 MB; per-block
+    # nodes and pairs keep the whole call to one block's working set
+    assert _traced_peak_mb(lambda: _gauge_box_gram(64)) < 40.0
+
+
+def test_slice_gram_working_set_does_not_grow_with_the_slice():
+    # each block's nodes are gathered from the 1-d rule, so the traced peak
+    # is one block's nodes and pairs (about 9 MB) at any box size, where
+    # whole-slice nodes would make it 13 MB at 48^3 and 29 MB at 80^3.  A
+    # first small call keeps one-time allocations out of the measurement.
+    _gauge_box_gram(8)
+    small, large = (_traced_peak_mb(lambda: _gauge_box_gram(n)) for n in (48, 80))
+    assert large <= 1.1 * small and large < 12.0, (small, large)
+
+
+def test_slice_nodes_equal_the_meshgrid_form():
+    # the packet ball, and a box of one full block and a ragged block of
+    # 5,568 nodes: slice_nodes and slice_gram's blocks, concatenated, are
+    # the whole-slice meshgrid nodes bit for bit
+    box = SliceSpec(chart="cartesian", box_half=6.5, n_box=28, t_slice=0.4)
+    for spec, sizes in ((PACKET_QUAD, [128 * 8 * 8]), (box, [inner_product._SLICE_BLOCK, 5568])):
+        want = slice_nodes_meshgrid(spec)
+        got = inner_product.slice_nodes(spec)
+        blocks = list(inner_product._slice_blocks(spec, inner_product._SLICE_BLOCK))
+        assert [len(w) for _, w in blocks] == sizes
+        walked = [np.concatenate([nodes[k] for nodes, _ in blocks]) for k in range(4)]
+        walked.append(np.concatenate([w for _, w in blocks]))
+        for g, k, v in zip(got, walked, want):
+            assert g.shape == v.shape and np.array_equal(g, v) and np.array_equal(k, v)
+
+
+def test_superposition_jet_equals_the_per_term_sum(packet, rng):
+    # summed in place, the jet of a packet superposition is the sum taken
+    # into a new array per term, bit for bit
+    near = WavePacket(l=1, m=0, s=+1, center=1.1, width=0.2, n_nodes=48)
+    other = WavePacket(l=2, m=1, s=-1, center=0.9, width=0.18, n_nodes=48)
+    terms = [(1.0, packet), (0.7 - 0.2j, near), (0.5j, other)]
+    pts = (np.zeros(500),) + tuple(rng.uniform(-4.0, 4.0, 500) for _ in range(3))
+    a, g = Superposition(terms).jet(*pts)
+    want_a, want_g = superposition_jet_summed(terms, *pts)
+    assert np.array_equal(a, want_a) and np.array_equal(g, want_g)
 
 
 def _field_strength_form_reference(a_field, b_field, spec):
@@ -477,19 +522,33 @@ def test_field_strength_form_equals_full_field_strength(packet):
             == _field_strength_form_reference(plane_wave(la), shifted, box))
 
 
-def _density_node_sum(a_field, b_field, spec, form):
-    """The slice integral as the elementwise node sum of _density, the form
-    slice_gram reduced before it took conjugated dot products."""
+def _density_node_terms(a_field, b_field, spec, form):
+    """The slice integral's node terms w _density, the elementwise form
+    slice_gram reduced before it took conjugated dot products, and the sum
+    of the magnitudes of the 8 products per node that its two dot products
+    accumulate."""
     nodes = inner_product.slice_nodes(spec)
     pair = inner_product._FORM_JETS[form]
     (av, da), (bv, db) = pair(a_field, *nodes[:4]), pair(b_field, *nodes[:4])
-    return complex(np.sum(nodes[4] * inner_product._density(da, av, db, bv)))
+    w = nodes[4]
+    magnitudes = w[:, None] * (np.abs(da) * np.abs(bv) + np.abs(av) * np.abs(db))
+    return w * inner_product._density(da, av, db, bv), float(magnitudes.sum())
+
+
+def _gamma(n):
+    """gamma_n = n u / (1 - n u), u the unit roundoff: the relative bound
+    on the rounding of an n-term floating-point sum."""
+    u = 2.0**-53
+    return n * u / (1.0 - n * u)
 
 
 @pytest.mark.parametrize("form", ["current", "field_strength"])
 def test_slice_gram_equals_the_elementwise_density_node_sum(packet, form):
     # the dot products only reorder the sum over nodes and Lorentz index:
-    # on the packet ball (one block) and on a gauge box of two blocks
+    # on the packet ball (one block) and on a gauge box of two blocks, each
+    # entry is within the rounding of its sum of the exact (fsum) sum of the
+    # node terms.  Each dot product sums 4 products a node; a few more
+    # roundings form each product, each reference term and the final sums.
     near = WavePacket(l=1, m=0, s=+1, center=1.1, width=0.2, n_nodes=48)
     pw_b = plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1))
     shifts = [gauge_shift(pw_b, GaussianBumpScalar(center=(0.1 * k, -0.2, 0.3), width=0.7,
@@ -503,8 +562,10 @@ def test_slice_gram_equals_the_elementwise_density_node_sum(packet, form):
         gram = slice_gram(left, right, spec, form)
         for i, a in enumerate(left):
             for j, b in enumerate(right):
-                want = _density_node_sum(a, b, spec, form)
-                assert abs(gram[i, j] - want) <= 1e-14 * abs(want), (i, j)
+                terms, magnitudes = _density_node_terms(a, b, spec, form)
+                exact = complex(math.fsum(terms.real), math.fsum(terms.imag))
+                bound = _gamma(4 * len(terms) + 16) * magnitudes
+                assert abs(gram[i, j] - exact) <= bound, (i, j)
 
 
 # ---------------------------------------------------------------------------

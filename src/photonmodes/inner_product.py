@@ -16,8 +16,8 @@ SphericalMode with a many-term energy spectrum: one multipole kernel pass
 sums all its energies.
 
 slice_gram(left, right, spec, form) takes every product on one slice,
-walked in row-major blocks of _SLICE_BLOCK nodes whose nodes and weights
-are gathered from the rule's 1-d factors, so no whole-slice array is built.
+walked in row-major blocks of _BLOCK nodes whose nodes and weights are
+gathered from the rule's 1-d factors, so no whole-slice array is built.
 In each block, each distinct field object's pair (A, d_t A), or (A, F_{0b})
 from one field jet for the gauge-invariant field-strength form, is taken
 once and freed before the next block, so the working set does not grow with
@@ -41,7 +41,8 @@ agree:
 An integrand may return a (K, n) stack of K integrands on the same nodes.
 The radial integrals of one discrete-sector Gram share their beat frequency
 and so their nodes; each Gram takes them as one stacked integral (one per l
-for the multipoles), walked in blocks of _TAIL_BLOCK nodes.
+for the multipoles), walked in blocks of _BLOCK nodes, the slice blocks'
+size: every kernel call here sees at most _BLOCK nodes.
 
 Delta-normalization in the continuous labels is always verified through
 square-integrable wave packets or Gaussian-smeared overlaps, never by
@@ -65,17 +66,31 @@ GL_ORDER = 16       # nodes per segment of the composite radial rule
 TAIL_ETA = 0.02     # largest damping rate of the damped tail (then /2, /4)
 SMEAR_NODES = 48    # Gauss-Legendre nodes of a smeared delta row's k' integral
 
+#: Nodes per block of every kernel call here: the slice blocks of slice_gram
+#: and the radial blocks of _composite_gl.  A slice block's 4x4 complex jet is
+#: 0.5 MB and its nodes and weights 90 kB, so a call's working set stays in
+#: cache however many nodes the slice or the tail has; much smaller blocks
+#: slow the scalar integrands (per-call set-up).
+_BLOCK = 2048
+#: k' nodes per bessel_j call of the smearing kernel: a call sees at most
+#: _SMEAR_ROWS x _BLOCK arguments, not SMEAR_NODES x _BLOCK.
+_SMEAR_ROWS = 8
+
 
 # ---------------------------------------------------------------------------
 # Quadrature specification
 # ---------------------------------------------------------------------------
 
+def _integer(name, value, low):
+    """value as an int; ValueError naming it unless an integer >= low."""
+    if not float(value).is_integer() or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _store_count(spec, nm, low):
     """ValueError naming nm unless it is an integer >= low; stored as int."""
-    value = getattr(spec, nm)
-    if not float(value).is_integer() or value < low:
-        raise ValueError(f"{nm} must be an integer >= {low}")
-    object.__setattr__(spec, nm, int(value))
+    object.__setattr__(spec, nm, _integer(nm, getattr(spec, nm), low))
 
 
 @dataclass(frozen=True)
@@ -200,11 +215,6 @@ def _field_strength_jet(field, t, x, y, z):
 
 _FORM_JETS = {"current": _current_jet, "field_strength": _field_strength_jet}
 
-#: Slice nodes per block of slice_gram.  A block's 4x4 complex jet is 4 MB
-#: and its nodes and weights 0.7 MB, so a block's working set stays small
-#: however many nodes the slice has.
-_SLICE_BLOCK = 16384
-
 
 def _slice_pair(field, jets, form_jet, nodes):
     """The field's pair (A, dA) on the slice nodes, memoized in jets by object
@@ -253,7 +263,7 @@ def slice_gram(left, right, spec: SliceSpec, form="current"):
     with dA = d_t A (form 'current': the inner product) or dA_b = F_{0b}
     (form 'field_strength').
 
-    The slice is walked in row-major blocks of _SLICE_BLOCK nodes, each
+    The slice is walked in row-major blocks of _BLOCK nodes, each
     block's nodes and weights gathered from the rule's 1-d factors
     (_slice_blocks); a block's nodes and pairs are freed before the next
     block starts, so the working set does not grow with the slice.  In a
@@ -265,7 +275,8 @@ def slice_gram(left, right, spec: SliceSpec, form="current"):
     pair is its base's plus grad(Lambda) on the value: Lambda is static, so
     it adds exactly zero to d_t A and to F_{0b} = d_0 A_b - d_b A_0, and no
     Hessian is built.  Every other field is evaluated through its own
-    methods.  A slice of at most _SLICE_BLOCK nodes is one block."""
+    methods.  A slice of at most _BLOCK nodes is one block; the packet
+    ball is four."""
     if form not in _FORM_JETS:
         raise ValueError(f"form must be 'current' or 'field_strength', got {form!r}")
     form_jet = _FORM_JETS[form]
@@ -278,7 +289,7 @@ def slice_gram(left, right, spec: SliceSpec, form="current"):
 
     last_use = {id(f): j for j, b in enumerate(right) for f in chain(b)}
     gram = np.zeros((len(left), len(right)), dtype=complex)
-    for nodes, w in _slice_blocks(spec, _SLICE_BLOCK):
+    for nodes, w in _slice_blocks(spec, _BLOCK):
         gram += _block_gram(left, right, form_jet, nodes, w, last_use)
     return gram
 
@@ -438,17 +449,11 @@ def _segment(freqs):
     return min(0.25 * TWO_PI / max(max(freqs) if freqs else 1.0, 1e-9), 2.0)
 
 
-#: Radial nodes per block of _composite_gl.  An integrand sees at most this
-#: many nodes at once, so its working set does not grow with the tail length;
-#: much smaller blocks slow the scalar integrands (per-call set-up).
-_TAIL_BLOCK = 2048
-
-
 def _composite_gl(f, a, b, seg_len):
     """int_a^b f(r) dr by the composite GL_ORDER-node Gauss-Legendre rule,
     segments at most seg_len long.  f maps n nodes to n values, or to a
     (K, n) stack of K integrands, whose K integrals are returned.  The nodes
-    are walked in blocks of _TAIL_BLOCK."""
+    are walked in blocks of _BLOCK."""
     if b <= a:
         return 0.0
     nseg = max(1, int(math.ceil((b - a) / seg_len)))
@@ -459,8 +464,8 @@ def _composite_gl(f, a, b, seg_len):
     nodes = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
     weights = (half[:, None] * wg[None, :]).ravel()
     total = 0.0
-    for start in range(0, len(nodes), _TAIL_BLOCK):
-        block = slice(start, start + _TAIL_BLOCK)
+    for start in range(0, len(nodes), _BLOCK):
+        block = slice(start, start + _BLOCK)
         total = total + f(nodes[block]) @ weights[block]
     return total
 
@@ -564,10 +569,12 @@ def bessel_overlap(kind, order, k1, k2, spec: TailSpec):
           'sph_cross'  int       J_{l-1/2}(k1 r) J_{l+1/2}(k2 r) dr
     with order = l.  The delta-normalized rows are only meaningful smeared;
     see smeared_radial_delta.  ValueError naming k1 or k2 unless it is
-    finite and >= 0."""
+    finite and >= 0, and order unless it is an integer >= 0 (a negative
+    order diverges at r = 0)."""
     for nm, value in (("k1", k1), ("k2", k2)):
         if not 0 <= value < math.inf:
             raise ValueError(f"{nm} must be finite and >= 0, got {value!r}")
+    _integer("order", order, 0)
     if kind == "sph_inv_r":
         nu1 = nu2 = order + 0.5
         weight = lambda r: 1.0 / r
@@ -584,7 +591,9 @@ def bessel_overlap(kind, order, k1, k2, spec: TailSpec):
 
 
 def bessel_overlap_closed_form(kind, order, k1, k2):
-    """Closed-form value of a bessel_overlap row."""
+    """Closed-form value of a bessel_overlap row; ValueError naming order
+    unless it is an integer >= 0."""
+    _integer("order", order, 0)
     if kind == "sph_inv_r":
         lo, hi = min(k1, k2), max(k1, k2)
         return (1.0 / (2.0 * order + 1.0)) * (lo / hi) ** (order + 0.5)
@@ -604,6 +613,9 @@ def smeared_radial_delta(kind, order, k_fixed, center, sigma):
             = G(k_fixed; center, sigma) / k_fixed,
 
     kind 'cyl_rho' (w = rho, J = J_m) or 'sph_r' (w = r, J = J_{l+1/2}).
+    The r integral is _composite_gl's, in blocks of _BLOCK nodes; on each
+    block the kernel's Bessel values J(k' r) of the SMEAR_NODES k' nodes
+    are taken _SMEAR_ROWS k' nodes a call into one (SMEAR_NODES, n) array.
     ValueError naming kind for any other kind, k_fixed or sigma unless it
     is finite and > 0, and center unless it is finite."""
     if kind not in ("cyl_rho", "sph_r"):
@@ -624,7 +636,10 @@ def smeared_radial_delta(kind, order, k_fixed, center, sigma):
 
     r_max = 12.0 / sigma
     def f(r):
-        jk = bessel_j(nu, np.outer(kn, r).ravel()).reshape(len(kn), -1)
+        jk = np.empty((SMEAR_NODES, r.size))
+        for start in range(0, SMEAR_NODES, _SMEAR_ROWS):
+            rows = slice(start, start + _SMEAR_ROWS)
+            jk[rows] = bessel_j(nu, np.outer(kn[rows], r))
         kernel = np.einsum("k,kr->r", wk * gauss, jk)
         return r * bessel_j(nu, k_fixed * r) * kernel
 
@@ -668,19 +683,11 @@ def discrete_orthonormality(family, fixed, ranges, spec: TailSpec) -> GramResult
     integer >= 0.
     """
     if family == "spherical":
-        return _gram_spherical(fixed["p0"], _label_range(ranges, "l_max", 1), spec)
+        return _gram_spherical(fixed["p0"], _integer("l_max", ranges["l_max"], 1), spec)
     if family == "cylindrical":
-        return _gram_cylindrical(fixed["p0"], fixed["pz"], _label_range(ranges, "m_max", 0),
+        return _gram_cylindrical(fixed["p0"], fixed["pz"], _integer("m_max", ranges["m_max"], 0),
                                  spec)
     raise ValueError(f"unknown family {family!r}")
-
-
-def _label_range(ranges, name, low):
-    """ranges[name] as an int; ValueError naming it unless an integer >= low."""
-    value = ranges[name]
-    if not float(value).is_integer() or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
 
 
 def _hermitian_gram(family, labels, entry, fixed):

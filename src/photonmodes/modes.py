@@ -355,6 +355,37 @@ _POLE_TOL = 1e-12
 #: stay in cache (whole-batch ones would be fresh memory each time)
 _FRAME_BLOCK = 4096
 
+#: Relative spread within which a packet's radii count as one radius.  A
+#: radius recomputed from (x, y, z) carries a few units of roundoff: one
+#: quadrature radius rounds to values at most 2.04 eps apart (relative).
+_RADIUS_RTOL = 8.0 * np.finfo(float).eps
+
+
+def _radius_groups(t, r):
+    """Group the (t, r) pairs of a point set (flattened) that share t and
+    whose radii agree to within _RADIUS_RTOL relative: maximal runs of the
+    sorted pairs whose consecutive radii are that close, and a run whose
+    radii spread wider is split at every change of value, so that each
+    pair's radius is within _RADIUS_RTOL of its group's.  Returns each
+    group's t and smallest radius and, per pair, its group."""
+    t, r = (a.ravel() for a in np.broadcast_arrays(t, r))
+    order = np.argsort(t + 1j * r)
+    ts, rs = t[order], r[order]
+    cut = np.empty(ts.size, dtype=bool)
+    cut[:1] = True
+    cut[1:] = (ts[1:] != ts[:-1]) | (rs[1:] - rs[:-1] > _RADIUS_RTOL * rs[1:])
+    group = np.cumsum(cut) - 1
+    starts = np.flatnonzero(cut)
+    far = rs - rs[starts][group] > _RADIUS_RTOL * rs
+    if far.any():
+        wide = np.bincount(group, far)[group] > 0
+        cut[1:] |= wide[1:] & (rs[1:] != rs[:-1])
+        group = np.cumsum(cut) - 1
+        starts = np.flatnonzero(cut)
+    inverse = np.empty_like(group)
+    inverse[order] = group
+    return ts[starts], rs[starts], inverse
+
 
 class SphericalMode(ModeField):
     """Multipole mode |p0, l, m, s>.
@@ -396,16 +427,17 @@ class SphericalMode(ModeField):
         One sph_radial_profiles call at unit energy serves every p_k, since
         R(p, r) = sqrt(p) R(1, p r).
 
-        With more than one energy the sum runs once per distinct (t, r) pair
-        of the call and is gathered back to the points: a quadrature slice
-        has few distinct radii, and a packet's radial sum is most of its
-        work.  A single energy keeps the per-point path, where the sort
-        would cost more than the radial work it saves."""
+        With more than one energy the sum runs once per distinct radius of
+        each t (_radius_groups: radii within a few units of roundoff of each
+        other are one radius, the error r carries from its (x, y, z)) and is
+        gathered back to the points: a quadrature slice has few distinct
+        radii, and a packet's radial sum is most of its work.  A single
+        energy keeps the per-point path, where the sort would cost more than
+        the radial work it saves."""
         p, w = self._spectrum
         shape = np.shape(r)
         if p.size > 1:
-            tr, inverse = np.unique((t + 1j * r).ravel(), return_inverse=True)
-            t, r = tr.real, tr.imag
+            t, r, inverse = _radius_groups(t, r)
         derivs = max(j for j, _ in terms)
         prof = sph_radial_profiles(self._unit, np.multiply.outer(p, r), derivs)
         if derivs == 0:

@@ -184,20 +184,8 @@ def test_packet_matches_explicit_mode_sum(l, m, s, rng):
     close(pk.evaluate(0.4, 0.0, 0.0, 0.0), oracle("evaluate", 0.4, 0.0, 0.0, 0.0), 1e-11)
 
 
-def test_packet_batch_shares_radial_work_per_distinct_t_r(monkeypatch, rng):
-    # points repeating (t, r) at different angles, with mixed t: the packet
-    # runs its radial sum once per distinct pair and gathers it back, and
-    # every result equals the same call made point by point
-    pk = WavePacket(l=2, m=1, s=-1, center=1.0, width=0.2, n_nodes=16)
-    radii = np.repeat([0.7, 1.9, 3.4], 6)
-    times = np.tile([0.0, 0.0, 0.6], 6)
-    theta = np.arccos(rng.uniform(-0.9, 0.9, radii.size))
-    phi = rng.uniform(0.0, 2.0 * math.pi, radii.size)
-    pts = (times, radii * np.sin(theta) * np.cos(phi), radii * np.sin(theta) * np.sin(phi),
-           radii * np.cos(theta))
-    n_pairs = np.unique(times + 1j * charts.sph_angles(*pts[1:])[0]).size
-    assert n_pairs < radii.size
-
+def _counting_radial_points(monkeypatch):
+    """Record the number of radial points of each sph_radial_profiles call."""
     seen = []
     profiles = modes.sph_radial_profiles
 
@@ -206,12 +194,50 @@ def test_packet_batch_shares_radial_work_per_distinct_t_r(monkeypatch, rng):
         return profiles(label, r, derivs)
 
     monkeypatch.setattr(modes, "sph_radial_profiles", counted)
+    return seen
+
+
+def test_packet_batch_shares_radial_work_per_distinct_t_r(monkeypatch, rng):
+    # points repeating (t, r) at different angles, with mixed t: the packet
+    # runs its radial sum once per distinct pair (radii recomputed from
+    # (x, y, z) count as the radius they round from) and gathers it back,
+    # and every result equals the same call made point by point
+    pk = WavePacket(l=2, m=1, s=-1, center=1.0, width=0.2, n_nodes=16)
+    radii = np.repeat([0.7, 1.9, 3.4], 6)
+    times = np.tile([0.0, 0.0, 0.6], 6)
+    theta = np.arccos(rng.uniform(-0.9, 0.9, radii.size))
+    phi = rng.uniform(0.0, 2.0 * math.pi, radii.size)
+    pts = (times, radii * np.sin(theta) * np.cos(phi), radii * np.sin(theta) * np.sin(phi),
+           radii * np.cos(theta))
+    n_pairs = np.unique(times + 1j * radii).size
+    assert n_pairs < radii.size
+
+    seen = _counting_radial_points(monkeypatch)
     for method in (pk.evaluate, pk.time_derivative().evaluate, pk.gradient):
         seen.clear()
         batch = method(*pts)
         assert seen == [pk.p_nodes.size * n_pairs]
         single = np.stack([method(*(c[i] for c in pts)) for i in range(radii.size)])
         assert np.abs(batch - single).max() <= 1e-13 * np.abs(single).max()
+
+
+def test_packet_on_the_ball_takes_its_radial_sum_once_per_radius(monkeypatch, packet):
+    # the packet ball's 128 radii, recomputed from (x, y, z), round to 332
+    # distinct values; the radial sum runs once per radius, and evaluate
+    # and jet equal the point-by-point calls on every 61st node
+    t, x, y, z, _ = inner_product.slice_nodes(PACKET_QUAD)
+    assert np.unique(charts.sph_angles(x, y, z)[0]).size > PACKET_QUAD.n_r
+    seen = _counting_radial_points(monkeypatch)
+    d_dt = packet.time_derivative()
+    for method in (lambda *c: (packet.evaluate(*c),), lambda *c: (d_dt.evaluate(*c),),
+                   packet.jet):
+        seen.clear()
+        batch = method(t, x, y, z)
+        assert seen == [packet.p_nodes.size * PACKET_QUAD.n_r]
+        singles = [method(t[i], x[i], y[i], z[i]) for i in range(0, t.size, 61)]
+        for got, want in zip(batch, zip(*singles)):
+            want = np.stack(want)
+            assert np.abs(got[::61] - want).max() <= 1e-13 * np.abs(want).max()
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +440,7 @@ def test_slice_gram_frees_its_arrays_on_return(form):
                                               ("field_strength", "jet")])
 def test_slice_gram_in_blocks_matches_the_full_node_sum(monkeypatch, form, derivative):
     # 12^3 = 1728 nodes in blocks of 300: five full blocks and one of 228
-    monkeypatch.setattr(inner_product, "_SLICE_BLOCK", 300)
+    monkeypatch.setattr(inner_product, "_BLOCK", 300)
     box = SliceSpec(chart="cartesian", box_half=3.0, n_box=12)
     shared = _Counted(cylindrical_mode(CylindricalLabel(1.2, 0.5, 1, +1)))
     other = plane_wave(PlaneWaveLabel((0.2, -0.4, 0.7), -1))
@@ -457,29 +483,45 @@ def _gauge_box_gram(n_box):
 def test_slice_gram_working_set_is_bounded_on_a_large_box():
     # 64^3 field-strength gauge box: one full-slice 4x4 complex jet alone
     # would be 67 MB, and whole-slice nodes and weights 10 MB; per-block
-    # nodes and pairs keep the whole call to one block's working set
-    assert _traced_peak_mb(lambda: _gauge_box_gram(64)) < 40.0
+    # nodes and pairs keep the whole call to one block's working set (about
+    # 2 MB with the one-time allocations of a first call, 9.9 MB in blocks
+    # of 16,384 nodes)
+    assert _traced_peak_mb(lambda: _gauge_box_gram(64)) < 3.0
 
 
 def test_slice_gram_working_set_does_not_grow_with_the_slice():
     # each block's nodes are gathered from the 1-d rule, so the traced peak
-    # is one block's nodes and pairs (about 9 MB) at any box size, where
+    # is one block's nodes and pairs (about 1.3 MB) at any box size, where
     # whole-slice nodes would make it 13 MB at 48^3 and 29 MB at 80^3.  A
     # first small call keeps one-time allocations out of the measurement.
     _gauge_box_gram(8)
     small, large = (_traced_peak_mb(lambda: _gauge_box_gram(n)) for n in (48, 80))
-    assert large <= 1.1 * small and large < 12.0, (small, large)
+    assert large <= 1.1 * small and large < 3.0, (small, large)
+
+
+def test_packet_inner_of_a_lie_field_stays_within_a_block_working_set(packet):
+    # the hermiticity check's L_3 inner products: the 4x4 jets of two
+    # 48-energy packets are taken a block of the ball at a time (11.6 and
+    # 12.6 MB traced with the ball as one block)
+    near = WavePacket(l=1, m=1, s=-1, center=1.1, width=0.2, n_nodes=48)
+    low = WavePacket(l=2, m=0, s=+1, center=0.9, width=0.18, n_nodes=48)
+    f1, f2 = Superposition([(1.0, packet), (0.7, near)]), Superposition([(1.0, near), (0.5j, low)])
+    for a, b in ((LieField(L3(), f1), f2), (f1, LieField(L3(), f2))):
+        inner(a, b, PACKET_QUAD)
+        peak = _traced_peak_mb(lambda: inner(a, b, PACKET_QUAD))
+        assert peak < 5.0, peak
 
 
 def test_slice_nodes_equal_the_meshgrid_form():
-    # the packet ball, and a box of one full block and a ragged block of
-    # 5,568 nodes: slice_nodes and slice_gram's blocks, concatenated, are
-    # the whole-slice meshgrid nodes bit for bit
+    # the packet ball of four full blocks, and a box of ten full blocks and
+    # a ragged block of 1,472 nodes: slice_nodes and slice_gram's blocks,
+    # concatenated, are the whole-slice meshgrid nodes bit for bit
     box = SliceSpec(chart="cartesian", box_half=6.5, n_box=28, t_slice=0.4)
-    for spec, sizes in ((PACKET_QUAD, [128 * 8 * 8]), (box, [inner_product._SLICE_BLOCK, 5568])):
+    for spec, sizes in ((PACKET_QUAD, [inner_product._BLOCK] * 4),
+                        (box, [inner_product._BLOCK] * 10 + [1472])):
         want = slice_nodes_meshgrid(spec)
         got = inner_product.slice_nodes(spec)
-        blocks = list(inner_product._slice_blocks(spec, inner_product._SLICE_BLOCK))
+        blocks = list(inner_product._slice_blocks(spec, inner_product._BLOCK))
         assert [len(w) for _, w in blocks] == sizes
         walked = [np.concatenate([nodes[k] for nodes, _ in blocks]) for k in range(4)]
         walked.append(np.concatenate([w for _, w in blocks]))
@@ -499,27 +541,37 @@ def test_superposition_jet_equals_the_per_term_sum(packet, rng):
     assert np.array_equal(a, want_a) and np.array_equal(g, want_g)
 
 
-def _field_strength_form_reference(a_field, b_field, spec):
-    """inner_field_strength_form from the full 4x4 field strength of each
-    field's jet (a gauge shift's jet carries the Hessian of Lambda),
+def _field_strength_entry(a_field, b_field, nodes, w):
+    """One block's field-strength entry from the full 4x4 field strength of
+    each field's jet (a gauge shift's jet carries the Hessian of Lambda),
     reduced as slice_gram reduces an entry."""
-    t, x, y, z, w = inner_product.slice_nodes(spec)
-    (av, ga), (bv, gb) = a_field.jet(t, x, y, z), b_field.jet(t, x, y, z)
+    (av, ga), (bv, gb) = a_field.jet(*nodes), b_field.jet(*nodes)
     return _entry(av, (ga - np.swapaxes(ga, -1, -2))[..., 0, :],
                   bv, (gb - np.swapaxes(gb, -1, -2))[..., 0, :], w)
 
 
+def _field_strength_form_reference(a_field, b_field, spec):
+    """inner_field_strength_form on the whole slice as one block."""
+    t, x, y, z, w = inner_product.slice_nodes(spec)
+    return _field_strength_entry(a_field, b_field, (t, x, y, z), w)
+
+
 def test_field_strength_form_equals_full_field_strength(packet):
+    # the reference is reduced block by block as slice_gram reduces it: the
+    # ball of 1,152 nodes is one block, the box of 4,096 nodes two
     quad = SliceSpec(r_max=30.0, n_r=32, n_theta=6, n_phi=6)
-    assert (inner_field_strength_form(packet, packet, quad)
-            == _field_strength_form_reference(packet, packet, quad))
     box = SliceSpec(chart="cartesian", box_half=4.0, n_box=16)
     la = PlaneWaveLabel((0.0, 0.0, 1.2), +1)
     shifted = gauge_shift(plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1)),
                           GaussianBumpScalar(center=(0.2, -0.3, 0.1), width=0.8, c0=1.1,
                                              linear=(0.3, -0.2, 0.4)))
-    assert (inner_field_strength_form(plane_wave(la), shifted, box)
-            == _field_strength_form_reference(plane_wave(la), shifted, box))
+    for a, b, spec, n_blocks in ((packet, packet, quad, 1), (plane_wave(la), shifted, box, 2)):
+        blocks = list(inner_product._slice_blocks(spec, inner_product._BLOCK))
+        assert len(blocks) == n_blocks
+        want = np.zeros((1, 1), dtype=complex)
+        for nodes, w in blocks:
+            want += _field_strength_entry(a, b, nodes, w)
+        assert inner_field_strength_form(a, b, spec) == complex(want[0, 0])
 
 
 def _density_node_terms(a_field, b_field, spec, form):
@@ -545,7 +597,8 @@ def _gamma(n):
 @pytest.mark.parametrize("form", ["current", "field_strength"])
 def test_slice_gram_equals_the_elementwise_density_node_sum(packet, form):
     # the dot products only reorder the sum over nodes and Lorentz index:
-    # on the packet ball (one block) and on a gauge box of two blocks, each
+    # on the packet ball (four blocks) and on a gauge box of one block and a
+    # ragged one, each
     # entry is within the rounding of its sum of the exact (fsum) sum of the
     # node terms.  Each dot product sums 4 products a node; a few more
     # roundings form each product, each reference term and the final sums.
@@ -554,8 +607,8 @@ def test_slice_gram_equals_the_elementwise_density_node_sum(packet, form):
     shifts = [gauge_shift(pw_b, GaussianBumpScalar(center=(0.1 * k, -0.2, 0.3), width=0.7,
                                                    c0=1.0, linear=(0.2, -0.1, 0.3)))
               for k in range(2)]
-    gbox = SliceSpec(chart="cartesian", box_half=6.5, n_box=28)
-    assert inner_product._SLICE_BLOCK < 28**3 <= 2 * inner_product._SLICE_BLOCK
+    gbox = SliceSpec(chart="cartesian", box_half=6.5, n_box=13)
+    assert inner_product._BLOCK < 13**3 <= 2 * inner_product._BLOCK
     for left, right, spec in (([packet], [packet, near], PACKET_QUAD),
                               ([plane_wave(PlaneWaveLabel((0.0, 0.0, 1.2), +1))],
                                [pw_b, *shifts], gbox)):
@@ -609,6 +662,15 @@ def test_smeared_delta_rows():
     assert abs(num - want) < 0.02 * abs(want)
 
 
+@pytest.mark.parametrize("kind, order", [("cyl_rho", 2), ("sph_r", 1)])
+def test_smeared_delta_kernel_stays_within_a_chunk_working_set(kind, order):
+    # the k' kernel's Bessel values come _SMEAR_ROWS k' nodes at a time into
+    # one (SMEAR_NODES, n) array (11.4 MB traced in one 98,304-point call)
+    smeared_radial_delta(kind, order, 1.0, 1.05, 0.05)
+    peak = _traced_peak_mb(lambda: smeared_radial_delta(kind, order, 1.0, 1.05, 0.05))
+    assert peak < 4.0, peak
+
+
 @pytest.mark.parametrize("kind, sigma, field", [("cyl", 0.05, "kind"), ("sph", 0.05, "kind"),
                                                 ("sph_r", -0.05, "sigma"), ("sph_r", 0.0, "sigma"),
                                                 ("cyl_rho", math.nan, "sigma"),
@@ -639,6 +701,19 @@ def test_bessel_overlaps_name_a_bad_wavenumber(field, value):
             ks = {"k1": 1.0, "k2": 1.0, field: value}
             bessel_overlap("sph_inv_r", 1, ks["k1"], ks["k2"], TailSpec())
     assert bessel_overlap("sph_inv_r", 1, 0.0, 1.0, TailSpec()) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["sph_inv_r", "sph_cross"])
+@pytest.mark.parametrize("order", [-1, -0.5, 1.5, math.nan, math.inf])
+def test_bessel_overlaps_name_an_order_that_is_not_a_multipole_order(kind, order):
+    # order = l: sph_inv_r at order -1 diverges at r = 0, where the
+    # regularized integral returned 467.18 against a closed form of -1.414,
+    # and the closed form at order -0.5 raised a bare ZeroDivisionError
+    with pytest.raises(ValueError, match="order"):
+        bessel_overlap(kind, order, 1.0, 2.0, TailSpec())
+    with pytest.raises(ValueError, match="order"):
+        bessel_overlap_closed_form(kind, order, 1.0, 2.0)
+    assert bessel_overlap_closed_form(kind, 0, 1.0, 2.0) > 0.0
 
 
 def test_composite_rule_computes_each_gauss_legendre_rule_once(monkeypatch):
@@ -725,11 +800,11 @@ def test_composite_rule_in_blocks_matches_the_single_block_sum(monkeypatch):
         seen.append(r.copy())
         return np.stack([np.cos(r), (1.0 + 1.0j) * r * np.exp(-0.1 * r)])
 
-    monkeypatch.setattr(inner_product, "_TAIL_BLOCK", 10**6)
+    monkeypatch.setattr(inner_product, "_BLOCK", 10**6)
     whole = inner_product._composite_gl(f, 0.0, 37.0, 1.0)
     (nodes,) = seen
     seen.clear()
-    monkeypatch.setattr(inner_product, "_TAIL_BLOCK", 100)
+    monkeypatch.setattr(inner_product, "_BLOCK", 100)
     blocked = inner_product._composite_gl(f, 0.0, 37.0, 1.0)
     assert [len(r) for r in seen] == [100] * 5 + [92]
     assert np.array_equal(np.concatenate(seen), nodes)

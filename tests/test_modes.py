@@ -393,6 +393,27 @@ def test_spherical_jet_memory_is_bounded_by_its_outputs():
     assert peak < 2.5 * (a.nbytes + g.nbytes)
 
 
+def test_radius_groups_merge_roundoff_only(rng):
+    # radii a unit of roundoff apart share a group, and so does t only when
+    # equal; a run of radii whose consecutive gaps are each one unit but
+    # that spreads wider than _RADIUS_RTOL keeps its distinct values apart
+    eps = np.finfo(float).eps
+    base = rng.uniform(0.1, 40.0, 50)
+    r = np.concatenate([base, base * (1.0 + eps), base * (1.0 - eps), base])
+    t = np.concatenate([np.zeros(150), np.full(50, 0.5)])
+    ts, rs, inverse = modes._radius_groups(t, r)
+    assert rs.size == 100 and np.array_equal(ts[inverse], t)
+    assert np.all(np.abs(rs[inverse] - r) <= modes._RADIUS_RTOL * r)
+    chain = 1.0 + np.arange(40) * eps
+    ts, rs, inverse = modes._radius_groups(0.0, chain)
+    assert np.all(np.abs(rs[inverse] - chain) <= modes._RADIUS_RTOL * chain)
+    assert rs.size == chain.size
+    empty = np.zeros(0)
+    packet = WavePacket(l=1, m=0, s=+1, n_nodes=4)
+    assert packet.evaluate(empty, empty, empty, empty).shape == (0, 4)
+    assert packet.jet(empty, empty, empty, empty)[1].shape == (0, 4, 4)
+
+
 def test_spherical_radial_identity():
     # R- + R+ = b J_{l+1/2}(p0 r) / sqrt(p0 r) with b = i s b0 sqrt2/sqrt(L)
     # and b0 = sqrt(L p0)/2 in the normalization used here

@@ -680,7 +680,8 @@ def discrete_orthonormality(family, fixed, ranges, spec: TailSpec) -> GramResult
     regularized truncation protocol so the normalization is uniform.
     ValueError naming the field, before any quadrature, unless p0 is finite
     and > 0, pz finite with |pz| < p0, l_max an integer >= 1 and m_max an
-    integer >= 0.
+    integer >= 0; ValueError naming p0, after it, when the Gram's diagonal
+    is not finite and > 0 (a p0 so small that the radial integrals overflow).
     """
     if family == "spherical":
         return _gram_spherical(fixed["p0"], _integer("l_max", ranges["l_max"], 1), spec)
@@ -701,6 +702,9 @@ def _hermitian_gram(family, labels, entry, fixed):
             gram[i, j] = value
             gram[j, i] = np.conj(gram[i, j])
     diag = np.real(np.diag(gram)).copy()
+    if not np.all(np.isfinite(diag) & (diag > 0)):
+        raise ValueError(f"p0={fixed['p0']!r} is out of range: the Gram's "
+                         f"diagonal is not finite and > 0")
     return GramResult(family, labels, gram / np.sqrt(np.outer(diag, diag)), diag, fixed)
 
 
@@ -739,7 +743,7 @@ def _gram_spherical(p0, l_max, spec):
 def _gram_cylindrical(p0, pz, m_max, spec):
     labels = [(m, s) for m in range(-m_max, m_max + 1) for s in (+1, -1)]
     modes = {(m, s): CylindricalMode(CylindricalLabel(p0, pz, m, s)) for (m, s) in labels}
-    alpha = math.sqrt(max(p0**2 - pz**2, 0.0))
+    alpha = modes[0, 1].alpha
     if alpha == 0.0:   # |pz| = p0: every label but m = +-1 is the zero field
         raise ValueError(f"pz must be finite with |pz| < p0, got pz={pz!r}, p0={p0!r}")
     n_phi = 8 * m_max + 8

@@ -1,15 +1,19 @@
 """The public surface: the names the package exports, written out by hand
 as CLAIM_LIST is for the claims, and the names the benchmark harness under
-perfbench/ binds.  The perfbench files are read, never imported as modules
-or written to, so no bytecode lands beside them."""
+perfbench/ binds and the work its tracer sees.  The perfbench files are
+read, never imported as modules or written to, so no bytecode lands beside
+them."""
 
 import importlib
+import json
 import re
 import types
 from pathlib import Path
 
+import numpy as np
+
 import photonmodes
-from photonmodes import fdiff, inner_product, modes, operators
+from photonmodes import cli, fdiff, harmonics, inner_product, modes, operators
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -68,6 +72,53 @@ def test_names_the_tracer_binds_resolve():
         for meth in ("evaluate", "gradient"):
             assert callable(cls.__dict__.get(meth)), f"{cls_name}.{meth}"
     assert callable(fdiff.gradient4)
+
+
+def _field_calls():
+    rng = np.random.default_rng(7)
+    t, z = rng.uniform(-1.0, 1.0, (2, 16))
+    rho, phi = rng.uniform(0.3, 2.0, 16), rng.uniform(0.0, 2.0 * np.pi, 16)
+    x, y = rho * np.cos(phi), rho * np.sin(phi)
+    for label in (modes.PlaneWaveLabel((0.3, -0.4, 0.5), 1),
+                  modes.CylindricalLabel(1.0, 0.3, 2, 1), modes.SphericalLabel(1.0, 2, 1, 1)):
+        mode = modes.make_mode(label)
+        mode.evaluate(t, x, y, z)
+        mode.gradient(t, x, y, z)
+
+
+def _gram_calls():
+    harmonics._gauss_legendre.cache_clear()   # so leggauss runs again
+    for label in (["--family", "spherical", "--label", "p0=1.0,lmax=1"],
+                  ["--family", "cylindrical", "--label", "p0=1.0,pz=0.3,mmax=1"]):
+        assert cli.main(["overlap", *label]) == 0
+
+
+def test_every_traced_layer_of_the_field_and_gram_workloads_sees_work():
+    # perfbench/run.py exits 3 when a layer that design.json assigns to a
+    # workload records no work: a refactor that calls a copy of a measured
+    # function, which the tracer cannot rebind, would do that.  The calls
+    # reach the package through module attributes, as the workloads do, and
+    # each workload's calls are traced on their own
+    tracer_ns = _perfbench_namespace("tracer.py")
+    design = json.loads((PERFBENCH / "design.json").read_text())
+    idle = []
+    for workload, calls in (("field", _field_calls), ("gram", _gram_calls)):
+        tracer = tracer_ns["Tracer"]().install()
+        try:
+            calls()
+        finally:
+            tracer.uninstall()
+        values, orders = tracer_ns["aggregate"]({
+            "spans": tracer.spans, "leggauss_calls": tracer.leggauss_calls,
+            "leggauss_orders": sorted(tracer.leggauss_orders)})
+        # as perfbench/run.py's layer_metrics derives them
+        n_calls = values["inner_product.leggauss.calls"]
+        values["inner_product.leggauss.distinct"] = len(orders)
+        values["inner_product.leggauss.reuse_frac"] = len(orders) / n_calls if n_calls else 0.0
+        idle += [f"{workload}: {metric}" for row in design["layers"]
+                 if workload in row["workloads"] for metric in row["metrics"]
+                 if not metric.endswith(".errors") and not values.get(metric, 0) > 0]
+    assert idle == []
 
 
 def test_names_the_workloads_bind_resolve():

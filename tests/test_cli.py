@@ -8,7 +8,8 @@ import pytest
 
 from photonmodes import cli, modes
 from photonmodes.cli import FMT, main
-from photonmodes.modes import FieldGrid, GridSpec, SphericalLabel, make_mode, sample_grid
+from photonmodes.modes import (CylindricalLabel, FieldGrid, GridSpec, PlaneWaveLabel,
+                               SphericalLabel, make_mode, sample_grid)
 
 
 def test_eval_polar_slice(tmp_path):
@@ -88,6 +89,29 @@ def test_eval_streams_the_bytes_of_the_whole_body_writer(tmp_path, monkeypatch, 
             == (tmp_path / f"whole.{fmt}").read_bytes())
     if fmt == "json":
         assert len(json.loads((tmp_path / "blocked.json").read_text())["rows"]) == 2002
+
+
+@pytest.mark.parametrize("family, text, grid, label, spec", [
+    # the A_0 columns of a plane wave are all zero
+    pytest.param("plane", "px=0.3,py=-0.4,pz=0.5,s=-1",
+                 "x:-1.5:1.5:32,y:-1.5:1.5:32,z:-1.5:1.5:32",
+                 PlaneWaveLabel((0.3, -0.4, 0.5), -1),
+                 GridSpec(x=(-1.5, 1.5, 32), y=(-1.5, 1.5, 32), z=(-1.5, 1.5, 32)), id="plane"),
+    # 3 * 17 * 5 * 23 = 5865 rows, not a whole number of blocks or chunks
+    pytest.param("cylindrical", "p0=0.9,pz=0.3,m=2,s=-1",
+                 "t:0:0.2:3,x:-1:1:17,y:-0.25:0.25:5,z:-1:1:23",
+                 CylindricalLabel(0.9, 0.3, 2, -1),
+                 GridSpec(t=(0.0, 0.2, 3), x=(-1.0, 1.0, 17), y=(-0.25, 0.25, 5),
+                          z=(-1.0, 1.0, 23)), id="bessel-4d")])
+def test_eval_csv_body_is_savetxt_for_plane_and_bessel_grids(tmp_path, monkeypatch, family,
+                                                            text, grid, label, spec):
+    monkeypatch.setattr(modes, "_GRID_BLOCK", 2000)
+    monkeypatch.setattr(cli, "_CSV_ROWS", 700)
+    assert main(["eval", "--family", family, "--label", text, "--grid", grid,
+                 "--out", str(tmp_path / "blocked")]) == 0
+    header = json.loads((tmp_path / "blocked.header.json").read_text())
+    _whole_body_writer(sample_grid(make_mode(label), spec), header, tmp_path / "whole", "csv")
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "whole.csv").read_bytes()
 
 
 def test_eval_writes_at_most_one_chunk_of_rows_at_a_time(tmp_path, monkeypatch):
@@ -307,6 +331,17 @@ def test_overlap_rejects_an_invalid_label_range(capsys, family, label, field):
 def test_overlap_rejects_a_non_finite_energy(capsys, label):
     assert main(["overlap", "--family", "spherical", "--label", label]) == 2
     assert "p0 must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_overlap_rejects_an_energy_whose_gram_diagonal_is_not_finite(tmp_path, capsys):
+    # at p0 = 1e-300 the radial integrals overflow; writing that Gram would
+    # give "max_offdiag": NaN and a matrix of nulls
+    out = tmp_path / "gram.json"
+    assert main(["overlap", "--family", "spherical", "--label", "p0=1e-300,lmax=1",
+                 "--out", str(out)]) == 2
+    assert "p0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_outputs_record_python_and_numpy_versions(tmp_path):

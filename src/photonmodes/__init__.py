@@ -18,7 +18,7 @@ from .operators import (KillingField, P_lower, P_upper, M_lower, L1, L2, L3,
                         L_plus, L_minus, lie_derivative,
                         angular_momentum_squared, helicity_dual,
                         dalembertian_residual, divergence_residual,
-                        commutator_check, check_all_brackets,
+                        check_all_brackets,
                         pauli_lubanski_residual)
 from .inner_product import (SliceSpec, TailSpec, WavePacket, Superposition, inner,
                             inner_field_strength_form, current, gauge_shift,

@@ -379,6 +379,13 @@ def bessel_j_int_orders(orders, x):
 # Harmonic labels
 # ---------------------------------------------------------------------------
 
+def _integer(name, value, low):
+    """value as an int; ValueError naming it unless an integer >= low."""
+    if not float(value).is_integer() or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+    return int(value)
+
+
 def _set_integers(label, *names):
     """Store the named fields of a frozen label as ints; InvalidLabelError
     unless each is integral (so neither NaN nor infinite)."""
@@ -592,8 +599,7 @@ def sample_harmonic(label, radial, n_phi=32) -> PolarGridFunction:
     """The harmonic of label on the grid radial x (2 pi k / n_phi), of the geometry
     of the label's type; TypeError naming any other type, ValueError naming
     n_phi unless it is an integer >= 1."""
-    if not float(n_phi).is_integer() or n_phi < 1:
-        raise ValueError(f"n_phi must be an integer >= 1, got {n_phi!r}")
+    n_phi = _integer("n_phi", n_phi, 1)
     radial = np.asarray(radial, dtype=float)
     phi = np.arange(n_phi) * (2.0 * math.pi / n_phi)
     rr, pp = np.meshgrid(radial, phi, indexing="ij")

@@ -57,7 +57,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .charts import ETA_DIAG
-from .harmonics import _gauss_legendre, bessel_j, sph_harmonic_gram
+from .harmonics import _gauss_legendre, _integer, bessel_j, sph_harmonic_gram
 from .modes import (SphericalLabel, CylindricalLabel, CylindricalMode, SphericalMode,
                     Superposition, sph_radial_profiles, _broadcast, _index_blocks)
 
@@ -80,13 +80,6 @@ _SMEAR_ROWS = 8
 # ---------------------------------------------------------------------------
 # Quadrature specification
 # ---------------------------------------------------------------------------
-
-def _integer(name, value, low):
-    """value as an int; ValueError naming it unless an integer >= low."""
-    if not float(value).is_integer() or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-    return int(value)
-
 
 def _store_count(spec, nm, low):
     """ValueError naming nm unless it is an integer >= low; stored as int."""
@@ -403,7 +396,7 @@ class WavePacket(SphericalMode):
 
     discretized by Gauss-Legendre nodes over center +- 6 w.  It is the
     SphericalMode whose energy spectrum is (p_nodes, amplitudes), with
-    amplitudes = p_weights g(p_nodes): the angular x dyad factor is built
+    amplitudes the rule's weights times g(p_nodes): the angular x dyad factor is built
     once per point set and only the radial factor is summed over the nodes.
     Its label carries the central energy.  Its norm under the
     conserved-current inner product equals int |g|^2 dp0 (= 1 up to
@@ -416,18 +409,16 @@ class WavePacket(SphericalMode):
             raise ValueError(f"WavePacket width must be finite and > 0, got {width!r}")
         if not math.isfinite(center):
             raise ValueError(f"WavePacket center must be finite, got {center!r}")
-        if not float(n_nodes).is_integer() or n_nodes < 1:
-            raise ValueError(f"WavePacket n_nodes must be an integer >= 1, got {n_nodes!r}")
+        n_nodes = _integer("WavePacket n_nodes", n_nodes, 1)
         if center - 4.0 * width <= 0:
             raise ValueError("packet support must stay at positive energy")
         super().__init__(SphericalLabel(p0=center, l=l, m=m, s=s))
         self.center, self.width = float(center), float(width)
-        xg, wg = _gauss_legendre(int(n_nodes))
+        xg, wg = _gauss_legendre(n_nodes)
         lo = max(center - 6.0 * width, 0.02 * center)
         hi = center + 6.0 * width
         self.p_nodes = 0.5 * (xg + 1.0) * (hi - lo) + lo
-        self.p_weights = wg * 0.5 * (hi - lo)
-        self.amplitudes = self.p_weights * self._g(self.p_nodes)
+        self.amplitudes = wg * 0.5 * (hi - lo) * self._g(self.p_nodes)
         self._spectrum = (self.p_nodes, self.amplitudes)
 
     def _g(self, p):
@@ -655,11 +646,9 @@ def smeared_radial_delta(kind, order, k_fixed, center, sigma):
 
 @dataclass
 class GramResult:
-    family: str
     labels: list
     matrix: np.ndarray           # normalized by the diagonal
     diagonal: np.ndarray
-    fixed: dict
     max_offdiag: float = dataclass_field(init=False)
 
     def __post_init__(self):
@@ -691,7 +680,7 @@ def discrete_orthonormality(family, fixed, ranges, spec: TailSpec) -> GramResult
     raise ValueError(f"unknown family {family!r}")
 
 
-def _hermitian_gram(family, labels, entry, fixed):
+def _hermitian_gram(labels, entry, p0):
     """The Hermitian Gram over labels with upper triangle entry(i, j), i <= j
     (None: nothing to integrate, the pair stays zero), normalized by its
     real diagonal."""
@@ -703,9 +692,9 @@ def _hermitian_gram(family, labels, entry, fixed):
             gram[j, i] = np.conj(gram[i, j])
     diag = np.real(np.diag(gram)).copy()
     if not np.all(np.isfinite(diag) & (diag > 0)):
-        raise ValueError(f"p0={fixed['p0']!r} is out of range: the Gram's "
+        raise ValueError(f"p0={p0!r} is out of range: the Gram's "
                          f"diagonal is not finite and > 0")
-    return GramResult(family, labels, gram / np.sqrt(np.outer(diag, diag)), diag, fixed)
+    return GramResult(labels, gram / np.sqrt(np.outer(diag, diag)), diag)
 
 
 def _gram_spherical(p0, l_max, spec):
@@ -737,7 +726,7 @@ def _gram_spherical(p0, l_max, spec):
                               for sector, ang in enumerate(angular)
                               if abs(ang[i // 2, j // 2]) >= 1e-14)
 
-    return _hermitian_gram("spherical", labels, entry, {"p0": p0})
+    return _hermitian_gram(labels, entry, p0)
 
 
 def _gram_cylindrical(p0, pz, m_max, spec):
@@ -766,4 +755,4 @@ def _gram_cylindrical(p0, pz, m_max, spec):
                                  + np.conj(ca.cm) * cb.cm * radial[abs(m - 1)]
                                  + np.conj(ca.cp) * cb.cp * radial[abs(m + 1)])
 
-    return _hermitian_gram("cylindrical", labels, entry, {"p0": p0, "pz": pz})
+    return _hermitian_gram(labels, entry, p0)

@@ -58,6 +58,7 @@ from .harmonics import (
     _bessel_half_all,
     eth_factor_sph,
     ethbar_factor_sph,
+    _integer,
     _set_integers,
     sph_harmonic_values,
 )
@@ -591,9 +592,7 @@ class GridSpec:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"grid axis {name}: min and max must be finite, "
                                  f"got {lo!r}, {hi!r}")
-            if not float(n).is_integer() or n < 1:
-                raise ValueError(f"grid axis {name}: n must be an integer >= 1, got {n!r}")
-            object.__setattr__(self, name, (lo, hi, int(n)))
+            object.__setattr__(self, name, (lo, hi, _integer(f"grid axis {name}: n", n, 1)))
 
     def axis(self, name):
         lo, hi, n = getattr(self, name)

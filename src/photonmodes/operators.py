@@ -5,8 +5,10 @@ The Poincare generators are realized by Killing fields,
     P_mu  = i d/dx^mu,
     M_munu = i (x_mu d/dx^nu - x_nu d/dx^mu),
 
-acting on fields through the Lie derivative; brackets of these affine fields
-are computed exactly and matched against the structure constants with zero
+acting on fields through the Lie derivative.  A KillingField is a bare
+affine map (const, lin), a generator is named by its index tuple (mu,) or
+(mu, nu), and the brackets of these fields are computed exactly and matched
+against the structure constants (one formula, expected_bracket) with zero
 tolerance.  The helicity operator is the field-strength duality
 
     S F_ab = -(i/2) eps_abcd F^{cd},
@@ -19,21 +21,22 @@ identity regardless of orientation.
 One lie_derivative serves covectors (A_a) and rank-2 tensors (F_ab); it
 is taken analytically, from one ``jet`` (value and gradient), whenever the
 field exposes one and by fdiff's 4th-order finite differences otherwise.
-A LieField is that derivative as a field, and its time_derivative() the Lie
-field of the base's; the finite-difference checks ask for method="fd".
+A LieField is that derivative as a field; its time_derivative() adds the
+Lie derivative along the commutator [d_t, xi], nonzero for the boosts.  The
+finite-difference checks ask for method="fd".
 Residual operators (d'Alembertian, divergence) act on sampled FieldGrids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import fdiff
 from .charts import ETA_DIAG, LEVI_CIVITA
 from .errors import AsymmetryError, StencilError
-from .modes import FieldGrid, field_strength
+from .modes import FieldGrid, Superposition, field_strength
 
 I = 1j
 
@@ -48,7 +51,6 @@ class KillingField:
 
     All generators here have exactly antisymmetric-after-lowering linear
     parts, so the Killing equation holds identically."""
-    name: str
     const: np.ndarray
     lin: np.ndarray
 
@@ -62,61 +64,66 @@ class KillingField:
         return self.lin.T.copy()
 
     def __mul__(self, scalar):
-        return KillingField(f"({scalar})*{self.name}", scalar * self.const, scalar * self.lin)
+        return KillingField(scalar * self.const, scalar * self.lin)
 
     __rmul__ = __mul__
 
     def __add__(self, other):
-        return KillingField(f"{self.name}+{other.name}", self.const + other.const,
-                            self.lin + other.lin)
+        return KillingField(self.const + other.const, self.lin + other.lin)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
 
 
 def P_lower(mu) -> KillingField:
     c = np.zeros(4, dtype=complex)
     c[mu] = I
-    return KillingField(f"P{mu}", c, np.zeros((4, 4), dtype=complex))
+    return KillingField(c, np.zeros((4, 4), dtype=complex))
 
 
 def P_upper(mu) -> KillingField:
-    return replace(ETA_DIAG[mu] * P_lower(mu), name=f"P^{mu}")
+    return ETA_DIAG[mu] * P_lower(mu)
 
 
 def M_lower(mu, nu) -> KillingField:
-    """M_{mu nu}: linear part lin[b, rho] = i (eta_{mu rho} d^b_nu - eta_{nu rho} d^b_mu)."""
+    """M_{mu nu}: linear part lin[b, rho] = i (eta_{mu rho} d^b_nu - eta_{nu rho} d^b_mu),
+    so M_{mu mu} = 0 and M_{nu mu} = -M_{mu nu}."""
     lin = np.zeros((4, 4), dtype=complex)
     for rho in range(4):
         lin[nu, rho] += I * (ETA_DIAG[rho] if rho == mu else 0.0)
         lin[mu, rho] -= I * (ETA_DIAG[rho] if rho == nu else 0.0)
-    return KillingField(f"M{mu}{nu}", np.zeros(4, dtype=complex), lin)
+    return KillingField(np.zeros(4, dtype=complex), lin)
 
 
 def L1() -> KillingField:
-    return replace(M_lower(2, 3), name="L1")
+    return M_lower(2, 3)
 
 
 def L2() -> KillingField:
-    return replace((-1.0) * M_lower(1, 3), name="L2")   # L2 = M31 = -M13
+    return (-1.0) * M_lower(1, 3)   # L2 = M31 = -M13
 
 
 def L3() -> KillingField:
-    return replace(M_lower(1, 2), name="L3")
+    return M_lower(1, 2)
 
 
 def L_plus() -> KillingField:
-    return replace(L1() + 1j * L2(), name="L+")
+    return L1() + 1j * L2()
 
 
 def L_minus() -> KillingField:
-    return replace(L1() + (-1j) * L2(), name="L-")
+    return L1() + (-1j) * L2()
 
 
-def generator_registry():
-    """The ten standard generators, keyed by name."""
-    reg = {f"P{mu}": P_lower(mu) for mu in range(4)}
-    for mu in range(4):
-        for nu in range(mu + 1, 4):
-            reg[f"M{mu}{nu}"] = M_lower(mu, nu)
-    return reg
+#: The ten standard generators by index: (mu,) for P_mu and (mu, nu), mu < nu,
+#: for M_{mu nu}.
+GENERATORS = tuple((mu,) for mu in range(4)) + tuple(
+    (mu, nu) for mu in range(4) for nu in range(mu + 1, 4))
+
+
+def generator(index) -> KillingField:
+    """P_mu for index (mu,), M_{mu nu} for index (mu, nu)."""
+    return P_lower(*index) if len(index) == 1 else M_lower(*index)
 
 
 # ---------------------------------------------------------------------------
@@ -172,9 +179,14 @@ class LieField:
         return lie_derivative(self.xi, self.base, t, x, y, z)
 
     def time_derivative(self):
-        """Lie_xi of the base's time derivative: exact for a time-independent
-        generator, which commutes with d_t."""
-        return LieField(self.xi, self.base.time_derivative())
+        """d_t Lie_xi A = Lie_xi d_t A + Lie_[d_t, xi] A, [d_t, xi] the constant
+        field lin[:, 0]; the second term is left out where it is zero (the
+        translations and rotations, which commute with d_t), not for a boost."""
+        lie = LieField(self.xi, self.base.time_derivative())
+        if not np.any(self.xi.lin[:, 0]):
+            return lie
+        commutator = KillingField(self.xi.lin[:, 0].copy(), np.zeros((4, 4), dtype=complex))
+        return Superposition([(1.0, lie), (1.0, LieField(commutator, self.base))])
 
 
 def angular_momentum_squared(field, t, x, y, z, h=fdiff.DEFAULT_H):
@@ -257,14 +269,7 @@ def pauli_lubanski_residual(mode, t, x, y, z, h=fdiff.DEFAULT_H):
 # Field-equation residuals on grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GridResidual:
-    name: str
-    residual: float
-    extra: dict = dataclass_field(default_factory=dict)
-
-
-def dalembertian_residual(grid: FieldGrid) -> GridResidual:
+def dalembertian_residual(grid: FieldGrid) -> float:
     """max |Box A| over the grid interior, relative to max |A|.
 
     Requires >= 5 nodes on every axis; the excluded boundary ring has width
@@ -281,12 +286,11 @@ def dalembertian_residual(grid: FieldGrid) -> GridResidual:
         d2 = fdiff.grid_partial(kept, ax, grid.spacing(names[ax]), order=2)
         box = sign * d2 if box is None else box + sign * d2
     denom = np.abs(vals).max()
-    res = float(np.abs(box).max() / denom) if denom > 0 else 0.0
-    return GridResidual("dalembertian", res)
+    return float(np.abs(box).max() / denom) if denom > 0 else 0.0
 
 
-def divergence_residual(grid: FieldGrid) -> GridResidual:
-    """max |div A| / max |A| plus the largest temporal component.
+def divergence_residual(grid: FieldGrid) -> tuple:
+    """(max |div A| / max |A|, the largest temporal component max |A_0|).
 
     div A = eta^{mu nu} d_mu A_nu.  On a single-time-slice grid the d_t A_0
     term requires A_0 = 0 (checked) and is dropped.  Each axis's stencil
@@ -308,7 +312,7 @@ def divergence_residual(grid: FieldGrid) -> GridResidual:
         term = ETA_DIAG[ax] * d
         div = term if div is None else div + term
     res = float(np.abs(div).max() / denom) if denom > 0 else 0.0
-    return GridResidual("divergence", res, extra={"a0_max": a0_max})
+    return res, a0_max
 
 
 # ---------------------------------------------------------------------------
@@ -319,83 +323,37 @@ def bracket(xi1: KillingField, xi2: KillingField) -> KillingField:
     """[xi1, xi2]^b = xi1^a d_a xi2^b - xi2^a d_a xi1^b, exact for affine fields."""
     c = xi2.lin @ xi1.const - xi1.lin @ xi2.const
     lin = xi2.lin @ xi1.lin - xi1.lin @ xi2.lin
-    return KillingField(f"[{xi1.name},{xi2.name}]", c, lin)
+    return KillingField(c, lin)
 
 
-def expected_bracket(name1, name2):
-    """Structure constants: a {name: coefficient} combination of generators."""
-    def parse(n):
-        if n.startswith("P"):
-            return ("P", int(n[1]))
-        return ("M", int(n[1]), int(n[2]))
+def expected_bracket(a, b) -> KillingField:
+    """The structure constants for the generators of indices a and b:
 
-    def msym(mu, nu):
-        # canonical name and sign for M_{mu nu}
-        if mu == nu:
-            return None, 0.0
-        return (f"M{min(mu,nu)}{max(mu,nu)}", 1.0 if mu < nu else -1.0)
-
-    a, b = parse(name1), parse(name2)
-    out = {}
-
-    def add(name, coeff):
-        if name is not None and coeff != 0:
-            out[name] = out.get(name, 0.0) + coeff
-
-    if a[0] == "P" and b[0] == "P":
-        return out
-    if a[0] == "P" and b[0] == "M":
-        mu = a[1]
-        rho, sigma = b[1], b[2]
-        # [P_mu, M_rho sigma] = i (eta_{mu rho} P_sigma - eta_{mu sigma} P_rho)
-        add(f"P{sigma}", I * (ETA_DIAG[mu] if mu == rho else 0.0))
-        add(f"P{rho}", -I * (ETA_DIAG[mu] if mu == sigma else 0.0))
-        return out
-    if a[0] == "M" and b[0] == "P":
-        rev = expected_bracket(name2, name1)
-        return {k: -v for k, v in rev.items()}
-    mu, nu = a[1], a[2]
-    rho, sigma = b[1], b[2]
-    # [M_mu nu, M_rho sigma] = i (eta_{mu rho} M_{sigma nu} - eta_{mu sigma} M_{rho nu}
-    #                             - eta_{nu rho} M_{sigma mu} + eta_{nu sigma} M_{rho mu})
-    for eta_pair, (p, q), sign in (
-        ((mu, rho), (sigma, nu), 1.0),
-        ((mu, sigma), (rho, nu), -1.0),
-        ((nu, rho), (sigma, mu), -1.0),
-        ((nu, sigma), (rho, mu), 1.0),
-    ):
-        if eta_pair[0] == eta_pair[1]:
-            name, s2 = msym(p, q)
-            add(name, I * sign * ETA_DIAG[eta_pair[0]] * s2)
-    return out
-
-
-def commutator_check(name1, name2):
-    """Exact comparison of [xi1, xi2] with the structure-constant prediction.
-
-    Returns the expected combination; raises AssertionError on mismatch."""
-    reg = generator_registry()
-    got = bracket(reg[name1], reg[name2])
-    expect = expected_bracket(name1, name2)
-    c = np.zeros(4, dtype=complex)
-    lin = np.zeros((4, 4), dtype=complex)
-    for name, coeff in expect.items():
-        gen = reg[name]
-        c = c + coeff * gen.const
-        lin = lin + coeff * gen.lin
-    if not (np.array_equal(got.const, c) and np.array_equal(got.lin, lin)):
-        raise AssertionError(
-            f"bracket [{name1},{name2}] does not match the structure constants")
-    return expect
+        [P_mu, P_nu]  = 0,
+        [P_mu, M_rs]  = i (eta_mr P_s - eta_ms P_r),
+        [M_mn, M_rs]  = i (eta_mr M_sn - eta_ms M_rn - eta_nr M_sm + eta_ns M_rm),
+        [M, P]        = -[P, M]."""
+    if len(a) > len(b):
+        return (-1.0) * expected_bracket(b, a)
+    eta = np.diag(ETA_DIAG)
+    if len(b) == 1:
+        return 0.0 * P_lower(0)
+    r, s = b
+    if len(a) == 1:
+        (m,) = a
+        return I * (eta[m, r] * P_lower(s) - eta[m, s] * P_lower(r))
+    m, n = a
+    return I * (eta[m, r] * M_lower(s, n) - eta[m, s] * M_lower(r, n)
+                - eta[n, r] * M_lower(s, m) + eta[n, s] * M_lower(r, m))
 
 
 def check_all_brackets():
-    """All 45 distinct generator pairs, exact; returns the number checked."""
-    names = list(generator_registry())
-    count = 0
-    for i, n1 in enumerate(names):
-        for n2 in names[i + 1:]:
-            commutator_check(n1, n2)
-            count += 1
-    return count
-
+    """The pairs (a, b) of GENERATORS, each pair once, whose bracket differs
+    from expected_bracket (exact comparison); [] when the algebra holds."""
+    mismatches = []
+    for i, a in enumerate(GENERATORS):
+        for b in GENERATORS[i + 1:]:
+            got, want = bracket(generator(a), generator(b)), expected_bracket(a, b)
+            if not (np.array_equal(got.const, want.const) and np.array_equal(got.lin, want.lin)):
+                mismatches.append((a, b))
+    return mismatches

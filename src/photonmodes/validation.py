@@ -30,7 +30,7 @@ import numpy as np
 from . import fdiff
 from .charts import ETA_DIAG, dyad_derivatives, dyads
 from .errors import InvalidLabelError
-from .harmonics import (CylHarmonicLabel, SphHarmonicLabel, bessel_j_int_orders,
+from .harmonics import (CylHarmonicLabel, SphHarmonicLabel, _integer, bessel_j_int_orders,
                         eth_analytic, ethbar_analytic, eth_numeric, ethbar_numeric,
                         sample_harmonic, cyl_harmonic_values, sph_harmonic_values,
                         sph_harmonic_gram)
@@ -117,9 +117,7 @@ class CheckSpec:
     n_labels: int = 20
 
     def __post_init__(self):
-        if not float(self.n_labels).is_integer() or self.n_labels < 1:
-            raise ValueError(f"n_labels must be an integer >= 1, got {self.n_labels!r}")
-        object.__setattr__(self, "n_labels", int(self.n_labels))
+        object.__setattr__(self, "n_labels", _integer("n_labels", self.n_labels, 1))
 
 
 @dataclass
@@ -284,9 +282,7 @@ def _box_div_residuals(mode, center, h, n=12):
     gs = GridSpec(t=(-ext / 2, ext / 2, n), x=(cx - ext / 2, cx + ext / 2, n),
                   y=(cy - ext / 2, cy + ext / 2, n), z=(cz_ - ext / 2, cz_ + ext / 2, n))
     grid = sample_grid(mode, gs)
-    box = dalembertian_residual(grid)
-    div = divergence_residual(grid)
-    return box.residual, div.residual, div.extra["a0_max"]
+    return (dalembertian_residual(grid), *divergence_residual(grid))
 
 
 def _field_equations(family, spec):
@@ -466,8 +462,7 @@ def _algebra(spec):
     rng = np.random.default_rng(spec.seed + 3)
     residuals = {}
 
-    n_brackets = check_all_brackets()
-    residuals["bracket_mismatches"] = 0.0 if n_brackets == 45 else 1.0
+    residuals["bracket_mismatches"] = float(len(check_all_brackets()))
 
     # involution S^2 = 1 on random antisymmetric tensors
     worst = 0.0

@@ -32,8 +32,8 @@ PUBLIC = [
     # operators
     "KillingField", "P_lower", "P_upper", "M_lower", "L1", "L2", "L3", "L_plus",
     "L_minus", "lie_derivative", "angular_momentum_squared", "helicity_dual",
-    "dalembertian_residual", "divergence_residual", "commutator_check",
-    "check_all_brackets", "pauli_lubanski_residual",
+    "dalembertian_residual", "divergence_residual", "check_all_brackets",
+    "pauli_lubanski_residual",
     # inner_product
     "SliceSpec", "TailSpec", "WavePacket", "Superposition", "inner",
     "inner_field_strength_form", "current", "gauge_shift", "GaussianBumpScalar",

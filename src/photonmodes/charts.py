@@ -121,11 +121,12 @@ def sph_frame_to_lorentz(a_r, a_theta, a_phi, frame):
     return a_rho * cp - a_phi * sp, a_rho * sp + a_phi * cp, a_r * ct - a_theta * st
 
 
-def sph_frame_gradient(a, d_r, d_theta, d_phi, r, frame):
-    """Spatial Lorentz partials d_i A_j, shape (..., 3, 3) with i, j = x, y,
-    z, of the covector whose frame components are a = (a_r, a_theta, a_phi)
-    (see sph_frame_to_lorentz), from the partials d_r, d_theta, d_phi of
-    those components at radius r.
+def sph_frame_gradient(a, d_r, d_theta, d_phi, r, frame, out):
+    """Spatial Lorentz partials d_i A_j, written into out of shape (..., 3, 3)
+    with i, j = x, y, z, of the covector whose frame components are a =
+    (a_r, a_theta, a_phi) (see sph_frame_to_lorentz), from the partials d_r,
+    d_theta, d_phi of those components at radius r.  Each column j is
+    written as it is turned, so no stacked copy of the gradient is made.
 
     The frame gradient D_b A = e_b . grad A (b = r, theta, phi; grad =
     e_r d_r + e_theta d_theta / r + e_phi d_phi / (r sin(theta))) is turned
@@ -141,8 +142,8 @@ def sph_frame_gradient(a, d_r, d_theta, d_phi, r, frame):
                                  d_theta[2] * inv_r, frame),
             sph_frame_to_lorentz((d_phi[0] - st * a_ph) * inv_rst, (d_phi[1] - ct * a_ph) * inv_rst,
                                  (d_phi[2] + st * a_r + ct * a_th) * inv_rst, frame))
-    return np.stack([np.stack(sph_frame_to_lorentz(*column, frame), axis=-1)
-                     for column in zip(*rows)], axis=-1)
+    for j, column in enumerate(zip(*rows)):
+        out[..., 0, j], out[..., 1, j], out[..., 2, j] = sph_frame_to_lorentz(*column, frame)
 
 
 def sph_dyads(theta, phi):
@@ -198,8 +199,8 @@ def dyad_derivatives(chart, t, x, y, z):
         frame, zero = sph_frame(theta, phi), (0.0, 0.0, 0.0)
         out = np.zeros((3,) + rho.shape + (4, 4), dtype=complex)
         for member, unit in zip(out, np.eye(3)):
-            member[..., 1:, 1:] = sph_frame_gradient(sph_dyad_to_frame(*unit), zero, zero, zero,
-                                                     r, frame)
+            sph_frame_gradient(sph_dyad_to_frame(*unit), zero, zero, zero, r, frame,
+                               member[..., 1:, 1:])
         return out
     _, em, ep = dyads(chart, t, x, y, z)
     k = (1.0 / (SQRT2 * rho))[..., None, None]

@@ -8,9 +8,15 @@ Output formats: field grids are written as a JSON header plus a CSV body
 (one row per node: t, x, y, z then Re/Im of the four covector components,
 17 significant digits, row-major over the axes as declared); reports and
 Gram matrices are JSON with a provenance block (tool, python and numpy
-versions, seed, config hash).  eval streams the body, so its memory is the
-sampled values plus one chunk of formatted rows: a CSV chunk is _CSV_ROWS
-rows written as one string, a JSON chunk one node block of sample_grid.
+versions, seed, config hash).  The config hash is the SHA-256 of the
+config's sorted JSON, taken with the interpreter's built-in SHA-256 module
+(_sha2 on Python 3.12 and later, _sha256 before): hashlib would load
+OpenSSL, about 3.5 MB of resident memory, for this one digest, and is only
+the fallback where neither module is built.
+
+eval streams the body, so its memory is the sampled values plus one chunk
+of formatted rows: a CSV chunk is _CSV_ROWS rows written as one string, a
+JSON chunk one node block of sample_grid (4,096 nodes).
 The CSV fields are the bytes of FMT % v, but their digits come from integer
 arithmetic on whole arrays (a long double product per value, digit tables
 of 4-byte words); FMT % v itself formats only the values that arithmetic
@@ -25,9 +31,16 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import sys
+
+try:
+    from _sha2 import sha256 as _sha256   # Python 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256   # Python 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 import numpy as np
 
@@ -50,7 +63,7 @@ def _provenance(seed, config):
         "python": ".".join(map(str, sys.version_info[:3])),
         "numpy": np.__version__,
         "seed": seed,
-        "config_hash": hashlib.sha256(blob.encode()).hexdigest(),
+        "config_hash": _sha256(blob.encode()).hexdigest(),
     }
 
 

@@ -529,8 +529,12 @@ def sph_harmonic_gram(n, lm, n_theta, n_phi):
     TH, PH = np.meshgrid(np.arccos(xu), np.arange(n_phi) * (2.0 * math.pi) / n_phi,
                          indexing="ij")
     wgt = np.broadcast_to(wu[:, None] * (2.0 * math.pi / n_phi), TH.shape).ravel()
-    basis = np.stack([sph_harmonic_values(n, l, m, TH, PH).ravel() for l, m in lm])
-    return np.einsum("ik,k,jk->ij", np.conj(basis), wgt, basis)
+    basis = np.empty((len(lm), wgt.size), dtype=complex)
+    for row, (l, m) in zip(basis, lm):
+        row[:] = sph_harmonic_values(n, l, m, TH, PH).ravel()
+    weighted = np.conj(basis)
+    weighted *= wgt
+    return weighted @ basis.T
 
 
 # ---------------------------------------------------------------------------

@@ -353,7 +353,8 @@ def sph_radial_profiles(label: SphericalLabel, r, derivs=0):
 
 _POLE_TOL = 1e-12
 #: points per block of the multipole frame assembly, whose temporaries then
-#: stay in cache (whole-batch ones would be fresh memory each time)
+#: stay in cache (whole-batch ones would be fresh memory each time), and
+#: nodes per block of sample_grid, so that a grid block is one frame block
 _FRAME_BLOCK = 4096
 
 #: Relative spread within which a packet's radii count as one radius.  A
@@ -516,9 +517,9 @@ class SphericalMode(ModeField):
             value[b, 1], value[b, 2], value[b, 3] = sph_frame_to_lorentz(*a, frame)
             grad[b, 0, 1], grad[b, 0, 2], grad[b, 0, 3] = sph_frame_to_lorentz(
                 *sph_dyad_to_frame(*(dt_rad * ys)), frame)
-            grad[b, 1:, 1:] = sph_frame_gradient(
+            sph_frame_gradient(
                 a, sph_dyad_to_frame(*(d_rad * ys)), sph_dyad_to_frame(*(rad * d_ys)),
-                [1j * self.label.m * c for c in a], r[b], frame)
+                [1j * self.label.m * c for c in a], r[b], frame, grad[b, 1:, 1:])
         return value.reshape(shape + (4,)), grad.reshape(shape + (4, 4))
 
     def gradient(self, t, x, y, z):
@@ -618,9 +619,6 @@ class FieldGrid:
         return self.values.shape
 
 
-_GRID_BLOCK = 16384
-
-
 def _index_blocks(shape, size=None):
     """Walk the flat indices of a row-major array of the given shape in
     contiguous blocks of size indices (the whole range as one block when
@@ -637,11 +635,12 @@ def _index_blocks(shape, size=None):
 
 def _grid_blocks(axes):
     """Walk the nodes of a (t, x, y, z) tensor grid in row-major order, in
-    contiguous blocks of _GRID_BLOCK nodes: yields (block, (t, x, y, z)),
-    block the slice of flat node indices and the coordinates 1-d arrays of
-    its nodes.  No whole-grid coordinate array is built."""
+    contiguous blocks of _FRAME_BLOCK nodes, the multipole kernel's own
+    block: yields (block, (t, x, y, z)), block the slice of flat node
+    indices and the coordinates 1-d arrays of its nodes.  No whole-grid
+    coordinate array is built."""
     shape = tuple(len(ax) for ax in axes.values())
-    for block, index in _index_blocks(shape, _GRID_BLOCK):
+    for block, index in _index_blocks(shape, _FRAME_BLOCK):
         yield block, tuple(ax[i] for ax, i in zip(axes.values(), index))
 
 
@@ -650,9 +649,10 @@ def sample_grid(mode: ModeField, spec: GridSpec) -> FieldGrid:
     the mode's largest wavenumber (|spacing| > 1/(8 p_max), p_max its largest
     energy; an axis may run in either direction).
 
-    The nodes are evaluated in row-major blocks of _GRID_BLOCK, so the
-    working set is the values array plus one block's evaluation, whatever
-    the grid size.  A grid of at most one block is one evaluate call.  On a
+    The nodes are evaluated in row-major blocks of _FRAME_BLOCK (4,096), so
+    the working set is the values array plus one block's evaluation,
+    whatever the grid size, and a multipole block is one pass of its frame
+    assembly.  A grid of at most one block is one evaluate call.  On a
     larger one a Bessel-beam or multipole value can differ at rounding level
     from a whole-grid call: the downward Bessel recurrence starts from the
     largest argument of the batch, here of the block."""

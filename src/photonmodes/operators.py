@@ -130,6 +130,14 @@ def generator(index) -> KillingField:
 # Lie derivatives
 # ---------------------------------------------------------------------------
 
+def _has_jet(field):
+    """Whether field has an analytic jet: a Superposition has one only when
+    every term, recursively, has one (its jet sums the terms' jets)."""
+    if isinstance(field, Superposition):
+        return all(_has_jet(f) for _, f in field.terms)
+    return hasattr(field, "jet")
+
+
 def lie_derivative(xi: KillingField, field, t, x, y, z, h=fdiff.DEFAULT_H, method="auto"):
     """Lie derivative of a covariant tensor field of rank 1 or 2,
 
@@ -141,7 +149,9 @@ def lie_derivative(xi: KillingField, field, t, x, y, z, h=fdiff.DEFAULT_H, metho
 
     ``field`` is either a mode-like object (with .evaluate and, for the
     analytic path, .jet) or a bare callable f(t,x,y,z) -> (..., 4[, 4]).
-    method 'auto' takes the jet where the field has one, 'fd' finite
+    method 'auto' takes the jet where the field has one (a Superposition
+    only when all its terms have one, so a sum holding a LieField, such as a
+    boost's LieField.time_derivative(), is differenced), 'fd' finite
     differences of step h, which skip the axes along which xi vanishes at
     every point and take the value and the other partials from one call of
     the field (fdiff.value_and_partials); ValueError naming any other method.
@@ -151,7 +161,7 @@ def lie_derivative(xi: KillingField, field, t, x, y, z, h=fdiff.DEFAULT_H, metho
     evaluate = field.evaluate if hasattr(field, "evaluate") else field
     xiv = xi.value(t, x, y, z)
     dxi = xi.d_xi()
-    if method == "auto" and hasattr(field, "jet"):
+    if method == "auto" and _has_jet(field):
         a, grad = field.jet(t, x, y, z)
     else:
         axes = [mu for mu in range(4) if np.any(xiv[..., mu] != 0)]

@@ -1,7 +1,13 @@
+import hashlib
+import importlib
 import io
 import json
+import os
 import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +16,8 @@ from photonmodes import cli, modes
 from photonmodes.cli import FMT, main
 from photonmodes.modes import (CylindricalLabel, FieldGrid, GridSpec, PlaneWaveLabel,
                                SphericalLabel, make_mode, sample_grid)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_eval_polar_slice(tmp_path):
@@ -75,7 +83,7 @@ def _whole_body_writer(grid, header, base, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_eval_streams_the_bytes_of_the_whole_body_writer(tmp_path, monkeypatch, fmt):
-    monkeypatch.setattr(modes, "_GRID_BLOCK", 300)
+    monkeypatch.setattr(modes, "_FRAME_BLOCK", 300)
     assert main(["eval", "--family", "spherical", "--label", _BLOCKED_LABEL,
                  "--grid", _BLOCKED_GRID, "--format", fmt,
                  "--out", str(tmp_path / "blocked")]) == 0
@@ -105,7 +113,7 @@ def test_eval_streams_the_bytes_of_the_whole_body_writer(tmp_path, monkeypatch, 
                           z=(-1.0, 1.0, 23)), id="bessel-4d")])
 def test_eval_csv_body_is_savetxt_for_plane_and_bessel_grids(tmp_path, monkeypatch, family,
                                                             text, grid, label, spec):
-    monkeypatch.setattr(modes, "_GRID_BLOCK", 2000)
+    monkeypatch.setattr(modes, "_FRAME_BLOCK", 2000)
     monkeypatch.setattr(cli, "_CSV_ROWS", 700)
     assert main(["eval", "--family", family, "--label", text, "--grid", grid,
                  "--out", str(tmp_path / "blocked")]) == 0
@@ -392,6 +400,64 @@ def test_overlap_config_hash_covers_the_quadrature(tmp_path):
     damped = config_hash("tail=damped")
     assert damped != default and config_hash("tail=damped") == damped
     assert config_hash("tail_r0=300,tail_rounds=3") != default
+
+
+_CONFIG = {"command": "eval", "family": "spherical",
+           "label": {"p0": 1.0, "l": 2, "m": 1, "s": 1}, "grid": {"x": [-1.5, 1.5, 32]}}
+
+
+def _hashlib_digest(config):
+    blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def test_config_hash_is_the_sha256_of_the_sorted_config():
+    assert cli._provenance(7, _CONFIG)["config_hash"] == _hashlib_digest(_CONFIG)
+
+
+def test_config_hash_falls_back_to_hashlib_without_a_built_in_sha256(monkeypatch):
+    # None in sys.modules makes an import raise ImportError: with both
+    # built-in modules blocked, a reloaded cli takes hashlib's sha256
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    try:
+        fallback = importlib.reload(cli)
+        assert fallback._sha256 is hashlib.sha256
+        assert fallback._provenance(7, _CONFIG)["config_hash"] == _hashlib_digest(_CONFIG)
+    finally:
+        monkeypatch.undo()
+        importlib.reload(cli)
+    assert cli._sha256 is not hashlib.sha256
+
+
+# A fresh child runs eval and both overlap families and reports whether
+# OpenSSL's _hashlib was loaded: hashlib alone adds about 3.5 MB of memory
+_NO_OPENSSL_CHILD = """
+import json, sys
+from photonmodes import cli
+codes = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+with open(sys.argv[2], "w") as fh:
+    json.dump({"codes": codes, "openssl": "_hashlib" in sys.modules}, fh)
+"""
+
+
+def test_eval_and_overlap_do_not_load_openssl(tmp_path):
+    commands = [
+        ["eval", "--family", "spherical", "--label", "p0=1.0,l=2,m=1,s=1",
+         "--grid", "x:-1.5:1.5:32,y:-1.5:1.5:32,z:-1.5:1.5:32",
+         "--out", str(tmp_path / "grid32")],
+        ["overlap", "--family", "spherical", "--label", "p0=1.0,lmax=3",
+         "--out", str(tmp_path / "gram_sph.json")],
+        ["overlap", "--family", "cylindrical", "--label", "p0=1.0,pz=0.3,mmax=3",
+         "--out", str(tmp_path / "gram_cyl.json")]]
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    child = subprocess.run(
+        [sys.executable, "-c", _NO_OPENSSL_CHILD, json.dumps(commands), str(result)],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert child.returncode == 0, child.stderr
+    assert json.loads(result.read_text()) == {"codes": [0, 0, 0], "openssl": False}
 
 
 def test_overlap_quad_keys_left_out_keep_the_overlap_default(tmp_path):

@@ -436,6 +436,26 @@ def test_sph_harmonic_examples():
     assert got == pytest.approx(math.sqrt(3.0 / (8.0 * math.pi)), rel=1e-13)
 
 
+@pytest.mark.parametrize("n", [-2, -1, 0, 1, 2])
+def test_sph_harmonic_gram_is_the_weighted_einsum(n):
+    # the reference is the three-operand einsum the Gram was once taken with,
+    # on the labels and rule of validate's harmonic_closure; the two sum the
+    # 768 nodes in different orders, so they differ at rounding level (up to
+    # 1.1e-14 on these entries of size 1)
+    lm = [(l, m) for l in range(abs(n), 9) for m in range(-l, l + 1)]
+    n_theta, n_phi = 24, 32
+    xu, wu = np.polynomial.legendre.leggauss(n_theta)
+    th, ph = np.meshgrid(np.arccos(xu), np.arange(n_phi) * (2.0 * math.pi) / n_phi,
+                         indexing="ij")
+    wgt = np.broadcast_to(wu[:, None] * (2.0 * math.pi / n_phi), th.shape).ravel()
+    basis = np.stack([sph_harmonic_values(n, l, m, th, ph).ravel() for l, m in lm])
+    want = np.einsum("ik,k,jk->ij", np.conj(basis), wgt, basis)
+    got = harmonics.sph_harmonic_gram(n, lm, n_theta, n_phi)
+    assert got.shape == (len(lm), len(lm))
+    assert np.abs(got - want).max() <= 3e-14
+    assert np.abs(got - np.eye(len(lm))).max() <= 1e-13
+
+
 def test_sph_ladder_factors():
     lab, fac = eth_analytic(SphHarmonicLabel(0, 1, 0))
     assert (lab.n, fac) == (1, pytest.approx(math.sqrt(2.0)))

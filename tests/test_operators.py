@@ -327,6 +327,24 @@ def test_lie_field_time_derivative_is_one_lie_field_when_xi_commutes_with_d_t():
     assert not isinstance(LieField(M_lower(0, 1), f).time_derivative(), LieField)
 
 
+def test_nested_lie_derivative_of_a_superposition_holding_a_lie_field():
+    # a Superposition has a jet only when every term has one: one holding a
+    # LieField, such as a boost's time_derivative(), is differenced
+    mode = spherical_mode(SphericalLabel(1.0, 2, 1, +1))
+    rng = np.random.default_rng(5)
+    pts = tuple(rng.uniform(-2.0, 2.0, (4, 30)))
+    wrapped = Superposition([(1.0, LieField(L3(), mode))])
+    got = lie_derivative(L3(), wrapped, *pts)
+    assert np.array_equal(got, lie_derivative(L3(), wrapped, *pts, method="fd"))
+    a = mode.evaluate(*pts)
+    assert np.abs(got - a).max() <= 1e-9 * np.abs(a).max()   # m^2 A, m = 1
+    boosted = LieField(M_lower(0, 1), mode).time_derivative()
+    assert isinstance(boosted, Superposition)
+    got = lie_derivative(L3(), boosted, *pts)
+    assert np.all(np.isfinite(got)) and np.abs(got).max() > 0
+    assert np.array_equal(got, lie_derivative(L3(), boosted, *pts, method="fd"))
+
+
 def test_hermiticity_check_fails_for_a_non_killing_field():
     # positive control for hermiticity_p0_l3: the same packet pair and rule
     # with L3 replaced by the dilation xi = i (x, y, z), which is not a

@@ -3,7 +3,7 @@
 One child interpreter, with RuntimeWarning an error and the test extras
 (scipy, sympy, mpmath) and the test runner blocked from import, runs through
 cli.main every suite of `validate all` at a second seed, a 32^3 multipole
-grid of two sample_grid blocks in both output formats, and one Gram per
+grid of eight sample_grid blocks in both output formats, and one Gram per
 family and tail rule.  Each command must exit 0, every JSON file must load
 with NaN and Infinity rejected, and the runs must import no top-level module
 beyond the standard library, numpy and photonmodes.

@@ -9,9 +9,10 @@ slice integral of the current
 
 Every field here is a positive-energy eigen- or wave-packet field, so d_t A
 in j'_0 is analytic: the evaluate of the field's time_derivative().  The
-spatial quadrature, a SliceSpec, is a tensor rule on a truncated slice
-(Gauss-Legendre radially and in cos(theta), uniform in phi -- exact for the
-trigonometric angular content of the harmonics).  A WavePacket is a
+spatial quadrature, a SliceSpec, is a tensor rule on a truncated slice:
+the packet ball, one constant rule (Gauss-Legendre radially and in
+cos(theta), uniform in phi -- exact for the trigonometric angular content
+of the harmonics), or a Gauss-Legendre box.  A WavePacket is a
 SphericalMode with a many-term energy spectrum: one multipole kernel pass
 sums all its energies.
 
@@ -20,14 +21,14 @@ walked in row-major blocks of _BLOCK nodes whose nodes and weights are
 gathered from the rule's 1-d factors, so no whole-slice array is built.
 In each block, each distinct field object's pair (A, d_t A), or (A, F_{0b})
 from one field jet for the gauge-invariant field-strength form, is taken
-once and freed before the next block, so the working set does not grow with
-the slice.  Each column forms w eta A' and then w eta dA' once (w the node
-weights, eta the metric diagonal), and each entry is two conjugated dot
-products, i [ vdot(dA, w eta A') - vdot(A, w eta dA') ]: beyond the pairs a
-column holds one (n, 4) complex buffer, freed before the next column's pair
-is taken.  inner and inner_field_strength_form are its 1x1 case.  A gauge
-shift by a static Lambda reuses its base's pair and adds only grad(Lambda)
-to the value.
+once and held until the block ends, so the working set grows with the
+number of fields but not with the slice.  Each column forms w eta A' and
+then w eta dA' once (w the node weights, eta the metric diagonal), and each
+entry is two conjugated dot products,
+i [ vdot(dA, w eta A') - vdot(A, w eta dA') ]: beyond the pairs a column
+holds one (n, 4) complex buffer.  inner and inner_field_strength_form are
+its 1x1 case.  A gauge shift by a static Lambda reuses its base's pair and
+adds only grad(Lambda) to the value.
 
 Radial overlap integrals of Bessel products are conditionally convergent;
 they are regularized two independent ways (TailSpec.tail) and both must
@@ -88,30 +89,32 @@ def _store_count(spec, nm, low):
 
 @dataclass(frozen=True)
 class SliceSpec:
-    """The slice rule of inner: a 'spherical' ball of radius r_max or a
-    'cartesian' box of half-width box_half on the t = t_slice slice.  The
-    ball defaults are the rule the packet checks use.  ValueError naming
-    the first invalid field."""
+    """The slice rule of inner on the t = t_slice slice: the 'spherical'
+    packet ball or a 'cartesian' box of half-width box_half with n_box
+    Gauss-Legendre nodes an axis.  The ball is one constant rule, the one
+    the packet checks use: radius r_max, n_r Gauss-Legendre radii,
+    n_theta in cos(theta) and n_phi uniform angles (8,192 nodes, four
+    _BLOCK blocks); they are class constants, not fields.  ValueError
+    naming the first invalid field."""
 
     chart: str = "spherical"
     t_slice: float = 0.0
-    r_max: float = 50.0
-    n_r: int = 128
-    n_theta: int = 8
-    n_phi: int = 8
     box_half: float = 6.0
     n_box: int = 40
+
+    r_max = 50.0
+    n_r = 128
+    n_theta = 8
+    n_phi = 8
 
     def __post_init__(self):
         if self.chart not in ("spherical", "cartesian"):
             raise ValueError(f"chart must be 'spherical' or 'cartesian', got {self.chart!r}")
         if not math.isfinite(self.t_slice):
             raise ValueError("t_slice must be finite")
-        for nm in ("r_max", "box_half"):
-            if not 0 < getattr(self, nm) < math.inf:
-                raise ValueError(f"{nm} must be finite and > 0")
-        for nm in ("n_r", "n_theta", "n_phi", "n_box"):
-            _store_count(self, nm, 4)
+        if not 0 < self.box_half < math.inf:
+            raise ValueError("box_half must be finite and > 0")
+        _store_count(self, "n_box", 4)
 
 
 @dataclass(frozen=True)
@@ -133,12 +136,12 @@ class TailSpec:
         _store_count(self, "tail_rounds", 0)
 
 
-def _slice_blocks(spec: SliceSpec, size=None):
-    """Walk the slice rule's nodes in row-major blocks of size nodes (all of
-    them as one block when size is None): yields ((t, x, y, z), w) for each
-    block, gathered by flat index from the rule's 1-d factors -- r, theta,
-    phi and their weights for the ball, the axis and its weights for the
-    box -- so no whole-slice array is built.  Weights include the volume
+def _slice_blocks(spec: SliceSpec, size):
+    """Walk the slice rule's nodes in row-major blocks of size nodes (the
+    last block may be shorter): yields ((t, x, y, z), w) for each block,
+    gathered by flat index from the rule's 1-d factors -- r, theta, phi
+    and their weights for the ball, the axis and its weights for the box --
+    so no whole-slice array is built.  Weights include the volume
     element."""
     if spec.chart == "spherical":
         xr, wr = _gauss_legendre(spec.n_r)
@@ -166,14 +169,6 @@ def _slice_blocks(spec: SliceSpec, size=None):
         *xyz, w = nodes(*index)
         del index   # not held while the block is in use
         yield (np.full(w.shape, spec.t_slice), *xyz), w
-
-
-def slice_nodes(spec: SliceSpec):
-    """Quadrature nodes (t, x, y, z) and weights on the t = t_slice slice,
-    all flattened to 1-D arrays: the slice rule's nodes as one block.
-    Weights include the volume element."""
-    (nodes, w), = _slice_blocks(spec)
-    return (*nodes, w)
 
 
 # ---------------------------------------------------------------------------
@@ -225,28 +220,23 @@ def _slice_pair(field, jets, form_jet, nodes):
     return jets[key]
 
 
-def _block_gram(left, right, form_jet, nodes, w, last_use):
-    """The Gram contribution of one block of slice nodes.  Each column's
-    w eta A' and then w eta dA' are formed once, in one buffer, and each
-    entry is i [ vdot(dA, w eta A') - vdot(A, w eta dA') ]: two conjugated
-    dot products over the nodes and the Lorentz index.  Columns are reduced
-    as they are computed; a pair outlives its column only when a left field
-    or a later column needs it, and every pair is freed on return."""
+def _block_gram(left, right, form_jet, nodes, w):
+    """The Gram contribution of one block of slice nodes.  Each distinct
+    field object's pair is taken once and held until the block ends; w eta
+    is formed once, each column's w eta A' and then w eta dA' once, in one
+    buffer, and each entry is i [ vdot(dA, w eta A') - vdot(A, w eta dA') ]:
+    two conjugated dot products over the nodes and the Lorentz index."""
     jets = {}
     rows = [_slice_pair(a, jets, form_jet, nodes) for a in left]
-    kept = {id(a) for a in left}
+    w_eta = w[:, None] * ETA_DIAG
     gram = np.empty((len(left), len(right)), dtype=complex)
     for j, b in enumerate(right):
         bv, db = _slice_pair(b, jets, form_jet, nodes)
-        w_eta = w[:, None] * ETA_DIAG
         weighted = w_eta * bv
         first = [np.vdot(da, weighted) for _, da in rows]
         np.multiply(w_eta, db, out=weighted)
         for i, (av, _) in enumerate(rows):
             gram[i, j] = 1j * (first[i] - np.vdot(av, weighted))
-        del w_eta, weighted   # freed before the next column's pair is taken
-        for key in [k for k in jets if k not in kept and last_use.get(k, -1) <= j]:
-            del jets[key]
     return gram
 
 
@@ -258,12 +248,14 @@ def slice_gram(left, right, spec: SliceSpec, form="current"):
 
     The slice is walked in row-major blocks of _BLOCK nodes, each
     block's nodes and weights gathered from the rule's 1-d factors
-    (_slice_blocks); a block's nodes and pairs are freed before the next
+    (_slice_blocks), and the blocks' contributions are summed
+    (_block_gram).  A block's nodes and pairs are freed before the next
     block starts, so the working set does not grow with the slice.  In a
-    block, each distinct field object's pair (A, dA) is taken once: evaluate
-    of the field and of its time_derivative() for the current, one field jet
-    for the field-strength form.  Each column's w eta A' and w eta dA' are
-    formed once, in turn in one buffer, and each entry reduces the block as
+    block, each distinct field object's pair (A, dA) is taken once and held
+    until the block ends: evaluate of the field and of its
+    time_derivative() for the current, one field jet for the field-strength
+    form.  Each column's w eta A' and w eta dA' are formed once, in turn in
+    one buffer, and each entry reduces the block as
     i [ vdot(dA, w eta A') - vdot(A, w eta dA') ].  A GaugeShiftedField's
     pair is its base's plus grad(Lambda) on the value: Lambda is static, so
     it adds exactly zero to d_t A and to F_{0b} = d_0 A_b - d_b A_0, and no
@@ -273,17 +265,9 @@ def slice_gram(left, right, spec: SliceSpec, form="current"):
     if form not in _FORM_JETS:
         raise ValueError(f"form must be 'current' or 'field_strength', got {form!r}")
     form_jet = _FORM_JETS[form]
-
-    def chain(field):
-        yield field
-        while isinstance(field, GaugeShiftedField):
-            field = field.base
-            yield field
-
-    last_use = {id(f): j for j, b in enumerate(right) for f in chain(b)}
     gram = np.zeros((len(left), len(right)), dtype=complex)
     for nodes, w in _slice_blocks(spec, _BLOCK):
-        gram += _block_gram(left, right, form_jet, nodes, w, last_use)
+        gram += _block_gram(left, right, form_jet, nodes, w)
     return gram
 
 
@@ -425,8 +409,9 @@ class WavePacket(SphericalMode):
         w = self.width
         return (math.pi * w**2) ** -0.25 * np.exp(-((p - self.center) ** 2) / (2.0 * w**2))
 
-    def norm_expected(self, n=4001):
-        p = np.linspace(self.center - 8.0 * self.width, self.center + 8.0 * self.width, n)
+    def norm_expected(self):
+        """int |g|^2 dp0 by the trapezoid rule on 4,001 nodes over center +- 8 w."""
+        p = np.linspace(self.center - 8.0 * self.width, self.center + 8.0 * self.width, 4001)
         return float(np.trapezoid(self._g(p) ** 2, p))
 
 

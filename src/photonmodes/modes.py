@@ -614,20 +614,15 @@ class FieldGrid:
         ax = self.axes[name]
         return float(ax[1] - ax[0]) if len(ax) > 1 else float("nan")
 
-    @property
-    def shape(self):
-        return self.values.shape
 
-
-def _index_blocks(shape, size=None):
+def _index_blocks(shape, size):
     """Walk the flat indices of a row-major array of the given shape in
-    contiguous blocks of size indices (the whole range as one block when
-    size is None): yields (block, index), block the slice of flat indices
-    and index the tuple of per-axis index arrays of its entries, so that
-    1-d factors gathered by index give the block's nodes without any
-    whole-array coordinate being built."""
+    contiguous blocks of size indices (the last block may be shorter):
+    yields (block, index), block the slice of flat indices and index the
+    tuple of per-axis index arrays of its entries, so that 1-d factors
+    gathered by index give the block's nodes without any whole-array
+    coordinate being built."""
     n = math.prod(shape)
-    size = size or n
     for start in range(0, n, size):
         block = slice(start, min(start + size, n))
         yield block, np.unravel_index(np.arange(block.start, block.stop), shape)

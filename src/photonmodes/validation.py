@@ -316,7 +316,7 @@ def _field_equations(family, spec):
         worst_helm = 0.0
         lab = CylindricalLabel(1.2, 0.4, 2, +1)
         al = lab.alpha
-        for n_sw, m_eff in ((0, lab.m), (-1, lab.m), (1, lab.m)):
+        for n_sw in (0, -1, 1):
             zlab = CylHarmonicLabel(n_sw, al, lab.m)
             radial = np.linspace(0.4, 3.0, 121)
             g = sample_harmonic(zlab, radial, n_phi=32)

@@ -269,8 +269,10 @@ def divergence_full_grid(grid):
 
 def slice_nodes_meshgrid(spec):
     """Quadrature nodes (t, x, y, z) and weights of a SliceSpec from
-    whole-slice meshgrids of the 1-d rules, flattened: the earlier form of
-    inner_product.slice_nodes."""
+    whole-slice meshgrids of the 1-d rules, flattened: the whole slice rule
+    as one array each, which inner_product walks in blocks
+    (_slice_blocks) and never builds whole.  The tests take a slice's
+    nodes from here."""
     import numpy as np
 
     two_pi = 2.0 * math.pi

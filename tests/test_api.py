@@ -93,6 +93,18 @@ def _gram_calls():
         assert cli.main(["overlap", *label]) == 0
 
 
+def _traced_values(tracer_ns, calls):
+    """The tracer's per-layer values and leggauss orders of what calls() runs."""
+    tracer = tracer_ns["Tracer"]().install()
+    try:
+        calls()
+    finally:
+        tracer.uninstall()
+    return tracer_ns["aggregate"]({
+        "spans": tracer.spans, "leggauss_calls": tracer.leggauss_calls,
+        "leggauss_orders": sorted(tracer.leggauss_orders)})
+
+
 def test_every_traced_layer_of_the_field_and_gram_workloads_sees_work():
     # perfbench/run.py exits 3 when a layer that design.json assigns to a
     # workload records no work: a refactor that calls a copy of a measured
@@ -103,14 +115,7 @@ def test_every_traced_layer_of_the_field_and_gram_workloads_sees_work():
     design = json.loads((PERFBENCH / "design.json").read_text())
     idle = []
     for workload, calls in (("field", _field_calls), ("gram", _gram_calls)):
-        tracer = tracer_ns["Tracer"]().install()
-        try:
-            calls()
-        finally:
-            tracer.uninstall()
-        values, orders = tracer_ns["aggregate"]({
-            "spans": tracer.spans, "leggauss_calls": tracer.leggauss_calls,
-            "leggauss_orders": sorted(tracer.leggauss_orders)})
+        values, orders = _traced_values(tracer_ns, calls)
         # as perfbench/run.py's layer_metrics derives them
         n_calls = values["inner_product.leggauss.calls"]
         values["inner_product.leggauss.distinct"] = len(orders)
@@ -119,6 +124,30 @@ def test_every_traced_layer_of_the_field_and_gram_workloads_sees_work():
                  if workload in row["workloads"] for metric in row["metrics"]
                  if not metric.endswith(".errors") and not values.get(metric, 0) > 0]
     assert idle == []
+
+
+def test_the_traced_inner_product_layers_of_validate_see_work():
+    # the tracer counts inner's points from the slice rule, reading the
+    # packet ball's constants (n_r, n_theta, n_phi) off the spec; one packet
+    # inner on the ball, one box inner and one field-strength form, called
+    # through module attributes as validate's are
+    box = inner_product.SliceSpec(chart="cartesian", box_half=3.0, n_box=8)
+    packet = inner_product.WavePacket(l=1, m=0, s=1, center=1.0, width=0.2, n_nodes=8)
+    wave = modes.plane_wave(modes.PlaneWaveLabel((0.0, 0.3, 0.9), 1))
+
+    def calls():
+        inner_product.inner(packet, packet, inner_product.SliceSpec())
+        inner_product.inner(wave, wave, box)
+        inner_product.inner_field_strength_form(wave, wave, box)
+
+    values, _ = _traced_values(_perfbench_namespace("tracer.py"), calls)
+    assert values["inner_product.inner.calls"] == 2
+    assert values["inner_product.inner.points"] == 8192 + box.n_box**3
+    assert values["inner_product.inner_field_strength_form.calls"] == 1
+    # as perfbench/run.py's layer_metrics derives it
+    evals_per_inner = (values["inner_product.sph_evals_under_inner"]
+                       / values["inner_product.inner.calls"])
+    assert evals_per_inner > 0
 
 
 def test_names_the_workloads_bind_resolve():

@@ -225,7 +225,7 @@ def test_packet_on_the_ball_takes_its_radial_sum_once_per_radius(monkeypatch, pa
     # the packet ball's 128 radii, recomputed from (x, y, z), round to 332
     # distinct values; the radial sum runs once per radius, and evaluate
     # and jet equal the point-by-point calls on every 61st node
-    t, x, y, z, _ = inner_product.slice_nodes(PACKET_QUAD)
+    t, x, y, z, _ = slice_nodes_meshgrid(PACKET_QUAD)
     assert np.unique(charts.sph_angles(x, y, z)[0]).size > PACKET_QUAD.n_r
     seen = _counting_radial_points(monkeypatch)
     d_dt = packet.time_derivative()
@@ -370,7 +370,7 @@ def _entry(av, da, bv, db, w):
 def _current_form_reference(a_field, b_field, spec):
     """inner from j'_0 over d_t A and evaluate of each field on the whole
     slice, reduced as slice_gram reduces an entry."""
-    t, x, y, z, w = inner_product.slice_nodes(spec)
+    t, x, y, z, w = slice_nodes_meshgrid(spec)
     return _entry(a_field.evaluate(t, x, y, z), _dt_values(a_field, t, x, y, z),
                   b_field.evaluate(t, x, y, z), _dt_values(b_field, t, x, y, z), w)
 
@@ -468,14 +468,14 @@ def _traced_peak_mb(fn):
         tracemalloc.stop()
 
 
-def _gauge_box_gram(n_box):
-    """The field-strength Gram of a plane wave against another and three
+def _gauge_box_gram(n_box, n_shifts=3):
+    """The field-strength Gram of a plane wave against another and n_shifts
     gauge shifts of it on a box of n_box^3 nodes."""
     gbox = SliceSpec(chart="cartesian", box_half=6.5, n_box=n_box)
     pw_b = plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1))
     shifted = [gauge_shift(pw_b, GaussianBumpScalar(center=(0.1 * k, -0.2, 0.3), width=0.7,
                                                     c0=1.0, linear=(0.2, -0.1, 0.3)))
-               for k in range(3)]
+               for k in range(n_shifts)]
     return slice_gram([plane_wave(PlaneWaveLabel((0.0, 0.0, 1.2), +1))],
                       [pw_b, *shifted], gbox, "field_strength")
 
@@ -485,8 +485,11 @@ def test_slice_gram_working_set_is_bounded_on_a_large_box():
     # would be 67 MB, and whole-slice nodes and weights 10 MB; per-block
     # nodes and pairs keep the whole call to one block's working set (about
     # 2 MB with the one-time allocations of a first call, 9.9 MB in blocks
-    # of 16,384 nodes)
-    assert _traced_peak_mb(lambda: _gauge_box_gram(64)) < 3.0
+    # of 16,384 nodes).  With validate's ten shifts each shift's pair is
+    # held until its block ends: about 2.5 MB
+    for n_shifts in (3, 10):
+        peak = _traced_peak_mb(lambda: _gauge_box_gram(64, n_shifts))
+        assert peak < 3.0, (n_shifts, peak)
 
 
 def test_slice_gram_working_set_does_not_grow_with_the_slice():
@@ -514,19 +517,19 @@ def test_packet_inner_of_a_lie_field_stays_within_a_block_working_set(packet):
 
 def test_slice_nodes_equal_the_meshgrid_form():
     # the packet ball of four full blocks, and a box of ten full blocks and
-    # a ragged block of 1,472 nodes: slice_nodes and slice_gram's blocks,
-    # concatenated, are the whole-slice meshgrid nodes bit for bit
+    # a ragged block of 1,472 nodes: slice_gram's blocks, concatenated, are
+    # the whole-slice meshgrid nodes bit for bit, so the tests may take the
+    # meshgrid form as the rule's nodes
     box = SliceSpec(chart="cartesian", box_half=6.5, n_box=28, t_slice=0.4)
     for spec, sizes in ((PACKET_QUAD, [inner_product._BLOCK] * 4),
                         (box, [inner_product._BLOCK] * 10 + [1472])):
         want = slice_nodes_meshgrid(spec)
-        got = inner_product.slice_nodes(spec)
         blocks = list(inner_product._slice_blocks(spec, inner_product._BLOCK))
         assert [len(w) for _, w in blocks] == sizes
         walked = [np.concatenate([nodes[k] for nodes, _ in blocks]) for k in range(4)]
         walked.append(np.concatenate([w for _, w in blocks]))
-        for g, k, v in zip(got, walked, want):
-            assert g.shape == v.shape and np.array_equal(g, v) and np.array_equal(k, v)
+        for k, v in zip(walked, want):
+            assert k.shape == v.shape and np.array_equal(k, v)
 
 
 def test_superposition_jet_equals_the_per_term_sum(packet, rng):
@@ -552,20 +555,20 @@ def _field_strength_entry(a_field, b_field, nodes, w):
 
 def _field_strength_form_reference(a_field, b_field, spec):
     """inner_field_strength_form on the whole slice as one block."""
-    t, x, y, z, w = inner_product.slice_nodes(spec)
+    t, x, y, z, w = slice_nodes_meshgrid(spec)
     return _field_strength_entry(a_field, b_field, (t, x, y, z), w)
 
 
 def test_field_strength_form_equals_full_field_strength(packet):
     # the reference is reduced block by block as slice_gram reduces it: the
-    # ball of 1,152 nodes is one block, the box of 4,096 nodes two
-    quad = SliceSpec(r_max=30.0, n_r=32, n_theta=6, n_phi=6)
+    # packet ball of 8,192 nodes is four blocks, the box of 4,096 nodes two
     box = SliceSpec(chart="cartesian", box_half=4.0, n_box=16)
     la = PlaneWaveLabel((0.0, 0.0, 1.2), +1)
     shifted = gauge_shift(plane_wave(PlaneWaveLabel((0.0, 0.3, 0.9), +1)),
                           GaussianBumpScalar(center=(0.2, -0.3, 0.1), width=0.8, c0=1.1,
                                              linear=(0.3, -0.2, 0.4)))
-    for a, b, spec, n_blocks in ((packet, packet, quad, 1), (plane_wave(la), shifted, box, 2)):
+    for a, b, spec, n_blocks in ((packet, packet, PACKET_QUAD, 4),
+                                 (plane_wave(la), shifted, box, 2)):
         blocks = list(inner_product._slice_blocks(spec, inner_product._BLOCK))
         assert len(blocks) == n_blocks
         want = np.zeros((1, 1), dtype=complex)
@@ -579,7 +582,7 @@ def _density_node_terms(a_field, b_field, spec, form):
     slice_gram reduced before it took conjugated dot products, and the sum
     of the magnitudes of the 8 products per node that its two dot products
     accumulate."""
-    nodes = inner_product.slice_nodes(spec)
+    nodes = slice_nodes_meshgrid(spec)
     pair = inner_product._FORM_JETS[form]
     (av, da), (bv, db) = pair(a_field, *nodes[:4]), pair(b_field, *nodes[:4])
     w = nodes[4]
@@ -722,21 +725,22 @@ def test_composite_rule_computes_each_gauss_legendre_rule_once(monkeypatch):
     monkeypatch.setattr(np.polynomial.legendre, "leggauss",
                         lambda deg: calls.append(deg) or leggauss(deg))
     inner_product._gauss_legendre.cache_clear()
-    ball = SliceSpec(r_max=2.0, n_r=16, n_theta=8, n_phi=4)
     box = SliceSpec(chart="cartesian", box_half=1.5, n_box=8)
+
+    def weight_sum(spec):
+        return sum(w.sum() for _, w in inner_product._slice_blocks(spec, inner_product._BLOCK))
+
     for _ in range(5):
         val = inner_product._composite_gl(np.cos, 0.0, 10.0, 1.0)
         assert val == pytest.approx(math.sin(10.0), abs=1e-13)
-        # slice rules come from the same cache: n_r = 16 is the rule above
-        w_ball = inner_product.slice_nodes(ball)[-1]
-        w_box = inner_product.slice_nodes(box)[-1]
-        # (the radial nodes start 1e-9 off the origin)
-        assert w_ball.sum() == pytest.approx(4.0 / 3.0 * math.pi * 2.0**3, rel=1e-8)
-        assert w_box.sum() == pytest.approx(3.0**3, rel=1e-13)
+        # slice rules come from the same cache: the packet ball's n_theta = 8
+        # is the box's n_box = 8 (the radial nodes start 1e-9 off the origin)
+        assert weight_sum(PACKET_QUAD) == pytest.approx(4.0 / 3.0 * math.pi * 50.0**3, rel=1e-8)
+        assert weight_sum(box) == pytest.approx(3.0**3, rel=1e-13)
         # the harmonic Grams share the cache: one rule for both calls
         for n in (0, 1):
             harmonics.sph_harmonic_gram(n, [(1, 0), (2, 1)], 12, 10)
-    assert calls == [16, 8, 12]
+    assert calls == [16, 128, 8, 12]
     xg, wg = inner_product._gauss_legendre(16)
     assert not xg.flags.writeable and not wg.flags.writeable
     with pytest.raises(ValueError):
@@ -744,15 +748,19 @@ def test_composite_rule_computes_each_gauss_legendre_rule_once(monkeypatch):
 
 
 def test_slice_spec_validates_every_field():
-    for field, value in (("chart", "polar"), ("t_slice", math.nan),
-                         ("r_max", -1.0), ("r_max", math.nan), ("box_half", 0.0),
-                         ("n_r", 8.5), ("n_theta", 3), ("n_phi", math.nan),
+    for field, value in (("chart", "polar"), ("t_slice", math.nan), ("box_half", 0.0),
+                         ("box_half", math.inf), ("n_box", 8.5), ("n_box", 3),
                          ("n_box", math.inf)):
         with pytest.raises(ValueError, match=field):
             SliceSpec(**{field: value})
-    # integral counts are stored as int (a rule order must be one)
-    spec = SliceSpec(n_r=32.0)
-    assert type(spec.n_r) is int and spec.n_r == 32
+    # the box order is stored as int (a rule order must be one)
+    spec = SliceSpec(n_box=32.0)
+    assert type(spec.n_box) is int and spec.n_box == 32
+    # the packet ball is one constant rule, not a setting
+    for field in ("r_max", "n_r", "n_theta", "n_phi"):
+        with pytest.raises(TypeError, match=field):
+            SliceSpec(**{field: 4})
+    assert (SliceSpec.r_max, SliceSpec.n_r, SliceSpec.n_theta, SliceSpec.n_phi) == (50.0, 128, 8, 8)
 
 
 def test_tail_spec_validates_every_field():

@@ -14,13 +14,12 @@ from photonmodes.operators import (P_lower, P_upper, M_lower, L1, L2, L3, L_plus
                                    check_all_brackets, pauli_lubanski_residual,
                                    DualField, LieField, KillingField, GENERATORS,
                                    generator)
-from photonmodes.inner_product import (SliceSpec, WavePacket, Superposition, inner,
-                                       slice_nodes)
+from photonmodes.inner_product import SliceSpec, WavePacket, Superposition, inner
 from photonmodes.errors import AsymmetryError, DegenerateAxisError, StencilError
 from photonmodes import fdiff
 from photonmodes.charts import ETA_DIAG, LEVI_CIVITA, dyads
 
-from oracles import dalembertian_full_grid, divergence_full_grid
+from oracles import dalembertian_full_grid, divergence_full_grid, slice_nodes_meshgrid
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +287,7 @@ def test_lie_field_matches_finite_differences_on_the_packet_slice():
     # of the base's time derivative) against 4th-order finite differences of
     # the base and of its time derivative at h = 1e-3
     f, _, _ = _packet_superpositions()
-    nodes = slice_nodes(PACKET_QUAD)[:4]
+    nodes = slice_nodes_meshgrid(PACKET_QUAD)[:4]
     assert nodes[0].size == 8192
     lie = LieField(L3(), f)
     for got, base in ((lie.evaluate(*nodes), f),

@@ -123,9 +123,9 @@ _HANKEL_PHASE = ((_SQRT_HALF, _SQRT_HALF), (-_SQRT_HALF, _SQRT_HALF),
 def _hankel_int(ns, x):
     """Rows J_n(x), one per order of ns >= 0, from the Hankel expansion
     (DLMF 10.17.3), each x >= _hankel_edge(max(ns)): P and Q by Horner in
-    -(s/x)^2, and cos(x - phi) expanded so that only x itself is reduced
-    mod 2 pi.  cos x, sin x and sqrt(2/(pi x)) are taken once for every
-    order."""
+    -(s/x)^2, run in place, and cos(x - phi) expanded so that only x itself
+    is reduced mod 2 pi.  cos x, sin x and sqrt(2/(pi x)) are taken once for
+    every order."""
     cx, sx = np.cos(x), np.sin(x)
     amp = np.sqrt(2.0 / (math.pi * x))
     out = np.empty((len(ns), x.size))
@@ -135,10 +135,12 @@ def _hankel_int(ns, x):
         y = -u * u
         p = np.full_like(x, p_coeffs[0])
         for c in p_coeffs[1:]:
-            p = p * y + c
+            p *= y
+            p += c
         q = np.full_like(x, q_coeffs[0])
         for c in q_coeffs[1:]:
-            q = q * y + c
+            q *= y
+            q += c
         cphi, sphi = _HANKEL_PHASE[n % 4]
         cos_w = cx * cphi + sx * sphi
         sin_w = sx * cphi - cx * sphi
@@ -184,13 +186,17 @@ def _downward(x, keep, offset, start, j_above, j_start, sum_even=False):
     for k, seed in ((start + 1, j_above), (start, j_start)):
         if k in slot:
             rows[slot[k]] = seed
-    jp, jc = j_above, j_start
+    # three buffers of its own rotate through jp, jc and jm, so the steps
+    # allocate nothing and the seeds are not written
+    jp, jc, jm = np.array(j_above, dtype=float), np.array(j_start, dtype=float), np.empty_like(x)
     even_sum = np.zeros_like(x) if sum_even else None
     inv_xmin = 1.0 / float(np.min(x))   # inf for min(x) below 1 / DBL_MAX
     bound = float(np.maximum(np.abs(jc).max(), np.abs(jp).max()))
     for k in range(start, min(keep), -1):
-        jm = (2.0 * (k + offset) / x) * jc - jp
-        jp, jc = jc, jm
+        np.divide(2.0 * (k + offset), x, out=jm)
+        jm *= jc
+        jm -= jp
+        jp, jc, jm = jc, jm, jp
         bound *= 2.0 * abs(k + offset) * inv_xmin + 1.0
         km = k - 1
         if km in slot:
@@ -201,10 +207,10 @@ def _downward(x, keep, offset, start, j_above, j_start, sum_even=False):
             big = np.abs(jc) > _RESCALE_AT
             if np.any(big):
                 scale = np.where(big, 1.0 / _RESCALE_AT, 1.0)
-                jp = jp * scale
-                jc = jc * scale
+                jp *= scale
+                jc *= scale
                 if even_sum is not None:
-                    even_sum = even_sum * scale
+                    even_sum *= scale
                 rows *= scale
             bound = float(np.maximum(np.abs(jc).max(), np.abs(jp).max()))   # NaN stays NaN
     return rows, even_sum

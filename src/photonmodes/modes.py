@@ -237,6 +237,11 @@ class CylindricalMode(ModeField):
     k = m-2..m+2 (V is nonzero on k = m-1..m+1, which is all evaluate
     builds), using d_x w_k = (alpha/2)(w_{k-1} - w_{k+1}),
     d_y w_k = (i alpha/2)(w_{k+1} + w_{k-1}), d_t = -i p0 and d_z = i pz.
+
+    Memory: the Bessel rows J_k(alpha rho) come from one call on the whole
+    batch, and w and its products are formed _FRAME_BLOCK points at a time
+    into the preallocated outputs, so a call's working set is its output,
+    those rows and one block; the values do not depend on the blocking.
     """
 
     def __init__(self, label: CylindricalLabel):
@@ -266,38 +271,48 @@ class CylindricalMode(ModeField):
             return False
         return not ((self.label.m == 1 and self.cm != 0) or (self.label.m == -1 and self.cp != 0))
 
-    def _ladder(self, t, x, y, z, reach):
-        """The phased ladder e^{-i(p0 t - pz z)} J_k(alpha rho) e^{i k phi}
-        for k = m-reach..m+reach, stacked on a trailing axis, from one
-        bessel_j_int_orders call.  e^{i k phi} are powers of
+    def _ladder_products(self, t, x, y, z, reach, *matrices):
+        """w @ M for each of the matrices, shape (n, M columns), where w is
+        the phased ladder e^{-i(p0 t - pz z)} J_k(alpha rho) e^{i k phi} for
+        k = m-reach..m+reach at the n flattened points.  One
+        bessel_j_int_orders call on the whole batch gives the Bessel rows;
+        w and the products are formed _FRAME_BLOCK points at a time, so the
+        values do not depend on the blocking.  e^{i k phi} are powers of
         e^{i phi} = (x + i y)/rho, taken as 1 on the axis (where J_k(0) = 0
         for every k != 0)."""
+        t, x, y, z = (c.ravel() for c in _broadcast(t, x, y, z))
         lo, hi = self.label.m - reach, self.label.m + reach
         rho = np.hypot(x, y)
-        off = rho > 0
-        r = np.where(off, rho, 1.0)
-        e_phi = np.empty(rho.shape, dtype=complex)
-        e_phi.real = np.where(off, x / r, 1.0)
-        e_phi.imag = y / r
         js = bessel_j_int_orders(range(lo, hi + 1), self.alpha * rho)
-        e_k = np.exp(-1j * (self.label.p0 * t - self.label.pz * z))
-        e_k = e_k * (e_phi if lo >= 0 else np.conj(e_phi)) ** abs(lo)
-        w = np.empty(rho.shape + (hi - lo + 1,), dtype=complex)
-        for i, k in enumerate(range(lo, hi + 1)):
-            if i:
-                e_k = e_k * e_phi
-            w[..., i] = js[k] * e_k
-        return w
+        outs = [np.empty((rho.size, mat.shape[1]), dtype=complex) for mat in matrices]
+        for start in range(0, rho.size, _FRAME_BLOCK):
+            b = slice(start, start + _FRAME_BLOCK)
+            off = rho[b] > 0
+            r = np.where(off, rho[b], 1.0)
+            e_phi = np.empty(r.shape, dtype=complex)
+            e_phi.real = np.where(off, x[b] / r, 1.0)
+            e_phi.imag = y[b] / r
+            e_k = np.exp(-1j * (self.label.p0 * t[b] - self.label.pz * z[b]))
+            e_k = e_k * (e_phi if lo >= 0 else np.conj(e_phi)) ** abs(lo)
+            w = np.empty(r.shape + (hi - lo + 1,), dtype=complex)
+            for i, k in enumerate(range(lo, hi + 1)):
+                if i:
+                    e_k = e_k * e_phi
+                w[:, i] = js[k][b] * e_k
+            for mat, out in zip(matrices, outs):
+                np.matmul(w, mat, out=out[b])
+        return outs
 
     def evaluate(self, t, x, y, z):
-        t, x, y, z = _broadcast(t, x, y, z)
-        return self._ladder(t, x, y, z, 1) @ self._value_matrix[1:4]
+        shape = np.broadcast(t, x, y, z).shape
+        a, = self._ladder_products(t, x, y, z, 1, self._value_matrix[1:4])
+        return a.reshape(shape + (4,))
 
     def jet(self, t, x, y, z):
         """A and d_mu A_nu from one ladder over k = m-2..m+2."""
-        t, x, y, z = _broadcast(t, x, y, z)
-        w = self._ladder(t, x, y, z, 2)
-        return w @ self._value_matrix, (w @ self._grad_matrix).reshape(t.shape + (4, 4))
+        shape = np.broadcast(t, x, y, z).shape
+        a, g = self._ladder_products(t, x, y, z, 2, self._value_matrix, self._grad_matrix)
+        return a.reshape(shape + (4,)), g.reshape(shape + (4, 4))
 
     def gradient(self, t, x, y, z):
         return self.jet(t, x, y, z)[1]
@@ -352,9 +367,10 @@ def sph_radial_profiles(label: SphericalLabel, r, derivs=0):
 
 
 _POLE_TOL = 1e-12
-#: points per block of the multipole frame assembly, whose temporaries then
-#: stay in cache (whole-batch ones would be fresh memory each time), and
-#: nodes per block of sample_grid, so that a grid block is one frame block
+#: points per block of the Bessel-beam and multipole kernels, whose
+#: temporaries then stay in cache (whole-batch ones would be fresh memory
+#: each time), and nodes per block of sample_grid, so that a grid block is
+#: one kernel block
 _FRAME_BLOCK = 4096
 
 #: Relative spread within which a packet's radii count as one radius.  A
@@ -402,10 +418,16 @@ class SphericalMode(ModeField):
 
     evaluate is order 0; jet takes the first r- and t-derivatives of the
     same radial sum (_radial).  The products radial factor x Y[n] are
-    assembled in the spherical frame, _FRAME_BLOCK points at a time, by the
-    maps that define the dyads (charts.sph_dyad_to_frame, sph_frame_to_lorentz).
-    d_t A is the evaluate of time_derivative(), the weights w_k (-i p_k).
-    A WavePacket is a SphericalMode with a many-term spectrum.
+    assembled in the spherical frame by the maps that define the dyads
+    (charts.sph_dyad_to_frame, sph_frame_to_lorentz).  d_t A is the
+    evaluate of time_derivative(), the weights w_k (-i p_k).  A WavePacket
+    is a SphericalMode with a many-term spectrum.
+
+    Memory: the angles, the radial sum, the harmonics and the frame
+    assembly all run _FRAME_BLOCK points at a time into the preallocated
+    output, so a call's working set is its output plus one block.  Each
+    block sets its own downward-recurrence start index, so a call of more
+    than one block can differ at rounding level from a one-block call.
 
     Evaluation is regular everywhere: on the polar axis and at the origin
     the (finite) limit of the combined expression is used even though the
@@ -423,11 +445,11 @@ class SphericalMode(ModeField):
         return float(self._spectrum[0].max())
 
     def _radial(self, t, r, *terms):
-        """Radial factors summed over the spectrum: for each (j, order) in
-        terms, j = 0 or 1, sum_k w_k (-i p_k)^order e^{-i p_k t}
-        d^j/dr^j (R0, Rm, Rp) at energy p_k, stacked to shape (3,) + r.shape.
-        One sph_radial_profiles call at unit energy serves every p_k, since
-        R(p, r) = sqrt(p) R(1, p r).
+        """Radial factors summed over the spectrum at the 1-D points (t, r):
+        for each (j, order) in terms, j = 0 or 1,
+        sum_k w_k (-i p_k)^order e^{-i p_k t} d^j/dr^j (R0, Rm, Rp) at
+        energy p_k, shape (3, r.size).  One sph_radial_profiles call at unit
+        energy serves every p_k, since R(p, r) = sqrt(p) R(1, p r).
 
         With more than one energy the sum runs once per distinct radius of
         each t (_radius_groups: radii within a few units of roundoff of each
@@ -437,19 +459,20 @@ class SphericalMode(ModeField):
         energy keeps the per-point path, where the sort would cost more than
         the radial work it saves."""
         p, w = self._spectrum
-        shape = np.shape(r)
         if p.size > 1:
             t, r, inverse = _radius_groups(t, r)
         derivs = max(j for j, _ in terms)
         prof = sph_radial_profiles(self._unit, np.multiply.outer(p, r), derivs)
         if derivs == 0:
             prof = (prof,)
-        k = (slice(None),) + (None,) * np.ndim(r)
-        phase = w[k] * np.exp(-1j * np.multiply.outer(p, t))
-        out = [np.stack([np.sum(phase * ((-1j * p) ** order * p ** (j + 0.5))[k] * R, axis=0)
-                         for R in prof[j]]) for j, order in terms]
-        if p.size > 1:
-            out = [rad[:, inverse].reshape((3,) + shape) for rad in out]
+        phase = w[:, None] * np.exp(-1j * np.multiply.outer(p, t))
+        out = []
+        for j, order in terms:
+            weighted = phase * ((-1j * p) ** order * p ** (j + 0.5))[:, None]
+            rad = np.empty((3, r.size), dtype=complex)
+            for n, R in enumerate(prof[j]):
+                np.sum(weighted * R, axis=0, out=rad[n])
+            out.append(rad[:, inverse] if p.size > 1 else rad)
         return out
 
     def _harmonics(self, theta, phi, derivs=False):
@@ -473,27 +496,28 @@ class SphericalMode(ModeField):
     def evaluate(self, t, x, y, z):
         shape = np.broadcast(t, x, y, z).shape
         t, x, y, z = (c.ravel() for c in _broadcast(t, x, y, z))
-        r, theta, phi = sph_angles(x, y, z)
-        # components scale as r^{l-1}: l >= 2 vanishes at the origin (those
-        # rows are zeroed); l = 1 has a finite limit there and is evaluated
-        # at least 1e-12 / max p_k off it, an O(p r) directional error below
-        # the evaluation tolerance
-        vanishing = (r < _POLE_TOL) & (self.label.l > 1)
-        r = np.where(vanishing, 1.0, np.maximum(r, 1e-12 / self.p_max))
-        # on the polar axis Y[n] dyad_n tends to a phi-independent limit
-        # (only m = -n survives at the north pole, m = n at the south pole):
-        # its value at theta = 0 or pi and phi = 0
-        on_axis = np.sin(theta) < _POLE_TOL
-        theta = np.where(on_axis, np.where(z > 0, 0.0, math.pi), theta)
-        phi = np.where(on_axis, 0.0, phi)
-        rad, = self._radial(t, r, (0, 0))
         out = np.zeros((t.size, 4), dtype=complex)
         for start in range(0, t.size, _FRAME_BLOCK):
             b = slice(start, start + _FRAME_BLOCK)
-            out[b, 1], out[b, 2], out[b, 3] = sph_frame_to_lorentz(
-                *sph_dyad_to_frame(*(rad[:, b] * self._harmonics(theta[b], phi[b]))),
-                sph_frame(theta[b], phi[b]))
-        out[vanishing] = 0.0
+            r, theta, phi = sph_angles(x[b], y[b], z[b])
+            # components scale as r^{l-1}: l >= 2 vanishes at the origin
+            # (those rows are zeroed); l = 1 has a finite limit there and is
+            # evaluated at least 1e-12 / max p_k off it, an O(p r)
+            # directional error below the evaluation tolerance
+            vanishing = (r < _POLE_TOL) & (self.label.l > 1)
+            r = np.where(vanishing, 1.0, np.maximum(r, 1e-12 / self.p_max))
+            # on the polar axis Y[n] dyad_n tends to a phi-independent limit
+            # (only m = -n survives at the north pole, m = n at the south
+            # pole): its value at theta = 0 or pi and phi = 0
+            on_axis = np.sin(theta) < _POLE_TOL
+            theta = np.where(on_axis, np.where(z[b] > 0, 0.0, math.pi), theta)
+            phi = np.where(on_axis, 0.0, phi)
+            rad, = self._radial(t[b], r, (0, 0))
+            block = out[b]
+            block[:, 1], block[:, 2], block[:, 3] = sph_frame_to_lorentz(
+                *sph_dyad_to_frame(*(rad * self._harmonics(theta, phi))),
+                sph_frame(theta, phi))
+            block[vanishing] = 0.0
         return out.reshape(shape + (4,))
 
     def jet(self, t, x, y, z):
@@ -501,25 +525,24 @@ class SphericalMode(ModeField):
         and one angular pass (Y[-2..2]) a block; off-axis points only."""
         shape = np.broadcast(t, x, y, z).shape
         t, x, y, z = (c.ravel() for c in _broadcast(t, x, y, z))
-        r, theta, phi = sph_angles(x, y, z)
-        if np.any(r < _POLE_TOL) or np.any(np.sin(theta) < _POLE_TOL):
-            raise DegenerateAxisError(
-                "analytic spherical gradient requires off-axis points")
-        radial = self._radial(t, r, (0, 0), (1, 0), (0, 1))
         value = np.zeros((t.size, 4), dtype=complex)
         grad = np.zeros((t.size, 4, 4), dtype=complex)
         for start in range(0, t.size, _FRAME_BLOCK):
             b = slice(start, start + _FRAME_BLOCK)
-            rad, d_rad, dt_rad = (factor[:, b] for factor in radial)
-            ys, d_ys = self._harmonics(theta[b], phi[b], derivs=True)
-            frame = sph_frame(theta[b], phi[b])
+            r, theta, phi = sph_angles(x[b], y[b], z[b])
+            if np.any(r < _POLE_TOL) or np.any(np.sin(theta) < _POLE_TOL):
+                raise DegenerateAxisError(
+                    "analytic spherical gradient requires off-axis points")
+            rad, d_rad, dt_rad = self._radial(t[b], r, (0, 0), (1, 0), (0, 1))
+            ys, d_ys = self._harmonics(theta, phi, derivs=True)
+            frame = sph_frame(theta, phi)
             a = sph_dyad_to_frame(*(rad * ys))
             value[b, 1], value[b, 2], value[b, 3] = sph_frame_to_lorentz(*a, frame)
             grad[b, 0, 1], grad[b, 0, 2], grad[b, 0, 3] = sph_frame_to_lorentz(
                 *sph_dyad_to_frame(*(dt_rad * ys)), frame)
             sph_frame_gradient(
                 a, sph_dyad_to_frame(*(d_rad * ys)), sph_dyad_to_frame(*(rad * d_ys)),
-                [1j * self.label.m * c for c in a], r[b], frame, grad[b, 1:, 1:])
+                [1j * self.label.m * c for c in a], r, frame, grad[b, 1:, 1:])
         return value.reshape(shape + (4,)), grad.reshape(shape + (4, 4))
 
     def gradient(self, t, x, y, z):
@@ -647,10 +670,11 @@ def sample_grid(mode: ModeField, spec: GridSpec) -> FieldGrid:
     The nodes are evaluated in row-major blocks of _FRAME_BLOCK (4,096), so
     the working set is the values array plus one block's evaluation,
     whatever the grid size, and a multipole block is one pass of its frame
-    assembly.  A grid of at most one block is one evaluate call.  On a
-    larger one a Bessel-beam or multipole value can differ at rounding level
-    from a whole-grid call: the downward Bessel recurrence starts from the
-    largest argument of the batch, here of the block."""
+    assembly.  A grid of at most one block is one evaluate call, and a
+    multipole evaluate walks the same blocks, so its grid equals a
+    whole-grid call bit for bit.  A Bessel-beam value can differ at
+    rounding level from a whole-grid call: the downward Bessel recurrence
+    starts from the largest argument of the batch, here of the block."""
     axes = {name: spec.axis(name) for name in ("t", "x", "y", "z")}
     kmax = getattr(mode, "p_max", mode.p0)   # a duck-typed field may carry p0 only
     for name, ax in axes.items():

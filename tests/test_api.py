@@ -93,6 +93,12 @@ def _gram_calls():
         assert cli.main(["overlap", *label]) == 0
 
 
+def _export_calls(out):
+    assert cli.main(["eval", "--family", "spherical", "--label", "p0=1.0,l=2,m=1,s=1",
+                     "--grid", "x:-0.4:0.4:9,y:-0.4:0.4:9,z:-0.4:0.4:9",
+                     "--out", str(out)]) == 0
+
+
 def _traced_values(tracer_ns, calls):
     """The tracer's per-layer values and leggauss orders of what calls() runs."""
     tracer = tracer_ns["Tracer"]().install()
@@ -105,21 +111,30 @@ def _traced_values(tracer_ns, calls):
         "leggauss_orders": sorted(tracer.leggauss_orders)})
 
 
-def test_every_traced_layer_of_the_field_and_gram_workloads_sees_work():
+def test_every_traced_layer_of_the_field_gram_and_export_workloads_sees_work(tmp_path):
     # perfbench/run.py exits 3 when a layer that design.json assigns to a
     # workload records no work: a refactor that calls a copy of a measured
-    # function, which the tracer cannot rebind, would do that.  The calls
-    # reach the package through module attributes, as the workloads do, and
-    # each workload's calls are traced on their own
+    # function, which the tracer cannot rebind, or an eval that routes
+    # around sample_grid would do that.  The calls reach the package through
+    # module attributes, as the workloads do, and each workload's calls are
+    # traced on their own
     tracer_ns = _perfbench_namespace("tracer.py")
     design = json.loads((PERFBENCH / "design.json").read_text())
+    out = tmp_path / "export"
     idle = []
-    for workload, calls in (("field", _field_calls), ("gram", _gram_calls)):
+    for workload, calls in (("field", _field_calls), ("gram", _gram_calls),
+                            ("export", lambda: _export_calls(out))):
         values, orders = _traced_values(tracer_ns, calls)
-        # as perfbench/run.py's layer_metrics derives them
+        # as perfbench/run.py's layer_metrics derives them; the workload
+        # counts the header and CSV bytes it receives
         n_calls = values["inner_product.leggauss.calls"]
         values["inner_product.leggauss.distinct"] = len(orders)
         values["inner_product.leggauss.reuse_frac"] = len(orders) / n_calls if n_calls else 0.0
+        if "cli.eval.self_s" in values:
+            values["cli.eval.write_s"] = values["cli.eval.self_s"]
+            values["cli.eval.bytes"] = sum(path.stat().st_size for path in tmp_path.iterdir())
+            values["cli.eval.write_mb_s"] = (values["cli.eval.bytes"] / 1e6
+                                             / values["cli.eval.self_s"])
         idle += [f"{workload}: {metric}" for row in design["layers"]
                  if workload in row["workloads"] for metric in row["metrics"]
                  if not metric.endswith(".errors") and not values.get(metric, 0) > 0]

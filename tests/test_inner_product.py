@@ -223,17 +223,24 @@ def test_packet_batch_shares_radial_work_per_distinct_t_r(monkeypatch, rng):
 
 def test_packet_on_the_ball_takes_its_radial_sum_once_per_radius(monkeypatch, packet):
     # the packet ball's 128 radii, recomputed from (x, y, z), round to 332
-    # distinct values; the radial sum runs once per radius, and evaluate
-    # and jet equal the point-by-point calls on every 61st node
+    # distinct values; the radial sum runs once per radius of each block of
+    # the kernel (the 8,192 nodes, radius the slowest axis, are two blocks
+    # of 64 whole radii), and evaluate and jet equal the point-by-point
+    # calls on every 61st node
     t, x, y, z, _ = slice_nodes_meshgrid(PACKET_QUAD)
     assert np.unique(charts.sph_angles(x, y, z)[0]).size > PACKET_QUAD.n_r
+    radius_index = np.arange(t.size) // (PACKET_QUAD.n_theta * PACKET_QUAD.n_phi)
+    per_block = [packet.p_nodes.size * np.unique(radius_index[start:start + modes._FRAME_BLOCK]).size
+                 for start in range(0, t.size, modes._FRAME_BLOCK)]
+    assert len(per_block) == 2
     seen = _counting_radial_points(monkeypatch)
     d_dt = packet.time_derivative()
     for method in (lambda *c: (packet.evaluate(*c),), lambda *c: (d_dt.evaluate(*c),),
                    packet.jet):
         seen.clear()
         batch = method(t, x, y, z)
-        assert seen == [packet.p_nodes.size * PACKET_QUAD.n_r]
+        assert seen == per_block
+        assert sum(seen) == packet.p_nodes.size * PACKET_QUAD.n_r
         singles = [method(t[i], x[i], y[i], z[i]) for i in range(0, t.size, 61)]
         for got, want in zip(batch, zip(*singles)):
             want = np.stack(want)

@@ -377,20 +377,75 @@ def test_spherical_frame_assembly_over_several_blocks(field, rng):
     assert np.array_equal(g.reshape(-1, 4, 4), ref_g)
 
 
-def test_spherical_jet_memory_is_bounded_by_its_outputs():
-    # 40,000 off-axis points at l = 6: the value and gradient are 12.8 MB;
-    # whole-batch dyad arrays and contractions peaked at 3.5 times that
+_CURVILINEAR = [cylindrical_mode(CylindricalLabel(1.2, 0.4, -3, 1)),
+                spherical_mode(SphericalLabel(0.9, 4, -3, 1)),
+                WavePacket(l=1, m=1, s=-1, center=1.0, width=0.2, n_nodes=24)]
+_CURVILINEAR_IDS = ["bessel-negative-m", "multipole", "packet"]
+
+
+@pytest.mark.parametrize("field", _CURVILINEAR, ids=_CURVILINEAR_IDS)
+def test_blocked_kernels_equal_one_block(monkeypatch, field, rng):
+    # 802 points in blocks of 300: two full blocks and a partial one of 202.
+    # The Bessel rows of a Bessel beam are taken on the whole batch, so its
+    # blocks match bit for bit; a multipole block sets its own Miller start
+    # index, which moves values at rounding level
+    pts = _sph_cloud(rng, 802, field.p0)
+    axis_pts = tuple(c.copy() for c in pts)
+    for i in (5, 299, 300, 301, 650):      # on the polar axis, both poles
+        axis_pts[1][i] = axis_pts[2][i] = 0.0
+    for c in axis_pts[1:]:
+        c[600] = 0.0                       # the origin
+    calls = [lambda: (field.evaluate(*axis_pts),), lambda: field.jet(*pts)]
+    whole = [call() for call in calls]
+    monkeypatch.setattr(modes, "_FRAME_BLOCK", 300)
+    for call, want in zip(calls, whole):
+        for got, ref in zip(call(), want):
+            assert got.shape == ref.shape
+            if isinstance(field, modes.CylindricalMode):
+                assert np.array_equal(got, ref)
+            else:
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("field", _CURVILINEAR, ids=_CURVILINEAR_IDS)
+def test_kernels_keep_the_shape_of_empty_scalar_and_broadcast_input(field):
+    empty = np.zeros(0)
+    for (t, x, y, z), shape in (((empty,) * 4, (0,)), ((0.3, 0.5, -0.4, 0.7), ()),
+                                ((np.linspace(0.0, 1.0, 5)[:, None], np.linspace(0.2, 0.9, 4),
+                                  -0.3, 0.6), (5, 4))):
+        a, g = field.jet(t, x, y, z)
+        assert field.evaluate(t, x, y, z).shape == a.shape == shape + (4,)
+        assert g.shape == shape + (4, 4)
+
+
+@pytest.mark.parametrize("field, method, bound", [
+    # measured excess over the output bytes: multipole 1.2 MB (evaluate) and
+    # 3.5 MB (jet), where whole-batch radial and angular factors took 6.0
+    # and 9.5 MB; Bessel beam 1.8 and 2.8 MB, its whole-batch Bessel rows
+    # included
+    (spherical_mode(SphericalLabel(1.1, 6, 2, 1)), "evaluate", 3e6),
+    (spherical_mode(SphericalLabel(1.1, 6, 2, 1)), "jet", 5e6),
+    (cylindrical_mode(CylindricalLabel(1.1, 0.3, 3, 1)), "evaluate", 2.5e6),
+    (cylindrical_mode(CylindricalLabel(1.1, 0.3, 3, 1)), "jet", 3.5e6),
+], ids=["multipole-evaluate", "multipole-jet", "bessel-evaluate", "bessel-jet"])
+def test_kernel_memory_is_bounded_by_the_output_and_one_block(field, method, bound):
+    # 40,000 off-axis points, p0 r log-uniform on [0.1, 500]
     import tracemalloc
-    mode = spherical_mode(SphericalLabel(1.0, 6, 2, 1))
-    pts = _sph_cloud(np.random.default_rng(5), 40_000, mode.p0)
+    rng = np.random.default_rng(5)
+    pr = np.exp(rng.uniform(math.log(0.1), math.log(500.0), 40_000))
+    ct = rng.uniform(-0.9, 0.9, pr.size)
+    ph = rng.uniform(-math.pi, math.pi, pr.size)
+    r, st = pr / field.p0, np.sqrt(1.0 - ct * ct)
+    pts = (rng.uniform(-3.0, 3.0, pr.size), r * st * np.cos(ph), r * st * np.sin(ph), r * ct)
     tracemalloc.start()
     try:
-        a, g = mode.jet(*pts)
+        out = getattr(field, method)(*pts)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert a.nbytes + g.nbytes == 40_000 * 20 * 16
-    assert peak < 2.5 * (a.nbytes + g.nbytes)
+    out = out if isinstance(out, tuple) else (out,)
+    assert sum(o.nbytes for o in out) == 40_000 * 16 * (4 if method == "evaluate" else 20)
+    assert peak < sum(o.nbytes for o in out) + bound
 
 
 def test_radius_groups_merge_roundoff_only(rng):
@@ -547,8 +602,9 @@ _BLOCKED_SPEC = GridSpec(t=(0.0, 0.05, 2), x=(0.1, 0.4, 7), y=(-0.25, 0.25, 11),
 @pytest.mark.parametrize("field, exact", [
     (plane_wave(PlaneWaveLabel((0.3, -0.5, 0.7), +1)), True),
     (cylindrical_mode(CylindricalLabel(1.2, 0.4, 2, -1)), False),
-    (spherical_mode(SphericalLabel(0.9, 4, -3, 1)), False),
-    (WavePacket(l=2, m=1, s=-1, center=1.0, width=0.2, n_nodes=24), False),
+    # a multipole evaluate walks the grid's own blocks
+    (spherical_mode(SphericalLabel(0.9, 4, -3, 1)), True),
+    (WavePacket(l=2, m=1, s=-1, center=1.0, width=0.2, n_nodes=24), True),
 ], ids=["plane", "cylindrical", "spherical", "packet"])
 def test_blocked_sample_grid_equals_a_whole_grid_evaluate(monkeypatch, field, exact):
     monkeypatch.setattr(modes, "_FRAME_BLOCK", 300)

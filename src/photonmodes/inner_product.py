@@ -36,14 +36,16 @@ agree:
 
 - 'averaged': truncation at R plus iterated two-point (Cesaro-style)
   averaging of partial sums at half-period lags of each beat frequency,
-- 'damped':   exponential damper exp(-eta r) with Richardson extrapolation
-  eta -> 0 over (eta, eta/2, eta/4).
+- 'damped':   exponential damper exp(-eta r), extrapolated to eta = 0 from
+  its values v0, v1, v2 at (eta, eta/2, eta/4) as (v0 - 6 v1 + 8 v2) / 3.
 
-An integrand may return a (K, n) stack of K integrands on the same nodes.
-The radial integrals of one discrete-sector Gram share their beat frequency
-and so their nodes; each Gram takes them as one stacked integral (one per l
-for the multipoles), walked in blocks of _BLOCK nodes, the slice blocks'
-size: every kernel call here sees at most _BLOCK nodes.
+An integrand may return a (K, n) stack of K integrands on the same nodes,
+walked in blocks of _BLOCK nodes, the slice blocks' size: every kernel call
+here sees at most _BLOCK nodes.  A discrete-sector Gram is block diagonal
+by the Kronecker factors of its labels and is built from its blocks: 2 p0
+sum_n kron(angular_n, radial_l[n]) over the spin sectors n per multipole l,
+and 2 p0 2 pi (conj(c) * R) @ c.T per Bessel-beam m, 2 pi delta_mm' being
+its phi integral (discrete_orthonormality).
 
 Delta-normalization in the continuous labels is always verified through
 square-integrable wave packets or Gaussian-smeared overlaps, never by
@@ -53,7 +55,7 @@ pointwise evaluation of a distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -496,27 +498,21 @@ def damped_oscillatory_integral(f, freqs):
 
         I(eta) = int_0^{k/eta} f + int_{k/eta}^inf e^{-eta (r - k/eta)} f(r) dr,
 
-    Richardson-extrapolated eta -> 0 through eta = TAIL_ETA, /2, /4.  Tying the
-    head length to k/eta makes the error of the slowly decaying ~1/r^2 part
-    of Bessel-product tails exactly linear in eta, so the polynomial
-    extrapolation removes it."""
+    Richardson-extrapolated eta -> 0 through eta = TAIL_ETA, /2, /4: the
+    quadratic through the three values v0, v1, v2 takes
+    (v0 - 6 v1 + 8 v2) / 3 at eta = 0.  Tying the head length to k/eta
+    makes the error of the slowly decaying ~1/r^2 part of Bessel-product
+    tails exactly linear in eta, so the extrapolation removes it."""
     seg = _segment(freqs)
-    kappa = 3.0
-    etas = [TAIL_ETA, TAIL_ETA / 2.0, TAIL_ETA / 4.0]
     vals = []
-    for eta in etas:
-        r0 = kappa / eta   # head must scale with 1/eta to keep the error linear
+    for eta in (TAIL_ETA, TAIL_ETA / 2.0, TAIL_ETA / 4.0):
+        r0 = 3.0 / eta   # head must scale with 1/eta to keep the error linear
         r_max = r0 + 10.0 / eta
         head = _composite_gl(f, 0.0, r0, seg)
         vals.append(head + _composite_gl(
             lambda r, e=eta, rr=r0: np.exp(-e * (r - rr)) * f(r), r0, r_max, seg))
-    # Neville to eta = 0 through the three points
-    x = np.array(etas)
-    p = list(vals)
-    for level in range(1, 3):
-        for i in range(3 - level):
-            p[i] = p[i + 1] + (p[i] - p[i + 1]) * x[i + level] / (x[i + level] - x[i])
-    return p[0]
+    v0, v1, v2 = vals
+    return (v0 - 6.0 * v1 + 8.0 * v2) / 3.0
 
 
 def oscillatory_integral(f, freqs, spec: TailSpec):
@@ -531,11 +527,27 @@ def oscillatory_integral(f, freqs, spec: TailSpec):
 # Bessel overlap tables
 # ---------------------------------------------------------------------------
 
-def _beat_freqs(k1, k2, min_sep=5e-2):
-    freqs = [k1 + k2]
-    if abs(k1 - k2) > min_sep:
-        freqs.append(abs(k1 - k2))
-    return freqs
+def _beat_freqs(k1, k2):
+    beat = abs(k1 - k2)
+    return [k1 + k2, beat] if beat > 5e-2 else [k1 + k2]
+
+
+def _overlap_orders(kind, order, k1, k2):
+    """The Bessel orders (nu1, nu2) of a bessel_overlap row.  ValueError
+    naming kind unless known, order unless an integer >= 0 (a negative order
+    diverges at r = 0), k1 or k2 unless finite and >= 0, and k1 = 0 for
+    sph_cross at order 0, where J_{-1/2}(k1 r) is infinite."""
+    if kind not in ("sph_inv_r", "sph_cross"):
+        raise ValueError(f"unknown overlap kind {kind!r}")
+    order = _integer("order", order, 0)
+    for nm, value in (("k1", k1), ("k2", k2)):
+        if not 0 <= value < math.inf:
+            raise ValueError(f"{nm} must be finite and >= 0, got {value!r}")
+    if kind == "sph_inv_r":
+        return order + 0.5, order + 0.5
+    if order == 0 and k1 == 0:
+        raise ValueError("k1 must be > 0 for sph_cross at order 0: J_{-1/2}(0) is infinite")
+    return order - 0.5, order + 0.5
 
 
 def bessel_overlap(kind, order, k1, k2, spec: TailSpec):
@@ -544,42 +556,27 @@ def bessel_overlap(kind, order, k1, k2, spec: TailSpec):
     kind: 'sph_inv_r'  int (1/r) J_{l+1/2}(k1 r) J_{l+1/2}(k2 r) dr
           'sph_cross'  int       J_{l-1/2}(k1 r) J_{l+1/2}(k2 r) dr
     with order = l.  The delta-normalized rows are only meaningful smeared;
-    see smeared_radial_delta.  ValueError naming k1 or k2 unless it is
-    finite and >= 0, and order unless it is an integer >= 0 (a negative
-    order diverges at r = 0)."""
-    for nm, value in (("k1", k1), ("k2", k2)):
-        if not 0 <= value < math.inf:
-            raise ValueError(f"{nm} must be finite and >= 0, got {value!r}")
-    _integer("order", order, 0)
-    if kind == "sph_inv_r":
-        nu1 = nu2 = order + 0.5
-        weight = lambda r: 1.0 / r
-    elif kind == "sph_cross":
-        nu1, nu2 = order - 0.5, order + 0.5
-        weight = lambda r: np.ones_like(r)
-    else:
-        raise ValueError(f"unknown overlap kind {kind!r}")
+    see smeared_radial_delta.  ValueError as _overlap_orders names it."""
+    nu1, nu2 = _overlap_orders(kind, order, k1, k2)
 
     def f(r):
-        return weight(r) * bessel_j(nu1, k1 * r) * bessel_j(nu2, k2 * r)
+        weight = 1.0 / r if kind == "sph_inv_r" else 1.0
+        return weight * bessel_j(nu1, k1 * r) * bessel_j(nu2, k2 * r)
 
     return oscillatory_integral(f, _beat_freqs(k1, k2), spec)
 
 
 def bessel_overlap_closed_form(kind, order, k1, k2):
-    """Closed-form value of a bessel_overlap row; ValueError naming order
-    unless it is an integer >= 0."""
-    _integer("order", order, 0)
-    if kind == "sph_inv_r":
-        lo, hi = min(k1, k2), max(k1, k2)
-        return (1.0 / (2.0 * order + 1.0)) * (lo / hi) ** (order + 0.5)
-    if kind == "sph_cross":
-        if k1 < k2:
-            return (1.0 / k1) * (k1 / k2) ** (order + 0.5)
-        if k1 == k2:
-            return 1.0 / (2.0 * k1)
+    """Closed-form value of a bessel_overlap row: 0.0 where k1 or k2 is 0.
+    ValueError as _overlap_orders names it."""
+    _overlap_orders(kind, order, k1, k2)
+    if k1 == 0 or k2 == 0 or (kind == "sph_cross" and k1 > k2):
         return 0.0
-    raise ValueError(f"unknown overlap kind {kind!r}")
+    if kind == "sph_inv_r":
+        return (1.0 / (2.0 * order + 1.0)) * (min(k1, k2) / max(k1, k2)) ** (order + 0.5)
+    if k1 == k2:
+        return 1.0 / (2.0 * k1)
+    return (1.0 / k1) * (k1 / k2) ** (order + 0.5)
 
 
 def smeared_radial_delta(kind, order, k_fixed, center, sigma):
@@ -634,12 +631,7 @@ class GramResult:
     labels: list
     matrix: np.ndarray           # normalized by the diagonal
     diagonal: np.ndarray
-    max_offdiag: float = dataclass_field(init=False)
-
-    def __post_init__(self):
-        off = self.matrix.copy()
-        off[np.diag_indices_from(off)] = 0.0
-        self.max_offdiag = float(np.abs(off).max()) if off.size else 0.0
+    max_offdiag: float           # the largest |matrix| entry off the diagonal
 
 
 def discrete_orthonormality(family, fixed, ranges, spec: TailSpec) -> GramResult:
@@ -650,8 +642,17 @@ def discrete_orthonormality(family, fixed, ranges, spec: TailSpec) -> GramResult
     fixed={'p0': ..., 'pz': ...}, ranges={'m_max': M}; labels run over
     |m| <= M, s = +-1 (transverse-plane Gram at fixed longitudinal factor).
 
-    Angular integrals use exact-degree rules; radial integrals share one
-    regularized truncation protocol so the normalization is uniform.
+    The modes are delta-normalized with Kronecker factors in the discrete
+    labels, so the Gram is built block by block, exactly 0 between blocks.
+    A multipole's l block is 2 p0 sum_n kron(angular_n[l block, l block],
+    radial_l[n]) over the sectors n = 0, -1, +1, angular_n from
+    sph_harmonic_gram and radial_l[n] the 2x2 helicity matrix of
+    int conj(R_n[l, s]) R_n[l, s'] r^2 dr.  A Bessel beam's m block is
+    2 p0 2 pi (conj(c) * R) @ c.T: 2 pi delta_mm' the phi integral, c the
+    (cz, cm, cp) rows of the two helicities, R the int rho J_k(alpha rho)^2
+    drho at k = |m|, |m - 1|, |m + 1|.  The radial integrals share the
+    nodes of spec's rule: one stacked integral per l, or one for all k.
+
     ValueError naming the field, before any quadrature, unless p0 is finite
     and > 0, pz finite with |pz| < p0, l_max an integer >= 1 and m_max an
     integer >= 0; ValueError naming p0, after it, when the Gram's diagonal
@@ -665,64 +666,47 @@ def discrete_orthonormality(family, fixed, ranges, spec: TailSpec) -> GramResult
     raise ValueError(f"unknown family {family!r}")
 
 
-def _hermitian_gram(labels, entry, p0):
-    """The Hermitian Gram over labels with upper triangle entry(i, j), i <= j
-    (None: nothing to integrate, the pair stays zero), normalized by its
-    real diagonal."""
-    gram = np.zeros((len(labels), len(labels)), dtype=complex)
-    for i, j in zip(*np.triu_indices(len(labels))):
-        value = entry(i, j)
-        if value is not None:
-            gram[i, j] = value
-            gram[j, i] = np.conj(gram[i, j])
+def _normalized(labels, gram, p0):
+    """The GramResult of the Hermitian gram, normalized by its real diagonal."""
     diag = np.real(np.diag(gram)).copy()
     if not np.all(np.isfinite(diag) & (diag > 0)):
         raise ValueError(f"p0={p0!r} is out of range: the Gram's "
                          f"diagonal is not finite and > 0")
-    return GramResult(labels, gram / np.sqrt(np.outer(diag, diag)), diag)
+    matrix = gram / np.sqrt(np.outer(diag, diag))
+    off = np.abs(matrix)
+    np.fill_diagonal(off, 0.0)
+    return GramResult(labels, matrix, diag, float(off.max()))
 
 
 def _gram_spherical(p0, l_max, spec):
     lm = [(l, m) for l in range(1, l_max + 1) for m in range(-l, l + 1)]
     labels = [(l, m, s) for l, m in lm for s in (+1, -1)]
-    # per sector (R0, Rm, Rp): the overlaps of its harmonics Y[n], n = 0, -1, +1
+    # per sector n = 0, -1, +1: the overlaps of its harmonics Y[n]
     angular = [sph_harmonic_gram(n, lm, 2 * l_max + 6, 4 * l_max + 8) for n in (0, -1, 1)]
-    profile = {(l, s): SphericalLabel(p0, l, 0, s) for l in range(1, l_max + 1) for s in (1, -1)}
-
-    def products(l):
-        """The 12 radial products conj(R_n[l, s]) R_n[l, s'] r^2, stacked in
-        (sector n, s, s') order: the angular Gram vanishes unless l = l'."""
-        def f(r):
-            prof = [sph_radial_profiles(profile[l, s], r) for s in (1, -1)]
+    gram = np.zeros((len(labels), len(labels)), dtype=complex)
+    for l in range(1, l_max + 1):
+        profile = [SphericalLabel(p0, l, 0, s) for s in (1, -1)]
+        def f(r):   # the 12 conj(R_n[l, s]) R_n[l, s'] r^2 in (n, s, s') order
+            prof = [sph_radial_profiles(label, r) for label in profile]
             r2 = r**2
             return np.stack([np.conj(fa[sector]) * fb[sector] * r2
                              for sector in range(3) for fa in prof for fb in prof])
-        return f
 
-    # radial[l][sector, s, s'], s and s' indexed 0 for +1 and 1 for -1
-    radial = {l: oscillatory_integral(products(l), [2.0 * p0], spec).reshape(3, 2, 2)
-              for l in range(1, l_max + 1)}
-
-    def entry(i, j):
-        (l, _, s), (lp, _, sp_) = labels[i], labels[j]
-        if l != lp:
-            return None
-        return 2.0 * p0 * sum(radial[l][sector, i % 2, j % 2] * ang[i // 2, j // 2]
-                              for sector, ang in enumerate(angular)
-                              if abs(ang[i // 2, j // 2]) >= 1e-14)
-
-    return _hermitian_gram(labels, entry, p0)
+        # radial[sector, s, s'], s and s' indexed 0 for +1 and 1 for -1
+        radial = oscillatory_integral(f, [2.0 * p0], spec).reshape(3, 2, 2)
+        block = slice(l * l - 1, (l + 1) ** 2 - 1)    # the l block's lm indices
+        rows = slice(2 * block.start, 2 * block.stop)  # and its labels, two each
+        gram[rows, rows] = 2.0 * p0 * sum(np.kron(ang[block, block], radial[sector])
+                                          for sector, ang in enumerate(angular))
+    return _normalized(labels, gram, p0)
 
 
 def _gram_cylindrical(p0, pz, m_max, spec):
     labels = [(m, s) for m in range(-m_max, m_max + 1) for s in (+1, -1)]
-    modes = {(m, s): CylindricalMode(CylindricalLabel(p0, pz, m, s)) for (m, s) in labels}
-    alpha = modes[0, 1].alpha
+    beams = [CylindricalMode(CylindricalLabel(p0, pz, m, s)) for (m, s) in labels]
+    alpha = beams[0].alpha
     if alpha == 0.0:   # |pz| = p0: every label but m = +-1 is the zero field
         raise ValueError(f"pz must be finite with |pz| < p0, got pz={pz!r}, p0={p0!r}")
-    n_phi = 8 * m_max + 8
-    phi = np.arange(n_phi) * TWO_PI / n_phi
-    wphi = TWO_PI / n_phi
 
     def f(rho):
         x = alpha * rho
@@ -730,14 +714,10 @@ def _gram_cylindrical(p0, pz, m_max, spec):
 
     # row k: the regularized int rho J_k(alpha rho)^2 drho, k = 0..m_max+1
     radial = oscillatory_integral(f, [2.0 * alpha], spec)
-
-    def entry(i, j):
-        (m, _), (mp, _), ca, cb = labels[i], labels[j], modes[labels[i]], modes[labels[j]]
-        ang = np.sum(np.exp(1j * (mp - m) * phi)) * wphi
-        if abs(ang) < 1e-13:
-            return None
-        return 2.0 * p0 * ang * (np.conj(ca.cz) * cb.cz * radial[abs(m)]
-                                 + np.conj(ca.cm) * cb.cm * radial[abs(m - 1)]
-                                 + np.conj(ca.cp) * cb.cp * radial[abs(m + 1)])
-
-    return _hermitian_gram(labels, entry, p0)
+    gram = np.zeros((len(labels), len(labels)), dtype=complex)
+    for i, m in enumerate(range(-m_max, m_max + 1)):
+        rows = slice(2 * i, 2 * i + 2)
+        c = np.array([(b.cz, b.cm, b.cp) for b in beams[rows]])
+        R = radial[[abs(m), abs(m - 1), abs(m + 1)]]
+        gram[rows, rows] = 2.0 * p0 * TWO_PI * (np.conj(c) * R) @ c.T
+    return _normalized(labels, gram, p0)

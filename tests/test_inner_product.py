@@ -713,6 +713,25 @@ def test_bessel_overlaps_name_a_bad_wavenumber(field, value):
     assert bessel_overlap("sph_inv_r", 1, 0.0, 1.0, TailSpec()) == 0.0
 
 
+@pytest.mark.parametrize("kind, order, k1, k2, want", [
+    ("sph_cross", 1, 0.0, 1.0, 0.0), ("sph_cross", 2, 0.0, 0.0, 0.0),
+    ("sph_inv_r", 1, 0.0, 0.0, 0.0), ("sph_inv_r", 1, -1.0, 1.0, "k1"),
+    ("sph_cross", 1, math.nan, 1.0, "k1"), ("sph_cross", 0, 0.0, 1.0, "k1")])
+def test_bessel_overlap_and_its_closed_form_share_one_argument_check(kind, order, k1, k2, want):
+    # the closed form raised a bare ZeroDivisionError at the zero rows,
+    # returned -6.1e-17-0.333j at k1 = -1 and 0.0 at k1 = nan; the
+    # sph_cross row of order 0 diverges at k1 = 0 (J_{-1/2}(0) is infinite),
+    # where bessel_overlap returned nan with a RuntimeWarning
+    if want == "k1":
+        with pytest.raises(ValueError, match="k1"):
+            bessel_overlap_closed_form(kind, order, k1, k2)
+        with pytest.raises(ValueError, match="k1"):
+            bessel_overlap(kind, order, k1, k2, TailSpec())
+    else:
+        assert bessel_overlap_closed_form(kind, order, k1, k2) == want
+        assert bessel_overlap(kind, order, k1, k2, TailSpec()) == want
+
+
 @pytest.mark.parametrize("kind", ["sph_inv_r", "sph_cross"])
 @pytest.mark.parametrize("order", [-1, -0.5, 1.5, math.nan, math.inf])
 def test_bessel_overlaps_name_an_order_that_is_not_a_multipole_order(kind, order):
@@ -943,6 +962,23 @@ def test_gram_single_label():
     # a single m with two helicities: 2x2, unit diagonal
     assert g.matrix.shape == (2, 2)
     assert np.allclose(np.diag(g.matrix), 1.0)
+
+
+@pytest.mark.parametrize("tail", ["averaged", "damped"])
+@pytest.mark.parametrize("family, fixed, ranges", [
+    ("spherical", {"p0": 1.0}, {"l_max": 3}),
+    ("cylindrical", {"p0": 1.0, "pz": 0.3}, {"m_max": 3})])
+def test_gram_is_block_diagonal_and_hermitian_with_a_unit_diagonal(family, fixed, ranges, tail):
+    # the Kronecker factors: entries between different l (multipoles) or
+    # different m (Bessel beams) are exactly 0, not a small quadrature value
+    g = discrete_orthonormality(family, fixed, ranges, TailSpec(tail=tail))
+    block = np.array([label[0] for label in g.labels])
+    between = block[:, None] != block[None, :]
+    assert np.count_nonzero(g.matrix[between]) == 0
+    assert np.abs(g.matrix - g.matrix.conj().T).max() <= 1e-15
+    assert np.abs(np.diag(g.matrix) - 1.0).max() <= 1e-15
+    off = ~np.eye(len(g.labels), dtype=bool)
+    assert 0.0 < g.max_offdiag == np.abs(g.matrix[off]).max()
 
 
 def _spherical_gram_reference(p0, l_max, spec):

@@ -363,7 +363,8 @@ def cmd_validate(args):
     print(f"{'check'.ljust(width)}  {'worst margin':>14}  {'time':>7}  status")
     all_pass = True
     for rep in reports:
-        status = "pass" if rep.passed else "FAIL"
+        failed = [claim for claim, held in rep.claim_passed.items() if not held]
+        status = "pass" if rep.passed else f"FAIL: {', '.join(failed)}"
         all_pass &= rep.passed
         print(f"{rep.name.ljust(width)}  {rep.worst_margin():14.3e}  "
               f"{rep.runtime:6.1f}s  {status}")

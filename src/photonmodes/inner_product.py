@@ -653,17 +653,24 @@ def discrete_orthonormality(family, fixed, ranges, spec: TailSpec) -> GramResult
     drho at k = |m|, |m - 1|, |m + 1|.  The radial integrals share the
     nodes of spec's rule: one stacked integral per l, or one for all k.
 
-    ValueError naming the field, before any quadrature, unless p0 is finite
-    and > 0, pz finite with |pz| < p0, l_max an integer >= 1 and m_max an
-    integer >= 0; ValueError naming p0, after it, when the Gram's diagonal
+    ValueError naming the key, before any quadrature, when fixed or ranges
+    lacks a key the family takes or has one it does not, or unless p0 is
+    finite and > 0, pz finite with |pz| < p0, l_max an integer >= 1 and m_max
+    an integer >= 0; ValueError naming p0, after it, when the Gram's diagonal
     is not finite and > 0 (a p0 so small that the radial integrals overflow).
     """
+    takes = {"spherical": (("p0",), ("l_max",)), "cylindrical": (("p0", "pz"), ("m_max",))}
+    if family not in takes:
+        raise ValueError(f"unknown family {family!r}")
+    for what, given, keys in zip(("fixed", "ranges"), (fixed, ranges), takes[family]):
+        wrong = ([f"missing key {key!r}" for key in keys if key not in given]
+                 + [f"unknown key {key!r}" for key in given if key not in keys])
+        if wrong:
+            raise ValueError(f"{family} {what}: {', '.join(wrong)}; it takes {', '.join(keys)}")
     if family == "spherical":
         return _gram_spherical(fixed["p0"], _integer("l_max", ranges["l_max"], 1), spec)
-    if family == "cylindrical":
-        return _gram_cylindrical(fixed["p0"], fixed["pz"], _integer("m_max", ranges["m_max"], 0),
-                                 spec)
-    raise ValueError(f"unknown family {family!r}")
+    return _gram_cylindrical(fixed["p0"], fixed["pz"], _integer("m_max", ranges["m_max"], 0),
+                             spec)
 
 
 def _normalized(labels, gram, p0):

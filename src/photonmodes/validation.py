@@ -1,12 +1,12 @@
 """Seeded, tolerance-gated checks of every claimed property of the three
 mode families.
 
-`REGISTRY` is the single place a check is declared: its report name, the
-suite that runs it, the claims it covers, its gates (residual key ->
-tolerance) and its informational residual keys, which are reported but never
-gate.  Each entry's ``measure(spec) -> (residuals, labels)`` holds only the
-physics.  `run_check` times it, rejects any residual key the entry does not
-declare, and applies the one pass rule: every gate has residual <= tolerance.
+`REGISTRY` is the single place a check is declared: its name, its suite,
+each claim with the gates that prove it (residual key -> tolerance), and the
+residual keys reported but never gated.  Each ``measure(spec) -> (residuals,
+labels)`` holds only the physics.  `run_check` times it, rejects any residual
+key not declared, and applies one pass rule: a claim holds when each of its
+gates has residual <= tolerance; a check passes when all its claims hold.
 
 CLAIM_LIST is written by hand and is the coverage lock: the claims the
 registry declares must equal it, each exactly once.  All label sampling is
@@ -111,12 +111,13 @@ TOL_ANALYTIC = 1e-10
 
 @dataclass(frozen=True)
 class CheckSpec:
-    """Deterministic description of one check run.  ValueError unless
-    n_labels is an integer >= 1 (stored as int)."""
+    """Deterministic description of one check run.  ValueError unless seed
+    is an integer >= 0 and n_labels one >= 1 (both stored as int)."""
     seed: int = 20240801
     n_labels: int = 20
 
     def __post_init__(self):
+        object.__setattr__(self, "seed", _integer("seed", self.seed, 0))
         object.__setattr__(self, "n_labels", _integer("n_labels", self.n_labels, 1))
 
 
@@ -127,7 +128,8 @@ class CheckReport:
     labels: list
     residuals: dict
     tolerance: dict
-    passed: bool
+    passed: bool     # every claim holds
+    claim_passed: dict   # claim -> bool: each of its gates has residual <= tolerance
     runtime: float = 0.0
 
     def to_dict(self, include_runtime=True):
@@ -138,6 +140,7 @@ class CheckReport:
             "residuals": {k: float(v) for k, v in self.residuals.items()},
             "tolerance": {k: float(v) for k, v in self.tolerance.items()},
             "passed": bool(self.passed),
+            "claim_passed": dict(self.claim_passed),
         }
         if include_runtime:
             d["runtime"] = self.runtime
@@ -621,8 +624,7 @@ def _inner_product(spec):
     for l2 in (la, lb):
         m1, m2 = plane_wave(la), plane_wave(l2)
         got = inner(m1, m2, box)
-        pol = np.sum(np.conj(m1.polarization) * m2.polarization
-                     * (-(np.array([1.0, -1, -1, -1]))))  # eps-bar . eps' (3d dot)
+        pol = np.sum(np.conj(m1.polarization) * m2.polarization * -ETA_DIAG)  # eps-bar . eps'
         dp = np.array(l2.p) - np.array(la.p)
         sincs = np.prod([2.0 * box.box_half if abs(d) < 1e-15
                          else 2.0 * math.sin(d * box.box_half) / d for d in dp])
@@ -631,8 +633,7 @@ def _inner_product(spec):
         worst = max(worst, abs(got - want) / scale)
     # opposite helicity: pointwise orthogonal polarizations
     mo = plane_wave(PlaneWaveLabel(la.p, -1))
-    worst_s = abs(np.sum(np.conj(plane_wave(la).polarization) * mo.polarization
-                         * (-(np.array([1.0, -1, -1, -1])))))
+    worst_s = abs(np.sum(np.conj(plane_wave(la).polarization) * mo.polarization * -ETA_DIAG))
     residuals["plane_box_normalization"] = worst
     residuals["plane_helicity_orthogonality"] = float(worst_s)
 
@@ -734,88 +735,103 @@ def _inner_product(spec):
 
 @dataclass(frozen=True)
 class Check:
-    """One registered check: the report it produces and how it is judged."""
+    """One registered check: the report it produces and how it is judged.
+    ValueError naming it unless each claim owns a gate and each gate one claim."""
     name: str
     suite: str
-    claims: tuple
-    gates: dict      # residual key -> tolerance; passed iff every residual <= tol
+    gates: dict      # claim -> {residual key: tolerance}; holds iff each residual <= tol
     info: tuple      # residual keys reported but never gated
     measure: Callable   # spec -> (residuals, labels)
 
+    def __post_init__(self):
+        keys = [key for owned in self.gates.values() for key in owned]
+        if not all(self.gates.values()) or len(set(keys)) < len(keys):
+            raise ValueError(f"check {self.name!r}: a gateless claim or a gate under two claims")
 
-_EIGEN_GATES = {"eigen_fd": TOL_FD, "eigen_analytic": TOL_ANALYTIC,
-                "helicity_fd": TOL_FD, "helicity_analytic": TOL_ANALYTIC,
-                "null_momentum_analytic": TOL_ANALYTIC, "pauli_lubanski_fd": TOL_FD}
-_FIELD_GATES = {"box_fd": TOL_FD, "divergence_fd": TOL_FD, "a0_max": 1e-12,
-                "convergence_order_deficit": 0.0}
+    claims = property(lambda self: tuple(self.gates))   # in declaration order
+
 
 REGISTRY = {c.name: c for c in (
     Check("eigen_plane", "eigen",
-          ("eigenbasis_plane", "helicity_eigenvalue", "null_four_momentum",
-           "pauli_lubanski_identity"),
-          _EIGEN_GATES, (), lambda spec: _eigen("plane", spec)),
-    Check("eigen_cylindrical", "eigen", ("eigenbasis_cylindrical",),
-          _EIGEN_GATES, (), lambda spec: _eigen("cylindrical", spec)),
-    Check("eigen_spherical", "eigen", ("eigenbasis_spherical",),
-          {**_EIGEN_GATES, "l_squared_fd": TOL_FD}, (),
-          lambda spec: _eigen("spherical", spec)),
+          {"eigenbasis_plane": {"eigen_fd": TOL_FD, "eigen_analytic": TOL_ANALYTIC},
+           "helicity_eigenvalue": {"helicity_fd": TOL_FD, "helicity_analytic": TOL_ANALYTIC},
+           "null_four_momentum": {"null_momentum_analytic": TOL_ANALYTIC},
+           "pauli_lubanski_identity": {"pauli_lubanski_fd": TOL_FD}},
+          (), lambda spec: _eigen("plane", spec)),
+    Check("eigen_cylindrical", "eigen",
+          {"eigenbasis_cylindrical": {"eigen_fd": TOL_FD, "eigen_analytic": TOL_ANALYTIC,
+                                      "helicity_fd": TOL_FD, "helicity_analytic": TOL_ANALYTIC,
+                                      "null_momentum_analytic": TOL_ANALYTIC,
+                                      "pauli_lubanski_fd": TOL_FD}},
+          (), lambda spec: _eigen("cylindrical", spec)),
+    Check("eigen_spherical", "eigen",
+          {"eigenbasis_spherical": {"eigen_fd": TOL_FD, "eigen_analytic": TOL_ANALYTIC,
+                                    "helicity_fd": TOL_FD, "helicity_analytic": TOL_ANALYTIC,
+                                    "null_momentum_analytic": TOL_ANALYTIC,
+                                    "pauli_lubanski_fd": TOL_FD, "l_squared_fd": TOL_FD}},
+          (), lambda spec: _eigen("spherical", spec)),
     Check("field_equations_plane", "field_equations",
-          ("maxwell_wave_equation", "coulomb_gauge_divergence",
-           "coulomb_gauge_temporal", "fd_convergence_order"),
-          _FIELD_GATES, (), lambda spec: _field_equations("plane", spec)),
+          {"maxwell_wave_equation": {"box_fd": TOL_FD},
+           "coulomb_gauge_divergence": {"divergence_fd": TOL_FD},
+           "coulomb_gauge_temporal": {"a0_max": 1e-12},
+           "fd_convergence_order": {"convergence_order_deficit": 0.0}},
+          (), lambda spec: _field_equations("plane", spec)),
     Check("field_equations_cylindrical", "field_equations",
-          ("reduced_cylindrical_helmholtz", "cylindrical_gauge_constraint",
-           "cylindrical_helicity_coefficients"),
-          {**_FIELD_GATES, "helmholtz_eth_numeric": 1e-5, "gauge_constraint": 1e-14,
-           "helicity_coefficients": 1e-14},
+          {"reduced_cylindrical_helmholtz": {"box_fd": TOL_FD, "convergence_order_deficit": 0.0,
+                                             "helmholtz_eth_numeric": 1e-5},
+           "cylindrical_gauge_constraint": {"divergence_fd": TOL_FD, "a0_max": 1e-12,
+                                            "gauge_constraint": 1e-14},
+           "cylindrical_helicity_coefficients": {"helicity_coefficients": 1e-14}},
           (), lambda spec: _field_equations("cylindrical", spec)),
     Check("field_equations_spherical", "field_equations",
-          ("spherical_radial_system", "spherical_divergence_constraint",
-           "spherical_helicity_coefficient"),
-          {**_FIELD_GATES, "radial_system_analytic": 1e-9,
-           "divergence_constraint_analytic": 1e-9, "helicity_radial_identities": 1e-9},
+          {"spherical_radial_system": {"box_fd": TOL_FD, "convergence_order_deficit": 0.0,
+                                       "radial_system_analytic": 1e-9},
+           "spherical_divergence_constraint": {"divergence_fd": TOL_FD, "a0_max": 1e-12,
+                                               "divergence_constraint_analytic": 1e-9},
+           "spherical_helicity_coefficient": {"helicity_radial_identities": 1e-9}},
           (), lambda spec: _field_equations("spherical", spec)),
     Check("degeneracy", "degeneracy",
-          ("degeneracy_cylindrical_alpha0", "degeneracy_spherical_l0",
-           "smallest_multipole_l1"),
-          {"alpha0_forbidden_max": 0.0, "alpha0_allowed_nonzero": 0.0,
-           "l0_rejected": 0.0, "l1_exists_both_helicities": 0.0,
-           "limit_mode_helicity": TOL_ANALYTIC},
+          {"degeneracy_cylindrical_alpha0": {"alpha0_forbidden_max": 0.0,
+                                             "alpha0_allowed_nonzero": 0.0},
+           "degeneracy_spherical_l0": {"l0_rejected": 0.0},
+           "smallest_multipole_l1": {"l1_exists_both_helicities": 0.0,
+                                     "limit_mode_helicity": TOL_ANALYTIC}},
           (), _degeneracy),
-    Check("crosscheck_jacobi_anger", "crosscheck", ("jacobi_anger_reconstruction",),
-          {"reconstruction_error_M20": 1e-8, "monotone_tail": 0.0,
-           "truncation_M0_visible": 0.0},
+    Check("crosscheck_jacobi_anger", "crosscheck",
+          {"jacobi_anger_reconstruction": {"reconstruction_error_M20": 1e-8,
+                                           "monotone_tail": 0.0, "truncation_M0_visible": 0.0}},
           ("reconstruction_error_M0",) + tuple(f"error_M{M}" for M in _JA_ORDERS),
           _crosscheck),
     Check("algebra", "algebra",
-          ("poincare_structure_constants", "helicity_involution",
-           "helicity_commutes_translations", "dyad_derivative_tables",
-           "dyad_symmetry_invariance", "ladder_action_on_dyads",
-           "eth_ladder_cylindrical", "eth_ladder_spherical", "harmonic_l3_eigenvalue",
-           "harmonic_vanishing_low_l", "harmonic_closure"),
-          {"bracket_mismatches": 0.0, "involution": 1e-12,
-           "dual_translation_eigen_fd": TOL_FD, "dyad_derivative_fd": 1e-6,
-           "dyad_symmetry_invariance_fd": 1e-6, "dyad_ladder_action_fd": 1e-6,
-           "eth_ladder_cylindrical": 1e-6, "eth_ladder_spherical": 1e-6,
-           "harmonic_l3_spectral": 1e-10, "harmonic_low_l_vanishing": 0.0,
-           "harmonic_closure": 1e-10},
+          {"poincare_structure_constants": {"bracket_mismatches": 0.0},
+           "helicity_involution": {"involution": 1e-12},
+           "helicity_commutes_translations": {"dual_translation_eigen_fd": TOL_FD},
+           "dyad_derivative_tables": {"dyad_derivative_fd": 1e-6},
+           "dyad_symmetry_invariance": {"dyad_symmetry_invariance_fd": 1e-6},
+           "ladder_action_on_dyads": {"dyad_ladder_action_fd": 1e-6},
+           "eth_ladder_cylindrical": {"eth_ladder_cylindrical": 1e-6},
+           "eth_ladder_spherical": {"eth_ladder_spherical": 1e-6},
+           "harmonic_l3_eigenvalue": {"harmonic_l3_spectral": 1e-10},
+           "harmonic_vanishing_low_l": {"harmonic_low_l_vanishing": 0.0},
+           "harmonic_closure": {"harmonic_closure": 1e-10}},
           (), _algebra),
     Check("inner_product", "inner_product",
-          ("plane_wave_normalization", "orthonormality_spherical_sector",
-           "orthonormality_cylindrical_sector", "continuous_normalization_packet",
-           "cauchy_surface_independence", "current_conservation",
-           "inner_product_positivity", "inner_product_sesquilinearity",
-           "gauge_invariance", "inner_product_form_equivalence",
-           "bessel_overlap_tables", "bessel_delta_smearing", "hermiticity_p0_l3"),
-          {"packet_norm": 1e-3, "cauchy_slice_agreement": 1e-3,
-           "form_equivalence": 1e-3, "plane_box_normalization": 1e-8,
-           "plane_helicity_orthogonality": 1e-14, "gram_spherical_offdiag": 1e-8,
-           "gram_cylindrical_offdiag": 1e-8, "positivity_violation": 0.0,
-           "sesquilinearity": 1e-10, "kronecker_m_sector": 1e-10,
-           "hermiticity_p0_l3": 1e-6, "current_conservation_fd": 1e-6,
-           "gauge_invariance": 1e-8, "gauge_shift_div_nonzero": 0.0,
-           "bessel_tables": 1e-3, "bessel_tables_method_agreement": 5e-4,
-           "delta_smearing": 2e-2},
+          {"plane_wave_normalization": {"plane_box_normalization": 1e-8,
+                                        "plane_helicity_orthogonality": 1e-14},
+           "orthonormality_spherical_sector": {"gram_spherical_offdiag": 1e-8,
+                                               "kronecker_m_sector": 1e-10},
+           "orthonormality_cylindrical_sector": {"gram_cylindrical_offdiag": 1e-8},
+           "continuous_normalization_packet": {"packet_norm": 1e-3},
+           "cauchy_surface_independence": {"cauchy_slice_agreement": 1e-3},
+           "current_conservation": {"current_conservation_fd": 1e-6},
+           "inner_product_positivity": {"positivity_violation": 0.0},
+           "inner_product_sesquilinearity": {"sesquilinearity": 1e-10},
+           "gauge_invariance": {"gauge_invariance": 1e-8, "gauge_shift_div_nonzero": 0.0},
+           "inner_product_form_equivalence": {"form_equivalence": 1e-3},
+           "bessel_overlap_tables": {"bessel_tables": 1e-3,
+                                     "bessel_tables_method_agreement": 5e-4},
+           "bessel_delta_smearing": {"delta_smearing": 2e-2},
+           "hermiticity_p0_l3": {"hermiticity_p0_l3": 1e-6}},
           (), _inner_product),
 )}
 
@@ -827,15 +843,17 @@ def run_check(check: Check, spec: CheckSpec):
     t0 = time.perf_counter()
     residuals, labels = check.measure(spec)
     runtime = time.perf_counter() - t0
-    declared = set(check.gates) | set(check.info)
+    tolerance = {key: tol for owned in check.gates.values() for key, tol in owned.items()}
+    declared = set(tolerance) | set(check.info)
     if set(residuals) != declared:
         raise RuntimeError(
             f"check {check.name!r}: residuals not declared "
             f"{sorted(set(residuals) - declared)}, declared but missing "
             f"{sorted(declared - set(residuals))}")
-    passed = all(residuals[k] <= tol for k, tol in check.gates.items())
-    return CheckReport(check.name, list(check.claims), labels, residuals,
-                       dict(check.gates), passed, runtime)
+    claim_passed = {claim: all(residuals[k] <= tol for k, tol in owned.items())
+                    for claim, owned in check.gates.items()}
+    return CheckReport(check.name, list(check.claims), labels, residuals, tolerance,
+                       all(claim_passed.values()), claim_passed, runtime)
 
 
 def run_suite(name, seed=20240801, n_labels=20):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import importlib
 import io
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from photonmodes import cli, modes
+from photonmodes import cli, modes, validation
 from photonmodes.cli import FMT, main
 from photonmodes.modes import (CylindricalLabel, FieldGrid, GridSpec, PlaneWaveLabel,
                                SphericalLabel, make_mode, sample_grid)
@@ -305,6 +306,24 @@ def test_validate_rejects_a_label_count_below_one(capsys):
         assert main(["validate", "eigen", "--n-labels", bad]) == 2
         captured = capsys.readouterr()
         assert "n_labels" in captured.err and "pass" not in captured.out
+
+
+def test_validate_rejects_a_negative_seed(capsys):
+    assert main(["--seed", "-1", "validate", "degeneracy"]) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err and "pass" not in captured.out
+
+
+def test_validate_names_the_failed_claims_on_a_fail_row(monkeypatch, capsys):
+    check = validation.REGISTRY["degeneracy"]
+    residuals, labels = check.measure(validation.CheckSpec())
+    failing = dataclasses.replace(check, measure=lambda spec: (
+        {**residuals, "l0_rejected": 1.0}, labels))
+    monkeypatch.setitem(validation.REGISTRY, "degeneracy", failing)
+    assert main(["validate", "degeneracy"]) == 1
+    rows = capsys.readouterr().out.splitlines()
+    assert rows[1].startswith("degeneracy") and rows[1].endswith("  FAIL: degeneracy_spherical_l0")
+    assert rows[-1] == "overall: FAIL"
 
 
 def test_validate_unknown_suite(capsys):

@@ -956,6 +956,21 @@ def test_gram_rejects_a_bad_energy_before_any_quadrature(monkeypatch, family, fi
         discrete_orthonormality(family, fixed, ranges, GRAM_QUAD)
 
 
+@pytest.mark.parametrize("family, fixed, ranges, wrong", [
+    ("spherical", {}, {"l_max": 1}, "missing key 'p0'"),
+    ("spherical", {"p0": 1.0}, {}, "missing key 'l_max'"),
+    ("spherical", {"p0": 1.0, "pz": 0.3}, {"l_max": 1}, "unknown key 'pz'"),
+    ("spherical", {"p0": 1.0}, {"m_max": 1}, "missing key 'l_max', unknown key 'm_max'"),
+    ("cylindrical", {"p0": 1.0}, {"m_max": 1}, "missing key 'pz'"),
+    ("cylindrical", {"p0": 1.0, "pz": 0.3}, {}, "missing key 'm_max'"),
+    ("cylindrical", {"p0": 1.0, "pz": 0.3, "l": 1}, {"m_max": 1}, "unknown key 'l'"),
+    ("cylindrical", {"p0": 1.0, "pz": 0.3}, {"m_max": 1, "l_max": 1}, "unknown key 'l_max'")])
+def test_gram_rejects_a_missing_or_unknown_key(family, fixed, ranges, wrong):
+    # a missing key was a bare KeyError, an unknown one silently ignored
+    with pytest.raises(ValueError, match=wrong):
+        discrete_orthonormality(family, fixed, ranges, GRAM_QUAD)
+
+
 def test_gram_single_label():
     g = discrete_orthonormality("cylindrical", {"p0": 1.0, "pz": 0.0},
                                 {"m_max": 0}, GRAM_QUAD)

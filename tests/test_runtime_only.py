@@ -5,8 +5,9 @@ One child interpreter, with RuntimeWarning an error and the test extras
 cli.main every suite of `validate all` at a second seed, a 32^3 multipole
 grid of eight sample_grid blocks in both output formats, and one Gram per
 family and tail rule.  Each command must exit 0, every JSON file must load
-with NaN and Infinity rejected, and the runs must import no top-level module
-beyond the standard library, numpy and photonmodes.
+with NaN and Infinity rejected, every validation report must rebuild as a
+CheckReport with one true verdict per claim of CLAIM_LIST, and the runs must
+import no top-level module beyond the standard library, numpy and photonmodes.
 """
 
 import json
@@ -15,6 +16,8 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+
+from photonmodes.validation import CLAIM_LIST, CheckReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -84,6 +87,11 @@ def test_cli_runs_on_numpy_alone(tmp_path):
                        "grid32.header.json", "grid32.json", "report.json"]
     loaded = {name: _strict_load(out / name) for name in written}
     assert loaded["report.json"]["provenance"]["seed"] == 7
+    # the benchmark's own parse; one true verdict for every claim
+    reports = [CheckReport(**d) for d in loaded["report.json"]["reports"]]
+    verdicts = [(claim, held) for rep in reports for claim, held in rep.claim_passed.items()]
+    assert sorted(claim for claim, _ in verdicts) == sorted(CLAIM_LIST)
+    assert all(held is True for _, held in verdicts)
     assert len(loaded["grid32.json"]["rows"]) == 32 ** 3
     with open(out / "grid32.csv") as fh:
         assert sum(1 for _ in fh) == 1 + 32 ** 3

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import json
 
 import pytest
@@ -95,6 +96,8 @@ def test_report_file_is_strict_json_and_round_trips(tmp_path):
         for d in payload["reports"]:
             assert CheckReport(**d).to_dict() == d
             assert d["claims"] == list(REGISTRY[d["name"]].claims)
+            assert sorted(d["claim_passed"]) == sorted(d["claims"])
+            assert all(held is True for held in d["claim_passed"].values())
 
 
 def test_check_spec_rejects_a_bad_label_count():
@@ -104,11 +107,47 @@ def test_check_spec_rejects_a_bad_label_count():
     assert type(CheckSpec(n_labels=3.0).n_labels) is int
 
 
+def test_check_spec_rejects_a_bad_seed():
+    # numpy would take a float seed in one suite and reject it in another,
+    # and a negative one only where a generator is built, naming no field
+    for bad in (-1, 2.5, float("nan")):
+        with pytest.raises(ValueError, match="seed"):
+            CheckSpec(seed=bad)
+    assert type(CheckSpec(seed=7.0).seed) is int
+
+
 def test_undeclared_residual_rejected():
-    check = Check("t", "t", (), {"a": 1.0}, (),
+    check = Check("t", "t", {"c": {"a": 1.0}}, (),
                   lambda spec: ({"a": 0.0, "b": 0.0}, []))
     with pytest.raises(RuntimeError, match="'b'"):
         run_check(check, CheckSpec())
+
+
+def test_a_claim_without_a_gate_or_a_gate_under_two_claims_is_rejected():
+    def measure(spec):
+        return {"a": 0.0}, []
+
+    for gates in ({"c": {"a": 1.0}, "d": {}}, {"c": {"a": 1.0}, "d": {"a": 1.0}}):
+        with pytest.raises(ValueError, match="check 't'"):
+            Check("t", "t", gates, (), measure)
+
+
+GATES = [(name, claim, key) for name, check in REGISTRY.items()
+         for claim, owned in check.gates.items() for key in owned]
+
+
+@pytest.mark.parametrize("name, claim, key", GATES, ids=[f"{n}-{k}" for n, _, k in GATES])
+def test_one_gate_over_its_tolerance_fails_exactly_its_claim(name, claim, key):
+    check = REGISTRY[name]
+    zero = dict.fromkeys([k for owned in check.gates.values() for k in owned]
+                         + list(check.info), 0.0)
+    assert run_check(dataclasses.replace(check, measure=lambda spec: (zero, [])),
+                     CheckSpec()).passed
+    tol = check.gates[claim][key]
+    forced = {**zero, key: 2.0 * tol if tol else 1.0}
+    rep = run_check(dataclasses.replace(check, measure=lambda spec: (forced, [])), CheckSpec())
+    assert [c for c, held in rep.claim_passed.items() if not held] == [claim]
+    assert not rep.passed
 
 
 def test_suite_names_stable():
